@@ -137,8 +137,10 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None,
                 triple = s.triple()
                 if any(t % 2 for t in triple):
                     raise NotReducing("odd intersection triple in atlas")
-                store.add(AtlasRecord(s.key(), triple, witness, level,
-                                      to_doc(canonical_form(img))))
+                key = s.key()
+                if key not in store.index:  # only a new record needs its document
+                    store.add(AtlasRecord(key, triple, witness, level,
+                                          to_doc(canonical_form(img))))
     return store
 
 

@@ -6,11 +6,21 @@ arcs are then chords between sides, and a curve is embeddable iff its chords
 can be drawn disjointly.  Minimal position is reached by removing spurs and
 generalized bigons (kernel), after which the word is re-embedded canonically
 from its normal coordinates and corner passes are slid to a fixed side.
+
+Re-embedding is table-driven and linear in the word length.  Static tables,
+built once at import from `surface`, number the 60 chord classes and hold
+each class's interleave bitmask and each edge side's fan order.  A word is
+encoded as bytes (one per step), its class counts are read off in one pass,
+and the normal multicurve with those counts becomes a successor table over
+crossing slots, filled one slice per chord class.  One walk traces the
+curve, and the traced bytes are compared with the input by substring tests
+in both directions.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from . import kernel
@@ -117,35 +127,21 @@ def _check_parity(steps: list[Step]) -> None:
         raise ParityViolation(f"crossing parities: ABC={abc}, XYZ={xyz}")
 
 
-def _arcs(steps: tuple[Step, ...] | list[Step]):
-    """(hexagon, entry edge, exit edge) for each in-hexagon arc."""
-    n = len(steps)
-    return [(steps[i][1], steps[i][0], steps[(i + 1) % n][0]) for i in range(n)]
-
-
-def _interleave(h: int, pair1: tuple[int, int], pair2: tuple[int, int]) -> bool:
-    p1, q1 = (SIDE_POS[h][x] for x in pair1)
-    p2, q2 = (SIDE_POS[h][x] for x in pair2)
-    if len({p1, q1, p2, q2}) < 4:
-        return False
-    inside = {(p1 + k) % 6 for k in range(1, (q1 - p1) % 6)}
-    return (p2 in inside) != (q2 in inside)
-
-
 def _check_embeddable(steps: list[Step]) -> None:
-    # per-hexagon chord classes must be pairwise non-interleaving (spur chords exempt)
-    classes: dict[int, set[tuple[int, int]]] = {h: set() for h in range(4)}
-    for h, e1, e2 in _arcs(steps):
-        if e1 != e2:
-            classes[h].add((min(e1, e2), max(e1, e2)))
-    for h, cs in classes.items():
-        cl = sorted(cs)
-        for i in range(len(cl)):
-            for j in range(i + 1, len(cl)):
-                if _interleave(h, cl[i], cl[j]):
-                    raise NotEmbeddable(
-                        f"chords {tuple(EDGE_TOKENS[x] for x in cl[i])} and "
-                        f"{tuple(EDGE_TOKENS[x] for x in cl[j])} interleave in {HEX_TOKENS[h]}")
+    # chord classes present in a hexagon must not interleave (spur chords exempt)
+    present = 0
+    for x, y in _arc_pairs(_encode(steps)):
+        i = _ARC_CLASS[12 * x + (y >> 2)]
+        if i >= 0:
+            present |= 1 << i
+    for i, (h, e1, e2) in enumerate(_CLASS_KEYS):
+        clash = present & _CLASS_CROSSES[i] & -(2 << i) if present >> i & 1 else 0
+        if clash:
+            j = (clash & -clash).bit_length() - 1
+            raise NotEmbeddable(
+                f"chords {(EDGE_TOKENS[e1], EDGE_TOKENS[e2])} and "
+                f"{tuple(EDGE_TOKENS[x] for x in _CLASS_KEYS[j][1:])} "
+                f"interleave in {HEX_TOKENS[h]}")
     # per-edge order consistency (checked on the spur-free core of the word)
     es = [e for e, _ in steps]
     hs = [h for _, h in steps]
@@ -187,118 +183,185 @@ def validate(steps) -> CurveWord:
 
 
 # ------------------------------------------------------------- coordinates
+#
+# Re-embedding runs on small integers.  A step (e, h) is the byte 4e+h, so an
+# encoded word sorts like its step tuples.  The 60 chord classes (h, lo, hi)
+# are numbered in sorted key order.  Crossing slot s of edge e is the global
+# slot off[e] + s, and state 2g+k is "at slot g, entering EDGE_HEXES[e][k]";
+# a normal multicurve is a successor table over these states.
+
+
+def _encode(steps) -> bytes:
+    return bytes(4 * e + h for e, h in steps)
+
+
+def _ascending(h: int, e: int) -> bool:
+    """Does the stored boundary of h walk side e in increasing slot order?"""
+    return _slot_origin(e) == CORNER_AFTER[(SIDE_POS[h][e] - 1) % 6]
+
+
+_CLASS_KEYS = tuple((h, e1, e2) for h in range(4) for e1 in range(12) for e2 in range(e1 + 1, 12)
+                    if SIDE_POS[h][e1] >= 0 and SIDE_POS[h][e2] >= 0)
+# a class may be keyed with its two edges in either order
+_CLASS_OF = {(h, e1, e2): i for i, (h, e, f) in enumerate(_CLASS_KEYS)
+             for e1, e2 in ((e, f), (f, e))}
+# side positions (lo < hi) of each class's chord on its hexagon's boundary
+_CLASS_SPAN = tuple(tuple(sorted((SIDE_POS[h][e1], SIDE_POS[h][e2])))
+                    for h, e1, e2 in _CLASS_KEYS)
+# edge sides (2e+k) of each class's lo and hi end
+_CLASS_ENDS = tuple((2 * e1 + EDGE_HEXES[e1].index(h), 2 * e2 + EDGE_HEXES[e2].index(h))
+                    for h, e1, e2 in _CLASS_KEYS)
+# strands of a class pair slots in opposite order along its two sides
+_CLASS_ANTI = tuple(_ascending(h, e1) == _ascending(h, e2) for h, e1, e2 in _CLASS_KEYS)
+
+
+def _crossing_classes(i: int) -> int:
+    """Bitmask of the classes whose chords cross the chord of class i."""
+    (a, b), h = _CLASS_SPAN[i], _CLASS_KEYS[i][0]
+    mask = 0
+    for j, (c, d) in enumerate(_CLASS_SPAN):
+        if (a < c < b < d or c < a < d < b) and _CLASS_KEYS[j][0] == h:
+            mask |= 1 << j
+    return mask
+
+
+def _fans() -> tuple[tuple[int, ...], ...]:
+    """Class ends 2i+(0 lo, 1 hi) on each edge side, in slot order from the edge's origin."""
+    keyed: list[list[tuple[int, int]]] = [[] for _ in range(24)]
+    for i, (h, e1, e2) in enumerate(_CLASS_KEYS):
+        for end, (e, other) in enumerate(((e1, e2), (e2, e1))):
+            key = fan_key_from(h, e, other, _slot_origin(e))
+            keyed[_CLASS_ENDS[i][end]].append((key, 2 * i + end))
+    return tuple(tuple(end for _, end in sorted(k)) for k in keyed)
+
+
+_CLASS_CROSSES = tuple(map(_crossing_classes, range(len(_CLASS_KEYS))))
+_FAN = _fans()
+# class of the arc entering by step byte x and leaving by edge y: _ARC_CLASS[12x+y];
+# -1 for a spur (y is the entry edge), -2 if the two edges are not sides of one hexagon
+_ARC_CLASS = tuple(-1 if x >> 2 == y else _CLASS_OF.get((x & 3, x >> 2, y), -2)
+                   for x in range(48) for y in range(12))
+# step bytes of the two states 2g, 2g+1 of a slot on edge e
+_SLOT_BYTES = tuple(bytes(4 * e + h for h in EDGE_HEXES[e]) for e in range(12))
+_STEP_OF_BYTE = tuple((x >> 2, x & 3) for x in range(48))
+# step byte of the same crossing traversed backwards
+_REVERSED = bytes(4 * (x >> 2) + OTHER_HEX[x >> 2].get(x & 3, x & 3) if x < 48 else x
+                  for x in range(256))
+
+
+def _arc_pairs(w: bytes) -> Counter:
+    """Occurrences of each (step byte, next step byte) pair of a cyclic word."""
+    return Counter(zip(w, w[1:] + w[:1]))
+
+
+def _arc_counts(w: bytes) -> list[int]:
+    """Chord-class counts of an encoded word, indexed by class id."""
+    counts = [0] * len(_CLASS_KEYS)
+    bad = None
+    for (x, y), c in _arc_pairs(w).items():
+        i = _ARC_CLASS[12 * x + (y >> 2)]
+        if i >= 0:
+            counts[i] += c
+        elif i == -1:
+            raise InternalInvariantError("coordinates of a word with spurs")
+        else:
+            bad = (x & 3, *sorted((x >> 2, y >> 2)))
+    if bad:
+        raise InconsistentCoordinates("bad chord class ({},{},{})".format(*bad))
+    return counts
 
 
 def to_coordinates(w: CurveWord) -> dict[tuple[int, int, int], int]:
     """Chord-class counts {(hexagon, lo edge, hi edge): n}.  Word must be spur-free."""
-    out: dict[tuple[int, int, int], int] = {}
-    for h, e1, e2 in _arcs(w.steps):
-        if e1 == e2:
-            raise InternalInvariantError("coordinates of a word with spurs")
-        key = (h, min(e1, e2), max(e1, e2))
-        out[key] = out.get(key, 0) + 1
-    return out
+    counts = _arc_counts(_encode(w.steps))
+    return {_CLASS_KEYS[i]: c for i, c in enumerate(counts) if c}
 
 
-def _coords_check(coords: dict[tuple[int, int, int], int]) -> None:
-    for (h, e1, e2), c in coords.items():
-        if c < 0 or e1 == e2 or SIDE_POS[h][e1] < 0 or SIDE_POS[h][e2] < 0:
+def _class_counts(coords) -> list[int]:
+    """Normal coordinates as a list of class counts."""
+    counts = [0] * len(_CLASS_KEYS)
+    for (h, e1, e2), c in {k: int(v) for k, v in coords.items() if v}.items():
+        i = _CLASS_OF.get((h, e1, e2))
+        if i is None or c < 0:
             raise InconsistentCoordinates(f"bad chord class ({h},{e1},{e2})")
-    for h in range(4):
-        cl = sorted({(e1, e2) for (hh, e1, e2), c in coords.items() if hh == h and c > 0})
-        for i in range(len(cl)):
-            for j in range(i + 1, len(cl)):
-                if _interleave(h, cl[i], cl[j]):
-                    raise NotEmbeddable(
-                        f"interleaving chord classes in {HEX_TOKENS[h]}")
+        counts[i] += c
+    return counts
+
+
+def _span(a: int, c: int, k: int, anti: bool) -> range:
+    """States 2g+k of slots g = a..a+c-1, descending if `anti`."""
+    lo, hi = 2 * a + k, 2 * (a + c) + k
+    return range(hi - 2, lo - 2, -2) if anti else range(lo, hi, 2)
+
+
+def _embedding(counts: list[int]) -> tuple[list[int], bytes]:
+    """Successor table and state bytes of the normal multicurve with these counts.
+
+    Checks that no two classes present in a hexagon interleave and that both
+    sides of every edge carry the same number of crossings.  Each class fills
+    a block of slots on its two sides, in fan order from the edge's origin,
+    and pairs them as one slice per side.
+    """
+    present = [i for i, c in enumerate(counts) if c]
+    mask = sum(1 << i for i in present)
+    for i in present:
+        if _CLASS_CROSSES[i] & mask:
+            raise NotEmbeddable(
+                f"interleaving chord classes in {HEX_TOKENS[_CLASS_KEYS[i][0]]}")
+    crossings = [0] * 24  # per edge side 2e+k
+    for i in present:
+        lo, hi = _CLASS_ENDS[i]
+        crossings[lo] += counts[i]
+        crossings[hi] += counts[i]
+    off = [0] * 13
     for e in range(12):
-        hp, hq = EDGE_HEXES[e]
-        totals = []
-        for h in (hp, hq):
-            totals.append(sum(c for (hh, e1, e2), c in coords.items()
-                              if hh == h and c > 0 and e in (e1, e2)))
-        if totals[0] != totals[1]:
+        if crossings[2 * e] != crossings[2 * e + 1]:
             raise InconsistentCoordinates(
-                f"edge {EDGE_TOKENS[e]} endpoint counts differ: {totals}")
+                f"edge {EDGE_TOKENS[e]} endpoint counts differ: {crossings[2 * e:2 * e + 2]}")
+        off[e + 1] = off[e] + crossings[2 * e]
+    start = [0] * (2 * len(_CLASS_KEYS))
+    for j, t in enumerate(crossings):
+        if t:
+            pos = off[j >> 1]
+            for end in _FAN[j]:
+                start[end] = pos
+                pos += counts[end >> 1]
+    code = b"".join([_SLOT_BYTES[e] * crossings[2 * e] for e in range(12)])
+    nxt = [0] * len(code)
+    for i in present:
+        c, anti = counts[i], _CLASS_ANTI[i]
+        a, b = start[2 * i], start[2 * i + 1]
+        ka, kb = _CLASS_ENDS[i][0] & 1, _CLASS_ENDS[i][1] & 1
+        # entering the hexagon through one side leaves it through the other
+        nxt[2 * a + ka:2 * (a + c):2] = _span(b, c, 1 - kb, anti)
+        nxt[2 * b + kb:2 * (b + c):2] = _span(a, c, 1 - ka, anti)
+    return nxt, code
 
 
-def _slot_fill(coords, e: int, h: int) -> list[tuple[int, int]]:
-    """(slot range start, class partner edge) blocks along edge e as seen from h."""
-    origin = _slot_origin(e)
-    items = []
-    for (hh, e1, e2), c in coords.items():
-        if hh != h or c <= 0 or e not in (e1, e2):
-            continue
-        other = e2 if e1 == e else e1
-        items.append((fan_key_from(h, e, other, origin), other, c))
-    items.sort()
-    blocks = []
-    pos = 0
-    for _, other, c in items:
-        blocks.append((pos, other, c))
-        pos += c
-    return blocks
+def _traces(nxt: list[int]):
+    """State paths of all components, in order of their lowest slot.
 
-
-def _hex_matches(coords) -> dict[int, dict[tuple[int, int], tuple[int, int]]]:
-    """For each hexagon, the pairing (edge, slot) -> (edge, slot) given by its chords."""
-    slots_of: dict[tuple[int, int, int], list[int]] = {}
-    for e in range(12):
-        for h in EDGE_HEXES[e]:
-            for start, other, c in _slot_fill(coords, e, h):
-                slots_of[(h, e, other)] = list(range(start, start + c))
-    match: dict[int, dict[tuple[int, int], tuple[int, int]]] = {h: {} for h in range(4)}
-    for (h, e1, e2), c in coords.items():
-        if c <= 0:
-            continue
-        side1 = _boundary_ordered(h, e1, slots_of[(h, e1, e2)])
-        side2 = _boundary_ordered(h, e2, slots_of[(h, e2, e1)])
-        for k in range(c):
-            a = (e1, side1[k])
-            b = (e2, side2[c - 1 - k])
-            match[h][a] = b
-            match[h][b] = a
-    return match
-
-
-def _boundary_ordered(h: int, e: int, slots: list[int]) -> list[int]:
-    """Slots of edge e listed in the direction the stored boundary of h walks side e."""
-    p = SIDE_POS[h][e]
-    start_vertex = CORNER_AFTER[(p - 1) % 6]
-    ascending = _slot_origin(e) == start_vertex
-    return sorted(slots) if ascending else sorted(slots, reverse=True)
+    Each path starts at that slot, entering the second hexagon of its edge.
+    """
+    seen = bytearray(len(nxt) // 2)
+    for g in range(len(seen)):
+        if not seen[g]:
+            start = 2 * g + 1
+            path = [start]
+            append = path.append
+            d = nxt[start]
+            while d != start:
+                append(d)
+                d = nxt[d]
+            yield path
+            for d in path:
+                seen[d >> 1] = 1
 
 
 def from_normal_coordinates(coords) -> list[CurveWord]:
     """All components of the unique normal multicurve with these chord counts."""
-    coords = {k: int(v) for k, v in coords.items() if v}
-    _coords_check(coords)
-    if not coords:
-        return []
-    match = _hex_matches(coords)
-    # connection walk over crossing slots
-    seen: set[tuple[int, int]] = set()
-    components: list[CurveWord] = []
-    all_crossings = sorted(
-        {key for h in range(4) for key in match[h].keys()})
-    for start in all_crossings:
-        if start in seen:
-            continue
-        e, s = start
-        dest = EDGE_HEXES[e][1]
-        start_state = (e, s, dest)
-        steps: list[Step] = []
-        state = start_state
-        while True:
-            e, s, dest = state
-            seen.add((e, s))
-            steps.append((e, dest))
-            e2, s2 = match[dest][(e, s)]
-            state = (e2, s2, OTHER_HEX[e2][dest])
-            if state == start_state:
-                break
-        components.append(CurveWord(tuple(steps), normalized=False))
-    return components
+    nxt, code = _embedding(_class_counts(coords))
+    return [CurveWord(tuple(_STEP_OF_BYTE[code[d]] for d in path)) for path in _traces(nxt)]
 
 
 # ------------------------------------------------------------- normalization
@@ -311,28 +374,37 @@ def reversed_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
                  for i in range(n))
 
 
-def _least_rotation(seq: tuple[Step, ...]) -> tuple[Step, ...]:
-    """Booth's algorithm: lexicographically minimal rotation in linear time."""
-    n = len(seq)
-    if n <= 1:
-        return seq
-    doubled = seq + seq
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = doubled[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            f[j - k] = -1
+def _least_rotation_index(w: bytes) -> int:
+    """Start of the lexicographically least rotation of w, in linear time.
+
+    Two candidate starts i < j advance past each other: when their rotations
+    first differ after k equal bytes, no start in the loser's next k+1 bytes
+    can be least.
+    """
+    n = len(w)
+    ww = w + w
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = ww[i + k], ww[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            f[j - k] = i + 1
-    return doubled[k:k + n]
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return i
+
+
+def _least_rotation(seq: tuple[Step, ...]) -> tuple[Step, ...]:
+    """Lexicographically least rotation of a step sequence."""
+    k = _least_rotation_index(_encode(seq))
+    return seq[k:] + seq[:k]
 
 
 def canonical_steps(w: CurveWord) -> tuple[Step, ...]:
@@ -357,22 +429,11 @@ def _cyclic_cancel_equal(letters: list[str]) -> list[str]:
             stack.pop()
         else:
             stack.append(x)
-    while len(stack) >= 2 and stack[0] == stack[-1]:
-        stack.pop()
-        stack.pop(0)
-    return stack
-
-
-def _cyclic_word_key(letters: list[str]) -> tuple[str, ...]:
-    if not letters:
-        return ()
-    best = None
-    for seq in (letters, letters[::-1]):
-        for r in range(len(seq)):
-            cand = tuple(seq[r:] + seq[:r])
-            if best is None or cand < best:
-                best = cand
-    return best
+    i, j = 0, len(stack) - 1
+    while i < j and stack[i] == stack[j]:
+        i += 1
+        j -= 1
+    return stack[i:j + 1]
 
 
 def normalize(w: CurveWord) -> CurveWord:
@@ -420,8 +481,13 @@ def canonical_form(w: CurveWord) -> CurveWord:
     Only slides that keep the word realizable are performed (a slide shifts
     the fan position of the neighboring chords, which can collide with other
     strands); each successful slide removes one index-2 A/B/C crossing, so
-    the loop terminates.  Stable across routes that differ by vertex slides;
-    used by signatures, dedup and stored documents.
+    the loop terminates.  Used by signatures, dedup and stored documents.
+
+    The result depends on the route: isotopic curves reached by different
+    generator words can end with different canonical words (over all words
+    in b, B, d, D of length <= 6, 8 of the 303 signature classes hold two,
+    even up to rotation and reversal).  Every slide attempt is checked by a
+    full `_reembed`.
     """
     word = ensure_normal(w)
     steps = canonical_steps(word)
@@ -448,30 +514,30 @@ def canonical_form(w: CurveWord) -> CurveWord:
                     continue
             i += 1
         if not progressed:
-            return _reembed(CurveWord(canonical_steps(CurveWord(steps))))
+            return _reembed(CurveWord(steps))
     raise InternalInvariantError("canonicalization failed to stabilize")
 
 
 def _reembed(word: CurveWord) -> CurveWord:
     """Canonical embedded realization of a minimal word; verifies class invariants.
 
-    The trace direction is arbitrary, so match it to the input's orientation.
+    The word's chord-class counts must re-embed as a single normal curve that
+    traces the same cyclic word in one direction or the other.  Returns the
+    word's least rotation.
     """
-    comps = from_normal_coordinates(to_coordinates(word))
-    if len(comps) != 1:
-        raise InternalInvariantError(
-            f"minimal word re-embedded into {len(comps)} components")
-    traced = comps[0]
-    if len(traced) != len(word):
-        raise InternalInvariantError("re-embedding changed the word length")
-    fwd = canonical_steps(traced)
-    rev = _least_rotation(reversed_steps(traced.steps))
-    want = canonical_steps(word)
-    if fwd == want:
-        return CurveWord(fwd, normalized=True)
-    if rev == want:
-        return CurveWord(rev, normalized=True)
-    raise InternalInvariantError("re-embedding changed the cyclic word")
+    w = _encode(word.steps)
+    nxt, code = _embedding(_arc_counts(w))
+    traces = _traces(nxt)
+    path = next(traces, None)
+    # the slots number len(w), so a component of that length is the only one
+    if path is None or len(path) != len(w):
+        found = (path is not None) + sum(1 for _ in traces)
+        raise InternalInvariantError(f"minimal word re-embedded into {found} components")
+    traced = bytes(map(code.__getitem__, path))
+    if traced not in w + w and traced[::-1].translate(_REVERSED) not in w + w:
+        raise InternalInvariantError("re-embedding changed the cyclic word")
+    k = _least_rotation_index(w)
+    return CurveWord(word.steps[k:] + word.steps[:k], normalized=True)
 
 
 def ensure_normal(w: CurveWord) -> CurveWord:

@@ -1,0 +1,198 @@
+"""Reference re-embedding: the dict-based implementation that the table-driven
+one in `goeritz2.curve` replaced, kept as a test oracle.
+
+Coordinates are dicts keyed by (hexagon, lo edge, hi edge); crossing slots
+are (edge, slot) tuples matched per hexagon; rotations are compared with
+Booth's algorithm over tuples of steps.  Slow (quadratic in the number of
+chord classes, several dict operations per crossing) but direct.
+"""
+
+from __future__ import annotations
+
+from goeritz2.curve import CurveWord, reversed_steps
+from goeritz2.errors import InconsistentCoordinates, InternalInvariantError, NotEmbeddable
+from goeritz2.surface import (
+    CORNER_AFTER,
+    EDGE_ENDPOINTS,
+    EDGE_HEXES,
+    EDGE_TOKENS,
+    HEX_TOKENS,
+    OTHER_HEX,
+    SIDE_POS,
+    VERTEX_TOKENS,
+    fan_key_from,
+)
+
+
+def _slot_origin(e):
+    u, v = EDGE_ENDPOINTS[e]
+    return u if VERTEX_TOKENS[u] <= VERTEX_TOKENS[v] else v
+
+
+def least_rotation(seq):
+    """Booth's algorithm: lexicographically minimal rotation in linear time."""
+    n = len(seq)
+    if n <= 1:
+        return seq
+    doubled = seq + seq
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = doubled[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != doubled[k + i + 1]:
+            if sj < doubled[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != doubled[k + i + 1]:
+            if sj < doubled[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return doubled[k:k + n]
+
+
+def to_coordinates(w):
+    out = {}
+    n = len(w.steps)
+    for i in range(n):
+        h, e1, e2 = w.steps[i][1], w.steps[i][0], w.steps[(i + 1) % n][0]
+        if e1 == e2:
+            raise InternalInvariantError("coordinates of a word with spurs")
+        key = (h, min(e1, e2), max(e1, e2))
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _interleave(h, pair1, pair2):
+    p1, q1 = (SIDE_POS[h][x] for x in pair1)
+    p2, q2 = (SIDE_POS[h][x] for x in pair2)
+    if len({p1, q1, p2, q2}) < 4:
+        return False
+    inside = {(p1 + k) % 6 for k in range(1, (q1 - p1) % 6)}
+    return (p2 in inside) != (q2 in inside)
+
+
+def _coords_check(coords):
+    for (h, e1, e2), c in coords.items():
+        if c < 0 or e1 == e2 or SIDE_POS[h][e1] < 0 or SIDE_POS[h][e2] < 0:
+            raise InconsistentCoordinates(f"bad chord class ({h},{e1},{e2})")
+    for h in range(4):
+        cl = sorted({(e1, e2) for (hh, e1, e2), c in coords.items() if hh == h and c > 0})
+        for i in range(len(cl)):
+            for j in range(i + 1, len(cl)):
+                if _interleave(h, cl[i], cl[j]):
+                    raise NotEmbeddable(f"interleaving chord classes in {HEX_TOKENS[h]}")
+    for e in range(12):
+        totals = [sum(c for (hh, e1, e2), c in coords.items()
+                      if hh == h and c > 0 and e in (e1, e2))
+                  for h in EDGE_HEXES[e]]
+        if totals[0] != totals[1]:
+            raise InconsistentCoordinates(
+                f"edge {EDGE_TOKENS[e]} endpoint counts differ: {totals}")
+
+
+def _slot_fill(coords, e, h):
+    origin = _slot_origin(e)
+    items = []
+    for (hh, e1, e2), c in coords.items():
+        if hh != h or c <= 0 or e not in (e1, e2):
+            continue
+        other = e2 if e1 == e else e1
+        items.append((fan_key_from(h, e, other, origin), other, c))
+    items.sort()
+    blocks = []
+    pos = 0
+    for _, other, c in items:
+        blocks.append((pos, other, c))
+        pos += c
+    return blocks
+
+
+def _boundary_ordered(h, e, slots):
+    start_vertex = CORNER_AFTER[(SIDE_POS[h][e] - 1) % 6]
+    return sorted(slots, reverse=_slot_origin(e) != start_vertex)
+
+
+def _hex_matches(coords):
+    slots_of = {}
+    for e in range(12):
+        for h in EDGE_HEXES[e]:
+            for start, other, c in _slot_fill(coords, e, h):
+                slots_of[(h, e, other)] = list(range(start, start + c))
+    match = {h: {} for h in range(4)}
+    for (h, e1, e2), c in coords.items():
+        if c <= 0:
+            continue
+        side1 = _boundary_ordered(h, e1, slots_of[(h, e1, e2)])
+        side2 = _boundary_ordered(h, e2, slots_of[(h, e2, e1)])
+        for k in range(c):
+            a = (e1, side1[k])
+            b = (e2, side2[c - 1 - k])
+            match[h][a] = b
+            match[h][b] = a
+    return match
+
+
+def from_normal_coordinates(coords):
+    coords = {k: int(v) for k, v in coords.items() if v}
+    _coords_check(coords)
+    if not coords:
+        return []
+    match = _hex_matches(coords)
+    seen = set()
+    components = []
+    for start in sorted({key for h in range(4) for key in match[h]}):
+        if start in seen:
+            continue
+        e, s = start
+        start_state = (e, s, EDGE_HEXES[e][1])
+        steps = []
+        state = start_state
+        while True:
+            e, s, dest = state
+            seen.add((e, s))
+            steps.append((e, dest))
+            e2, s2 = match[dest][(e, s)]
+            state = (e2, s2, OTHER_HEX[e2][dest])
+            if state == start_state:
+                break
+        components.append(CurveWord(tuple(steps)))
+    return components
+
+
+def reembed(word):
+    comps = from_normal_coordinates(to_coordinates(word))
+    if len(comps) != 1:
+        raise InternalInvariantError(
+            f"minimal word re-embedded into {len(comps)} components")
+    traced = comps[0]
+    if len(traced) != len(word):
+        raise InternalInvariantError("re-embedding changed the word length")
+    fwd = least_rotation(traced.steps)
+    rev = least_rotation(reversed_steps(traced.steps))
+    want = least_rotation(word.steps)
+    if fwd == want:
+        return CurveWord(fwd, normalized=True)
+    if rev == want:
+        return CurveWord(rev, normalized=True)
+    raise InternalInvariantError("re-embedding changed the cyclic word")
+
+
+def interleaving_chords(steps):
+    """The first interleaving chord pair, as `validate` reports it, or None."""
+    n = len(steps)
+    classes = {h: set() for h in range(4)}
+    for i in range(n):
+        h, e1, e2 = steps[i][1], steps[i][0], steps[(i + 1) % n][0]
+        if e1 != e2:
+            classes[h].add((min(e1, e2), max(e1, e2)))
+    for h, cs in classes.items():
+        cl = sorted(cs)
+        for i in range(len(cl)):
+            for j in range(i + 1, len(cl)):
+                if _interleave(h, cl[i], cl[j]):
+                    return (f"chords {tuple(EDGE_TOKENS[x] for x in cl[i])} and "
+                            f"{tuple(EDGE_TOKENS[x] for x in cl[j])} interleave in {HEX_TOKENS[h]}")
+    return None
