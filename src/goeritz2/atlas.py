@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .action import GENERATORS, apply_generator, format_goeritz_word
@@ -105,12 +104,10 @@ def _expand(item: tuple[CurveWord, str]) -> list[tuple[str, CurveWord]]:
     return out
 
 
-def enumerate_atlas(depth: int, store: AtlasStore | None = None,
-                    workers: int = 1) -> AtlasStore:
+def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
     """All generator words of length <= depth applied to the standard curve.
 
-    Deterministic for a fixed depth regardless of worker count: the frontier
-    is expanded in order and merged serially.
+    Deterministic for a fixed depth: the frontier is expanded in order.
     """
     if depth < 0:
         raise MalformedInput("depth must be nonnegative")
@@ -126,13 +123,8 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None,
         # rebuild the frontier from the store so saved runs can be extended
         frontier = [(record_curve(rec), rec.witness)
                     for rec in store.records if rec.depth == level - 1]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                expansions = list(pool.map(_expand, frontier))
-        else:
-            expansions = [_expand(item) for item in frontier]
-        for batch in expansions:
-            for witness, img in batch:
+        for item in frontier:
+            for witness, img in _expand(item):
                 s = signature(img)
                 triple = s.triple()
                 if any(t % 2 for t in triple):

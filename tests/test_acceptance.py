@@ -159,12 +159,9 @@ def test_criterion_7_half_twist_realization(corpus, standard_curve):
 
 
 def test_criterion_8_atlas():
-    runs = [at.enumerate_atlas(3),
-            at.enumerate_atlas(3),
-            at.enumerate_atlas(3, workers=2),
-            at.enumerate_atlas(3, workers=4)]
+    runs = [at.enumerate_atlas(3), at.enumerate_atlas(3)]
     serialized = [[r.as_json() for r in s.records] for s in runs]
-    assert serialized[0] == serialized[1] == serialized[2] == serialized[3]
+    assert serialized[0] == serialized[1]
     for rec in runs[0].records:
         assert at.is_non_triangular(rec.triple), rec.triple
         assert all(t % 2 == 0 for t in rec.triple), rec.triple

@@ -1,8 +1,15 @@
 """Breadth-first atlas enumeration and persistence."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2.handlebody import is_reducing
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_depth_zero():
@@ -37,12 +44,17 @@ def test_witness_rebuilds_record(standard_curve):
         assert cm.signature(img).key() == rec.key
 
 
-def test_determinism_across_runs_and_workers():
-    a = [r.as_json() for r in at.enumerate_atlas(3).records]
-    b = [r.as_json() for r in at.enumerate_atlas(3).records]
-    c = [r.as_json() for r in at.enumerate_atlas(3, workers=2).records]
-    d = [r.as_json() for r in at.enumerate_atlas(3, workers=4).records]
-    assert a == b == c == d
+def test_determinism_across_hash_seeds():
+    # fresh interpreters: cold caches, and set and dict orders of str keys differ
+    code = "from goeritz2 import atlas\n" \
+        "for r in atlas.enumerate_atlas(3).records: print(r.as_json())"
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+                           ).stdout
+            for seed in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert runs[0].splitlines() == [r.as_json() for r in at.enumerate_atlas(3).records]
 
 
 def test_monotone_extension():

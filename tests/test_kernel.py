@@ -1,34 +1,68 @@
-"""Both kernel backends compute identical normal forms."""
+"""The linear kernel agrees with the quadratic reference.
+
+`kernel_oracle` keeps the earlier `_remove_spurs`, `_find_run`, `_slide_run`
+and `normalize_steps`.  Every check compares the returned lists, steps and
+their order, on the same input.
+"""
 
 import random
 
+import kernel_oracle as oracle
 import pytest
 
-from goeritz2 import kernel
-from goeritz2 import _kernel_py
 from goeritz2 import curve as cm
+from goeritz2 import kernel
 from goeritz2.action import _cross_detour, apply_word
-from goeritz2.surface import EDGE_CURVE
-
-compiled = pytest.importorskip("goeritz2._kernel", reason="compiled kernel not built")
-
-
-def test_backend_reports():
-    assert _kernel_py.BACKEND == "python"
-    assert compiled.BACKEND == "cython"
-    assert kernel.BACKEND in ("python", "cython")
+from goeritz2.errors import Goeritz2Error
+from goeritz2.surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX
 
 
-def test_differential_on_normalized_corpus(corpus):
-    for _, w in corpus[:120]:
-        es = [e for e, _ in w.steps]
-        hs = [h for _, h in w.steps]
-        assert compiled.normalize_steps(es, hs) == _kernel_py.normalize_steps(es, hs)
-        assert compiled.canonicalize_corners(es, hs) == \
-            _kernel_py.canonicalize_corners(es, hs)
+def _split(steps):
+    return [e for e, _ in steps], [h for _, h in steps]
 
 
-def test_differential_on_raw_splices(standard_curve):
+def _same_normal_form(es, hs):
+    assert kernel.normalize_steps(list(es), list(hs)) == \
+        oracle.normalize_steps(list(es), list(hs)), (es, hs)
+
+
+def _same_spur_pass(es, hs):
+    old_e, old_h = list(es), list(hs)
+    oracle._remove_spurs(old_e, old_h)
+    assert kernel.remove_spurs(list(es), list(hs)) == (old_e, old_h), (es, hs)
+
+
+def _walk(rng, length, backtrack):
+    """A closed walk of at least `length` steps that often turns straight back."""
+    h0 = h = rng.randrange(4)
+    steps = []
+    while len(steps) < length or h != h0:
+        if steps and rng.random() < backtrack:
+            e = steps[-1][0]
+        else:
+            e = rng.choice(HEX_SIDES[h])
+        h = OTHER_HEX[e][h]
+        steps.append((e, h))
+    return steps
+
+
+def _retrace(steps):
+    """The walk followed by its own way back: every step cancels."""
+    hexes = [OTHER_HEX[steps[0][0]][steps[0][1]]] + [h for _, h in steps]
+    return steps + [(steps[i][0], hexes[i]) for i in reversed(range(len(steps)))]
+
+
+def _rotate(steps, k):
+    return steps[k:] + steps[:k]
+
+
+def test_corpus_matches(corpus):
+    for _, w in corpus:
+        _same_normal_form(*_split(w.steps))
+        _same_spur_pass(*_split(w.steps))
+
+
+def test_raw_splices_match(standard_curve):
     rng = random.Random(5150)
     for _ in range(60):
         word = "".join(rng.choice("bBdDg") for _ in range(rng.randint(1, 7)))
@@ -41,25 +75,78 @@ def test_differential_on_raw_splices(standard_curve):
                     out.extend(_cross_detour(e, h, d))
                 else:
                     out.append((e, h))
-            es = [e for e, _ in out]
-            hs = [h for _, h in out]
-            assert compiled.normalize_steps(list(es), list(hs)) == \
-                _kernel_py.normalize_steps(list(es), list(hs))
+            _same_normal_form(*_split(out))
 
 
-def test_pure_backend_runs_pipeline(monkeypatch):
-    # force the pure kernel through the selector and normalize something real
-    import importlib
+def test_ladder_inputs_match_up_to_ten_thousand_crossings(standard_curve, monkeypatch):
+    # every kernel input met while a beta/delta ladder grows past 10^4 crossings
+    seen = []
+    normalize = kernel.normalize_steps
 
-    monkeypatch.setenv("GOERITZ2_FORCE_PURE", "1")
-    import goeritz2.kernel as kmod
+    def capture(es, hs):
+        seen.append((list(es), list(hs)))
+        return normalize(es, hs)
 
-    importlib.reload(kmod)
-    try:
-        assert kmod.BACKEND == "python"
-        es = [e for e, _ in cm.P_CURVE.steps]
-        hs = [h for _, h in cm.P_CURVE.steps]
-        assert kmod.normalize_steps(es, hs) == (es, hs)
-    finally:
-        monkeypatch.delenv("GOERITZ2_FORCE_PURE")
-        importlib.reload(kmod)
+    monkeypatch.setattr(kernel, "normalize_steps", capture)
+    rng = random.Random(7)
+    w = standard_curve
+    while len(w) < 10_000:
+        w = apply_word(w, rng.choice("dD") + rng.choice("bB"))
+    monkeypatch.undo()
+    assert max(len(es) for es, _ in seen) > 15_000
+    for es, hs in seen:
+        _same_normal_form(es, hs)
+
+
+def test_random_spur_heavy_walks_match():
+    rng = random.Random(11)
+    cancelled = straddling = 0
+    for _ in range(1500):
+        steps = _walk(rng, rng.randint(1, 40), rng.choice((0.3, 0.6, 0.9)))
+        if rng.random() < 0.3:
+            steps = _retrace(steps)
+        steps = _rotate(steps, rng.randrange(len(steps)))
+        es, hs = _split(steps)
+        _same_spur_pass(es, hs)
+        _same_normal_form(es, hs)
+        cancelled += not kernel.remove_spurs(es, hs)[0]
+        straddling += es[0] == es[-1]
+    assert cancelled > 300 and straddling > 100
+
+
+@pytest.mark.parametrize("steps", [
+    [],
+    [(10, 1)],
+    [(10, 1), (10, 0)],
+    [(10, 1), (6, 0)],
+    [(10, 1), (10, 0), (10, 1)],
+    [(10, 1), (6, 0), (6, 1), (10, 0)],
+    [(6, 0), (10, 1), (6, 0), (10, 1), (10, 0)],
+    [(0, 2), (2, 0), (2, 2), (10, 1), (10, 0), (0, 0)],
+    [(0, 2), (4, 0), (8, 1), (8, 0), (2, 2), (0, 0)],
+])
+def test_spur_pass_edge_cases(steps):
+    _same_spur_pass(*_split(steps))
+    _same_normal_form(*_split(steps))
+
+
+def test_validate_messages_unchanged(monkeypatch):
+    # validate's order check runs on the spur-free core the kernel returns
+    def oracle_pass(es, hs):
+        es, hs = list(es), list(hs)
+        oracle._remove_spurs(es, hs)
+        return es, hs
+
+    def outcome(steps):
+        try:
+            cm.validate(steps)
+            return None
+        except Goeritz2Error as exc:
+            return type(exc), str(exc)
+
+    rng = random.Random(3)
+    walks = [_walk(rng, rng.randint(2, 30), 0.4) for _ in range(3000)]
+    new = [outcome(s) for s in walks]
+    monkeypatch.setattr(kernel, "remove_spurs", oracle_pass)
+    assert [outcome(s) for s in walks] == new
+    assert sum("not realizable" in r[1] for r in new if r) > 50
