@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 
 from . import atlas as atlas_mod
@@ -38,7 +39,7 @@ _INPUT_ERRORS = (MalformedInput, MalformedWord, NotEmbeddable, ParityViolation,
 
 
 def _read_curve(path: str | None) -> cm.CurveWord:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    text = sys.stdin.read() if path in (None, "-") else pathlib.Path(path).read_text()
     return cm.loads(text)
 
 

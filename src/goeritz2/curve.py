@@ -43,7 +43,6 @@ from .surface import (
     EDGE_TOKENS,
     HEX_OF_TOKEN,
     HEX_PANTS,
-    HEX_SIDES,
     HEX_TOKENS,
     OTHER_HEX,
     SIDE_POS,
@@ -56,10 +55,8 @@ Step = tuple[int, int]  # (edge id, hexagon entered)
 CURVE_FORMAT = "goeritz-curve/1"
 
 
-def _slot_origin(e: int) -> int:
-    """Vertex from which crossings along an edge are counted (lower token name)."""
-    u, v = EDGE_ENDPOINTS[e]
-    return u if VERTEX_TOKENS[u] <= VERTEX_TOKENS[v] else v
+# vertex from which crossings along each edge are counted (lower token name)
+_ORIGIN = tuple(min(EDGE_ENDPOINTS[e], key=VERTEX_TOKENS.__getitem__) for e in range(12))
 
 
 # ------------------------------------------------------------------ the word
@@ -144,23 +141,13 @@ def _check_embeddable(steps: list[Step]) -> None:
                 f"interleave in {HEX_TOKENS[h]}")
     # per-edge order consistency (checked on the spur-free core of the word)
     es, hs = kernel.remove_spurs([e for e, _ in steps], [h for _, h in steps])
-    core = list(zip(es, hs))
-    if not core:
-        return
-    n = len(core)
-    keyed: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n):
-        e, h = core[i]
-        hp, hq = EDGE_HEXES[e]
+    keyed: dict[int, list[tuple[int, ...]]] = {}
+    for i, e in enumerate(es):
         # chord on the entered side lives in h, chord behind lives in the other hexagon
-        h_from = OTHER_HEX[e][h]
-        e_next = core[(i + 1) % n][0]
-        e_prev = core[(i - 1) % n][0]
-        side_chord = {h: e_next, h_from: e_prev}
-        origin = _slot_origin(e)
-        klo = fan_key_from(hp, e, side_chord[hp], origin)
-        khi = fan_key_from(hq, e, side_chord[hq], origin)
-        keyed.setdefault(e, []).append((klo, khi))
+        h = hs[i]
+        side_chord = {h: es[(i + 1) % len(es)], OTHER_HEX[e][h]: es[i - 1]}
+        keyed.setdefault(e, []).append(
+            tuple(fan_key_from(k, e, side_chord[k], _ORIGIN[e]) for k in EDGE_HEXES[e]))
     for e, ks in keyed.items():
         ks.sort()
         for (a1, b1), (a2, b2) in zip(ks, ks[1:]):
@@ -193,7 +180,7 @@ def _encode(steps) -> bytes:
 
 def _ascending(h: int, e: int) -> bool:
     """Does the stored boundary of h walk side e in increasing slot order?"""
-    return _slot_origin(e) == CORNER_AFTER[(SIDE_POS[h][e] - 1) % 6]
+    return _ORIGIN[e] == CORNER_AFTER[(SIDE_POS[h][e] - 1) % 6]
 
 
 _CLASS_KEYS = tuple((h, e1, e2) for h in range(4) for e1 in range(12) for e2 in range(e1 + 1, 12)
@@ -226,7 +213,7 @@ def _fans() -> tuple[tuple[int, ...], ...]:
     keyed: list[list[tuple[int, int]]] = [[] for _ in range(24)]
     for i, (h, e1, e2) in enumerate(_CLASS_KEYS):
         for end, (e, other) in enumerate(((e1, e2), (e2, e1))):
-            key = fan_key_from(h, e, other, _slot_origin(e))
+            key = fan_key_from(h, e, other, _ORIGIN[e])
             keyed[_CLASS_ENDS[i][end]].append((key, 2 * i + end))
     return tuple(tuple(end for _, end in sorted(k)) for k in keyed)
 
@@ -365,9 +352,7 @@ def from_normal_coordinates(coords) -> list[CurveWord]:
 
 def reversed_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     """The same curve traversed backwards."""
-    n = len(steps)
-    return tuple((steps[n - 1 - i][0], OTHER_HEX[steps[n - 1 - i][0]][steps[n - 1 - i][1]])
-                 for i in range(n))
+    return tuple((e, OTHER_HEX[e][h]) for e, h in reversed(steps))
 
 
 def _least_rotation_index(w: bytes) -> int:
@@ -442,35 +427,6 @@ def normalize(w: CurveWord) -> CurveWord:
     return _reembed(CurveWord(tuple(zip(es, hs))))
 
 
-def _is_index2_pass(steps: tuple[Step, ...], i: int) -> bool:
-    """Is arc i a corner pass crossing an index-2 A/B/C edge?"""
-    e1, h = steps[i]
-    e2 = steps[(i + 1) % len(steps)][0]
-    p1, p2 = SIDE_POS[h][e1], SIDE_POS[h][e2]
-    if (p1 - p2) % 6 not in (1, 5):
-        return False
-    d = e1 if EDGE_CURVE[e1] < 3 else e2
-    return bool(d & 1)
-
-
-def _slide_pass(steps: tuple[Step, ...], i: int) -> tuple[Step, ...]:
-    """Slide the corner pass at arc i across its vertex (crossing order swaps)."""
-    n = len(steps)
-    j = (i + 1) % n
-    e1, h1 = steps[i]
-    e2, h2 = steps[j]
-    h_prev = OTHER_HEX[e1][h1]
-    e1p, e2p = e2 ^ 1, e1 ^ 1
-    h1p = OTHER_HEX[e1p][h_prev]
-    h2p = OTHER_HEX[e2p][h1p]
-    if h2p != h2:
-        raise InternalInvariantError("corner slide broke the chain")
-    out = list(steps)
-    out[i] = (e1p, h1p)
-    out[j] = (e2p, h2p)
-    return tuple(out)
-
-
 def canonical_form(w: CurveWord) -> CurveWord:
     """Minimal position with corner passes slid to the index-1 side.
 
@@ -479,59 +435,44 @@ def canonical_form(w: CurveWord) -> CurveWord:
     strands); each successful slide removes one index-2 A/B/C crossing, so
     the loop terminates.  Used by signatures, dedup and stored documents.
 
-    The result depends on the route: isotopic curves reached by different
-    generator words can end with different canonical words (over all words
-    in b, B, d, D of length <= 6, 8 of the 303 signature classes hold two,
-    even up to rotation and reversal).  Every slide attempt is checked by a
-    full `_reembed`.
+    The result depends on the route: over all words in b, B, d, D of length
+    <= 6, 8 of the 303 signature classes hold two canonical words, even up to
+    rotation and reversal.  Each slide is decided at its vertex (`slides`),
+    and one `_reembed` verifies the result.
     """
-    word = ensure_normal(w)
-    steps = canonical_steps(word)
-    n = len(steps)
-    for _ in range(n + 8):
-        # one sweep: attempt each index-2 pass once, keeping valid slides;
-        # a slide rewrites two entries in place, so the sweep can continue.
-        # Every pass is retried on the next sweep: a slide anywhere can change
-        # the pairing families that blocked a distant pass, so narrower retry
-        # policies lose route independence.
-        progressed = False
-        i = 0
-        while i < n:
-            if _is_index2_pass(steps, i):
-                candidate = _slide_pass(steps, i)
-                try:
-                    _reembed(CurveWord(candidate))
-                except (InternalInvariantError, NotEmbeddable):
-                    pass
-                else:
-                    steps = candidate
-                    progressed = True
-                    i += 2
-                    continue
-            i += 1
-        if not progressed:
-            return _reembed(CurveWord(steps))
-    raise InternalInvariantError("canonicalization failed to stabilize")
+    from .slides import slide_corners  # builds on the re-embedding in this module
+    return _reembed(CurveWord(tuple(slide_corners(list(canonical_steps(ensure_normal(w)))))))
 
 
-def _reembed(word: CurveWord) -> CurveWord:
-    """Canonical embedded realization of a minimal word; verifies class invariants.
+def _trace(w: bytes) -> tuple[list[int], list[int], int]:
+    """Class counts, traced states and alignment of an encoded minimal word.
 
-    The word's chord-class counts must re-embed as a single normal curve that
-    traces the same cyclic word in one direction or the other.  Returns the
-    word's least rotation.
+    The counts must re-embed as a single normal curve that traces w forwards
+    or backwards (then the path is reversed): position p is path[(p - r) % n].
     """
-    w = _encode(word.steps)
-    nxt, code = _embedding(_arc_counts(w))
+    counts = _arc_counts(w)
+    nxt, code = _embedding(counts)
     traces = _traces(nxt)
     path = next(traces, None)
     # the slots number len(w), so a component of that length is the only one
     if path is None or len(path) != len(w):
         found = (path is not None) + sum(1 for _ in traces)
         raise InternalInvariantError(f"minimal word re-embedded into {found} components")
-    traced = bytes(map(code.__getitem__, path))
-    if traced not in w + w and traced[::-1].translate(_REVERSED) not in w + w:
-        raise InternalInvariantError("re-embedding changed the cyclic word")
+    traced, ww = bytes(map(code.__getitem__, path)), w + w
+    r = ww.find(traced)
+    if r < 0:
+        r = ww.find(traced[::-1].translate(_REVERSED))
+        if r < 0:
+            raise InternalInvariantError("re-embedding changed the cyclic word")
+        path.reverse()
+    return counts, path, r
+
+
+def _reembed(word: CurveWord) -> CurveWord:
+    """Canonical embedded realization of a minimal word; verifies class invariants
+    (`_trace`) and returns the word's least rotation."""
+    w = _encode(word.steps)
+    _trace(w)
     k = _least_rotation_index(w)
     return CurveWord(word.steps[k:] + word.steps[:k], normalized=True)
 

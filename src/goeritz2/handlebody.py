@@ -22,14 +22,11 @@ from dataclasses import dataclass, field
 from .curve import (
     Arc,
     CurveWord,
-    Counts,
     _cyclic_cancel_equal,
     _theta_letters,
-    arc_census,
     counts,
     ensure_normal,
     is_separating,
-    normalize,
     split_arcs,
 )
 from .errors import (
@@ -123,24 +120,18 @@ def require_reducing(w: CurveWord) -> CurveWord:
 # --------------------------------------------------------------- arc words
 
 
+def _letters(edges, hexes) -> list[Letter]:
+    return [x for x in map(_letter_for_crossing, edges, hexes) if x is not None]
+
+
 def arc_word(arc: Arc) -> tuple[Letter, ...]:
-    letters = []
-    for e, h in zip(arc.inner_edges, arc.inner_hexes):
-        letter = _letter_for_crossing(e, h)
-        if letter is not None:
-            letters.append(letter)
-    return _reduce_word(letters)
+    return _reduce_word(_letters(arc.inner_edges, arc.inner_hexes))
 
 
 def curve_v_word(w: CurveWord) -> tuple[Letter, ...]:
     """The whole curve read in pi_1(V), cyclically reduced."""
     w = ensure_normal(w)
-    letters = []
-    for e, h in w.steps:
-        letter = _letter_for_crossing(e, h)
-        if letter is not None:
-            letters.append(letter)
-    return _cyclic_reduce(tuple(letters))
+    return _cyclic_reduce(tuple(_letters(*zip(*w.steps))))
 
 
 @dataclass(frozen=True)

@@ -3,26 +3,16 @@
 Purely presentational: the four hexagons are drawn in a 2x2 grid with labeled
 sides and corners, and each in-hexagon arc of the curve is a straight chord
 between its two crossing points.  Crossing points are spread along each side
-by their slot order, so parallel strands stay parallel in the picture.
+in their order on the edge in the normal embedding, so no two chords cross.
 """
 
 from __future__ import annotations
 
 import math
 
-from .curve import CurveWord, ensure_normal, counts
-from .surface import (
-    CORNER_AFTER,
-    EDGE_HEXES,
-    EDGE_TOKENS,
-    HEX_SIDES,
-    HEX_TOKENS,
-    OTHER_HEX,
-    SIDE_POS,
-    VERTEX_TOKENS,
-    fan_key_from,
-)
-from .curve import _slot_origin
+from .curve import _ORIGIN, CurveWord, counts, ensure_normal
+from .slides import Slides
+from .surface import CORNER_AFTER, EDGE_TOKENS, HEX_SIDES, HEX_TOKENS, SIDE_POS, VERTEX_TOKENS
 
 _CENTERS = {0: (160.0, 160.0), 1: (480.0, 160.0), 2: (160.0, 480.0), 3: (480.0, 480.0)}
 _RADIUS = 120.0
@@ -38,39 +28,13 @@ def _side_points(h: int, p: int) -> tuple[tuple[float, float], tuple[float, floa
     return _corner(h, p), _corner(h, (p + 1) % 6)
 
 
-def _slot_orders(w: CurveWord) -> tuple[dict[int, int], dict[int, int]]:
-    """Fan-key sorted crossing positions: (slot per step index, totals per edge)."""
-    steps = w.steps
-    n = len(steps)
-    per_edge: dict[int, list[tuple[tuple[int, int, int], int]]] = {}
-    for i in range(n):
-        e, h = steps[i]
-        h_from = OTHER_HEX[e][h]
-        e_next = steps[(i + 1) % n][0]
-        e_prev = steps[(i - 1) % n][0]
-        side_chord = {h: e_next, h_from: e_prev}
-        origin = _slot_origin(e)
-        hp, hq = EDGE_HEXES[e]
-        key = (fan_key_from(hp, e, side_chord[hp], origin),
-               fan_key_from(hq, e, side_chord[hq], origin), i)
-        per_edge.setdefault(e, []).append((key, i))
-    slot_of_step: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for e, items in per_edge.items():
-        items.sort()
-        totals[e] = len(items)
-        for k, (_, i) in enumerate(items):
-            slot_of_step[i] = k
-    return slot_of_step, totals
-
-
 def _crossing_point(h: int, e: int, slot: int, total: int) -> tuple[float, float]:
     p = SIDE_POS[h][e]
     (x1, y1), (x2, y2) = _side_points(h, p)
     # side runs corner p -> corner p+1; corner p carries vertex CORNER_AFTER[p-1]
     start_vertex = CORNER_AFTER[(p - 1) % 6]
     t = (slot + 1) / (total + 1)
-    if _slot_origin(e) != start_vertex:
+    if _ORIGIN[e] != start_vertex:
         t = 1.0 - t
     return (x1 + (x2 - x1) * t, y1 + (y2 - y1) * t)
 
@@ -101,14 +65,14 @@ def render_svg(w: CurveWord | None = None, title: str = "") -> str:
                          f'class="vert">{VERTEX_TOKENS[CORNER_AFTER[(p - 1) % 6]]}</text>')
     if w is not None:
         w = ensure_normal(w)
-        slots, totals = _slot_orders(w)
+        ranks = Slides(list(w.steps))
         steps = w.steps
         n = len(steps)
         for i in range(n):
             h = steps[i][1]
             e_in, e_out = steps[i][0], steps[(i + 1) % n][0]
-            p1 = _crossing_point(h, e_in, slots[i], totals[e_in])
-            p2 = _crossing_point(h, e_out, slots[(i + 1) % n], totals[e_out])
+            p1 = _crossing_point(h, e_in, ranks.rank(i), ranks.size[e_in])
+            p2 = _crossing_point(h, e_out, ranks.rank((i + 1) % n), ranks.size[e_out])
             parts.append(f'<path class="curve" d="M {p1[0]:.1f} {p1[1]:.1f} '
                          f'L {p2[0]:.1f} {p2[1]:.1f}"/>')
         c = counts(w)

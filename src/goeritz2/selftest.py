@@ -13,7 +13,7 @@ import traceback
 from . import atlas as atlas_mod
 from . import curve as cm
 from . import reduction as red
-from .action import apply_generator, apply_word
+from .action import apply_generator, apply_word, twist_about_p
 from .handlebody import (
     bounds_disk,
     check_word_constraints,
@@ -95,8 +95,6 @@ def _checks(quick: bool):
 
     def beta_realization():
         assert cm.signature(apply_generator(P, "beta")) == cm.signature(P)
-        from .action import twist_about_p
-
         for word, w in corpus[:6]:
             bb = apply_generator(apply_generator(w, "beta"), "beta")
             assert cm.signature(bb) == cm.signature(twist_about_p(w)), word

@@ -47,11 +47,6 @@ EDGE_CURVE = (A, A, B, B, C, C, X, X, Y, Y, Z, Z)
 EDGE_INDEX = (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2)
 
 
-def partner_edge(e: int) -> int:
-    """The other edge of the same curve."""
-    return e ^ 1
-
-
 # Directed endpoints (u, v); the two edges of a curve form a directed cycle.
 EDGE_ENDPOINTS = (
     (V_AY, V_AZ), (V_AZ, V_AY),      # A1, A2

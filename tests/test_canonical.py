@@ -7,8 +7,11 @@ get equal signatures, and canonicalization is idempotent.
 
 import random
 
+import pytest
+
 from goeritz2 import curve as cm
 from goeritz2.action import apply_word, twist_about_p
+from goeritz2.errors import InternalInvariantError
 
 
 def _deep_corpus(standard_curve, n, lo, hi, seed):
@@ -48,3 +51,10 @@ def test_rotation_start_does_not_matter(standard_curve):
         for r in (1, len(w.steps) // 2):
             rotated = cm.CurveWord(w.steps[r:] + w.steps[:r])
             assert cm.canonical_form(rotated).steps == cm.canonical_form(w).steps, word
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                   reason="the generator action fails on some canonical words")
+def test_generator_acts_on_a_canonical_word(standard_curve):
+    # ROADMAP item 1: "B" acts on the uncanonicalized word of this curve
+    apply_word(cm.canonical_form(apply_word(standard_curve, "dbdbdb")), "B")

@@ -1,10 +1,17 @@
 """Command-line interface: formats, exit codes, file round trips."""
 
+import itertools
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
 from goeritz2 import curve as cm
+from goeritz2.action import apply_word
 from goeritz2.cli import main
 
 
@@ -31,7 +38,7 @@ def test_counts_command(p_file, capsys):
 def test_apply_delta_gives_prime(p_file, tmp_path, capsys):
     out = str(tmp_path / "pp.json")
     assert main(["apply", "--in", p_file, "--word", "d", "--out", out]) == 0
-    w = cm.loads(open(out).read())
+    w = cm.loads(pathlib.Path(out).read_text())
     assert cm.counts(w).abc() == (0, 2, 0)
 
 
@@ -40,8 +47,8 @@ def test_apply_roundtrip_canonical_file(p_file, tmp_path):
     back = str(tmp_path / "back.json")
     assert main(["apply", "--in", p_file, "--word", "dbg", "--out", mid]) == 0
     assert main(["apply", "--in", mid, "--word", "gBD", "--out", back]) == 0
-    orig = cm.canonical_form(cm.loads(open(p_file).read()))
-    returned = cm.canonical_form(cm.loads(open(back).read()))
+    orig = cm.canonical_form(cm.loads(pathlib.Path(p_file).read_text()))
+    returned = cm.canonical_form(cm.loads(pathlib.Path(back).read_text()))
     assert cm.canonical_unoriented(orig) == cm.canonical_unoriented(returned)
 
 
@@ -50,7 +57,7 @@ def test_reduce_prime_emits_delta_inverse(p_file, tmp_path, capsys):
     main(["apply", "--in", p_file, "--word", "d", "--out", pp])
     cert_path = str(tmp_path / "cert.json")
     assert main(["reduce", "--in", pp, "--out", cert_path]) == 0
-    cert = json.loads(open(cert_path).read())
+    cert = json.loads(pathlib.Path(cert_path).read_text())
     assert cert["word"] == "D"
     assert cert["output"]["steps"]
 
@@ -105,7 +112,7 @@ def test_normal_coordinates_output(p_file, tmp_path):
     out = str(tmp_path / "p-normal.json")
     assert main(["normalize", "--in", p_file, "--format", "normal",
                  "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(pathlib.Path(out).read_text())
     assert doc["representation"] == "normal"
     returned = cm.from_doc(doc)
     assert cm.signature(returned) == cm.signature(cm.P_CURVE)
@@ -128,6 +135,33 @@ def test_render_command(p_file, tmp_path):
     assert main(["render", "--in", p_file, "--svg", str(svg)]) == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "polygon" in text and "curve" in text
+
+
+def _crosses(s, t):
+    def side(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return side(*s, t[0]) * side(*s, t[1]) < 0 and side(*t, s[0]) * side(*t, s[1]) < 0
+
+
+def test_render_draws_no_crossing_chords(tmp_path):
+    w = apply_word(cm.normalize(cm.P_CURVE), "dbdBdb")
+    svg = tmp_path / "w.svg"
+    (tmp_path / "w.json").write_text(cm.dumps(w))
+    assert main(["render", "--in", str(tmp_path / "w.json"), "--svg", str(svg)]) == 0
+    chords = [((float(a), float(b)), (float(c), float(d))) for a, b, c, d in re.findall(
+        r'class="curve" d="M (\S+) (\S+) L (\S+) (\S+)"', svg.read_text())]
+    assert len(chords) == len(w)
+    assert not any(_crosses(s, t) for s, t in itertools.combinations(chords, 2))
+
+
+def test_input_file_is_closed(p_file):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "goeritz2.cli", "counts", "--in", p_file],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_atlas_command(tmp_path, capsys):
