@@ -2,8 +2,9 @@
 
 Images of the standard curve under generator words are deduplicated by
 signature; each record keeps the first (hence shortest) witness word, the
-realized (a,b,c) triple and the search depth.  The store is line-delimited
-JSON with a sidecar index, so reruns can extend it and diffs stay readable.
+realized (a,b,c) triple, the search depth and the normalized image, which the
+next level expands.  The store is line-delimited JSON with a sidecar index, so
+reruns can extend it and diffs stay readable.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 from .action import GENERATORS, apply_generator, format_goeritz_word
-from .curve import CurveWord, P_CURVE, canonical_form, from_doc, signature, to_doc
+from .curve import CurveWord, P_CURVE, from_doc, normalize, signature, to_doc
 from .errors import MalformedInput, NotReducing
 from .handlebody import require_reducing
 
@@ -115,7 +116,7 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
     store.meta.setdefault("generators", "abBgdD")
     store.meta["depth"] = max(depth, store.meta.get("depth", 0))
 
-    base = canonical_form(P_CURVE)
+    base = normalize(P_CURVE)
     sig = signature(base)
     store.add(AtlasRecord(sig.key(), sig.triple(), "", 0, to_doc(base)))
 
@@ -131,8 +132,7 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
                     raise NotReducing("odd intersection triple in atlas")
                 key = s.key()
                 if key not in store.index:  # only a new record needs its document
-                    store.add(AtlasRecord(key, triple, witness, level,
-                                          to_doc(canonical_form(img))))
+                    store.add(AtlasRecord(key, triple, witness, level, to_doc(img)))
     return store
 
 
@@ -150,4 +150,5 @@ def is_non_triangular(triple: tuple[int, int, int]) -> bool:
 
 
 def record_curve(rec: AtlasRecord) -> CurveWord:
-    return from_doc(rec.curve_doc)
+    """The stored curve, normalized once here so that its uses do not repeat it."""
+    return normalize(from_doc(rec.curve_doc))

@@ -433,7 +433,8 @@ def canonical_form(w: CurveWord) -> CurveWord:
     Only slides that keep the word realizable are performed (a slide shifts
     the fan position of the neighboring chords, which can collide with other
     strands); each successful slide removes one index-2 A/B/C crossing, so
-    the loop terminates.  Used by signatures, dedup and stored documents.
+    the loop terminates.  Used by signatures only: the library stores and
+    returns `normalize()` words.
 
     The result depends on the route: over all words in b, B, d, D of length
     <= 6, 8 of the 303 signature classes hold two canonical words, even up to
@@ -603,12 +604,9 @@ def signature(w: CurveWord) -> CurveSignature:
     cached = _SIGNATURE_CACHE.get(w.steps)
     if cached is not None:
         return cached
-    key_steps = w.steps
-    w = canonical_form(w)
-    sig = _signature_of_canonical(w)
+    sig = _signature_of_canonical(canonical_form(w))
     if len(_SIGNATURE_CACHE) > 200_000:
         _SIGNATURE_CACHE.clear()
-    _SIGNATURE_CACHE[key_steps] = sig
     _SIGNATURE_CACHE[w.steps] = sig
     return sig
 

@@ -147,6 +147,12 @@ class ArcWordEntry:
         return word_str(self.word)
 
 
+def join_cancellations(words: list[tuple[Letter, ...]]) -> list[int]:
+    """Indices i where words[i] ends with the inverse of the start of words[i+1 mod n]."""
+    return [i for i, (wi, wj) in enumerate(zip(words, words[1:] + words[:1]))
+            if wi and wj and wi[-1][0] == wj[0][0] and wi[-1][1] == -wj[0][1]]
+
+
 @dataclass(frozen=True)
 class ArcWordReport:
     entries: tuple[ArcWordEntry, ...]
@@ -157,17 +163,6 @@ class ArcWordReport:
         for entry in self.entries:
             letters.extend(entry.word)
         return _cyclic_reduce(_reduce_word(letters))
-
-    def join_cancellations(self) -> list[int]:
-        """Indices i where word(rho_i) ends with the inverse of word(rho_i+1)'s start."""
-        bad = []
-        n = len(self.entries)
-        for i in range(n):
-            wi = self.entries[i].word
-            wj = self.entries[(i + 1) % n].word
-            if wi and wj and wi[-1][0] == wj[0][0] and wi[-1][1] == -wj[0][1]:
-                bad.append(i)
-        return bad
 
     def as_doc(self) -> dict:
         return {
@@ -188,7 +183,7 @@ class ArcWordReport:
         }
 
     def as_table(self) -> str:
-        bad = set(self.join_cancellations())
+        bad = set(join_cancellations([e.word for e in self.entries]))
         lines = ["idx  pants  type  start  end    join      word"]
         for e in self.entries:
             join = "cancels!" if e.index in bad else "reduced"
@@ -302,12 +297,7 @@ def check_word_constraints(w: CurveWord, strict: bool = True) -> ConstraintRepor
     report.checks["aa-arc-crosses-x-once"] = xing_ok
     report.checks["ab-ac-word-forms"] = form_ok
 
-    joins = ArcWordReport(
-        tuple(ArcWordEntry(i, a.pants, a.type, EDGE_TOKENS[a.start_edge],
-                           EDGE_TOKENS[a.end_edge], word)
-              for i, (a, word) in enumerate(zip(arcs, words))),
-        closed_loop=False,
-    ).join_cancellations()
+    joins = join_cancellations(words)
     report.checks["no-trivial-relator-at-joins"] = not joins
     for i in joins:
         report.violations.append(f"trivial relator at join of arcs {i},{i + 1}")

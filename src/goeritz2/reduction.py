@@ -23,6 +23,9 @@ from .errors import (
 )
 from .handlebody import require_reducing
 
+# passes allowed beyond (a+b+c)/2; a pass that does not lower a+b+c by 2 or more raises
+ITERATION_SLACK = 4
+
 
 def classify(w: CurveWord) -> str:
     """The unique dominance class: "A", "B" or "C"."""
@@ -100,12 +103,12 @@ class ReductionCertificate:
         return json.dumps(self.as_doc(**kw), indent=1) + "\n"
 
 
-def reduce_to_standard(w: CurveWord, iteration_slack: int = 4) -> ReductionCertificate:
+def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
     """Transform a reducing curve into the standard one, recording the moves."""
     w = require_reducing(w)
     c = counts(w)
     cert = ReductionCertificate(c.abc(), input_key=signature(w).key())
-    limit = (c.a + c.b + c.c) // 2 + iteration_slack
+    limit = (c.a + c.b + c.c) // 2 + ITERATION_SLACK
 
     def push(gen: str, new: CurveWord) -> CurveWord:
         cert.word.append(gen)

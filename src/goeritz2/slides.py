@@ -1,7 +1,8 @@
 """Corner slides decided at their vertex, from crossing ranks along edges.
 
 `curve.canonical_form` runs the sweep (`slide_corners`) and re-embeds its
-result once; the renderer spreads crossings along each side by the ranks.
+result once; only `curve.signature` uses that form, and no slid word is stored.
+The renderer spreads crossings along each side by the ranks.
 """
 
 from __future__ import annotations

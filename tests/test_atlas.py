@@ -5,11 +5,21 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2.action import apply_word
 from goeritz2.handlebody import is_reducing
+from goeritz2.reduction import reduce_to_standard, verify_certificate
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@pytest.fixture(scope="module")
+def depth6():
+    return at.enumerate_atlas(6)
 
 
 def test_depth_zero():
@@ -36,8 +46,6 @@ def test_all_records_reducing_and_non_triangular():
 
 
 def test_witness_rebuilds_record(standard_curve):
-    from goeritz2.action import apply_word
-
     store = at.enumerate_atlas(2)
     for rec in store.records[:8]:
         img = apply_word(standard_curve, rec.witness)
@@ -96,3 +104,27 @@ def test_store_extension_matches_fresh_run(tmp_path):
 def test_export_table_mentions_base_triple():
     table = at.enumerate_atlas(1).export_table()
     assert "2 0 0" in table and "(empty)" in table
+
+
+def test_depth4_table_matches_docs():
+    text = (ROOT / "docs" / "atlas-depth4.txt").read_text()
+    assert at.enumerate_atlas(4).export_table().strip() == text[text.index("a b c"):].strip()
+
+
+def test_records_store_the_normalized_image(standard_curve):
+    for rec in at.enumerate_atlas(4).records:
+        assert rec.curve_doc == cm.to_doc(apply_word(standard_curve, rec.witness)), rec.witness
+
+
+def test_every_depth6_record_reduces_and_verifies(depth6):
+    assert len(depth6.records) == 303
+    for rec in depth6.records:
+        w = at.record_curve(rec)
+        assert verify_certificate(reduce_to_standard(w), w), rec.witness
+
+
+def test_depth7_completes_and_extends_depth6(depth6):
+    deep = at.enumerate_atlas(7)
+    assert len(deep.records) > len(depth6.records)
+    assert [r.as_json() for r in deep.records[:len(depth6.records)]] == \
+        [r.as_json() for r in depth6.records]

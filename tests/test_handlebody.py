@@ -135,3 +135,12 @@ def test_report_serialization():
     assert len(doc["arcs"]) == 2
     assert "concatenation" in doc
     assert "AA" in report.as_table()
+
+
+def test_join_cancellations_wrap_around():
+    b, B, c = ("b", 1), ("b", -1), ("c", 1)
+    assert hb.join_cancellations([(b,), (B, c), (), (c,)]) == [0]
+    assert hb.join_cancellations([(b, c), (c,), (B,)]) == [2]
+    assert hb.join_cancellations([(b, B)]) == [0]
+    assert hb.join_cancellations([(b,), (b,)]) == []
+    assert hb.join_cancellations([]) == []
