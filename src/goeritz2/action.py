@@ -13,9 +13,15 @@ other edge in the middle.  The spiral's sense at each crossing is tied to the
 surface orientation (the sign of the crossed edge in the approach hexagon), so
 all detours of one twist turn the same way and stay pairwise disjoint; "right"
 names the direction with sign +1 under that rule.
+
+Words are step-byte codes (see `curve`).  A twist rewrites the code through a
+table of replacement bytes per (rail, direction), built from `_cross_detour`
+on first use, and a relabeling symmetry is one `bytes.translate`.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import curve as cm
 from .curve import CurveWord, Step, canonical_unoriented, ensure_normal, normalize
@@ -24,6 +30,7 @@ from .surface import (
     CURVE_NAMES,
     EDGE_CURVE,
     EDGE_ENDPOINTS,
+    EDGE_HEXES,
     OTHER_HEX,
     SIDE_POS,
     complex_symmetry,
@@ -93,23 +100,35 @@ def _cross_detour(e: int, h: int, direction: int) -> list[Step]:
     return steps
 
 
+# the step bytes that cross each system curve
+_RAIL_BYTES = tuple(bytes(4 * e + h for e in (2 * c, 2 * c + 1) for h in EDGE_HEXES[e])
+                    for c in range(6))
+
+
+@functools.cache
+def _splice_table(cid: int, direction: int) -> tuple[bytes, ...]:
+    """Replacement bytes of every step byte under one twist: the detour of a
+    rail crossing, the byte itself otherwise."""
+    table = [bytes((x,)) for x in range(48)]
+    for x in _RAIL_BYTES[cid]:
+        table[x] = bytes(4 * e + h for e, h in _cross_detour(x >> 2, x & 3, direction))
+    return tuple(table)
+
+
 def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord:
     """Dehn twist about one of the six system curves."""
     if curve_name not in CURVE_NAMES or direction not in (1, -1):
         raise MalformedInput(f"bad twist spec ({curve_name!r}, {direction})")
     w = ensure_normal(w)
     cid = CURVE_NAMES.index(curve_name)
-    out: list[Step] = []
-    touched = False
-    for e, h in w.steps:
-        if EDGE_CURVE[e] == cid:
-            out.extend(_cross_detour(e, h, direction))
-            touched = True
-        else:
-            out.append((e, h))
-    if not touched:
+    if not any(map(w.code.__contains__, _RAIL_BYTES[cid])):
         return w
-    return normalize(CurveWord(tuple(out)))
+    return normalize(CurveWord(_splice(w.code, cid, direction)))
+
+
+def _splice(code: bytes, cid: int, direction: int) -> bytes:
+    """The code with every crossing of curve cid replaced by its twist detour."""
+    return b"".join(map(_splice_table(cid, direction).__getitem__, code))
 
 
 def twist_about_p(w: CurveWord, direction: int = 1) -> CurveWord:
@@ -151,13 +170,20 @@ def apply_twist(w: CurveWord, twisting: CurveWord | str, direction: str | int = 
 # ---------------------------------------------------------------- generators
 
 
-def _relabel(w: CurveWord, name: str) -> CurveWord:
+@functools.cache
+def _relabel_table(name: str) -> bytes:
+    """Translation table of step bytes under one relabeling symmetry."""
     r = complex_symmetry(name)
-    steps = tuple((r.apply_edge(e), r.apply_hex(h)) for e, h in w.steps)
+    return bytes(4 * r.apply_edge(x >> 2) + r.apply_hex(x & 3) if x < 48 else x
+                 for x in range(256))
+
+
+def _relabel(w: CurveWord, name: str) -> CurveWord:
+    code = w.code.translate(_relabel_table(name))
     if w.normalized:
         # an automorphism preserves minimality; only the rotation start drifts
-        return CurveWord(cm.canonical_steps(CurveWord(steps)), normalized=True)
-    return normalize(CurveWord(steps))
+        return CurveWord(cm._least_rotation(code), normalized=True)
+    return normalize(CurveWord(code))
 
 
 _BETA_SEQUENCE = (("Z", 1), ("B", 1)) * 3

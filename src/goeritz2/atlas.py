@@ -3,8 +3,8 @@
 Images of the standard curve under generator words are deduplicated by
 signature; each record keeps the first (hence shortest) witness word, the
 realized (a,b,c) triple, the search depth and the normalized image, which the
-next level expands.  The store is line-delimited JSON with a sidecar index, so
-reruns can extend it and diffs stay readable.
+next level expands.  The store is one line-delimited JSON file, so reruns can
+extend it and diffs stay readable; `load` rebuilds the index from the records.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class AtlasStore:
             for rec in self.records:
                 fh.write(rec.as_json() + "\n")
         os.replace(tmp, path)
-        with open(path + ".idx", "w") as fh:
-            for rec in self.records:
-                fh.write(f"{rec.key}\t{self.index[rec.key]}\n")
 
     @staticmethod
     def load(path: str) -> "AtlasStore":

@@ -7,12 +7,19 @@ can be drawn disjointly.  Minimal position is reached by removing spurs and
 generalized bigons (kernel), after which the word is re-embedded canonically
 from its normal coordinates and corner passes are slid to a fixed side.
 
+A word is stored as its code, one byte 4e+h per step (`CurveWord.code`);
+`steps` decodes it on demand.  The kernel, re-embedding, rotation, counts and
+the signature cache all work on the code: curve counts are one `translate`
+and six `count`s, and the least rotation is found by slice comparisons among
+the positions of the least byte.
+
 Re-embedding is table-driven and linear in the word length.  Static tables,
 built once at import from `surface`, number the 60 chord classes and hold
-each class's interleave bitmask and each edge side's fan order.  A word is
-encoded as bytes (one per step), its class counts are read off in one pass,
-and the normal multicurve with those counts becomes a successor table over
-crossing slots, filled one slice per chord class.  One walk traces the
+each class's interleave bitmask and each edge side's fan order.  The class of
+every arc is one byte, read for all arcs at once from two translated copies
+of the code by a big-integer OR, and the class counts are `count`s of those
+bytes.  The normal multicurve with those counts becomes a successor table
+over crossing slots, filled one slice per chord class.  One walk traces the
 curve, and the traced bytes are compared with the input by substring tests
 in both directions.
 """
@@ -20,10 +27,12 @@ in both directions.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
+from operator import add, itemgetter
 
 from . import kernel
+from .kernel import _POSITION
 from .errors import (
     EmptyAfterNormalization,
     InconsistentCoordinates,
@@ -42,7 +51,9 @@ from .surface import (
     EDGE_OF_TOKEN,
     EDGE_TOKENS,
     HEX_OF_TOKEN,
+    HEX_CURVE_SIDE,
     HEX_PANTS,
+    HEX_SIDES,
     HEX_TOKENS,
     OTHER_HEX,
     SIDE_POS,
@@ -63,29 +74,38 @@ _ORIGIN = tuple(min(EDGE_ENDPOINTS[e], key=VERTEX_TOKENS.__getitem__) for e in r
 
 
 class CurveWord:
-    """A closed curve as a cyclic list of (edge, hexagon-entered) steps."""
+    """A closed curve as a cyclic word of (edge, hexagon-entered) steps.
 
-    __slots__ = ("steps", "normalized")
+    The word is stored as its code, one byte 4e+h per step; `steps` decodes
+    it.  `CurveWord(steps)` takes a step sequence or its code.
+    """
 
-    def __init__(self, steps: tuple[Step, ...], normalized: bool = False):
-        self.steps = steps
+    __slots__ = ("code", "normalized")
+
+    def __init__(self, steps, normalized: bool = False):
+        self.code = steps if isinstance(steps, bytes) else _encode(steps)
         self.normalized = normalized
 
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(map(_STEP_OF_BYTE.__getitem__, self.code))
+
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.code)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CurveWord) and canonical_steps(self) == canonical_steps(other)
+        return isinstance(other, CurveWord) and \
+            _least_rotation(self.code) == _least_rotation(other.code)
 
     def __hash__(self) -> int:
-        return hash(canonical_steps(self))
+        return hash(_least_rotation(self.code))
 
     def __repr__(self) -> str:
-        body = " ".join(f"{EDGE_TOKENS[e]}>{HEX_TOKENS[h]}" for e, h in self.steps)
+        body = " ".join(f"{EDGE_TOKENS[x >> 2]}>{HEX_TOKENS[x & 3]}" for x in self.code)
         return f"CurveWord[{body}]"
 
     def tokens(self) -> list[list[str]]:
-        return [[EDGE_TOKENS[e], HEX_TOKENS[h]] for e, h in self.steps]
+        return [[EDGE_TOKENS[x >> 2], HEX_TOKENS[x & 3]] for x in self.code]
 
     @staticmethod
     def from_tokens(pairs) -> "CurveWord":
@@ -125,12 +145,11 @@ def _check_parity(steps: list[Step]) -> None:
 
 
 def _check_embeddable(steps: list[Step]) -> None:
+    code = _encode(steps)
     # chord classes present in a hexagon must not interleave (spur chords exempt)
     present = 0
-    for x, y in _arc_pairs(_encode(steps)):
-        i = _ARC_CLASS[12 * x + (y >> 2)]
-        if i >= 0:
-            present |= 1 << i
+    for i in set(_arc_classes(code)) - {_SPUR_ARC}:
+        present |= 1 << i
     for i, (h, e1, e2) in enumerate(_CLASS_KEYS):
         clash = present & _CLASS_CROSSES[i] & -(2 << i) if present >> i & 1 else 0
         if clash:
@@ -139,13 +158,24 @@ def _check_embeddable(steps: list[Step]) -> None:
                 f"chords {(EDGE_TOKENS[e1], EDGE_TOKENS[e2])} and "
                 f"{tuple(EDGE_TOKENS[x] for x in _CLASS_KEYS[j][1:])} "
                 f"interleave in {HEX_TOKENS[h]}")
-    # per-edge order consistency (checked on the spur-free core of the word)
-    es, hs = kernel.remove_spurs([e for e, _ in steps], [h for _, h in steps])
+    # complete for a spur-free word: its counts re-embed as one curve tracing it
+    core = kernel.remove_spurs(code)
+    if core:
+        try:
+            _trace(core)
+        except (InternalInvariantError, NotEmbeddable) as exc:
+            _check_edge_orders(core)  # the more specific reason, where it applies
+            raise NotEmbeddable(f"spur-free word is not one embedded curve: {exc}") from None
+
+
+def _check_edge_orders(core: bytes) -> None:
+    """Per-edge order consistency of a spur-free word's crossings."""
+    n = len(core)
     keyed: dict[int, list[tuple[int, ...]]] = {}
-    for i, e in enumerate(es):
+    for i, x in enumerate(core):
         # chord on the entered side lives in h, chord behind lives in the other hexagon
-        h = hs[i]
-        side_chord = {h: es[(i + 1) % len(es)], OTHER_HEX[e][h]: es[i - 1]}
+        e, h = x >> 2, x & 3
+        side_chord = {h: core[(i + 1) % n] >> 2, OTHER_HEX[e][h]: core[i - 1] >> 2}
         keyed.setdefault(e, []).append(
             tuple(fan_key_from(k, e, side_chord[k], _ORIGIN[e]) for k in EDGE_HEXES[e]))
     for e, ks in keyed.items():
@@ -162,7 +192,7 @@ def validate(steps) -> CurveWord:
     _check_chain(steps)
     _check_parity(steps)
     _check_embeddable(steps)
-    return CurveWord(tuple(steps))
+    return CurveWord(steps)
 
 
 # ------------------------------------------------------------- coordinates
@@ -230,33 +260,80 @@ _STEP_OF_BYTE = tuple((x >> 2, x & 3) for x in range(48))
 # step byte of the same crossing traversed backwards
 _REVERSED = bytes(4 * (x >> 2) + OTHER_HEX[x >> 2].get(x & 3, x & 3) if x < 48 else x
                   for x in range(256))
+# system curve (0..5) of each step byte's edge, and that curve's letter
+_CURVE_OF_BYTE = bytes(EDGE_CURVE[x >> 2] if x < 48 else 255 for x in range(256))
+_LETTER_OF_BYTE = bytes(CURVE_NAMES[c].encode()[0] if c < 6 else 0 for c in _CURVE_OF_BYTE)
+_ABC_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] < 3)
+_XYZ_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] >= 3)
 
 
-def _arc_pairs(w: bytes) -> Counter:
-    """Occurrences of each (step byte, next step byte) pair of a cyclic word."""
-    return Counter(zip(w, w[1:] + w[:1]))
+def _arc_table() -> bytes:
+    """Class id (or _SPUR_ARC) of the arc byte (h << 6) | (p << 3) | q: in
+    hexagon h, from the side at curve position p to the side at position q."""
+    table = bytearray(b"\xff" * 256)
+    for h in range(4):
+        for e in HEX_SIDES[h]:
+            for f in HEX_SIDES[h]:
+                arc = h << 6 | _POSITION[4 * e] << 3 | _POSITION[4 * f]
+                table[arc] = _SPUR_ARC if e == f else _CLASS_OF[h, e, f]
+    return bytes(table)
+
+
+# An arc enters a hexagon by one step and leaves it by the next.  Its byte is
+# (_ARC_FROM[x] | _POSITION[y]), which names its class when y's edge is a side
+# of x's hexagon: the hexagon's side of curve type t (0 A/B/C, 1 X/Y/Z) is edge
+# 2c + bit t of _SIDE_BITS, and _TYPE_BIT holds a step's own bit at its type.
+_SPUR_ARC = 254
+_ARC_OF = _arc_table()
+_ARC_FROM = bytes((x & 3) << 6 | _POSITION[x] << 3 if x < 48 else 0 for x in range(256))
+_STEP_BYTES = bytes(4 * e + h for e in range(12) for h in EDGE_HEXES[e])
+_SIDE_BITS = bytes((HEX_CURVE_SIDE[x & 3][0] & 1) | (HEX_CURVE_SIDE[x & 3][3] & 1) << 1
+                   for x in range(256))
+_TYPE_MASK = bytes(1 << (EDGE_CURVE[x >> 2] >= 3) if x < 48 else 0 for x in range(256))
+_TYPE_BIT = bytes((x >> 2 & 1) << (EDGE_CURVE[x >> 2] >= 3) if x < 48 else 0 for x in range(256))
+
+
+def _big(w: bytes, table: bytes) -> int:
+    return int.from_bytes(w.translate(table), "big")
+
+
+def _arc_classes(w: bytes) -> bytes:
+    """Class id of every arc of an encoded word, or _SPUR_ARC, in one byte each
+    (arc i enters by step i and leaves by step i+1)."""
+    nw = w[1:] + w[:1]
+    if w.translate(None, _STEP_BYTES) or \
+            _big(w, _SIDE_BITS) & _big(nw, _TYPE_MASK) != _big(nw, _TYPE_BIT):
+        _raise_bad_arc(w, nw)
+    return (_big(w, _ARC_FROM) | _big(nw, _POSITION)).to_bytes(len(w), "big").translate(_ARC_OF)
+
+
+def _raise_bad_arc(w: bytes, nw: bytes) -> None:
+    """Raise for a word with an arc whose two sides are not sides of one hexagon."""
+    bad = None
+    for x, y in dict.fromkeys(zip(w, nw)):
+        i = _ARC_CLASS[12 * x + (y >> 2)]
+        if i == -1:
+            raise InternalInvariantError("coordinates of a word with spurs")
+        if i == -2:
+            bad = (x & 3, *sorted((x >> 2, y >> 2)))
+    raise InconsistentCoordinates("bad chord class ({},{},{})".format(*bad))
 
 
 def _arc_counts(w: bytes) -> list[int]:
     """Chord-class counts of an encoded word, indexed by class id."""
+    arcs = _arc_classes(w)
+    present = set(arcs)
+    if _SPUR_ARC in present:
+        raise InternalInvariantError("coordinates of a word with spurs")
     counts = [0] * len(_CLASS_KEYS)
-    bad = None
-    for (x, y), c in _arc_pairs(w).items():
-        i = _ARC_CLASS[12 * x + (y >> 2)]
-        if i >= 0:
-            counts[i] += c
-        elif i == -1:
-            raise InternalInvariantError("coordinates of a word with spurs")
-        else:
-            bad = (x & 3, *sorted((x >> 2, y >> 2)))
-    if bad:
-        raise InconsistentCoordinates("bad chord class ({},{},{})".format(*bad))
+    for i in present:
+        counts[i] = arcs.count(i)
     return counts
 
 
 def to_coordinates(w: CurveWord) -> dict[tuple[int, int, int], int]:
     """Chord-class counts {(hexagon, lo edge, hi edge): n}.  Word must be spur-free."""
-    counts = _arc_counts(_encode(w.steps))
+    counts = _arc_counts(w.code)
     return {_CLASS_KEYS[i]: c for i, c in enumerate(counts) if c}
 
 
@@ -341,10 +418,15 @@ def _traces(nxt: list[int]):
                 seen[d >> 1] = 1
 
 
+def _path_code(code: bytes, path: list[int]) -> bytes:
+    """The step bytes of a state path, read by one itemgetter call."""
+    return bytes(itemgetter(*path)(code)) if len(path) > 1 else code[path[0]:path[0] + 1]
+
+
 def from_normal_coordinates(coords) -> list[CurveWord]:
     """All components of the unique normal multicurve with these chord counts."""
     nxt, code = _embedding(_class_counts(coords))
-    return [CurveWord(tuple(_STEP_OF_BYTE[code[d]] for d in path)) for path in _traces(nxt)]
+    return [CurveWord(_path_code(code, path)) for path in _traces(nxt)]
 
 
 # ------------------------------------------------------------- normalization
@@ -355,52 +437,50 @@ def reversed_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     return tuple((e, OTHER_HEX[e][h]) for e, h in reversed(steps))
 
 
-def _least_rotation_index(w: bytes) -> int:
-    """Start of the lexicographically least rotation of w, in linear time.
+def _least_rotation(w: bytes) -> bytes:
+    """The lexicographically least rotation of w.
 
-    Two candidate starts i < j advance past each other: when their rotations
-    first differ after k equal bytes, no start in the loser's next k+1 bytes
-    can be least.
+    It starts at an occurrence of the least byte.  The rotations that start
+    there are compared by slices of w + w: first on a short prefix, then on
+    prefixes four times longer among those tied, up to their full length.
     """
     n = len(w)
-    ww = w + w
-    i, j, k = 0, 1, 0
-    while j < n and k < n:
-        a, b = ww[i + k], ww[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        elif i > j:
-            i, j = j, i
-        k = 0
-    return i
+    if n < 2:
+        return w
+    ww, pieces = w + w, w.split(bytes((min(w),)))
+    # the least byte's positions: the lengths of the pieces before each, plus its index
+    starts = list(map(add, accumulate(map(len, pieces[:-1])), count()))
+    k = 8
+    while len(starts) > 1:
+        k = min(k, n)
+        heads = list(map(ww.__getitem__, map(slice, starts, map(k.__add__, starts))))
+        best = min(heads)
+        starts = list(compress(starts, map(best.__eq__, heads)))
+        if k == n:
+            break
+        k *= 4
+    return ww[starts[0]:starts[0] + n]
 
 
-def _least_rotation(seq: tuple[Step, ...]) -> tuple[Step, ...]:
-    """Lexicographically least rotation of a step sequence."""
-    k = _least_rotation_index(_encode(seq))
-    return seq[k:] + seq[:k]
+def _reversed(w: bytes) -> bytes:
+    """Code of the same curve traversed backwards."""
+    return w[::-1].translate(_REVERSED)
 
 
 def canonical_steps(w: CurveWord) -> tuple[Step, ...]:
     """Rotation-minimal form of the step list (traversal orientation preserved)."""
-    return _least_rotation(w.steps)
+    return CurveWord(_least_rotation(w.code)).steps
 
 
-def canonical_unoriented(w: CurveWord) -> tuple[Step, ...]:
-    """Rotation- and reversal-minimal form."""
-    return min(_least_rotation(w.steps), _least_rotation(reversed_steps(w.steps)))
+def canonical_unoriented(w: CurveWord) -> bytes:
+    """Rotation- and reversal-minimal form of the code."""
+    return min(_least_rotation(w.code), _least_rotation(_reversed(w.code)))
 
 
-def _theta_letters(steps, system: str) -> list[str]:
-    lo, hi = (3, 6) if system == "V" else (0, 3)
-    return [CURVE_NAMES[EDGE_CURVE[e]] for e, _ in steps if lo <= EDGE_CURVE[e] < hi]
+def _theta_letters(code: bytes, system: str) -> list[str]:
+    """Letters of the X/Y/Z crossings (system V) or the A/B/C crossings (W), in order."""
+    return list(code.translate(_LETTER_OF_BYTE, _ABC_BYTES if system == "V" else _XYZ_BYTES)
+                .decode())
 
 
 def _cyclic_cancel_equal(letters: list[str]) -> list[str]:
@@ -419,12 +499,10 @@ def _cyclic_cancel_equal(letters: list[str]) -> list[str]:
 
 def normalize(w: CurveWord) -> CurveWord:
     """Minimal position: spur and generalized-bigon removal, then re-embedding."""
-    es = [e for e, _ in w.steps]
-    hs = [h for _, h in w.steps]
-    es, hs = kernel.normalize_steps(es, hs)
-    if not es:
+    code, _ = kernel.normalize_steps(w.code)
+    if not code:
         raise EmptyAfterNormalization("curve is null-homotopic")
-    return _reembed(CurveWord(tuple(zip(es, hs))))
+    return _reembed(code)
 
 
 def canonical_form(w: CurveWord) -> CurveWord:
@@ -442,7 +520,7 @@ def canonical_form(w: CurveWord) -> CurveWord:
     and one `_reembed` verifies the result.
     """
     from .slides import slide_corners  # builds on the re-embedding in this module
-    return _reembed(CurveWord(tuple(slide_corners(list(canonical_steps(ensure_normal(w)))))))
+    return _reembed(_encode(slide_corners(list(canonical_steps(ensure_normal(w))))))
 
 
 def _trace(w: bytes) -> tuple[list[int], list[int], int]:
@@ -459,7 +537,7 @@ def _trace(w: bytes) -> tuple[list[int], list[int], int]:
     if path is None or len(path) != len(w):
         found = (path is not None) + sum(1 for _ in traces)
         raise InternalInvariantError(f"minimal word re-embedded into {found} components")
-    traced, ww = bytes(map(code.__getitem__, path)), w + w
+    traced, ww = _path_code(code, path), w + w
     r = ww.find(traced)
     if r < 0:
         r = ww.find(traced[::-1].translate(_REVERSED))
@@ -469,13 +547,11 @@ def _trace(w: bytes) -> tuple[list[int], list[int], int]:
     return counts, path, r
 
 
-def _reembed(word: CurveWord) -> CurveWord:
-    """Canonical embedded realization of a minimal word; verifies class invariants
-    (`_trace`) and returns the word's least rotation."""
-    w = _encode(word.steps)
-    _trace(w)
-    k = _least_rotation_index(w)
-    return CurveWord(word.steps[k:] + word.steps[:k], normalized=True)
+def _reembed(code: bytes) -> CurveWord:
+    """Canonical embedded realization of a minimal word's code; verifies class
+    invariants (`_trace`) and returns the word's least rotation."""
+    _trace(code)
+    return CurveWord(_least_rotation(code), normalized=True)
 
 
 def ensure_normal(w: CurveWord) -> CurveWord:
@@ -505,11 +581,8 @@ class Counts:
 
 
 def counts(w: CurveWord) -> Counts:
-    w = ensure_normal(w)
-    tally = [0] * 6
-    for e, _ in w.steps:
-        tally[EDGE_CURVE[e]] += 1
-    return Counts(*tally)
+    curves = ensure_normal(w).code.translate(_CURVE_OF_BYTE)
+    return Counts(*map(curves.count, range(6)))
 
 
 def is_separating(w: CurveWord) -> bool:
@@ -597,17 +670,17 @@ class CurveSignature:
             separators=(",", ":"))
 
 
-_SIGNATURE_CACHE: dict[tuple[Step, ...], CurveSignature] = {}
+_SIGNATURE_CACHE: dict[bytes, CurveSignature] = {}
 
 
 def signature(w: CurveWord) -> CurveSignature:
-    cached = _SIGNATURE_CACHE.get(w.steps)
+    cached = _SIGNATURE_CACHE.get(w.code)
     if cached is not None:
         return cached
     sig = _signature_of_canonical(canonical_form(w))
     if len(_SIGNATURE_CACHE) > 200_000:
         _SIGNATURE_CACHE.clear()
-    _SIGNATURE_CACHE[w.steps] = sig
+    _SIGNATURE_CACHE[w.code] = sig
     return sig
 
 
@@ -618,8 +691,8 @@ def _signature_of_canonical(w: CurveWord) -> CurveSignature:
     for arc in split_arcs(w):
         pair = tuple(sorted((EDGE_TOKENS[arc.start_edge], EDGE_TOKENS[arc.end_edge])))
         refined[arc.pants - 1].append(pair)
-    dv = not _cyclic_cancel_equal(_theta_letters(w.steps, "V"))
-    dw = not _cyclic_cancel_equal(_theta_letters(w.steps, "W"))
+    dv = not _cyclic_cancel_equal(_theta_letters(w.code, "V"))
+    dw = not _cyclic_cancel_equal(_theta_letters(w.code, "W"))
     return CurveSignature(
         counts=c.as_tuple(),
         census=tuple(census[(t, i)] for t in ARC_TYPES for i in (1, 2)),

@@ -83,7 +83,7 @@ def theta_word(w: CurveWord, side: str) -> tuple[str, ...]:
     if side not in ("V", "W"):
         raise MalformedInput(f"side must be 'V' or 'W', got {side!r}")
     w = ensure_normal(w)
-    return tuple(_theta_letters(w.steps, side))
+    return tuple(_theta_letters(w.code, side))
 
 
 def bounds_disk(w: CurveWord, side: str) -> bool:

@@ -1,13 +1,28 @@
-"""Normalization kernel: spur and generalized-bigon removal on step lists.
+"""Normalization kernel: spur and generalized-bigon removal on step bytes.
 
-A curve word is passed as two parallel lists, crossed edges and entered
-hexagons.  `remove_spurs` cancels spurs (an arc entering and leaving a hexagon
-through the same side) in one linear pass: stack-based free cancellation, then
-a trim of equal pairs at the two ends of the cyclic word.  `_find_run`
-searches for a generalized bigon (a subpath crossing a curve, running parallel
-to it through corner and side-skirting chords, and recrossing it), starting
-from index 0, and `_slide_run` replaces it by the mirrored path on the far
-side of the curve.  `normalize_steps` alternates the two to a fixed point.
+A curve word is passed as its code, one byte 4e+h per step (crossed edge e,
+entered hexagon h).  Inputs are closed chains: each step leaves, through one
+of its sides, the hexagon the step before entered.  Two steps cross the same
+edge iff their bytes agree above the low two bits.
+
+`remove_spurs` cancels spurs (an arc entering and leaving a hexagon through
+the same side) in one linear pass: stack-based free cancellation, which jumps
+between the adjacent same-edge pairs that one big-integer XOR marks, then a
+trim of equal pairs at the two ends of the cyclic word.
+
+`_find_run` returns the smallest start of a generalized bigon run: a subpath
+that crosses a curve, runs parallel to it through fence chords (each leaving
+by a side next to the curve's side), and recrosses it.  Every hexagon has its
+sides in the cyclic order A Z B X C Y of their curves, so on a closed chain
+the walk reads only that position of each crossed curve: after crossing the
+curve at p, the first fence is at p +- 1, the fences then alternate between
+p + 1 and p - 1, and the run ends at p.  A prefilter runs this walk from every
+start at once, one check per pass: it packs each start's state and the next
+position into one byte of a big integer and maps the bytes through the
+transition table.  Only the starts still alive or returned after a few passes
+are walked, in order.  `_slide_run` replaces the run by the mirrored path on
+the far side of the curve.  `normalize_steps` alternates the two to a fixed
+point.
 
 Moves are free-homotopy moves: no strand-nesting checks are made here.
 Callers re-embed canonically afterwards.
@@ -15,99 +30,138 @@ Callers re-embed canonically afterwards.
 
 from __future__ import annotations
 
-from .surface import EDGE_CURVE, HEX_CURVE_SIDE, OTHER_HEX, SIDE_POS, hex_neighbors
+from .surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX
 
 BACKEND = "python"
 
-# _NEIGHBORS[h][e]: the sides of hexagon h next to its side e.
-_NEIGHBORS = tuple(
-    tuple(hex_neighbors(h, e) if SIDE_POS[h][e] >= 0 else (-1, -1) for e in range(12))
-    for h in range(4)
-)
+_EDGE_OF_BYTE = bytes(x >> 2 for x in range(256))
+
+# Position of each step byte's curve in the side order of every hexagon (6: none).
+_SIDE_CURVES = tuple(EDGE_CURVE[e] for e in HEX_SIDES[0])
+_POSITION = bytes(_SIDE_CURVES.index(EDGE_CURVE[x >> 2]) if x < 48 else 6 for x in range(256))
+
+# Walk states, all below 32 so that a state times 8 plus a position fits a byte:
+# 0 failed, 1 returned, 2 + p crossed the curve at p, 8 + 2p + (last fence at p + 1).
+_FAILED, _RETURNED = 0, 1
+_START = bytes(2 + p if p < 6 else _FAILED for p in range(256))
 
 
-def remove_spurs(es: list[int], hs: list[int]) -> tuple[list[int], list[int]]:
-    """The cyclic word with every spur pair cancelled, as new lists.
+def _transitions() -> bytes:
+    """Next state of every byte 8 * state + position."""
+    step = bytearray(256)
+    step[8 * _RETURNED:8 * _RETURNED + 8] = bytes((_RETURNED,)) * 8
+    for p in range(6):
+        for sigma in (1, -1):
+            fence = 8 + 2 * p + (sigma == 1)
+            step[8 * (2 + p) + (p + sigma) % 6] = fence
+            step[8 * fence + p] = _RETURNED
+            step[8 * fence + (p - sigma) % 6] = 8 + 2 * p + (sigma == -1)
+    return bytes(step)
+
+
+_STEP = _transitions()
+_DONE = bytes((_FAILED, _RETURNED))
+_SURVIVED = bytes(x != _FAILED for x in range(256))
+# Walks that stay alive longer are rare (none on the ladder and atlas inputs)
+# and are finished one start at a time.
+_PREFILTER_PASSES = 8
+
+
+def _same_edge_pairs(code: bytes) -> bytes:
+    """Byte i is 0 iff steps i and i+1 cross the same edge (one big-int XOR)."""
+    e = code.translate(_EDGE_OF_BYTE)
+    return (int.from_bytes(e[:-1], "big") ^ int.from_bytes(e[1:], "big")).to_bytes(
+        len(e) - 1, "big")
+
+
+def remove_spurs(code: bytes) -> bytes:
+    """The cyclic word with every spur pair cancelled.
 
     Removes the same steps as cancelling the leftmost adjacent pair until none
     is left and then the wrap-around pair (last, first) while they are equal.
     """
-    out_e: list[int] = []
-    out_h: list[int] = []
-    for e, h in zip(es, hs):
-        if out_e and out_e[-1] == e:
-            out_e.pop()
-            out_h.pop()
-        else:
-            out_e.append(e)
-            out_h.append(h)
-    i, j = 0, len(out_e) - 1
-    while i < j and out_e[i] == out_e[j]:
+    n = len(code)
+    if n < 2:
+        return code
+    pairs, out, pos = _same_edge_pairs(code), bytearray(), 0
+    while True:
+        i = pairs.find(0, pos)
+        if i < 0:
+            out += code[pos:]
+            break
+        out += code[pos:i]
+        j = i + 2
+        while out and j < n and (out[-1] ^ code[j]) < 4:
+            out.pop()
+            j += 1
+        pos = j
+    i, j = 0, len(out) - 1
+    while i < j and (out[i] ^ out[j]) < 4:
         i += 1
         j -= 1
-    return out_e[i:j + 1], out_h[i:j + 1]
+    return bytes(out[i:j + 1])
 
 
-def _find_run(es: list[int], hs: list[int]) -> tuple[int, list[int], int] | None:
-    """Find a bigon run: (start index, fence indices, end index), or None."""
-    n = len(es)
-    for i in range(n):
-        curve = EDGE_CURVE[es[i]]
-        cur = hs[i]
-        fences: list[int] = []
-        k = i
-        while True:
-            nk = (k + 1) % n
-            if nk == i:
-                break
-            f = es[nk]
-            dside = HEX_CURVE_SIDE[cur][curve]
-            nb = _NEIGHBORS[cur][dside]
-            if not fences:
-                # first chord leaves the crossed edge itself
-                if f == nb[0] or f == nb[1]:
-                    fences.append(nk)
-                    cur = hs[nk]
-                    k = nk
-                    continue
-                break
-            if f == dside:
-                return i, fences, nk
-            g = es[k]
-            other_fence = nb[0] if nb[1] == g else nb[1] if nb[0] == g else -1
-            if f == other_fence:
-                fences.append(nk)
-                cur = hs[nk]
-                k = nk
-                continue
+def _prefilter(pos: bytes, n: int) -> bytes:
+    """Byte i is 0 iff the walk from start i fails within the first passes.
+
+    `pos` holds the positions of the doubled word's crossed curves.
+    """
+    state = pos[:n].translate(_START)
+    for k in range(1, min(n, _PREFILTER_PASSES + 1)):
+        # the walk from every start i takes its check at position i + k
+        packed = (int.from_bytes(state, "big") << 3) | int.from_bytes(pos[k:k + n], "big")
+        state = packed.to_bytes(n, "big").translate(_STEP)
+        if not state.translate(None, _DONE):
             break
+    return state.translate(_SURVIVED)
+
+
+def _find_run(code: bytes) -> tuple[int, int] | None:
+    """The smallest start i of a bigon run and its end k, as indices into
+    code + code (i < len(code), i + 1 < k < i + len(code)), or None."""
+    n = len(code)
+    pos = (code + code).translate(_POSITION)
+    candidates = _prefilter(pos, n)
+    step = _STEP
+    i = candidates.find(1)
+    while i >= 0:
+        s = _START[pos[i]]
+        for k in range(i + 1, i + n):
+            s = step[8 * s + pos[k]]
+            if s <= _RETURNED:
+                break
+        if s == _RETURNED:
+            return i, k
+        i = candidates.find(1, i + 1)
     return None
 
 
-def _slide_run(es: list[int], hs: list[int], i: int, fences: list[int],
-               end: int) -> tuple[list[int], list[int]]:
-    """The word with the run replaced by the mirrored fence path on the far side.
-
-    The result starts just after the run's end and closes with the new path.
-    """
-    out_e = es[end + 1:] + es[:i] if end > i else es[end + 1:i]
-    out_h = hs[end + 1:] + hs[:i] if end > i else hs[end + 1:i]
-    cur = OTHER_HEX[es[i]][hs[i]]
-    for idx in fences:
-        fp = es[idx] ^ 1
+def _slide_run(code: bytes, i: int, k: int) -> bytes:
+    """The word with the run i..k replaced by the mirrored fence path on the
+    far side of the curve.  The result starts just after the run's end and
+    closes with the new path."""
+    ww = code + code
+    out = bytearray(ww[k + 1:i + len(code)])
+    cur = OTHER_HEX[ww[i] >> 2][ww[i] & 3]
+    for f in ww[i + 1:k]:
+        fp = (f >> 2) ^ 1
         cur = OTHER_HEX[fp][cur]
-        out_e.append(fp)
-        out_h.append(cur)
-    return out_e, out_h
+        out.append(4 * fp + cur)
+    return bytes(out)
 
 
-def normalize_steps(es: list[int], hs: list[int]) -> tuple[list[int], list[int]]:
-    """Spur and bigon removal to a fixed point.  May return empty lists."""
-    es, hs = remove_spurs(es, hs)
-    while es:
-        run = _find_run(es, hs)
+def normalize_steps(code: bytes) -> tuple[bytes, int]:
+    """Spur and bigon removal to a fixed point: (reduced code, bigons slid).
+
+    The reduced code may be empty.
+    """
+    code = remove_spurs(code)
+    slides = 0
+    while code:
+        run = _find_run(code)
         if run is None:
             break
-        es, hs = _slide_run(es, hs, *run)
-        es, hs = remove_spurs(es, hs)
-    return es, hs
+        code = remove_spurs(_slide_run(code, *run))
+        slides += 1
+    return code, slides

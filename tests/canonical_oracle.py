@@ -37,7 +37,7 @@ def slide_pass(steps, i):
 def slide_realizable(steps, i):
     """The re-embedding verdict on the slide of the corner pass at arc i."""
     try:
-        cm._reembed(cm.CurveWord(slide_pass(steps, i)))
+        cm._reembed(cm.CurveWord(slide_pass(steps, i)).code)
     except (InternalInvariantError, NotEmbeddable):
         return False
     return True
@@ -58,5 +58,5 @@ def canonical_form(w):
                 continue
             i += 1
         if not progressed:
-            return cm._reembed(cm.CurveWord(steps))
+            return cm._reembed(cm.CurveWord(steps).code)
     raise InternalInvariantError("canonicalization failed to stabilize")

@@ -21,6 +21,21 @@ def standard_curve():
 
 
 @pytest.fixture(scope="session")
+def unembedded_word():
+    """A closed chain that passes the chord-class and edge-order checks but is
+    not embedded: its class counts re-embed as a curve with another word.  It
+    is the kernel output of the fifth twist of beta^-1 on
+    canonical_form(apply_word(P, "dbdbdb"))."""
+    return [["B2", "H4"], ["X2", "H3"], ["Y2", "H4"], ["B2", "H2"], ["Z1", "H1"],
+            ["Y1", "H2"], ["B2", "H4"], ["Y2", "H3"], ["C1", "H1"], ["Z1", "H2"],
+            ["B2", "H4"], ["A2", "H2"], ["B2", "H4"], ["Y2", "H3"], ["B1", "H1"],
+            ["C1", "H3"], ["X2", "H4"], ["B2", "H2"], ["Y1", "H1"], ["Z1", "H2"],
+            ["B2", "H4"], ["Y2", "H3"], ["B1", "H1"], ["C1", "H3"], ["Y2", "H4"],
+            ["B2", "H2"], ["A2", "H4"], ["B2", "H2"], ["Z1", "H1"], ["Y1", "H2"],
+            ["B2", "H4"], ["C2", "H2"]]
+
+
+@pytest.fixture(scope="session")
 def corpus(standard_curve):
     """(word, curve) pairs: uniformly random generator words of length <= 6."""
     rng = random.Random(CORPUS_SEED)

@@ -1,5 +1,6 @@
 """Reference kernel: the quadratic spur removal, bigon-run search and slide
-that `goeritz2.kernel` replaced, kept as a test oracle.
+on parallel lists of edges and hexagons, which the step-byte kernel of
+`goeritz2.kernel` replaced, kept as a test oracle.
 
 `_remove_spurs` rescans the word from index 0 after every cancelled pair and
 deletes the pair in place, so it is quadratic in the number of spurs.  The
@@ -68,40 +69,47 @@ def _remove_spurs(es: list[int], hs: list[int]) -> bool:
 
 def _find_run(es: list[int], hs: list[int]) -> tuple[int, list[int], int] | None:
     """Find a bigon run: (start index, fence indices, end index), or None."""
+    for i in range(len(es)):
+        run = run_from(es, hs, i)
+        if run is not None:
+            return run
+    return None
+
+
+def run_from(es: list[int], hs: list[int], i: int) -> tuple[int, list[int], int] | None:
+    """The bigon run that starts at index i, or None if the walk from i fails."""
     n = len(es)
-    for i in range(n):
-        d = es[i]
-        curve = _EDGE_CURVE[d]
-        cur = hs[i]
-        fences: list[int] = []
-        k = i
-        while True:
-            nk = (k + 1) % n
-            if nk == i:
-                break
-            f = es[nk]
-            dside = _HEX_CURVE_SIDE[cur][curve]
-            if not fences:
-                # first chord leaves the crossed edge itself
-                nb = _NEIGHBORS[cur][dside]
-                if f == nb[0] or f == nb[1]:
-                    fences.append(nk)
-                    cur = hs[nk]
-                    k = nk
-                    continue
-                break
-            if f == dside:
-                return i, fences, nk
-            g = es[k]
+    d = es[i]
+    curve = _EDGE_CURVE[d]
+    cur = hs[i]
+    fences: list[int] = []
+    k = i
+    while True:
+        nk = (k + 1) % n
+        if nk == i:
+            return None
+        f = es[nk]
+        dside = _HEX_CURVE_SIDE[cur][curve]
+        if not fences:
+            # first chord leaves the crossed edge itself
             nb = _NEIGHBORS[cur][dside]
-            other_fence = nb[0] if nb[1] == g else nb[1] if nb[0] == g else -1
-            if f == other_fence:
+            if f == nb[0] or f == nb[1]:
                 fences.append(nk)
                 cur = hs[nk]
                 k = nk
                 continue
-            break
-    return None
+            return None
+        if f == dside:
+            return i, fences, nk
+        g = es[k]
+        nb = _NEIGHBORS[cur][dside]
+        other_fence = nb[0] if nb[1] == g else nb[1] if nb[0] == g else -1
+        if f == other_fence:
+            fences.append(nk)
+            cur = hs[nk]
+            k = nk
+            continue
+        return None
 
 
 def _slide_run(es: list[int], hs: list[int], i: int, fences: list[int], end: int) -> None:

@@ -5,6 +5,9 @@ Coordinates are dicts keyed by (hexagon, lo edge, hi edge); crossing slots
 are (edge, slot) tuples matched per hexagon; rotations are compared with
 Booth's algorithm over tuples of steps.  Slow (quadratic in the number of
 chord classes, several dict operations per crossing) but direct.
+
+`least_rotation_index` is the two-pointer scan over step bytes that
+`goeritz2.curve` used before it compared rotations by slices.
 """
 
 from __future__ import annotations
@@ -51,6 +54,33 @@ def least_rotation(seq):
         else:
             f[j - k] = i + 1
     return doubled[k:k + n]
+
+
+def least_rotation_index(w):
+    """Start of the lexicographically least rotation of w, in linear time.
+
+    Two candidate starts i < j advance past each other: when their rotations
+    first differ after k equal bytes, no start in the loser's next k+1 bytes
+    can be least.
+    """
+    n = len(w)
+    ww = w + w
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = ww[i + k], ww[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return i
 
 
 def to_coordinates(w):

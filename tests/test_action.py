@@ -1,9 +1,18 @@
 """Twists and the Goeritz generator action."""
 
+import random
+
+import kernel_oracle
 import pytest
+import reembed_oracle
 
 from goeritz2 import curve as cm
 from goeritz2.action import (
+    _BETA_INV_SEQUENCE,
+    _BETA_SEQUENCE,
+    GENERATORS,
+    _cross_detour,
+    _splice,
     apply_generator,
     apply_twist,
     apply_word,
@@ -14,6 +23,7 @@ from goeritz2.action import (
     twist_system,
 )
 from goeritz2.errors import MalformedInput
+from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, complex_symmetry
 
 # hand-traced on the hexagon net: the half twist applied to the A-pushoff
 ETA1_FIXTURE = cm.CurveWord.from_tokens(
@@ -153,3 +163,45 @@ def test_alpha_commutes_with_everything(corpus):
 def test_unknown_generator_rejected():
     with pytest.raises(MalformedInput):
         apply_generator(cm.P_CURVE, "epsilon")
+
+
+def _step_splice(steps, cid, direction):
+    """The per-step splice the byte tables replaced: one detour per rail crossing."""
+    out = []
+    for e, h in steps:
+        out.extend(_cross_detour(e, h, direction) if EDGE_CURVE[e] == cid else [(e, h)])
+    return out
+
+
+def _oracle_generator(w, g):
+    """apply_generator composed from the oracles: per-step splice, list kernel,
+    dict-based re-embedding and Booth's least rotation."""
+    if g not in ("beta", "beta_inv"):
+        r = complex_symmetry(g)
+        return reembed_oracle.least_rotation(
+            tuple((r.apply_edge(e), r.apply_hex(h)) for e, h in w.steps))
+    for name, d in _BETA_SEQUENCE if g == "beta" else _BETA_INV_SEQUENCE:
+        cid = CURVE_NAMES.index(name)
+        if any(EDGE_CURVE[e] == cid for e, _ in w.steps):
+            spliced = _step_splice(w.steps, cid, d)
+            es, hs = kernel_oracle.normalize_steps([e for e, _ in spliced], [h for _, h in spliced])
+            w = reembed_oracle.reembed(cm.CurveWord(tuple(zip(es, hs))))
+    return w.steps
+
+
+def test_table_splice_matches_step_splice(corpus, standard_curve):
+    rng = random.Random(23)
+    ladder = [standard_curve]
+    while len(ladder[-1]) < 2000:
+        ladder.append(apply_word(ladder[-1], rng.choice("dD") + rng.choice("bB")))
+    for w in [w for _, w in corpus] + ladder:
+        for cid in range(6):
+            for d in (1, -1):
+                assert _splice(w.code, cid, d) == \
+                    cm.CurveWord(_step_splice(w.steps, cid, d)).code, (w, cid, d)
+
+
+def test_generators_match_the_oracle_composition(corpus):
+    for word, w in corpus:
+        for g in GENERATORS:
+            assert apply_generator(w, g).steps == _oracle_generator(w, g), (word, g)

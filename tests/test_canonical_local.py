@@ -110,11 +110,11 @@ def test_realizable_words_with_bigons():
             e = rng.choice(HEX_SIDES[h])
             h = OTHER_HEX[e][h]
             steps.append((e, h))
-        es, hs = kernel.remove_spurs([e for e, _ in steps], [h for _, h in steps])
-        w = list(zip(es, hs))
+        core = kernel.remove_spurs(cm.CurveWord(steps).code)
+        w = list(cm.CurveWord(core).steps)
         try:
             cm._check_chain(w)
-            cm._reembed(cm.CurveWord(tuple(w)))
+            cm._reembed(core)
         except Goeritz2Error:
             continue
         for i in range(len(w)):

@@ -88,6 +88,15 @@ def test_unembeddable_input_exit_code(tmp_path):
     assert main(["validate", "--in", str(bad)]) == 3
 
 
+def test_unembedded_kernel_word_exit_code(tmp_path, unembedded_word):
+    # passes the chord-class and edge-order checks; its counts trace another word
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"format": "goeritz-curve/1", "representation": "steps", "steps": unembedded_word}))
+    assert main(["validate", "--in", str(bad)]) == 3
+    assert main(["normalize", "--in", str(bad)]) == 3
+
+
 def test_usage_error_exit_code():
     assert main(["apply"]) == 2
 
@@ -170,4 +179,3 @@ def test_atlas_command(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "2 0 0" in table
     assert (tmp_path / "atlas.jsonl").exists()
-    assert (tmp_path / "atlas.jsonl.idx").exists()

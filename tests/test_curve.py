@@ -1,14 +1,20 @@
 """Curve words: validation, normalization, counts, census, coordinates."""
 
+import random
+
 import pytest
 
+from goeritz2 import action, kernel
 from goeritz2 import curve as cm
 from goeritz2.errors import (
     EmptyAfterNormalization,
+    Goeritz2Error,
+    InternalInvariantError,
     MalformedWord,
     NotEmbeddable,
     ParityViolation,
 )
+from goeritz2.surface import HEX_SIDES, OTHER_HEX
 
 
 def W(*pairs):
@@ -47,6 +53,42 @@ def test_vertex_encircling_word_rejected():
     with pytest.raises(NotEmbeddable):
         W(("A1", "H1"), ("X1", "H2"), ("A2", "H4"), ("Y2", "H3"),
           ("A1", "H1"), ("Y1", "H2"), ("A2", "H4"), ("X2", "H3"))
+
+
+def test_validate_rejects_a_word_whose_counts_trace_another(standard_curve, unembedded_word):
+    w = cm.canonical_form(action.apply_word(standard_curve, "dbdbdb"))
+    for name, d in action._BETA_INV_SEQUENCE[:4]:
+        w = action.twist_system(w, name, d)
+    name, d = action._BETA_INV_SEQUENCE[4]
+    code, _ = kernel.normalize_steps(action._splice(w.code, "ABCXYZ".index(name), d))
+    assert cm.CurveWord(code).tokens() == unembedded_word
+    with pytest.raises(InternalInvariantError):
+        cm._reembed(code)
+    with pytest.raises(NotEmbeddable, match="not one embedded curve"):
+        cm.CurveWord.from_tokens(unembedded_word)
+
+
+def test_validated_walks_normalize_without_internal_errors():
+    # the trace check makes validate complete: no accepted word fails inside normalize
+    rng = random.Random(2)
+    accepted = 0
+    for _ in range(10_000):
+        h0 = h = rng.randrange(4)
+        steps, length = [], rng.randint(2, 30)
+        while len(steps) < length or h != h0:
+            e = steps[-1][0] if steps and rng.random() < 0.4 else rng.choice(HEX_SIDES[h])
+            h = OTHER_HEX[e][h]
+            steps.append((e, h))
+        try:
+            w = cm.validate(steps)
+        except Goeritz2Error:
+            continue
+        accepted += 1
+        try:
+            cm.normalize(w)
+        except EmptyAfterNormalization:
+            pass
+    assert accepted > 2000
 
 
 def test_double_spur_word_normalizes_to_nothing():

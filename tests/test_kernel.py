@@ -1,8 +1,9 @@
-"""The linear kernel agrees with the quadratic reference.
+"""The step-byte kernel agrees with the quadratic list reference.
 
 `kernel_oracle` keeps the earlier `_remove_spurs`, `_find_run`, `_slide_run`
-and `normalize_steps`.  Every check compares the returned lists, steps and
-their order, on the same input.
+and `normalize_steps` on parallel lists of edges and hexagons.  Every check
+encodes the same input for `goeritz2.kernel` and compares the returned
+words, steps and their order.
 """
 
 import random
@@ -21,15 +22,23 @@ def _split(steps):
     return [e for e, _ in steps], [h for _, h in steps]
 
 
-def _same_normal_form(es, hs):
-    assert kernel.normalize_steps(list(es), list(hs)) == \
-        oracle.normalize_steps(list(es), list(hs)), (es, hs)
+def _code(steps):
+    return cm.CurveWord(steps).code
 
 
-def _same_spur_pass(es, hs):
-    old_e, old_h = list(es), list(hs)
+def _lists(code):
+    return _split(cm.CurveWord(code).steps)
+
+
+def _same_normal_form(steps):
+    code, _ = kernel.normalize_steps(_code(steps))
+    assert _lists(code) == oracle.normalize_steps(*_split(steps)), steps
+
+
+def _same_spur_pass(steps):
+    old_e, old_h = _split(steps)
     oracle._remove_spurs(old_e, old_h)
-    assert kernel.remove_spurs(list(es), list(hs)) == (old_e, old_h), (es, hs)
+    assert _lists(kernel.remove_spurs(_code(steps))) == (old_e, old_h), steps
 
 
 def _walk(rng, length, backtrack):
@@ -58,8 +67,8 @@ def _rotate(steps, k):
 
 def test_corpus_matches(corpus):
     for _, w in corpus:
-        _same_normal_form(*_split(w.steps))
-        _same_spur_pass(*_split(w.steps))
+        _same_normal_form(w.steps)
+        _same_spur_pass(w.steps)
 
 
 def test_raw_splices_match(standard_curve):
@@ -75,7 +84,7 @@ def test_raw_splices_match(standard_curve):
                     out.extend(_cross_detour(e, h, d))
                 else:
                     out.append((e, h))
-            _same_normal_form(*_split(out))
+            _same_normal_form(out)
 
 
 def test_ladder_inputs_match_up_to_ten_thousand_crossings(standard_curve, monkeypatch):
@@ -83,9 +92,9 @@ def test_ladder_inputs_match_up_to_ten_thousand_crossings(standard_curve, monkey
     seen = []
     normalize = kernel.normalize_steps
 
-    def capture(es, hs):
-        seen.append((list(es), list(hs)))
-        return normalize(es, hs)
+    def capture(code):
+        seen.append(code)
+        return normalize(code)
 
     monkeypatch.setattr(kernel, "normalize_steps", capture)
     rng = random.Random(7)
@@ -93,9 +102,9 @@ def test_ladder_inputs_match_up_to_ten_thousand_crossings(standard_curve, monkey
     while len(w) < 10_000:
         w = apply_word(w, rng.choice("dD") + rng.choice("bB"))
     monkeypatch.undo()
-    assert max(len(es) for es, _ in seen) > 15_000
-    for es, hs in seen:
-        _same_normal_form(es, hs)
+    assert max(len(code) for code in seen) > 15_000
+    for code in seen:
+        _same_normal_form(cm.CurveWord(code).steps)
 
 
 def test_random_spur_heavy_walks_match():
@@ -106,12 +115,40 @@ def test_random_spur_heavy_walks_match():
         if rng.random() < 0.3:
             steps = _retrace(steps)
         steps = _rotate(steps, rng.randrange(len(steps)))
-        es, hs = _split(steps)
-        _same_spur_pass(es, hs)
-        _same_normal_form(es, hs)
-        cancelled += not kernel.remove_spurs(es, hs)[0]
-        straddling += es[0] == es[-1]
+        _same_spur_pass(steps)
+        _same_normal_form(steps)
+        cancelled += not kernel.remove_spurs(_code(steps))
+        straddling += steps[0][0] == steps[-1][0]
     assert cancelled > 300 and straddling > 100
+
+
+@pytest.mark.parametrize("passes", [1, 2, kernel._PREFILTER_PASSES])
+def test_prefilter_reports_every_run_start(monkeypatch, passes):
+    # the prefilter may report extra starts, never miss one; the walk decides
+    monkeypatch.setattr(kernel, "_PREFILTER_PASSES", passes)
+    rng = random.Random(17)
+    with_run = reported = returned = 0
+    for _ in range(10_000):
+        steps = _walk(rng, rng.randint(2, 30), rng.choice((0.0, 0.2)))
+        es, hs = _split(steps)
+        code, n = _code(steps), len(steps)
+        flags = kernel._prefilter((code + code).translate(kernel._POSITION), n)
+        starts = {i for i in range(n) if flags[i]}
+        runs = [i for i in range(n) if oracle.run_from(es, hs, i) is not None]
+        assert set(runs) <= starts, steps
+        first = kernel._find_run(code)
+        if runs:
+            i, fences, end = oracle.run_from(es, hs, runs[0])
+            assert first == (i, end + n * (end < i)), steps
+            assert [k % n for k in range(first[0] + 1, first[1])] == fences, steps
+        else:
+            assert first is None, steps
+        with_run += bool(runs)
+        reported += len(starts)
+        returned += len(runs)
+    assert with_run > 1000
+    if passes <= 2:
+        assert reported > returned  # the walk past the prefilter decides
 
 
 @pytest.mark.parametrize("steps", [
@@ -126,16 +163,16 @@ def test_random_spur_heavy_walks_match():
     [(0, 2), (4, 0), (8, 1), (8, 0), (2, 2), (0, 0)],
 ])
 def test_spur_pass_edge_cases(steps):
-    _same_spur_pass(*_split(steps))
-    _same_normal_form(*_split(steps))
+    _same_spur_pass(steps)
+    _same_normal_form(steps)
 
 
 def test_validate_messages_unchanged(monkeypatch):
     # validate's order check runs on the spur-free core the kernel returns
-    def oracle_pass(es, hs):
-        es, hs = list(es), list(hs)
+    def oracle_pass(code):
+        es, hs = _lists(code)
         oracle._remove_spurs(es, hs)
-        return es, hs
+        return _code(list(zip(es, hs)))
 
     def outcome(steps):
         try:

@@ -13,9 +13,15 @@ import reembed_oracle as oracle
 
 from goeritz2 import curve as cm
 from goeritz2.action import apply_word
-from goeritz2.errors import Goeritz2Error, MalformedWord, NotEmbeddable
+from goeritz2.errors import (
+    Goeritz2Error,
+    InconsistentCoordinates,
+    InternalInvariantError,
+    MalformedWord,
+    NotEmbeddable,
+)
 from goeritz2.slides import is_index2_pass
-from goeritz2.surface import EDGE_HEXES, HEX_SIDES, OTHER_HEX
+from goeritz2.surface import EDGE_HEXES, HEX_SIDES, OTHER_HEX, SIDE_POS
 
 
 def _outcome(fn, *args):
@@ -35,8 +41,16 @@ def _steps(result):
 
 
 def _same_reembed(w):
-    new, old = _steps(_outcome(cm._reembed, w)), _steps(_outcome(oracle.reembed, w))
+    new, old = _steps(_outcome(cm._reembed, w.code)), _steps(_outcome(oracle.reembed, w))
     assert new == old, w
+
+
+def _same_least_rotation(seq):
+    # the slice search, Booth's algorithm and the two-pointer scan agree
+    code = cm.CurveWord(seq).code
+    k = oracle.least_rotation_index(code)
+    rotated = cm.CurveWord(cm._least_rotation(code)).steps
+    assert rotated == oracle.least_rotation(seq) == seq[k:] + seq[:k], seq
 
 
 def _same_components(coords):
@@ -70,6 +84,32 @@ def test_corpus_and_ladders_match(corpus, ladders):
         _same_reembed(w)
         kind, comps, _ = _same_components(cm.to_coordinates(w))
         assert kind == "ok" and len(comps) == 1
+
+
+def test_arc_classes_of_arbitrary_step_sequences():
+    # not only closed chains: every arc is classified, or the word rejected, as
+    # the per-pair reference does (a spur first, then a side of another hexagon)
+    rng = random.Random(13)
+    steps = [(e, h) for e in range(12) for h in EDGE_HEXES[e]]
+    kinds = set()
+    for _ in range(3000):
+        seq = [rng.choice(steps) for _ in range(rng.randint(1, 12))]
+        arcs = list(zip(seq, seq[1:] + seq[:1]))
+        if any(e == f for (e, _), (f, _) in arcs):
+            expected = "spur"
+        elif any(SIDE_POS[h][f] < 0 for (_, h), (f, _) in arcs):
+            expected = "bad"
+        else:
+            expected = oracle.to_coordinates(cm.CurveWord(tuple(seq)))
+        try:
+            got = cm.to_coordinates(cm.CurveWord(seq))
+        except InternalInvariantError:
+            got = "spur"
+        except InconsistentCoordinates:
+            got = "bad"
+        assert got == expected, seq
+        kinds.add(expected if isinstance(expected, str) else "ok")
+    assert kinds == {"spur", "bad", "ok"}
 
 
 def test_scaled_coordinates_give_identical_multicurves(corpus, ladders):
@@ -125,13 +165,13 @@ def test_corner_slide_candidates_accept_and_reject_alike(ladders):
             if is_index2_pass(steps, i):
                 candidate = cm.CurveWord(canonical_oracle.slide_pass(steps, i))
                 _same_reembed(candidate)
-                decided.add(_outcome(cm._reembed, candidate)[0])
+                decided.add(_outcome(cm._reembed, candidate.code)[0])
     assert decided == {"ok", "raised"}
 
 
 def test_canonical_form_unchanged(ladders, monkeypatch):
     expected = [cm.canonical_form(w).steps for w in ladders[:6]]
-    monkeypatch.setattr(cm, "_reembed", oracle.reembed)
+    monkeypatch.setattr(cm, "_reembed", lambda code: oracle.reembed(cm.CurveWord(code)))
     assert [canonical_oracle.canonical_form(w).steps for w in ladders[:6]] == expected
 
 
@@ -178,7 +218,15 @@ def test_validate_reports_the_same_interleaving_chords():
     ((1, 2), (1, 2), (0, 0), (1, 2), (0, 0), (1, 2), (1, 2), (0, 0)),
 ])
 def test_least_rotation_edge_cases(seq):
-    assert cm._least_rotation(seq) == oracle.least_rotation(seq)
+    _same_least_rotation(seq)
+
+
+def test_least_rotation_of_curve_words(corpus, ladders):
+    for w in [w for _, w in corpus] + ladders:
+        _same_least_rotation(w.steps)
+    for w in ladders[:3]:
+        for r in range(len(w)):
+            _same_least_rotation(w.steps[r:] + w.steps[:r])
 
 
 def test_least_rotation_random():
@@ -188,4 +236,4 @@ def test_least_rotation_random():
         alphabet = rng.sample(steps, rng.randint(1, 4))
         unit = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
         seq = unit * rng.randint(1, 4)
-        assert cm._least_rotation(seq) == oracle.least_rotation(seq), seq
+        _same_least_rotation(seq)
