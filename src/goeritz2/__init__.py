@@ -43,13 +43,25 @@ from .surface import SurfaceComplex, build_complex, complex_symmetry
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty the generator-action memo and the signature cache.
+
+    Both hold pure functions of a curve's code, so clearing changes no
+    result, only how much work the next calls repeat.
+    """
+    from . import action, curve
+    action._act.cache_clear()
+    curve._SIGNATURE_CACHE.clear()
+
+
 __all__ = [
     "AtlasStore", "Counts", "CurveSignature", "CurveWord", "P_CURVE", "PUSHOFFS",
     "ReductionCertificate", "SurfaceComplex", "apply_generator", "apply_twist",
     "apply_word", "arc_census", "arc_pi1_words", "bounds_disk", "build_complex",
-    "canonical_form", "check_word_constraints", "classify", "complex_symmetry",
-    "counts", "enumerate_atlas", "express_from_standard", "from_doc",
-    "from_normal_coordinates", "is_reducing", "is_separating", "is_standard",
-    "lambda_triples", "normalize", "parse_goeritz_word", "reduce_to_standard",
-    "signature", "to_doc", "validate",
+    "canonical_form", "check_word_constraints", "classify", "clear_caches",
+    "complex_symmetry", "counts", "enumerate_atlas", "express_from_standard",
+    "from_doc", "from_normal_coordinates", "is_reducing", "is_separating",
+    "is_standard", "lambda_triples", "normalize", "parse_goeritz_word",
+    "reduce_to_standard", "signature", "to_doc", "validate",
 ]

@@ -11,7 +11,9 @@ A word is stored as its code, one byte 4e+h per step (`CurveWord.code`);
 `steps` decodes it on demand.  The kernel, re-embedding, rotation, counts and
 the signature cache all work on the code: curve counts are one `translate`
 and six `count`s, and the least rotation is found by slice comparisons among
-the positions of the least byte.
+the positions of the least byte.  The signature cache is keyed by the code
+it is given, so a hit skips normalization; it holds 200,000 entries and
+evicts the oldest one when full.
 
 Re-embedding is table-driven and linear in the word length.  Static tables,
 built once at import from `surface`, number the 60 chord classes and hold
@@ -27,6 +29,7 @@ in both directions.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from operator import add, itemgetter
@@ -670,7 +673,9 @@ class CurveSignature:
             separators=(",", ":"))
 
 
-_SIGNATURE_CACHE: dict[bytes, CurveSignature] = {}
+# Signatures by the code they were asked for, oldest first.
+_SIGNATURE_CACHE_SIZE = 200_000
+_SIGNATURE_CACHE: OrderedDict[bytes, CurveSignature] = OrderedDict()
 
 
 def signature(w: CurveWord) -> CurveSignature:
@@ -678,9 +683,9 @@ def signature(w: CurveWord) -> CurveSignature:
     if cached is not None:
         return cached
     sig = _signature_of_canonical(canonical_form(w))
-    if len(_SIGNATURE_CACHE) > 200_000:
-        _SIGNATURE_CACHE.clear()
     _SIGNATURE_CACHE[w.code] = sig
+    if len(_SIGNATURE_CACHE) > _SIGNATURE_CACHE_SIZE:
+        _SIGNATURE_CACHE.popitem(last=False)
     return sig
 
 

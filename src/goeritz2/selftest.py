@@ -11,6 +11,7 @@ import random
 import traceback
 
 from . import atlas as atlas_mod
+from . import clear_caches
 from . import curve as cm
 from . import reduction as red
 from .action import apply_generator, apply_word, twist_about_p
@@ -99,8 +100,16 @@ def _checks(quick: bool):
             bb = apply_generator(apply_generator(w, "beta"), "beta")
             assert cm.signature(bb) == cm.signature(twist_about_p(w)), word
 
+    def generator_memo():
+        words = [word for word, _ in corpus[:40]]
+        clear_caches()
+        cold = [apply_word(P, word).code for word in words]
+        warm = [apply_word(P, word).code for word in words]
+        assert cold == warm == [w.code for _, w in corpus[:40]]
+
     def atlas_determinism():
         s1 = atlas_mod.enumerate_atlas(2)
+        clear_caches()  # the second run recomputes, not replays the first
         s2 = atlas_mod.enumerate_atlas(2)
         assert [r.as_json() for r in s1.records] == [r.as_json() for r in s2.records]
         for rec in s1.records:
@@ -116,6 +125,7 @@ def _checks(quick: bool):
         ("aa-arc-word-constraints", aa_arc_constraints),
         ("reduction-round-trip", reduction_roundtrip),
         ("half-twist-realization", beta_realization),
+        ("generator-memo", generator_memo),
         ("atlas-determinism", atlas_determinism),
     ]
 

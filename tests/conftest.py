@@ -8,11 +8,19 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.exists() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+import goeritz2  # noqa: E402
 from goeritz2 import action, curve  # noqa: E402
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 520
 CORPUS_MAX_LEN = 6
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start every test with an empty action memo and signature cache, so a
+    test that captures or patches internals sees every call it expects."""
+    goeritz2.clear_caches()
 
 
 @pytest.fixture(scope="session")

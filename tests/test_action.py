@@ -6,6 +6,9 @@ import kernel_oracle
 import pytest
 import reembed_oracle
 
+import goeritz2
+from goeritz2 import action
+from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2.action import (
     _BETA_INV_SEQUENCE,
@@ -22,7 +25,8 @@ from goeritz2.action import (
     twist_about_p,
     twist_system,
 )
-from goeritz2.errors import MalformedInput
+from goeritz2.errors import InternalInvariantError, MalformedInput
+from goeritz2.reduction import reduce_to_standard, verify_certificate
 from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, complex_symmetry
 
 # hand-traced on the hexagon net: the half twist applied to the A-pushoff
@@ -205,3 +209,42 @@ def test_generators_match_the_oracle_composition(corpus):
     for word, w in corpus:
         for g in GENERATORS:
             assert apply_generator(w, g).steps == _oracle_generator(w, g), (word, g)
+
+
+def test_memo_hit_equals_a_cold_recomputation(corpus):
+    for word, w in corpus:
+        for g in GENERATORS:
+            first = apply_generator(w, g)
+            hits = action._act.cache_info().hits
+            again = apply_generator(w, g)
+            assert action._act.cache_info().hits == hits + 1
+            assert again.code == action._act.__wrapped__(w.code, g) == first.code, (word, g)
+            assert again is not first and again.normalized
+
+
+def test_a_failing_action_is_not_memoized(standard_curve):
+    # the word of the strict xfail in test_canonical.py
+    w = cm.canonical_form(apply_word(standard_curve, "dbdbdb"))
+    size = action._act.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError):
+            apply_generator(w, "beta_inv")
+    assert action._act.cache_info().currsize == size
+
+
+def test_reduction_is_the_same_cold_and_warm(standard_curve):
+    rng = random.Random(29)
+    curves = [at.record_curve(rec) for rec in at.enumerate_atlas(4).records]
+    for letters in (4, 6, 8, 10, 12, 14):
+        word = "".join(rng.choice("dD") if i % 2 == 0 else rng.choice("bB")
+                       for i in range(letters))
+        curves.append(apply_word(standard_curve, word))
+    goeritz2.clear_caches()
+    runs, misses = [], []
+    for _ in range(2):
+        misses.append(action._act.cache_info().misses)
+        certs = [reduce_to_standard(w) for w in curves]
+        runs.append((certs, [verify_certificate(c, w) for c, w in zip(certs, curves)]))
+    assert action._act.cache_info().misses == misses[1] > misses[0]  # all warm
+    assert runs[0] == runs[1]
+    assert all(runs[1][1])

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import goeritz2
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2.action import apply_word
@@ -94,6 +95,7 @@ def test_store_extension_matches_fresh_run(tmp_path):
     path = str(tmp_path / "atlas.jsonl")
     store.save(path)
     extended = at.enumerate_atlas(2, at.AtlasStore.load(path))
+    goeritz2.clear_caches()
     fresh = at.enumerate_atlas(2)
     assert [r.as_json() for r in extended.records] == \
         [r.as_json() for r in fresh.records]

@@ -213,6 +213,17 @@ def test_signature_differs_for_delta_image():
     assert cm.signature(apply_generator(cm.P_CURVE, "delta")) != cm.signature(cm.P_CURVE)
 
 
+def test_full_signature_cache_evicts_oldest_first(corpus, monkeypatch):
+    monkeypatch.setattr(cm, "_SIGNATURE_CACHE_SIZE", 8)
+    words = list({w.code: w for _, w in corpus}.values())[:20]
+    expected = [cm._signature_of_canonical(cm.canonical_form(w)) for w in words]
+    assert [cm.signature(w) for w in words] == expected
+    assert list(cm._SIGNATURE_CACHE) == [w.code for w in words[-8:]]
+    assert cm.signature(words[12]) == expected[12]  # a hit keeps the order
+    assert cm.signature(words[0]) == expected[0]  # a miss evicts words[12]
+    assert list(cm._SIGNATURE_CACHE) == [w.code for w in words[13:] + words[:1]]
+
+
 def test_inconsistent_coordinates_rejected():
     from goeritz2.errors import InconsistentCoordinates
     from goeritz2.surface import A1, H1, X1
