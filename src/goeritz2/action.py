@@ -14,9 +14,11 @@ surface orientation (the sign of the crossed edge in the approach hexagon), so
 all detours of one twist turn the same way and stay pairwise disjoint; "right"
 names the direction with sign +1 under that rule.
 
-Words are step-byte codes (see `curve`).  A twist rewrites the code through a
-table of replacement bytes per (rail, direction), built from `_cross_detour`
-on first use, and a relabeling symmetry is one `bytes.translate`.
+Words are step-byte codes (see `curve`).  A twist marks the four rail bytes
+of the code with placeholder bytes by one `bytes.translate`, then replaces
+each placeholder with its detour by one `bytes.replace`; the detours per
+(rail, direction) are built from `_cross_detour` on first use.  A relabeling
+symmetry is one `bytes.translate`.
 
 The generator action is memoized by normalized code (`_act`, an LRU memo of
 4096 entries): the atlas applies every generator to each record, and the
@@ -114,14 +116,19 @@ _RAIL_BYTES = tuple(bytes(4 * e + h for e in (2 * c, 2 * c + 1) for h in EDGE_HE
                     for c in range(6))
 
 
+# Placeholder bytes for the rail crossings of one twist: no step byte reaches
+# them, so a detour (which crosses the partner rail edge) is never substituted again.
+_MARKS = bytes(range(128, 132))
+
+
 @functools.cache
-def _splice_table(cid: int, direction: int) -> tuple[bytes, ...]:
-    """Replacement bytes of every step byte under one twist: the detour of a
-    rail crossing, the byte itself otherwise."""
-    table = [bytes((x,)) for x in range(48)]
-    for x in _RAIL_BYTES[cid]:
-        table[x] = bytes(4 * e + h for e, h in _cross_detour(x >> 2, x & 3, direction))
-    return tuple(table)
+def _splice_table(cid: int, direction: int) -> tuple[bytes, tuple[tuple[bytes, bytes], ...]]:
+    """Translation table marking the rail bytes of curve cid with `_MARKS`, and
+    the detour of each mark's rail crossing under one twist."""
+    rails = _RAIL_BYTES[cid]
+    return bytes.maketrans(rails, _MARKS), tuple(
+        (bytes((m,)), bytes(4 * e + h for e, h in _cross_detour(x >> 2, x & 3, direction)))
+        for m, x in zip(_MARKS, rails))
 
 
 def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord:
@@ -137,7 +144,11 @@ def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord
 
 def _splice(code: bytes, cid: int, direction: int) -> bytes:
     """The code with every crossing of curve cid replaced by its twist detour."""
-    return b"".join(map(_splice_table(cid, direction).__getitem__, code))
+    marks, detours = _splice_table(cid, direction)
+    code = code.translate(marks)
+    for mark, detour in detours:
+        code = code.replace(mark, detour)
+    return code
 
 
 def twist_about_p(w: CurveWord, direction: int = 1) -> CurveWord:

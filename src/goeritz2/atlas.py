@@ -38,9 +38,25 @@ class AtlasRecord:
 
     @staticmethod
     def from_json(line: str) -> "AtlasRecord":
-        doc = json.loads(line)
+        """One store line as a record; MalformedInput says what is wrong with it."""
+        doc = _json_object(line)
+        missing = [k for k in ("key", "triple", "witness", "depth", "curve") if k not in doc]
+        if missing:
+            raise MalformedInput(f"record has no {missing[0]!r}")
+        if not isinstance(doc["triple"], list):
+            raise MalformedInput("record triple is not a list")
         return AtlasRecord(doc["key"], tuple(doc["triple"]), doc["witness"],
                            doc["depth"], doc["curve"])
+
+
+def _json_object(line: str) -> dict:
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedInput("not a JSON object")
+    return doc
 
 
 @dataclass
@@ -67,15 +83,21 @@ class AtlasStore:
 
     @staticmethod
     def load(path: str) -> "AtlasStore":
+        """Read a store that `save` wrote; a malformed one raises MalformedInput
+        naming the file and the line."""
         store = AtlasStore()
         with open(path) as fh:
-            header = json.loads(fh.readline())
-            if header.get("format") != "goeritz-atlas/1":
-                raise MalformedInput("not a goeritz-atlas/1 file")
-            store.meta = {k: v for k, v in header.items() if k != "format"}
-            for line in fh:
-                if line.strip():
-                    store.add(AtlasRecord.from_json(line))
+            lineno = 1
+            try:
+                header = _json_object(fh.readline() or "{}")  # an empty file has no format
+                if header.get("format") != "goeritz-atlas/1":
+                    raise MalformedInput("not a goeritz-atlas/1 file")
+                store.meta = {k: v for k, v in header.items() if k != "format"}
+                for lineno, line in enumerate(fh, 2):
+                    if line.strip():
+                        store.add(AtlasRecord.from_json(line))
+            except MalformedInput as exc:
+                raise MalformedInput(f"{path}, line {lineno}: {exc}") from None
         return store
 
     def export_table(self) -> str:

@@ -11,19 +11,23 @@ A word is stored as its code, one byte 4e+h per step (`CurveWord.code`);
 `steps` decodes it on demand.  The kernel, re-embedding, rotation, counts and
 the signature cache all work on the code: curve counts are one `translate`
 and six `count`s, and the least rotation is found by slice comparisons among
-the positions of the least byte.  The signature cache is keyed by the code
-it is given, so a hit skips normalization; it holds 200,000 entries and
-evicts the oldest one when full.
+the positions of the least byte, which membership tests find.  The
+signature cache is keyed by the code it is given, so a hit skips
+normalization; it holds 200,000 entries and evicts the oldest one when full.
 
 Re-embedding is table-driven and linear in the word length.  Static tables,
 built once at import from `surface`, number the 60 chord classes and hold
 each class's interleave bitmask and each edge side's fan order.  The class of
 every arc is one byte, read for all arcs at once from two translated copies
-of the code by a big-integer OR, and the class counts are `count`s of those
-bytes.  The normal multicurve with those counts becomes a successor table
-over crossing slots, filled one slice per chord class.  One walk traces the
-curve, and the traced bytes are compared with the input by substring tests
-in both directions.
+of the code by a big-integer OR; membership tests find the present classes
+and `count`s their sizes.  The normal multicurve with those counts becomes a
+successor table over crossing states.  The present class ends, in slot
+order, tile the slots once along the first sides of the edges and once
+along the second sides, so each half of the table is one slice assignment
+of chained spans, cut from one shared list of state numbers.  The counts of
+n crossings re-embed as one curve iff the walk of n - 1 successors from the
+first state closes there without passing it again; the traced bytes are
+then compared with the input by substring tests in both directions.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter
 
 from . import kernel
@@ -325,12 +329,12 @@ def _raise_bad_arc(w: bytes, nw: bytes) -> None:
 def _arc_counts(w: bytes) -> list[int]:
     """Chord-class counts of an encoded word, indexed by class id."""
     arcs = _arc_classes(w)
-    present = set(arcs)
-    if _SPUR_ARC in present:
+    if _SPUR_ARC in arcs:
         raise InternalInvariantError("coordinates of a word with spurs")
     counts = [0] * len(_CLASS_KEYS)
-    for i in present:
-        counts[i] = arcs.count(i)
+    for i in range(len(_CLASS_KEYS)):
+        if i in arcs:
+            counts[i] = arcs.count(i)
     return counts
 
 
@@ -351,21 +355,41 @@ def _class_counts(coords) -> list[int]:
     return counts
 
 
-def _span(a: int, c: int, k: int, anti: bool) -> range:
-    """States 2g+k of slots g = a..a+c-1, descending if `anti`."""
-    lo, hi = 2 * a + k, 2 * (a + c) + k
-    return range(hi - 2, lo - 2, -2) if anti else range(lo, hi, 2)
+# State numbers 0, 1, 2, ...: each span of the successor table is a slice of
+# this list, so states are not made again per class.  `_states` grows it to
+# the largest word seen by rebinding, so a list in use never changes.
+_STATES = list(range(2048))
+
+
+def _states(size: int) -> list[int]:
+    global _STATES
+    states = _STATES
+    if len(states) < size:
+        states = _STATES = list(range(size))
+    return states
+
+
+# The 120 class ends 2i+(0 lo, 1 hi) in slot order: those on the first side
+# (2e) of each edge, edge by edge, then those on the second sides (2e+1).
+_ENDS = tuple(end for k in (0, 1) for e in range(12) for end in _FAN[2 * e + k])
+_END_CLASS = tuple(end >> 1 for end in _ENDS)
+# per end id: a strand that enters the class's hexagon at this end leaves it
+# across the partner end's edge, so its next state has the other bit k there
+_END_EXIT = tuple(1 - (_CLASS_ENDS[end >> 1][1 - (end & 1)] & 1)
+                  for end in range(2 * len(_CLASS_KEYS)))
 
 
 def _embedding(counts: list[int]) -> tuple[list[int], bytes]:
     """Successor table and state bytes of the normal multicurve with these counts.
 
     Checks that no two classes present in a hexagon interleave and that both
-    sides of every edge carry the same number of crossings.  Each class fills
-    a block of slots on its two sides, in fan order from the edge's origin,
-    and pairs them as one slice per side.
+    sides of every edge carry the same number of crossings.  The present
+    class ends, in slot order, tile the slots once along the first sides of
+    the edges and once along the second sides; each end's states lead to the
+    slots of its partner end, so each side's successors are one chain of
+    spans, assigned as one slice.
     """
-    present = [i for i, c in enumerate(counts) if c]
+    present = list(compress(range(len(counts)), counts))
     mask = sum(1 << i for i in present)
     for i in present:
         if _CLASS_CROSSES[i] & mask:
@@ -376,28 +400,31 @@ def _embedding(counts: list[int]) -> tuple[list[int], bytes]:
         lo, hi = _CLASS_ENDS[i]
         crossings[lo] += counts[i]
         crossings[hi] += counts[i]
-    off = [0] * 13
     for e in range(12):
         if crossings[2 * e] != crossings[2 * e + 1]:
             raise InconsistentCoordinates(
                 f"edge {EDGE_TOKENS[e]} endpoint counts differ: {crossings[2 * e:2 * e + 2]}")
-        off[e + 1] = off[e] + crossings[2 * e]
-    start = [0] * (2 * len(_CLASS_KEYS))
-    for j, t in enumerate(crossings):
-        if t:
-            pos = off[j >> 1]
-            for end in _FAN[j]:
-                start[end] = pos
-                pos += counts[end >> 1]
     code = b"".join([_SLOT_BYTES[e] * crossings[2 * e] for e in range(12)])
+    n = len(code) >> 1
+    sizes = list(map(counts.__getitem__, _END_CLASS))
+    ends, sizes = list(compress(_ENDS, sizes)), list(filter(None, sizes))
+    # the present ends on first sides fill slots 0..n-1 in order, then those
+    # on second sides fill them again
+    start, pos, first = [0] * len(_ENDS), 0, 0
+    for t, (end, c) in enumerate(zip(ends, sizes)):
+        if pos == n:
+            first, pos = t, 0
+        start[end] = pos
+        pos += c
+    states, spans = _states(len(code)), []
+    for end, c in zip(ends, sizes):
+        # a descending span down to state 0 or 1 needs stop None: -1 would wrap
+        lo = 2 * start[end ^ 1] + _END_EXIT[end]
+        spans.append(states[lo + 2 * c - 2:lo - 2 if lo > 1 else None:-2]
+                     if _CLASS_ANTI[end >> 1] else states[lo:lo + 2 * c:2])
     nxt = [0] * len(code)
-    for i in present:
-        c, anti = counts[i], _CLASS_ANTI[i]
-        a, b = start[2 * i], start[2 * i + 1]
-        ka, kb = _CLASS_ENDS[i][0] & 1, _CLASS_ENDS[i][1] & 1
-        # entering the hexagon through one side leaves it through the other
-        nxt[2 * a + ka:2 * (a + c):2] = _span(b, c, 1 - kb, anti)
-        nxt[2 * b + kb:2 * (b + c):2] = _span(a, c, 1 - ka, anti)
+    nxt[0::2] = list(chain.from_iterable(spans[:first]))
+    nxt[1::2] = list(chain.from_iterable(spans[first:]))
     return nxt, code
 
 
@@ -443,14 +470,16 @@ def reversed_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
 def _least_rotation(w: bytes) -> bytes:
     """The lexicographically least rotation of w.
 
-    It starts at an occurrence of the least byte.  The rotations that start
-    there are compared by slices of w + w: first on a short prefix, then on
-    prefixes four times longer among those tied, up to their full length.
+    It starts at an occurrence of the least byte, found by membership tests
+    in increasing byte order.  The rotations that start there are compared by
+    slices of w + w: first on a short prefix, then on prefixes four times
+    longer among those tied, up to their full length.
     """
     n = len(w)
     if n < 2:
         return w
-    ww, pieces = w + w, w.split(bytes((min(w),)))
+    least = next(filter(w.__contains__, range(256)))
+    ww, pieces = w + w, w.split(bytes((least,)))
     # the least byte's positions: the lengths of the pieces before each, plus its index
     starts = list(map(add, accumulate(map(len, pieces[:-1])), count()))
     k = 8
@@ -534,11 +563,14 @@ def _trace(w: bytes) -> tuple[list[int], list[int], int]:
     """
     counts = _arc_counts(w)
     nxt, code = _embedding(counts)
-    traces = _traces(nxt)
-    path = next(traces, None)
-    # the slots number len(w), so a component of that length is the only one
-    if path is None or len(path) != len(w):
-        found = (path is not None) + sum(1 for _ in traces)
+    # the slots number n = len(w), so one cycle of n states is the only component
+    n, path, d = len(w), [1], 1
+    append = path.append
+    for _ in repeat(None, n - 1):
+        d = nxt[d]
+        append(d)
+    if not n or nxt[d] != 1 or path.count(1) > 1:
+        found = sum(1 for _ in _traces(nxt))
         raise InternalInvariantError(f"minimal word re-embedded into {found} components")
     traced, ww = _path_code(code, path), w + w
     r = ww.find(traced)

@@ -8,10 +8,16 @@ chord classes, several dict operations per crossing) but direct.
 
 `least_rotation_index` is the two-pointer scan over step bytes that
 `goeritz2.curve` used before it compared rotations by slices.
+
+`trace` is the table-driven `_trace` that `goeritz2.curve` used before it
+laid out only present fan ends and walked exactly n - 1 successors: class
+counts from a set of arc classes, a successor table filled by two `range`
+slices per chord class, and a walk of every component.
 """
 
 from __future__ import annotations
 
+from goeritz2 import curve as cm
 from goeritz2.curve import CurveWord, reversed_steps
 from goeritz2.errors import InconsistentCoordinates, InternalInvariantError, NotEmbeddable
 from goeritz2.surface import (
@@ -226,3 +232,90 @@ def interleaving_chords(steps):
                     return (f"chords {tuple(EDGE_TOKENS[x] for x in cl[i])} and "
                             f"{tuple(EDGE_TOKENS[x] for x in cl[j])} interleave in {HEX_TOKENS[h]}")
     return None
+
+
+def _arc_counts(w):
+    arcs = cm._arc_classes(w)
+    present = set(arcs)
+    if cm._SPUR_ARC in present:
+        raise InternalInvariantError("coordinates of a word with spurs")
+    counts = [0] * len(cm._CLASS_KEYS)
+    for i in present:
+        counts[i] = arcs.count(i)
+    return counts
+
+
+def _span(a, c, k, anti):
+    """States 2g+k of slots g = a..a+c-1, descending if `anti`."""
+    lo, hi = 2 * a + k, 2 * (a + c) + k
+    return range(hi - 2, lo - 2, -2) if anti else range(lo, hi, 2)
+
+
+def _embedding(counts):
+    present = [i for i, c in enumerate(counts) if c]
+    mask = sum(1 << i for i in present)
+    for i in present:
+        if cm._CLASS_CROSSES[i] & mask:
+            raise NotEmbeddable(
+                f"interleaving chord classes in {HEX_TOKENS[cm._CLASS_KEYS[i][0]]}")
+    crossings = [0] * 24
+    for i in present:
+        lo, hi = cm._CLASS_ENDS[i]
+        crossings[lo] += counts[i]
+        crossings[hi] += counts[i]
+    off = [0] * 13
+    for e in range(12):
+        if crossings[2 * e] != crossings[2 * e + 1]:
+            raise InconsistentCoordinates(
+                f"edge {EDGE_TOKENS[e]} endpoint counts differ: {crossings[2 * e:2 * e + 2]}")
+        off[e + 1] = off[e] + crossings[2 * e]
+    start = [0] * (2 * len(cm._CLASS_KEYS))
+    for j, t in enumerate(crossings):
+        if t:
+            pos = off[j >> 1]
+            for end in cm._FAN[j]:
+                start[end] = pos
+                pos += counts[end >> 1]
+    code = b"".join([cm._SLOT_BYTES[e] * crossings[2 * e] for e in range(12)])
+    nxt = [0] * len(code)
+    for i in present:
+        c, anti = counts[i], cm._CLASS_ANTI[i]
+        a, b = start[2 * i], start[2 * i + 1]
+        ka, kb = cm._CLASS_ENDS[i][0] & 1, cm._CLASS_ENDS[i][1] & 1
+        nxt[2 * a + ka:2 * (a + c):2] = _span(b, c, 1 - kb, anti)
+        nxt[2 * b + kb:2 * (b + c):2] = _span(a, c, 1 - ka, anti)
+    return nxt, code
+
+
+def _traces(nxt):
+    seen = bytearray(len(nxt) // 2)
+    for g in range(len(seen)):
+        if not seen[g]:
+            start = 2 * g + 1
+            path = [start]
+            d = nxt[start]
+            while d != start:
+                path.append(d)
+                d = nxt[d]
+            yield path
+            for d in path:
+                seen[d >> 1] = 1
+
+
+def trace(w):
+    """Class counts, traced states and alignment of an encoded minimal word."""
+    counts = _arc_counts(w)
+    nxt, code = _embedding(counts)
+    traces = _traces(nxt)
+    path = next(traces, None)
+    if path is None or len(path) != len(w):
+        found = (path is not None) + sum(1 for _ in traces)
+        raise InternalInvariantError(f"minimal word re-embedded into {found} components")
+    traced, ww = cm._path_code(code, path), w + w
+    r = ww.find(traced)
+    if r < 0:
+        r = ww.find(traced[::-1].translate(cm._REVERSED))
+        if r < 0:
+            raise InternalInvariantError("re-embedding changed the cyclic word")
+        path.reverse()
+    return counts, path, r

@@ -27,7 +27,7 @@ from goeritz2.action import (
 )
 from goeritz2.errors import InternalInvariantError, MalformedInput
 from goeritz2.reduction import reduce_to_standard, verify_certificate
-from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, complex_symmetry
+from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, EDGE_HEXES, complex_symmetry
 
 # hand-traced on the hexagon net: the half twist applied to the A-pushoff
 ETA1_FIXTURE = cm.CurveWord.from_tokens(
@@ -198,7 +198,17 @@ def test_table_splice_matches_step_splice(corpus, standard_curve):
     ladder = [standard_curve]
     while len(ladder[-1]) < 2000:
         ladder.append(apply_word(ladder[-1], rng.choice("dD") + rng.choice("bB")))
-    for w in [w for _, w in corpus] + ladder:
+    # random codes, mostly crossings of one rail: its two edges come back to
+    # back, so a detour's partner-edge byte, if substituted again, would show
+    steps = [(e, h) for e in range(12) for h in EDGE_HEXES[e]]
+    codes = []
+    for cid in range(6):
+        rails = [s for s in steps if EDGE_CURVE[s[0]] == cid]
+        codes += [cm.CurveWord([rng.choice(rails if rng.random() < 0.7 else steps)
+                                for _ in range(rng.randint(1, 12))]) for _ in range(100)]
+    assert sum(any(e ^ 1 == f for (e, _), (f, _) in zip(w.steps, w.steps[1:]))
+               for w in codes) > 200
+    for w in [w for _, w in corpus] + ladder + codes:
         for cid in range(6):
             for d in (1, -1):
                 assert _splice(w.code, cid, d) == \

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import goeritz2
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2.action import apply_word
+from goeritz2.errors import MalformedInput
 from goeritz2.handlebody import is_reducing
 from goeritz2.reduction import reduce_to_standard, verify_certificate
 
@@ -87,6 +89,16 @@ def test_store_roundtrip(tmp_path):
     loaded = at.AtlasStore.load(path)
     assert [r.as_json() for r in loaded.records] == [r.as_json() for r in store.records]
     assert loaded.meta["depth"] == 2
+
+
+def test_load_names_the_file_and_line_of_a_malformed_record(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    at.enumerate_atlas(1).save(str(path))
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3][:-1]  # cut the closing brace of the third record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedInput, match=f"^{re.escape(str(path))}, line 4: not JSON"):
+        at.AtlasStore.load(str(path))
 
 
 def test_store_extension_matches_fresh_run(tmp_path):

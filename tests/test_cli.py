@@ -179,3 +179,17 @@ def test_atlas_command(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "2 0 0" in table
     assert (tmp_path / "atlas.jsonl").exists()
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("", 1, "not a goeritz-atlas/1 file"),
+    ('{"format":"goeritz-atlas/1"}\nnot json\n', 2, "not JSON"),
+    ('{"format":"goeritz-atlas/1"}\n\n{"key":"k","witness":"","depth":0,"curve":{}}\n',
+     3, "record has no 'triple'"),
+], ids=["empty", "not-json", "no-triple"])
+def test_malformed_atlas_store_exit_code(tmp_path, capsys, text, line, reason):
+    store = tmp_path / "atlas.jsonl"
+    store.write_text(text)
+    assert main(["atlas", "--in", str(store), "--depth", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {store}, line {line}: {reason}"), err

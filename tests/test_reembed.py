@@ -1,8 +1,8 @@
 """The table-driven re-embedding agrees with the dict-based reference.
 
 `reembed_oracle` keeps the earlier implementation of `to_coordinates`,
-`from_normal_coordinates`, `_reembed` and Booth's least rotation.  Every check
-compares results, or the exception type raised, on the same input.
+`from_normal_coordinates`, `_reembed`, `_trace` and Booth's least rotation.
+Every check compares results, or the exception type raised, on the same input.
 """
 
 import random
@@ -21,7 +21,14 @@ from goeritz2.errors import (
     NotEmbeddable,
 )
 from goeritz2.slides import is_index2_pass
-from goeritz2.surface import EDGE_HEXES, HEX_SIDES, OTHER_HEX, SIDE_POS
+from goeritz2.surface import (
+    EDGE_HEXES,
+    EDGE_OF_TOKEN,
+    HEX_OF_TOKEN,
+    HEX_SIDES,
+    OTHER_HEX,
+    SIDE_POS,
+)
 
 
 def _outcome(fn, *args):
@@ -84,6 +91,34 @@ def test_corpus_and_ladders_match(corpus, ladders):
         _same_reembed(w)
         kind, comps, _ = _same_components(cm.to_coordinates(w))
         assert kind == "ok" and len(comps) == 1
+
+
+def _traced(trace, code):
+    try:
+        return trace(code)
+    except Goeritz2Error as exc:
+        return type(exc), str(exc)
+
+
+def test_trace_matches_the_reference(corpus, ladders, standard_curve, unembedded_word,
+                                     monkeypatch):
+    # counts, path and alignment are what `Slides` reads; a short state table
+    # makes nearly every input longer than the prefilled one
+    monkeypatch.setattr(cm, "_STATES", cm._STATES[:16])
+    codes = [w.code for _, w in corpus] + [w.code for w in ladders]
+    codes += [cm._reversed(code) for code in codes]
+    codes += [w.code[r:] + w.code[:r] for w in ladders[:3] for r in range(len(w))]
+    bad = [standard_curve.code * 2, b"",
+           cm._encode((EDGE_OF_TOKEN[e], HEX_OF_TOKEN[h]) for e, h in unembedded_word)]
+    outcomes = set()
+    for code in codes + bad:
+        got = _traced(cm._trace, code)
+        assert got == _traced(oracle.trace, code), code
+        outcomes.add(got[1] if isinstance(got[0], type) else "ok")
+    assert outcomes == {"ok", "minimal word re-embedded into 2 components",
+                        "minimal word re-embedded into 0 components",
+                        "re-embedding changed the cyclic word"}
+    assert len(cm._STATES) >= 2 * max(map(len, codes))
 
 
 def test_arc_classes_of_arbitrary_step_sequences():
@@ -216,6 +251,13 @@ def test_validate_reports_the_same_interleaving_chords():
     ((4, 0), (0, 2), (4, 0), (0, 2), (0, 1)),
     ((6, 1),) * 7,
     ((1, 2), (1, 2), (0, 0), (1, 2), (0, 0), (1, 2), (1, 2), (0, 0)),
+    # X/Y/Z steps only: the least byte is 24 or more
+    ((7, 2), (6, 1), (7, 2), (6, 1), (9, 0)),
+    ((10, 3), (8, 1)) * 3,
+    ((11, 2), (9, 3), (11, 2), (11, 2), (9, 3), (11, 2), (6, 0)),
+    # one byte repeated
+    ((11, 2),) * 2,
+    ((8, 3),) * 9,
 ])
 def test_least_rotation_edge_cases(seq):
     _same_least_rotation(seq)
