@@ -45,14 +45,16 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the generator-action memo and the signature cache.
+    """Empty the generator-action memo, the signature cache and the set of
+    verified words.
 
-    Both hold pure functions of a curve's code, so clearing changes no
+    All three hold pure functions of a curve's code, so clearing changes no
     result, only how much work the next calls repeat.
     """
     from . import action, curve
     action._act.cache_clear()
     curve._SIGNATURE_CACHE.clear()
+    curve._VERIFIED.clear()
 
 
 __all__ = [

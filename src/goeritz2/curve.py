@@ -28,6 +28,14 @@ of chained spans, cut from one shared list of state numbers.  The counts of
 n crossings re-embed as one curve iff the walk of n - 1 successors from the
 first state closes there without passing it again; the traced bytes are
 then compared with the input by substring tests in both directions.
+
+That check's verdict depends only on the cyclic word, so each word is traced
+once per process: a set of verified words (`_VERIFIED`) holds the least
+rotations whose trace passed, and `_reembed` and `validate` trace only a
+word not in it.  A word whose trace raises is never recorded.  The set is
+bounded by 128 KiB of codes, which holds every distinct word of the depth-6
+atlas and its round trips, and evicts the oldest words first.
+`goeritz2.clear_caches()` empties it with the other caches.
 """
 
 from __future__ import annotations
@@ -168,11 +176,15 @@ def _check_embeddable(steps: list[Step]) -> None:
     # complete for a spur-free word: its counts re-embed as one curve tracing it
     core = kernel.remove_spurs(code)
     if core:
+        least = _least_rotation(core)
+        if least in _VERIFIED:
+            return
         try:
             _trace(core)
         except (InternalInvariantError, NotEmbeddable) as exc:
             _check_edge_orders(core)  # the more specific reason, where it applies
             raise NotEmbeddable(f"spur-free word is not one embedded curve: {exc}") from None
+        _VERIFIED.add(least)
 
 
 def _check_edge_orders(core: bytes) -> None:
@@ -582,11 +594,45 @@ def _trace(w: bytes) -> tuple[list[int], list[int], int]:
     return counts, path, r
 
 
+# Total code bytes the set of verified words may hold.
+_VERIFIED_BYTES = 128 * 1024
+
+
+class _VerifiedWords(OrderedDict):
+    """Least rotations of the codes whose `_trace` passed, oldest first.
+
+    The verdict depends only on the cyclic word, so a word found here needs
+    no new trace.  `add` evicts the oldest codes while the set holds more
+    than `_VERIFIED_BYTES` bytes of codes.
+    """
+
+    size = 0
+
+    def add(self, least: bytes) -> None:
+        if least in self:
+            return
+        self[least] = None
+        self.size += len(least)
+        while self.size > _VERIFIED_BYTES:
+            self.size -= len(self.popitem(last=False)[0])
+
+    def clear(self) -> None:
+        super().clear()
+        self.size = 0
+
+
+_VERIFIED = _VerifiedWords()
+
+
 def _reembed(code: bytes) -> CurveWord:
     """Canonical embedded realization of a minimal word's code; verifies class
-    invariants (`_trace`) and returns the word's least rotation."""
-    _trace(code)
-    return CurveWord(_least_rotation(code), normalized=True)
+    invariants (`_trace`, once per cyclic word) and returns the word's least
+    rotation."""
+    least = _least_rotation(code)
+    if least not in _VERIFIED:
+        _trace(code)
+        _VERIFIED.add(least)
+    return CurveWord(least, normalized=True)
 
 
 def ensure_normal(w: CurveWord) -> CurveWord:
@@ -674,8 +720,13 @@ def split_arcs(w: CurveWord) -> list[Arc]:
 
 def arc_census(w: CurveWord) -> dict[tuple[str, int], int]:
     """Counts |DE|_i of arc types per pair of pants."""
+    return _census(split_arcs(w))
+
+
+def _census(arcs: list[Arc]) -> dict[tuple[str, int], int]:
+    """Arc-type counts per pair of pants; raises if a forbidden pair coexists."""
     census = {(t, i): 0 for t in ARC_TYPES for i in (1, 2)}
-    for arc in split_arcs(w):
+    for arc in arcs:
         census[(arc.type, arc.pants)] += 1
     for t1, t2 in _FORBIDDEN_PAIRS:
         for i in (1, 2):
@@ -723,9 +774,10 @@ def signature(w: CurveWord) -> CurveSignature:
 
 def _signature_of_canonical(w: CurveWord) -> CurveSignature:
     c = counts(w)
-    census = arc_census(w)
+    arcs = split_arcs(w)
+    census = _census(arcs)
     refined: tuple[list, list] = ([], [])
-    for arc in split_arcs(w):
+    for arc in arcs:
         pair = tuple(sorted((EDGE_TOKENS[arc.start_edge], EDGE_TOKENS[arc.end_edge])))
         refined[arc.pants - 1].append(pair)
     dv = not _cyclic_cancel_equal(_theta_letters(w.code, "V"))

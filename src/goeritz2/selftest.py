@@ -107,6 +107,14 @@ def _checks(quick: bool):
         warm = [apply_word(P, word).code for word in words]
         assert cold == warm == [w.code for _, w in corpus[:40]]
 
+    def verified_words():
+        words = [cm.CurveWord(w.code) for _, w in corpus[:40]]
+        clear_caches()
+        cold = [cm.normalize(w).code for w in words]
+        assert all(code in cm._VERIFIED for code in cold)
+        warm = [cm.normalize(w).code for w in words]  # served by the set: no trace
+        assert cold == warm == [w.code for w in words]
+
     def atlas_determinism():
         s1 = atlas_mod.enumerate_atlas(2)
         clear_caches()  # the second run recomputes, not replays the first
@@ -126,6 +134,7 @@ def _checks(quick: bool):
         ("reduction-round-trip", reduction_roundtrip),
         ("half-twist-realization", beta_realization),
         ("generator-memo", generator_memo),
+        ("verified-words", verified_words),
         ("atlas-determinism", atlas_determinism),
     ]
 

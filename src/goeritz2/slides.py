@@ -9,7 +9,16 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .curve import _ARC_CLASS, _CLASS_CROSSES, _ORIGIN, Step, _encode, _trace
+from .curve import (
+    _ARC_CLASS,
+    _CLASS_CROSSES,
+    _ORIGIN,
+    _VERIFIED,
+    Step,
+    _encode,
+    _least_rotation,
+    _trace,
+)
 from .errors import InternalInvariantError
 from .surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX, hex_neighbors, shared_vertex
 
@@ -28,7 +37,8 @@ class Slides:
     """A realizable word, its class counts and its crossings' ranks along edges.
 
     Position p on edge e has rank slot[p] - base[e] (0 nearest the origin),
-    read off one trace of the start word's normal curve.  The corner pass at
+    read off one trace of the start word's normal curve (which enters the
+    word in the set of verified words, `curve._VERIFIED`).  The corner pass at
     arc i, at vertex v, slides iff both its crossings are nearest v on their
     edges and its three rewritten arcs add no spur and no interleaving chord
     class, the verdict re-embedding the slid word gives.  The slide is then
@@ -38,7 +48,9 @@ class Slides:
 
     def __init__(self, steps: list[Step]):
         n, size = len(steps), Counter(e for e, _ in steps)
-        self.counts, path, r = _trace(_encode(steps))
+        code = _encode(steps)
+        self.counts, path, r = _trace(code)
+        _VERIFIED.add(_least_rotation(code))
         self.steps, self.size = steps, [size[e] for e in range(12)]
         self.base = [sum(self.size[:e]) for e in range(12)]
         self.slot = [path[(p - r) % n] >> 1 for p in range(n)]
@@ -92,6 +104,9 @@ class Slides:
 def slide_corners(steps: list[Step]) -> list[Step]:
     """Slide every index-2 corner pass of a minimal word that can slide, in place."""
     slides, n = Slides(steps), len(steps)
+    # flags[i]: is arc i an index-2 pass?  A slide at i rewrites steps i and
+    # i+1, so only arcs i-1, i and i+1 can change.
+    flags = bytearray(is_index2_pass(steps, i) for i in range(n))
     for _ in range(n + 8):
         # one sweep: attempt each index-2 pass once, keeping valid slides;
         # a slide rewrites two entries in place, so the sweep can continue.
@@ -99,13 +114,15 @@ def slide_corners(steps: list[Step]) -> list[Step]:
         # the pairing families that blocked a distant pass, so narrower retry
         # policies lose route independence.
         progressed = False
-        i = 0
-        while i < n:
-            if is_index2_pass(steps, i) and slides.slide(i):
+        i = flags.find(1)
+        while i >= 0:
+            if slides.slide(i):
                 progressed = True
-                i += 2
+                for k in (i - 1, i, (i + 1) % n):
+                    flags[k] = is_index2_pass(steps, k)
+                i = flags.find(1, i + 2)
             else:
-                i += 1
+                i = flags.find(1, i + 1)
         if not progressed:
             return steps
     raise InternalInvariantError("canonicalization failed to stabilize")

@@ -53,3 +53,21 @@ def corpus(standard_curve):
                        for _ in range(rng.randint(0, CORPUS_MAX_LEN)))
         out.append((word, action.apply_word(standard_curve, word)))
     return out
+
+
+def _ladder(rng, letters):
+    return "".join(rng.choice("dD") if i % 2 == 0 else rng.choice("bB")
+                   for i in range(letters))
+
+
+@pytest.fixture(scope="session")
+def ladders(standard_curve):
+    """Beta/delta alternation ladders, from a few crossings to about 500."""
+    rng = random.Random(5)
+    out = []
+    for letters in (2, 4, 6, 8, 8, 10, 10, 12, 12, 13, 14):
+        w = action.apply_word(standard_curve, _ladder(rng, letters))
+        if len(w) <= 520:
+            out.append(w)
+    assert max(len(w) for w in out) > 300
+    return out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import reduction as red
 from goeritz2.action import apply_generator, apply_word
@@ -109,3 +110,19 @@ def test_certificate_serialization():
     assert restored.word == cert.word
     assert restored.trace == cert.trace
     assert restored.terminal == cert.terminal
+
+
+def test_exactly_one_half_twist_lowers_a(ladders):
+    # Observed, not proved: if it holds in general, a pass could compute the
+    # second half twist only when the first one fails (ROADMAP).
+    curves = ladders + [at.record_curve(rec) for rec in at.enumerate_atlas(5).records]
+    passes = 0
+    for w in curves:
+        for gen in red.reduce_to_standard(w).word:
+            if gen in ("beta", "beta_inv"):
+                a = counts(w).a
+                lowered = [counts(apply_generator(w, b)).a < a for b in ("beta", "beta_inv")]
+                assert lowered == [gen == "beta", gen == "beta_inv"], (w, gen)
+                passes += 1
+            w = apply_generator(w, gen)
+    assert passes > 300

@@ -12,7 +12,6 @@ import pytest
 import reembed_oracle as oracle
 
 from goeritz2 import curve as cm
-from goeritz2.action import apply_word
 from goeritz2.errors import (
     Goeritz2Error,
     InconsistentCoordinates,
@@ -65,24 +64,6 @@ def _same_components(coords):
     old = _steps(_outcome(oracle.from_normal_coordinates, coords))
     assert new == old, coords
     return new
-
-
-def _ladder(rng, letters):
-    return "".join(rng.choice("dD") if i % 2 == 0 else rng.choice("bB")
-                   for i in range(letters))
-
-
-@pytest.fixture(scope="module")
-def ladders(standard_curve):
-    """Beta/delta alternation ladders, from a few crossings to about 500."""
-    rng = random.Random(5)
-    out = []
-    for letters in (2, 4, 6, 8, 8, 10, 10, 12, 12, 13, 14):
-        w = apply_word(standard_curve, _ladder(rng, letters))
-        if len(w) <= 520:
-            out.append(w)
-    assert max(len(w) for w in out) > 300
-    return out
 
 
 def test_corpus_and_ladders_match(corpus, ladders):
