@@ -172,12 +172,8 @@ def apply_twist(w: CurveWord, twisting: CurveWord | str, direction: str | int = 
         name = twisting
     else:
         key = canonical_unoriented(ensure_normal(twisting))
-        name = None
-        for cand, word in cm.PUSHOFFS.items():
-            if canonical_unoriented(ensure_normal(word)) == key:
-                name = cand
-        if canonical_unoriented(ensure_normal(cm.P_CURVE)) == key:
-            name = "P"
+        name = next((cand for cand, word in {**cm.PUSHOFFS, "P": cm.P_CURVE}.items()
+                     if canonical_unoriented(ensure_normal(word)) == key), None)
         if name is None:
             raise MalformedInput("twisting curve is not a system pushoff or the standard curve")
     if name == "P":
@@ -199,11 +195,10 @@ def _relabel_table(name: str) -> bytes:
 
 
 def _relabel(w: CurveWord, name: str) -> CurveWord:
-    code = w.code.translate(_relabel_table(name))
-    if w.normalized:
-        # an automorphism preserves minimality; only the rotation start drifts
-        return CurveWord(cm._least_rotation(code), normalized=True)
-    return normalize(CurveWord(code))
+    """Image of a normalized word: an automorphism preserves minimality, so
+    only the rotation start drifts."""
+    return CurveWord(cm._least_rotation(w.code.translate(_relabel_table(name))),
+                     normalized=True)
 
 
 _BETA_SEQUENCE = (("Z", 1), ("B", 1)) * 3

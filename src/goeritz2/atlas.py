@@ -18,10 +18,6 @@ from .curve import CurveWord, P_CURVE, from_doc, normalize, signature, to_doc
 from .errors import MalformedInput, NotReducing
 from .handlebody import require_reducing
 
-_GENERATOR_ORDER = ("alpha", "beta", "beta_inv", "gamma", "delta", "delta_inv")
-assert set(_GENERATOR_ORDER) == set(GENERATORS)
-
-
 @dataclass(frozen=True)
 class AtlasRecord:
     key: str                       # signature key (dedup handle)
@@ -117,7 +113,7 @@ class AtlasStore:
 def _expand(item: tuple[CurveWord, str]) -> list[tuple[str, CurveWord]]:
     w, witness = item
     out = []
-    for gen in _GENERATOR_ORDER:
+    for gen in GENERATORS:
         img = apply_generator(w, gen)
         require_reducing(img)
         out.append((witness + format_goeritz_word([gen]), img))

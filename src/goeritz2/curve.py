@@ -15,6 +15,14 @@ the positions of the least byte, which membership tests find.  The
 signature cache is keyed by the code it is given, so a hit skips
 normalization; it holds 200,000 entries and evicts the oldest one when full.
 
+Arc and disk queries read subsequences of the code.  An arc runs from one
+A/B/C crossing to the next and stays in the pants it enters, as every X/Y/Z
+edge borders two hexagons of one pants (checked in `surface`).  One
+`translate` gives the A/B/C positions (`_arc_starts`); an arc's type, pants
+and edges are one table lookup on the bytes at two consecutive ones, and
+`split_arcs` slices the code between them.  A curve bounds a disk in V (W)
+iff the X/Y/Z (A/B/C) curves it crosses cancel to nothing.
+
 Re-embedding is table-driven and linear in the word length.  Static tables,
 built once at import from `surface`, number the 60 chord classes and hold
 each class's interleave bitmask and each edge side's fan order.  The class of
@@ -47,7 +55,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter
 
 from . import kernel
-from .kernel import _POSITION
+from .kernel import _EDGE_OF_BYTE, _POSITION
 from .errors import (
     EmptyAfterNormalization,
     InconsistentCoordinates,
@@ -527,18 +535,17 @@ def _theta_letters(code: bytes, system: str) -> list[str]:
                 .decode())
 
 
-def _cyclic_cancel_equal(letters: list[str]) -> list[str]:
-    stack: list[str] = []
-    for x in letters:
-        if stack and stack[-1] == x:
+def _bounds_disk(code: bytes, system: str) -> bool:
+    """Does the curve bound a disk in V (W)?  The X/Y/Z (A/B/C) curves it
+    crosses, a word in the free product of three copies of Z/2, must cancel
+    to nothing; a reduced word stays nonempty when also read cyclically."""
+    stack: list[int] = []
+    for c in code.translate(_CURVE_OF_BYTE, _ABC_BYTES if system == "V" else _XYZ_BYTES):
+        if stack and stack[-1] == c:
             stack.pop()
         else:
-            stack.append(x)
-    i, j = 0, len(stack) - 1
-    while i < j and stack[i] == stack[j]:
-        i += 1
-        j -= 1
-    return stack[i:j + 1]
+            stack.append(c)
+    return not stack
 
 
 def normalize(w: CurveWord) -> CurveWord:
@@ -689,45 +696,57 @@ class Arc:
 
     @property
     def type(self) -> str:
-        t = sorted(CURVE_NAMES[EDGE_CURVE[e]] for e in (self.start_edge, self.end_edge))
-        return "".join(t)
+        return _ARC_OF_ENDS[96 * self.start_edge + 4 * self.end_edge][0]
+
+
+# type and sorted edge tokens of an arc between A/B/C edges e and f
+_ARC_OF_EDGES = {
+    (e, f): ("".join(sorted(CURVE_NAMES[EDGE_CURVE[e]] + CURVE_NAMES[EDGE_CURVE[f]])),
+             tuple(sorted((EDGE_TOKENS[e], EDGE_TOKENS[f])))) for e in range(6) for f in range(6)}
+# (type, pants, edge tokens) of the arc from A/B/C step byte x to y: _ARC_OF_ENDS[24x+y]
+_ARC_OF_ENDS = tuple((t, HEX_PANTS[x & 3], pair) for x in range(24) for y in range(24)
+                     for t, pair in [_ARC_OF_EDGES[x >> 2, y >> 2]])
+_IS_ABC = bytes(x < 48 and EDGE_CURVE[x >> 2] < 3 for x in range(256))
+_HEX_OF_BYTE = bytes(x & 3 for x in range(256))
+
+
+def _arc_starts(code: bytes) -> list[int]:
+    """Positions of the A/B/C crossings of a code: arc k runs from the k-th to the next."""
+    return list(compress(count(), code.translate(_IS_ABC)))
+
+
+def _arc_ends(code: bytes) -> list[tuple[str, int, tuple[str, str]]]:
+    """(type, pants, edge tokens) of each arc, read from its two ends."""
+    ends = bytes(map(code.__getitem__, _arc_starts(code)))
+    return [_ARC_OF_ENDS[24 * x + y] for x, y in zip(ends, ends[1:] + ends[:1])]
 
 
 def split_arcs(w: CurveWord) -> list[Arc]:
-    """Cut the cyclic word at its A/B/C crossings, in traversal order."""
-    w = ensure_normal(w)
-    steps = w.steps
-    n = len(steps)
-    marks = [i for i in range(n) if EDGE_CURVE[steps[i][0]] < 3]
-    if not marks:
-        return []
+    """Cut the cyclic word at its A/B/C crossings, in traversal order: each arc
+    is the slice of the code between two consecutive ones, so it crosses only
+    X/Y/Z edges inside and stays in the pants it enters."""
+    code = ensure_normal(w).code
+    starts = _arc_starts(code)
     arcs = []
-    for k, i in enumerate(marks):
-        j = marks[(k + 1) % len(marks)]
-        inner_e, inner_h = [], []
-        pants = HEX_PANTS[steps[i][1]]
-        t = (i + 1) % n
-        while t != j:
-            e, h = steps[t]
-            if HEX_PANTS[h] != pants:
-                raise InternalInvariantError("arc crosses a pants boundary silently")
-            inner_e.append(e)
-            inner_h.append(h)
-            t = (t + 1) % n
-        arcs.append(Arc(pants, steps[i][0], steps[j][0], tuple(inner_e), tuple(inner_h)))
+    for i, j in zip(starts, starts[1:] + starts[:1]):
+        inner = code[i + 1:j] if i < j else code[i + 1:] + code[:j]
+        arcs.append(Arc(HEX_PANTS[code[i] & 3], code[i] >> 2, code[j] >> 2,
+                        tuple(inner.translate(_EDGE_OF_BYTE)),
+                        tuple(inner.translate(_HEX_OF_BYTE))))
     return arcs
 
 
 def arc_census(w: CurveWord) -> dict[tuple[str, int], int]:
-    """Counts |DE|_i of arc types per pair of pants."""
-    return _census(split_arcs(w))
+    """Counts |DE|_i of arc types per pair of pants, read from the arcs' ends
+    (`_arc_ends`): no arc is built."""
+    return _census(_arc_ends(ensure_normal(w).code))
 
 
-def _census(arcs: list[Arc]) -> dict[tuple[str, int], int]:
+def _census(arcs: list[tuple[str, int, tuple[str, str]]]) -> dict[tuple[str, int], int]:
     """Arc-type counts per pair of pants; raises if a forbidden pair coexists."""
     census = {(t, i): 0 for t in ARC_TYPES for i in (1, 2)}
-    for arc in arcs:
-        census[(arc.type, arc.pants)] += 1
+    for t, i, _ in arcs:
+        census[t, i] += 1
     for t1, t2 in _FORBIDDEN_PAIRS:
         for i in (1, 2):
             if census[(t1, i)] and census[(t2, i)]:
@@ -773,21 +792,13 @@ def signature(w: CurveWord) -> CurveSignature:
 
 
 def _signature_of_canonical(w: CurveWord) -> CurveSignature:
-    c = counts(w)
-    arcs = split_arcs(w)
-    census = _census(arcs)
-    refined: tuple[list, list] = ([], [])
-    for arc in arcs:
-        pair = tuple(sorted((EDGE_TOKENS[arc.start_edge], EDGE_TOKENS[arc.end_edge])))
-        refined[arc.pants - 1].append(pair)
-    dv = not _cyclic_cancel_equal(_theta_letters(w.code, "V"))
-    dw = not _cyclic_cancel_equal(_theta_letters(w.code, "W"))
+    arcs = _arc_ends(w.code)
     return CurveSignature(
-        counts=c.as_tuple(),
-        census=tuple(census[(t, i)] for t in ARC_TYPES for i in (1, 2)),
-        disk_v=dv,
-        disk_w=dw,
-        refined=(tuple(sorted(refined[0])), tuple(sorted(refined[1]))),
+        counts=counts(w).as_tuple(),
+        census=tuple(_census(arcs).values()),
+        disk_v=_bounds_disk(w.code, "V"),
+        disk_w=_bounds_disk(w.code, "W"),
+        refined=tuple(tuple(sorted(pair for _, i, pair in arcs if i == k)) for k in (1, 2)),
     )
 
 
@@ -848,7 +859,8 @@ def loads(text: str) -> CurveWord:
 
 # ------------------------------------------------------------- stock curves
 
-P_CURVE = CurveWord.from_tokens([["A1", "H1"], ["X1", "H2"], ["A2", "H4"], ["X2", "H3"]])
+# already its normalize() word, code 00 19 07 1e
+P_CURVE = normalize(CurveWord.from_tokens([["A1", "H1"], ["X1", "H2"], ["A2", "H4"], ["X2", "H3"]]))
 
 PUSHOFFS = {
     "A": CurveWord.from_tokens([["Y1", "H2"], ["Z1", "H1"]]),

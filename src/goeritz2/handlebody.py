@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .curve import (
     Arc,
     CurveWord,
-    _cyclic_cancel_equal,
+    _bounds_disk,
     _theta_letters,
     counts,
     ensure_normal,
@@ -78,17 +78,20 @@ def _letter_for_crossing(e: int, h: int) -> Letter | None:
 # ------------------------------------------------------------- theta words
 
 
-def theta_word(w: CurveWord, side: str) -> tuple[str, ...]:
-    """Cyclic projection of the crossing sequence to one disk system (V or W)."""
+def _normal_code(w: CurveWord, side: str) -> bytes:
     if side not in ("V", "W"):
         raise MalformedInput(f"side must be 'V' or 'W', got {side!r}")
-    w = ensure_normal(w)
-    return tuple(_theta_letters(w.code, side))
+    return ensure_normal(w).code
+
+
+def theta_word(w: CurveWord, side: str) -> tuple[str, ...]:
+    """Cyclic projection of the crossing sequence to one disk system (V or W)."""
+    return tuple(_theta_letters(_normal_code(w, side), side))
 
 
 def bounds_disk(w: CurveWord, side: str) -> bool:
     """True iff the theta word cancels to nothing, i.e. the curve bounds a disk."""
-    return not _cyclic_cancel_equal(list(theta_word(w, side)))
+    return _bounds_disk(_normal_code(w, side), side)
 
 
 def reducing_reason(w: CurveWord) -> str | None:
@@ -168,17 +171,8 @@ class ArcWordReport:
         return {
             "format": "goeritz-arc-words/1",
             "closed_loop": self.closed_loop,
-            "arcs": [
-                {
-                    "index": e.index,
-                    "pants": e.pants,
-                    "type": e.type,
-                    "start": e.start_edge,
-                    "end": e.end_edge,
-                    "word": e.word_text(),
-                }
-                for e in self.entries
-            ],
+            "arcs": [{"index": e.index, "pants": e.pants, "type": e.type, "start": e.start_edge,
+                      "end": e.end_edge, "word": e.word_text()} for e in self.entries],
             "concatenation": word_str(self.concatenation()),
         }
 
@@ -217,22 +211,15 @@ def _is_power_of(word: tuple[Letter, ...], gen: str) -> bool:
     return all(g == gen for g, _ in word)
 
 
-def _matches_ab_form(word: tuple[Letter, ...], start_index: int) -> bool:
-    """Arc from A to B: word b^k, with an optional single c-letter prefix
-    (c^-1 when starting on A1, c when starting on A2)."""
-    if _is_power_of(word, "b"):
-        return True
-    head, tail = word[0], word[1:]
-    want = ("c", -1) if start_index == 1 else ("c", 1)
-    return head == want and _is_power_of(tail, "b")
+# the one prefix letter an AB (AC) arc word may carry, starting on A1 or on A2
+_FORM_PREFIX = {"AB": (("c", -1), ("c", 1)), "AC": (("b", 1), ("b", -1))}
 
 
-def _matches_ac_form(word: tuple[Letter, ...], start_index: int) -> bool:
-    if _is_power_of(word, "c"):
-        return True
-    head, tail = word[0], word[1:]
-    want = ("b", 1) if start_index == 1 else ("b", -1)
-    return head == want and _is_power_of(tail, "c")
+def _matches_form(word: tuple[Letter, ...], arc_type: str, start_index: int) -> bool:
+    """Arc from A to B (C): word b^k (c^k), after at most the prefix letter."""
+    power = arc_type[1].lower()
+    return _is_power_of(word, power) or (
+        word[0] == _FORM_PREFIX[arc_type][start_index - 1] and _is_power_of(word[1:], power))
 
 
 @dataclass
@@ -264,9 +251,7 @@ def check_word_constraints(w: CurveWord, strict: bool = True) -> ConstraintRepor
     arcs = split_arcs(w)
     words = [arc_word(a) for a in arcs]
 
-    aa_ok = True
-    xing_ok = True
-    form_ok = True
+    aa_ok = xing_ok = form_ok = True
     for arc, word in zip(arcs, words):
         if arc.type == "AA":
             report.aa_lengths.append(len(word))
@@ -283,10 +268,7 @@ def check_word_constraints(w: CurveWord, strict: bool = True) -> ConstraintRepor
             a_end = arc.start_edge if EDGE_CURVE[arc.start_edge] == 0 else arc.end_edge
             oriented = word if EDGE_CURVE[arc.start_edge] == 0 else tuple(
                 (g, -s) for g, s in reversed(word))
-            idx = EDGE_INDEX[a_end]
-            good = (_matches_ab_form(oriented, idx) if arc.type == "AB"
-                    else _matches_ac_form(oriented, idx))
-            if not good:
+            if not _matches_form(oriented, arc.type, EDGE_INDEX[a_end]):
                 form_ok = False
                 report.violations.append(
                     f"{arc.type} arc word {word_str(word)} not of catalogued form")

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .action import apply_generator, format_goeritz_word, invert_goeritz_word, parse_goeritz_word
-from .curve import CurveWord, P_CURVE, arc_census, counts, signature, to_doc
+from .action import (apply_generator, apply_word, format_goeritz_word, invert_goeritz_word,
+                     parse_goeritz_word)
+from .curve import Counts, CurveWord, P_CURVE, arc_census, counts, signature, to_doc
 from .errors import (
     BetaReductionFailure,
     IterationLimitExceeded,
@@ -31,14 +32,11 @@ def classify(w: CurveWord) -> str:
     """The unique dominance class: "A", "B" or "C"."""
     w = require_reducing(w)
     c = counts(w)
-    dominant = [name for name, test in (
-        ("A", c.a > c.b + c.c),
-        ("B", c.b > c.c + c.a),
-        ("C", c.c > c.a + c.b),
-    ) if test]
+    sums = (("A", c.a, c.b + c.c), ("B", c.b, c.c + c.a), ("C", c.c, c.a + c.b))
+    dominant = [name for name, x, rest in sums if x > rest]
     if len(dominant) != 1:
         raise TrichotomyViolation(f"counts {c.abc()} satisfy {len(dominant)} inequalities")
-    if c.a == c.b + c.c or c.b == c.c + c.a or c.c == c.a + c.b:
+    if any(x == rest for _, x, rest in sums):
         raise TrichotomyViolation(f"degenerate counts {c.abc()}")
     if dominant[0] == "A":
         census = arc_census(w)
@@ -53,10 +51,14 @@ def classify(w: CurveWord) -> str:
 
 def is_standard(w: CurveWord) -> str:
     """"P", "P_prime", "P_double_prime", or "none"."""
-    w = require_reducing(w)
-    triple = counts(w).abc()
-    return {(2, 0, 0): "P", (0, 2, 0): "P_prime", (0, 0, 2): "P_double_prime"}.get(
-        triple, "none")
+    triple = counts(require_reducing(w)).abc()
+    return {(2, 0, 0): "P", (0, 2, 0): "P_prime", (0, 0, 2): "P_double_prime"}.get(triple, "none")
+
+
+def _triple(value) -> tuple[int, int, int]:
+    if isinstance(value, (list, tuple)) and len(value) == 3 and all(type(v) is int for v in value):
+        return tuple(value)
+    raise MalformedInput(f"certificate counts {value!r} are not three integers")
 
 
 @dataclass
@@ -92,62 +94,55 @@ class ReductionCertificate:
     def from_doc(doc: dict) -> "ReductionCertificate":
         if not isinstance(doc, dict) or doc.get("format") != "goeritz-certificate/1":
             raise MalformedInput("not a goeritz-certificate/1 document")
-        cert = ReductionCertificate(tuple(doc.get("input_counts", (0, 0, 0))),
-                                    input_key=doc.get("input_signature", ""))
-        cert.word = parse_goeritz_word(doc.get("word", ""))
-        cert.trace = [tuple(t) for t in doc.get("trace", [])]
-        cert.terminal = doc.get("terminal", "P")
-        return cert
+        word, key = doc.get("word", ""), doc.get("input_signature", "")
+        trace, terminal = doc.get("trace", []), doc.get("terminal", "P")
+        if not isinstance(word, str) or not isinstance(key, str) or \
+                not isinstance(trace, list) or terminal not in ("P", "P_prime", "P_double_prime"):
+            raise MalformedInput("malformed goeritz-certificate/1 document")
+        return ReductionCertificate(_triple(doc.get("input_counts", (0, 0, 0))), key,
+                                    parse_goeritz_word(word), list(map(_triple, trace)), terminal)
 
     def dumps(self, **kw) -> str:
         return json.dumps(self.as_doc(**kw), indent=1) + "\n"
 
 
 def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
-    """Transform a reducing curve into the standard one, recording the moves."""
+    """Transform a reducing curve into the standard one, recording the moves;
+    each curve's counts are read once, when the curve is made."""
     w = require_reducing(w)
     c = counts(w)
     cert = ReductionCertificate(c.abc(), input_key=signature(w).key())
-    limit = (c.a + c.b + c.c) // 2 + ITERATION_SLACK
+    limit = c.total_abc() // 2 + ITERATION_SLACK
 
-    def push(gen: str, new: CurveWord) -> CurveWord:
+    def push(gen: str, new: CurveWord, c_new: Counts | None = None) -> tuple[CurveWord, Counts]:
+        c_new = c_new or counts(new)
         cert.word.append(gen)
-        cert.trace.append(counts(new).abc())
-        return new
+        cert.trace.append(c_new.abc())
+        return new, c_new
 
     iterations = 0
-    while counts(w).total_abc() > 2:
+    while c.total_abc() > 2:
         iterations += 1
         if iterations > limit:
             raise IterationLimitExceeded(f"no convergence within {limit} passes")
-        before = counts(w).total_abc()
-        dom = classify(w)
-        if dom == "C":
-            w = push("delta", apply_generator(w, "delta"))
-        elif dom == "B":
-            w = push("delta_inv", apply_generator(w, "delta_inv"))
-        a_now = counts(w).a
+        before = c.total_abc()
+        gen = {"C": "delta", "B": "delta_inv"}.get(classify(w))
+        if gen:
+            w, c = push(gen, apply_generator(w, gen))
         s1 = apply_generator(w, "beta")
         s2 = apply_generator(w, "beta_inv")
-        a1, a2 = counts(s1).a, counts(s2).a
-        if min(a1, a2) >= a_now:
-            raise BetaReductionFailure(
-                f"half twist did not lower a: {a_now} -> {a1}/{a2}")
-        if a1 <= a2:
-            w = push("beta", s1)
-        else:
-            w = push("beta_inv", s2)
-        after = counts(w).total_abc()
+        c1, c2 = counts(s1), counts(s2)
+        if min(c1.a, c2.a) >= c.a:
+            raise BetaReductionFailure(f"half twist did not lower a: {c.a} -> {c1.a}/{c2.a}")
+        w, c = push("beta", s1, c1) if c1.a <= c2.a else push("beta_inv", s2, c2)
+        after = c.total_abc()
         if after >= before or (before - after) % 2:
-            raise IterationLimitExceeded(
-                f"pass changed a+b+c from {before} to {after}")
-    kind = is_standard(w)
-    cert.terminal = kind
-    if kind == "P_prime":
-        w = push("delta_inv", apply_generator(w, "delta_inv"))
-    elif kind == "P_double_prime":
-        w = push("delta", apply_generator(w, "delta"))
-    if counts(w).abc() != (2, 0, 0):
+            raise IterationLimitExceeded(f"pass changed a+b+c from {before} to {after}")
+    cert.terminal = is_standard(w)
+    gen = {"P_prime": "delta_inv", "P_double_prime": "delta"}.get(cert.terminal)
+    if gen:
+        w, c = push(gen, apply_generator(w, gen))
+    if c.abc() != (2, 0, 0):
         raise IterationLimitExceeded("reduction did not land on the standard curve")
     return cert
 
@@ -159,10 +154,5 @@ def express_from_standard(cert: ReductionCertificate) -> list[str]:
 
 def verify_certificate(cert: ReductionCertificate, original: CurveWord) -> bool:
     """Replay both directions and compare signatures."""
-    from .action import apply_word
-
-    p_sig = signature(P_CURVE)
-    if signature(apply_word(original, cert.word)) != p_sig:
-        return False
-    back = apply_word(P_CURVE, express_from_standard(cert))
-    return signature(back) == signature(original)
+    return signature(apply_word(original, cert.word)) == signature(P_CURVE) and \
+        signature(apply_word(P_CURVE, express_from_standard(cert))) == signature(original)

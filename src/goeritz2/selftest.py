@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import traceback
+from collections import Counter
 
 from . import atlas as atlas_mod
 from . import clear_caches
@@ -23,6 +24,7 @@ from .handlebody import (
     theta_word,
     word_str,
 )
+from .surface import CURVE_NAMES, EDGE_CURVE, EDGE_TOKENS, HEX_PANTS
 from .surface import build_complex, complex_symmetry
 
 
@@ -100,6 +102,23 @@ def _checks(quick: bool):
             bb = apply_generator(apply_generator(w, "beta"), "beta")
             assert cm.signature(bb) == cm.signature(twist_about_p(w)), word
 
+    def arc_reader():
+        # arcs, arc ends and census read from the code, against a walk of the steps
+        for word, w in corpus:
+            steps, n = w.steps, len(w)
+            starts = [i for i in range(n) if EDGE_CURVE[steps[i][0]] < 3]
+            walks = [[steps[t % n] for t in range(i, j + n * (j <= i) + 1)]
+                     for i, j in zip(starts, starts[1:] + starts[:1])]
+            assert cm.split_arcs(w) == [cm.Arc(
+                HEX_PANTS[s[0][1]], s[0][0], s[-1][0], tuple(e for e, _ in s[1:-1]),
+                tuple(h for _, h in s[1:-1])) for s in walks], word
+            ends = [(s[0][0], s[-1][0], HEX_PANTS[s[0][1]]) for s in walks]
+            assert cm._arc_ends(w.code) == [
+                ("".join(sorted(CURVE_NAMES[EDGE_CURVE[e]] + CURVE_NAMES[EDGE_CURVE[f]])), i,
+                 tuple(sorted((EDGE_TOKENS[e], EDGE_TOKENS[f])))) for e, f, i in ends], word
+            census = Counter((a.type, a.pants) for a in cm.split_arcs(w))
+            assert cm.arc_census(w) == {k: census[k] for k in cm.arc_census(w)}, word
+
     def generator_memo():
         words = [word for word, _ in corpus[:40]]
         clear_caches()
@@ -133,6 +152,7 @@ def _checks(quick: bool):
         ("aa-arc-word-constraints", aa_arc_constraints),
         ("reduction-round-trip", reduction_roundtrip),
         ("half-twist-realization", beta_realization),
+        ("arc-reader", arc_reader),
         ("generator-memo", generator_memo),
         ("verified-words", verified_words),
         ("atlas-determinism", atlas_determinism),

@@ -270,6 +270,9 @@ def _verify_complex() -> None:
             corner_count[CORNER_AFTER[p]] += 1
     if set(corner_count.values()) != {4}:
         raise InternalInvariantError("vertex corner count wrong")
+    # an A/B/C edge borders one hexagon in each pants, an X/Y/Z edge two of one pants
+    if [len({HEX_PANTS[h] for h in hexes}) for hexes in EDGE_HEXES] != [2] * 6 + [1] * 6:
+        raise InternalInvariantError("arcs between A/B/C crossings change pants")
     # orientability: each edge is traversed once in each direction
     for e in range(12):
         signs = sorted(sign_in_hex(e, h) for h in EDGE_HEXES[e])

@@ -25,6 +25,11 @@ def test_standard_curve_is_valid():
     assert len(cm.P_CURVE) == 4
 
 
+def test_standard_curve_is_its_normalized_word():
+    assert cm.P_CURVE.normalized and cm.P_CURVE.code == bytes.fromhex("0019071e")
+    assert cm.normalize(cm.CurveWord(cm.P_CURVE.code)).code == cm.P_CURVE.code
+
+
 def test_chain_violation_rejected():
     with pytest.raises(MalformedWord):
         W(("A1", "H1"), ("X2", "H3"), ("A1", "H3"), ("X2", "H4"))

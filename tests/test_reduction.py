@@ -7,7 +7,7 @@ from goeritz2 import curve as cm
 from goeritz2 import reduction as red
 from goeritz2.action import apply_generator, apply_word
 from goeritz2.curve import arc_census, counts, signature
-from goeritz2.errors import NotReducing
+from goeritz2.errors import MalformedInput, NotReducing
 
 
 def test_classify_standard_curves():
@@ -110,6 +110,66 @@ def test_certificate_serialization():
     assert restored.word == cert.word
     assert restored.trace == cert.trace
     assert restored.terminal == cert.terminal
+
+
+@pytest.mark.parametrize("fields", [
+    {"trace": [1, 2]},
+    {"trace": [[2, 0, "0"]]},
+    {"trace": "bB"},
+    {"input_counts": 5},
+    {"input_counts": [2, 0]},
+    {"input_counts": [True, 0, 0]},
+    {"word": 5},
+    {"word": ["b"]},
+    {"input_signature": 3},
+    {"terminal": "none"},
+])
+def test_certificate_from_doc_rejects_malformed_documents(fields):
+    doc = red.reduce_to_standard(apply_word(cm.P_CURVE, "dB")).as_doc()
+    red.ReductionCertificate.from_doc(doc)
+    with pytest.raises(MalformedInput):
+        red.ReductionCertificate.from_doc({**doc, **fields})
+
+
+def test_reduction_reads_each_curve_counts_once(monkeypatch, corpus, ladders):
+    # calls from inside classify and is_standard are their own checks
+    counted, inside = [], []
+    real_counts = red.counts
+
+    def spy(w):
+        if not inside:
+            counted.append(w)  # kept alive, so ids stay distinct
+        return real_counts(w)
+
+    def nested(fn):
+        def wrapped(w):
+            inside.append(fn)
+            try:
+                return fn(w)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(red, "counts", spy)
+    monkeypatch.setattr(red, "classify", nested(red.classify))
+    monkeypatch.setattr(red, "is_standard", nested(red.is_standard))
+    for w in [w for _, w in corpus[:60]] + ladders:
+        counted.clear()
+        cert = red.reduce_to_standard(w)
+        assert len({id(x) for x in counted}) == len(counted)
+        # the input, every curve the certificate keeps, and the other half twist of each pass
+        passes = sum(g in ("beta", "beta_inv") for g in cert.word)
+        assert len(counted) == 1 + len(cert.word) + passes
+
+
+def test_verify_certificate_does_not_normalize_the_standard_curve(monkeypatch):
+    w = apply_word(cm.P_CURVE, "dbD")
+    cert = red.reduce_to_standard(w)
+    normalized = []
+    real = cm.normalize
+    monkeypatch.setattr(cm, "normalize", lambda x: normalized.append(x.code) or real(x))
+    assert red.verify_certificate(cert, w)
+    assert cm.P_CURVE.code not in normalized
 
 
 def test_exactly_one_half_twist_lowers_a(ladders):

@@ -24,6 +24,13 @@ def test_edge_lies_in_exactly_two_hexagons():
         assert len(S.EDGE_HEXES[e]) == 2
 
 
+def test_only_abc_edges_join_the_two_pants():
+    # so an arc between consecutive A/B/C crossings stays in the pants it enters
+    for e in range(12):
+        pants = {S.HEX_PANTS[h] for h in S.EDGE_HEXES[e]}
+        assert len(pants) == (2 if S.EDGE_CURVE[e] < 3 else 1), S.EDGE_TOKENS[e]
+
+
 def test_b1_adjacent_hexagons():
     assert S.build_complex().edge_hexes("B1") == ("H1", "H3")
 
