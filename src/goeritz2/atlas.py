@@ -1,10 +1,11 @@
 """Breadth-first atlas of reducing curves reachable from the standard one.
 
 Images of the standard curve under generator words are deduplicated by
-signature; each record keeps the first (hence shortest) witness word, the
+`curve_key`, 24 intersection numbers that tell apart every isotopy class the
+tests reach; each record keeps the first (hence shortest) witness word, the
 realized (a,b,c) triple, the search depth and the normalized image, which the
-next level expands.  The store is one line-delimited JSON file, so reruns can
-extend it and diffs stay readable; `load` rebuilds the index from the records.
+next level expands.  The store is one line-delimited JSON file, so reruns can extend it
+and diffs stay readable; `load` rebuilds the index from the records.
 """
 
 from __future__ import annotations
@@ -13,14 +14,17 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .action import GENERATORS, apply_generator, format_goeritz_word
-from .curve import CurveWord, P_CURVE, from_doc, normalize, signature, to_doc
+from .action import GENERATORS, apply_generator, curve_key, format_goeritz_word, key_text
+from .curve import CurveWord, P_CURVE, from_doc, normalize, to_doc
 from .errors import MalformedInput, NotReducing
 from .handlebody import require_reducing
 
+ATLAS_FORMAT = "goeritz-atlas/2"
+
+
 @dataclass(frozen=True)
 class AtlasRecord:
-    key: str                       # signature key (dedup handle)
+    key: str                       # curve_key as comma-joined text (dedup handle)
     triple: tuple[int, int, int]
     witness: str                   # compact generator word
     depth: int
@@ -71,7 +75,7 @@ class AtlasStore:
     def save(self, path: str) -> None:
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
-            fh.write(json.dumps({"format": "goeritz-atlas/1", **self.meta},
+            fh.write(json.dumps({"format": ATLAS_FORMAT, **self.meta},
                                 sort_keys=True, separators=(",", ":")) + "\n")
             for rec in self.records:
                 fh.write(rec.as_json() + "\n")
@@ -80,14 +84,19 @@ class AtlasStore:
     @staticmethod
     def load(path: str) -> "AtlasStore":
         """Read a store that `save` wrote; a malformed one raises MalformedInput
-        naming the file and the line."""
+        naming the file and the line.  A goeritz-atlas/1 store is refused: its
+        records are keyed by signature, which merges curves, so extending it
+        would add duplicates of its records."""
         store = AtlasStore()
         with open(path) as fh:
             lineno = 1
             try:
                 header = _json_object(fh.readline() or "{}")  # an empty file has no format
-                if header.get("format") != "goeritz-atlas/1":
-                    raise MalformedInput("not a goeritz-atlas/1 file")
+                if header.get("format") == "goeritz-atlas/1":
+                    raise MalformedInput("a goeritz-atlas/1 store is keyed by signature; "
+                                         "rebuild it")
+                if header.get("format") != ATLAS_FORMAT:
+                    raise MalformedInput(f"not a {ATLAS_FORMAT} file")
                 store.meta = {k: v for k, v in header.items() if k != "format"}
                 for lineno, line in enumerate(fh, 2):
                     if line.strip():
@@ -97,7 +106,9 @@ class AtlasStore:
         return store
 
     def export_table(self) -> str:
-        """Plain table: triple, number of distinct signatures, shortest witness."""
+        """Plain table: triple, number of records (isotopy classes), shortest
+        witness.  The count column keeps the header "signatures" of the table
+        in docs/atlas-depth4.txt, which the benchmark compares as text."""
         by_triple: dict[tuple[int, int, int], list[AtlasRecord]] = {}
         for rec in self.records:
             by_triple.setdefault(rec.triple, []).append(rec)
@@ -132,8 +143,8 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
     store.meta["depth"] = max(depth, store.meta.get("depth", 0))
 
     base = normalize(P_CURVE)
-    sig = signature(base)
-    store.add(AtlasRecord(sig.key(), sig.triple(), "", 0, to_doc(base)))
+    key = curve_key(base)
+    store.add(AtlasRecord(key_text(key), key[:3], "", 0, to_doc(base)))
 
     for level in range(1, depth + 1):
         # rebuild the frontier from the store so saved runs can be extended
@@ -141,18 +152,19 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
                     for rec in store.records if rec.depth == level - 1]
         for item in frontier:
             for witness, img in _expand(item):
-                s = signature(img)
-                triple = s.triple()
+                key = curve_key(img)
+                triple = key[:3]
                 if any(t % 2 for t in triple):
                     raise NotReducing("odd intersection triple in atlas")
-                key = s.key()
-                if key not in store.index:  # only a new record needs its document
-                    store.add(AtlasRecord(key, triple, witness, level, to_doc(img)))
+                text = key_text(key)
+                if text not in store.index:  # only a new record needs its document
+                    store.add(AtlasRecord(text, triple, witness, level, to_doc(img)))
     return store
 
 
 def lambda_triples(store: AtlasStore) -> list[tuple[tuple[int, int, int], int]]:
-    """Sorted realized (a,b,c) triples with their signature multiplicities."""
+    """Sorted realized (a,b,c) triples, each with its number of records: the
+    isotopy classes that realize it."""
     by_triple: dict[tuple[int, int, int], int] = {}
     for rec in store.records:
         by_triple[rec.triple] = by_triple.get(rec.triple, 0) + 1

@@ -31,6 +31,7 @@ from .handlebody import (
     bounds_disk,
     check_word_constraints,
     reducing_reason,
+    require_reducing,
     theta_word,
 )
 
@@ -121,10 +122,10 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    w = _read_curve(args.infile)
-    reason = reducing_reason(w)
-    if reason is not None:
-        print(f"not a reducing curve: {reason}")
+    try:
+        w = require_reducing(_read_curve(args.infile))  # normalized once, here
+    except NotReducing as exc:
+        print(f"not a reducing curve: {exc.reason}")
         return 4
     cert = red.reduce_to_standard(w)
     out = apply_word(w, cert.word)

@@ -94,12 +94,8 @@ def bounds_disk(w: CurveWord, side: str) -> bool:
     return _bounds_disk(_normal_code(w, side), side)
 
 
-def reducing_reason(w: CurveWord) -> str | None:
-    """None if w is a reducing curve, else a reason code."""
-    try:
-        w = ensure_normal(w)
-    except EmptyAfterNormalization:
-        return "empty"
+def _normal_reason(w: CurveWord) -> str | None:
+    """`reducing_reason` of a normalized word."""
     if not is_separating(w):
         return "nonseparating"
     if not bounds_disk(w, "V"):
@@ -109,15 +105,30 @@ def reducing_reason(w: CurveWord) -> str | None:
     return None
 
 
+def reducing_reason(w: CurveWord) -> str | None:
+    """None if w is a reducing curve, else a reason code."""
+    try:
+        w = ensure_normal(w)
+    except EmptyAfterNormalization:
+        return "empty"
+    return _normal_reason(w)
+
+
 def is_reducing(w: CurveWord) -> bool:
     return reducing_reason(w) is None
 
 
 def require_reducing(w: CurveWord) -> CurveWord:
-    reason = reducing_reason(w)
+    """The normalized word of a reducing curve; raises NotReducing otherwise.
+    The input is normalized once."""
+    try:
+        w = ensure_normal(w)
+    except EmptyAfterNormalization:
+        raise NotReducing("empty") from None
+    reason = _normal_reason(w)
     if reason is not None:
         raise NotReducing(reason)
-    return ensure_normal(w)
+    return w
 
 
 # --------------------------------------------------------------- arc words

@@ -5,7 +5,15 @@ reduction loop makes the curve A-dominant with delta or its inverse, then
 applies whichever of the half twist or its inverse lowers a; each pass lowers
 a+b+c by an even positive amount until it reaches 2, after which at most one
 delta move lands on the standard curve.  The certificate records the applied
-generators with a count trace and replays both ways.
+generators with a count trace, and the input's `curve_key` as text.
+
+`verify_certificate` replays the word both ways.  Forward, the image must
+have counts (2,0,0,2,0,0): B with Z and C with Y fill two disjoint one-holed
+tori whose complement is an annulus around P, so a curve missing all four
+is P.
+Backward, the rebuilt curve must equal the input: by equal codes up to
+rotation and reversal, or else (two minimal words of one curve) by equal
+`curve_key`.  No step computes a signature.
 """
 
 from __future__ import annotations
@@ -13,9 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .action import (apply_generator, apply_word, format_goeritz_word, invert_goeritz_word,
-                     parse_goeritz_word)
-from .curve import Counts, CurveWord, P_CURVE, arc_census, counts, signature, to_doc
+from .action import (apply_generator, apply_word, curve_key, format_goeritz_word,
+                     invert_goeritz_word, key_text, parse_goeritz_word)
+from .curve import (Counts, CurveWord, P_CURVE, arc_census, canonical_unoriented, counts,
+                    ensure_normal, to_doc)
 from .errors import (
     BetaReductionFailure,
     IterationLimitExceeded,
@@ -23,6 +32,8 @@ from .errors import (
     TrichotomyViolation,
 )
 from .handlebody import require_reducing
+
+CERTIFICATE_FORMAT = "goeritz-certificate/2"
 
 # passes allowed beyond (a+b+c)/2; a pass that does not lower a+b+c by 2 or more raises
 ITERATION_SLACK = 4
@@ -63,7 +74,8 @@ def _triple(value) -> tuple[int, int, int]:
 
 @dataclass
 class ReductionCertificate:
-    """Word u with u(Q) = P, plus the per-step count trace."""
+    """Word u with u(Q) = P, plus the per-step count trace; `input_key` is
+    the `curve_key` text of Q."""
 
     input_counts: tuple[int, int, int]
     input_key: str = ""
@@ -77,10 +89,10 @@ class ReductionCertificate:
     def as_doc(self, input_curve: CurveWord | None = None,
                output_curve: CurveWord | None = None) -> dict:
         doc = {
-            "format": "goeritz-certificate/1",
+            "format": CERTIFICATE_FORMAT,
             "word": self.word_text(),
             "input_counts": list(self.input_counts),
-            "input_signature": self.input_key,
+            "input_key": self.input_key,
             "trace": [list(t) for t in self.trace],
             "terminal": self.terminal,
         }
@@ -92,13 +104,13 @@ class ReductionCertificate:
 
     @staticmethod
     def from_doc(doc: dict) -> "ReductionCertificate":
-        if not isinstance(doc, dict) or doc.get("format") != "goeritz-certificate/1":
-            raise MalformedInput("not a goeritz-certificate/1 document")
-        word, key = doc.get("word", ""), doc.get("input_signature", "")
+        if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
+            raise MalformedInput(f"not a {CERTIFICATE_FORMAT} document")
+        word, key = doc.get("word", ""), doc.get("input_key", "")
         trace, terminal = doc.get("trace", []), doc.get("terminal", "P")
         if not isinstance(word, str) or not isinstance(key, str) or \
                 not isinstance(trace, list) or terminal not in ("P", "P_prime", "P_double_prime"):
-            raise MalformedInput("malformed goeritz-certificate/1 document")
+            raise MalformedInput(f"malformed {CERTIFICATE_FORMAT} document")
         return ReductionCertificate(_triple(doc.get("input_counts", (0, 0, 0))), key,
                                     parse_goeritz_word(word), list(map(_triple, trace)), terminal)
 
@@ -111,7 +123,7 @@ def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
     each curve's counts are read once, when the curve is made."""
     w = require_reducing(w)
     c = counts(w)
-    cert = ReductionCertificate(c.abc(), input_key=signature(w).key())
+    cert = ReductionCertificate(c.abc(), input_key=key_text(curve_key(w)))
     limit = c.total_abc() // 2 + ITERATION_SLACK
 
     def push(gen: str, new: CurveWord, c_new: Counts | None = None) -> tuple[CurveWord, Counts]:
@@ -153,6 +165,11 @@ def express_from_standard(cert: ReductionCertificate) -> list[str]:
 
 
 def verify_certificate(cert: ReductionCertificate, original: CurveWord) -> bool:
-    """Replay both directions and compare signatures."""
-    return signature(apply_word(original, cert.word)) == signature(P_CURVE) and \
-        signature(apply_word(P_CURVE, express_from_standard(cert))) == signature(original)
+    """Replay both directions: the word must take the input to P, and its
+    inverse must take P back to the input (see the module docstring)."""
+    original = ensure_normal(original)
+    if counts(apply_word(original, cert.word)).as_tuple() != (2, 0, 0, 2, 0, 0):
+        return False
+    back = apply_word(P_CURVE, express_from_standard(cert))
+    return canonical_unoriented(back) == canonical_unoriented(original) or \
+        curve_key(back) == curve_key(original)

@@ -15,7 +15,7 @@ from . import atlas as atlas_mod
 from . import clear_caches
 from . import curve as cm
 from . import reduction as red
-from .action import apply_generator, apply_word, twist_about_p
+from .action import apply_generator, apply_word, curve_key, twist_about_p
 from .handlebody import (
     bounds_disk,
     check_word_constraints,
@@ -134,6 +134,18 @@ def _checks(quick: bool):
         warm = [cm.normalize(w).code for w in words]  # served by the set: no trace
         assert cold == warm == [w.code for w in words]
 
+    def curve_key_check():
+        for word, w in corpus:
+            key = curve_key(w)
+            half = len(w) // 2
+            assert curve_key(cm.CurveWord(w.code[half:] + w.code[:half])) == key, word
+            assert curve_key(cm.CurveWord(cm._reversed(w.code))) == key, word
+            for loop in ("bB", "dD", "gg"):
+                assert curve_key(apply_word(w, loop)) == key, (word, loop)
+        # record counts at depths 2 and 4; docs/atlas-depth4.txt sums to 47
+        assert len(atlas_mod.enumerate_atlas(2).records) == 7
+        assert len(atlas_mod.enumerate_atlas(4).records) == 47
+
     def atlas_determinism():
         s1 = atlas_mod.enumerate_atlas(2)
         clear_caches()  # the second run recomputes, not replays the first
@@ -155,6 +167,7 @@ def _checks(quick: bool):
         ("arc-reader", arc_reader),
         ("generator-memo", generator_memo),
         ("verified-words", verified_words),
+        ("curve-key", curve_key_check),
         ("atlas-determinism", atlas_determinism),
     ]
 

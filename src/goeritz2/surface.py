@@ -246,9 +246,6 @@ class SurfaceComplex:
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.hexagons)
 
-    def hex_sides(self, h: str) -> tuple[str, ...]:
-        return tuple(EDGE_TOKENS[e] for e in HEX_SIDES[HEX_OF_TOKEN[h]])
-
     def edge_hexes(self, e: str) -> tuple[str, ...]:
         return tuple(HEX_TOKENS[h] for h in EDGE_HEXES[EDGE_OF_TOKEN[e]])
 

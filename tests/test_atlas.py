@@ -11,7 +11,7 @@ import pytest
 import goeritz2
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
-from goeritz2.action import apply_word
+from goeritz2.action import apply_word, curve_key, key_text
 from goeritz2.errors import MalformedInput
 from goeritz2.handlebody import is_reducing
 from goeritz2.reduction import reduce_to_standard, verify_certificate
@@ -52,7 +52,7 @@ def test_witness_rebuilds_record(standard_curve):
     store = at.enumerate_atlas(2)
     for rec in store.records[:8]:
         img = apply_word(standard_curve, rec.witness)
-        assert cm.signature(img).key() == rec.key
+        assert key_text(curve_key(img)) == rec.key
 
 
 def test_determinism_across_hash_seeds():
@@ -101,6 +101,19 @@ def test_load_names_the_file_and_line_of_a_malformed_record(tmp_path):
         at.AtlasStore.load(str(path))
 
 
+def test_load_refuses_a_signature_keyed_store(tmp_path):
+    # its keys would never match curve_key text, so extending it would
+    # duplicate every record
+    path = tmp_path / "atlas.jsonl"
+    at.enumerate_atlas(1).save(str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0].replace("goeritz-atlas/2", "goeritz-atlas/1")]
+                              + lines[1:]) + "\n")
+    with pytest.raises(MalformedInput,
+                       match=f"^{re.escape(str(path))}, line 1: a goeritz-atlas/1 store"):
+        at.AtlasStore.load(str(path))
+
+
 def test_store_extension_matches_fresh_run(tmp_path):
     # extending a saved depth-1 store to depth 2 equals a fresh depth-2 run
     store = at.enumerate_atlas(1)
@@ -129,7 +142,7 @@ def test_records_store_the_normalized_image(standard_curve):
 
 
 def test_every_depth6_record_reduces_and_verifies(depth6):
-    assert len(depth6.records) == 303
+    assert len(depth6.records) == 311
     for rec in depth6.records:
         w = at.record_curve(rec)
         assert verify_certificate(reduce_to_standard(w), w), rec.witness

@@ -62,6 +62,11 @@ def test_reduce_prime_emits_delta_inverse(p_file, tmp_path, capsys):
     assert cert["output"]["steps"]
 
 
+def test_reduce_rejects_nonseparating(pushoff_b_file, tmp_path, capsys):
+    assert main(["reduce", "--in", pushoff_b_file, "--out", str(tmp_path / "c.json")]) == 4
+    assert capsys.readouterr().out == "not a reducing curve: nonseparating\n"
+
+
 def test_verify_rejects_nonseparating(pushoff_b_file, capsys):
     assert main(["verify", "--in", pushoff_b_file]) == 4
     assert "nonseparating" in capsys.readouterr().out
@@ -182,9 +187,9 @@ def test_atlas_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, line, reason", [
-    ("", 1, "not a goeritz-atlas/1 file"),
-    ('{"format":"goeritz-atlas/1"}\nnot json\n', 2, "not JSON"),
-    ('{"format":"goeritz-atlas/1"}\n\n{"key":"k","witness":"","depth":0,"curve":{}}\n',
+    ("", 1, "not a goeritz-atlas/2 file"),
+    ('{"format":"goeritz-atlas/2"}\nnot json\n', 2, "not JSON"),
+    ('{"format":"goeritz-atlas/2"}\n\n{"key":"k","witness":"","depth":0,"curve":{}}\n',
      3, "record has no 'triple'"),
 ], ids=["empty", "not-json", "no-triple"])
 def test_malformed_atlas_store_exit_code(tmp_path, capsys, text, line, reason):

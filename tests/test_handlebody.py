@@ -4,7 +4,8 @@ import pytest
 
 from goeritz2 import curve as cm
 from goeritz2 import handlebody as hb
-from goeritz2.action import apply_generator
+from goeritz2 import kernel
+from goeritz2.action import apply_generator, apply_word
 from goeritz2.errors import MalformedInput, NotReducing
 
 
@@ -56,6 +57,18 @@ def test_reducing_reason_codes():
     assert hb.reducing_reason(double_spur) == "empty"
     with pytest.raises(NotReducing):
         hb.require_reducing(cm.PUSHOFFS["A"])
+    with pytest.raises(NotReducing, match="^empty$"):
+        hb.require_reducing(double_spur)
+
+
+def test_require_reducing_normalizes_its_input_once(monkeypatch):
+    code = apply_word(cm.P_CURVE, "dbdB").code
+    rotated = cm.CurveWord(code[3:] + code[:3])
+    calls = []
+    real = kernel.normalize_steps
+    monkeypatch.setattr(kernel, "normalize_steps", lambda c: calls.append(c) or real(c))
+    assert hb.require_reducing(rotated).code == code
+    assert len(calls) == 1
 
 
 def test_pushoff_calibration_words():

@@ -121,7 +121,7 @@ def test_certificate_serialization():
     {"input_counts": [True, 0, 0]},
     {"word": 5},
     {"word": ["b"]},
-    {"input_signature": 3},
+    {"input_key": 3},
     {"terminal": "none"},
 ])
 def test_certificate_from_doc_rejects_malformed_documents(fields):
@@ -129,6 +129,14 @@ def test_certificate_from_doc_rejects_malformed_documents(fields):
     red.ReductionCertificate.from_doc(doc)
     with pytest.raises(MalformedInput):
         red.ReductionCertificate.from_doc({**doc, **fields})
+
+
+def test_certificate_from_doc_refuses_version_1():
+    doc = red.reduce_to_standard(apply_word(cm.P_CURVE, "dB")).as_doc()
+    assert doc["format"] == "goeritz-certificate/2" and "input_key" in doc
+    old = {**doc, "format": "goeritz-certificate/1", "input_signature": doc["input_key"]}
+    with pytest.raises(MalformedInput, match="not a goeritz-certificate/2 document"):
+        red.ReductionCertificate.from_doc(old)
 
 
 def test_reduction_reads_each_curve_counts_once(monkeypatch, corpus, ladders):
