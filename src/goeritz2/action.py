@@ -1,11 +1,19 @@
 """Action of the Goeritz generators and of Dehn twists on curve words.
 
 alpha, gamma, delta and delta^-1 act by relabeling symmetries of the complex.
-beta is the half twist about the central separating curve, realized as
-(t_B . t_Z)^3 supported in the one-holed torus containing B and Z; its inverse
-is the inverse composite.  The full twist about the separating curve is the
-boundary twist of either one-holed torus and is exposed as (t_C . t_Y)^6,
-which runs through the handle beta does not touch.
+beta is the half twist about the central separating curve, (t_B . t_Z)^3,
+supported in the one-holed torus containing B and Z; its inverse is the
+inverse composite.  The full twist about the separating curve is the boundary
+twist of either one-holed torus, (t_C . t_Y)^6, which runs through the handle
+beta does not touch.
+
+B meets Z once, and C meets Y once, so each pair satisfies the braid relation
+t_B t_Z t_B = t_Z t_B t_Z (Farb-Margalit, A Primer on Mapping Class Groups,
+Prop. 3.11).  Hence (t_B t_Z)^3 = (t_Z t_B t_Z)^2 and (t_C t_Y)^6 =
+(t_C t_Y t_C)^4: the quarter turn sigma = t_Z t_B t_Z gives beta in two
+steps, and sigma = t_C t_Y t_C the full twist in four.  A quarter turn is one
+byte substitution, the composite of its three twists' splices, and each step
+is normalized (`_quarter_turns`).
 
 A twist replaces every crossing of the curve with the twisting rail by a
 detour that spirals half around the rail on each side, crossing the rail's
@@ -17,17 +25,20 @@ names the direction with sign +1 under that rule.
 Words are step-byte codes (see `curve`).  A twist marks the four rail bytes
 of the code with placeholder bytes by one `bytes.translate`, then replaces
 each placeholder with its detour by one `bytes.replace`; the detours per
-(rail, direction) are built from `_cross_detour` on first use.  A relabeling
-symmetry is one `bytes.translate`.
+(rail, direction) are built from `_cross_detour` on first use.  A quarter
+turn does the same with the eight rail bytes of its two curves, each
+replaced by its image under the three splices.  A relabeling symmetry is one
+`bytes.translate`.
 
 The generator action is memoized by normalized code (`_act`, an LRU memo of
 4096 entries): the atlas applies every generator to each record, and the
 reduction and certificate replay of that record apply the same ones again.
-A miss runs the twists with every check; an action that raises is not
-stored.  Keys and values are codes, so each call builds a new `CurveWord`.
-An entry costs about 2n + 220 bytes for codes of n bytes, so a full memo
-holds 1.7 MB at n = 100 and 25 MB at n = 3,000; the atlas to depth 7 uses
-1,818 entries and 0.3 MB of codes.
+A miss of beta^+-1 runs two quarter turns, each ending in the kernel and
+the re-embedding check, so every word the memo stores is verified; an action
+that raises is not stored.  Keys and values are codes, so each call builds a
+new `CurveWord`.  An entry costs about 2n + 220 bytes for codes of n bytes,
+so a full memo holds 1.7 MB at n = 100 and 25 MB at n = 3,000; the atlas to
+depth 7 uses 1,818 entries and 0.3 MB of codes.
 """
 
 from __future__ import annotations
@@ -116,19 +127,38 @@ _RAIL_BYTES = tuple(bytes(4 * e + h for e in (2 * c, 2 * c + 1) for h in EDGE_HE
                     for c in range(6))
 
 
-# Placeholder bytes for the rail crossings of one twist: no step byte reaches
-# them, so a detour (which crosses the partner rail edge) is never substituted again.
-_MARKS = bytes(range(128, 132))
+# Placeholder bytes for the rail crossings of one substitution: no step byte
+# reaches them, so a detour (which crosses the partner rail edge) is never
+# substituted again.
+_MARKS = bytes(range(128, 136))
+
+
+# A byte substitution: a translation table marking the substituted bytes,
+# and the (mark, image) pairs that replace the marks.
+_Substitution = tuple[bytes, tuple[tuple[bytes, bytes], ...]]
+
+
+def _substitution(rails: bytes, images) -> _Substitution:
+    """The substitution of each of the rail bytes by its image."""
+    marks = _MARKS[:len(rails)]
+    return bytes.maketrans(rails, marks), tuple(zip((bytes((m,)) for m in marks), images))
+
+
+def _substitute(code: bytes, table: _Substitution) -> bytes:
+    """The code with each byte the table marks replaced by its image."""
+    marks, images = table
+    code = code.translate(marks)
+    for mark, image in images:
+        code = code.replace(mark, image)
+    return code
 
 
 @functools.cache
-def _splice_table(cid: int, direction: int) -> tuple[bytes, tuple[tuple[bytes, bytes], ...]]:
-    """Translation table marking the rail bytes of curve cid with `_MARKS`, and
-    the detour of each mark's rail crossing under one twist."""
-    rails = _RAIL_BYTES[cid]
-    return bytes.maketrans(rails, _MARKS), tuple(
-        (bytes((m,)), bytes(4 * e + h for e, h in _cross_detour(x >> 2, x & 3, direction)))
-        for m, x in zip(_MARKS, rails))
+def _splice_table(cid: int, direction: int) -> _Substitution:
+    """Substitution of each rail byte of curve cid by its detour under one twist."""
+    return _substitution(_RAIL_BYTES[cid], (
+        bytes(4 * e + h for e, h in _cross_detour(x >> 2, x & 3, direction))
+        for x in _RAIL_BYTES[cid]))
 
 
 def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord:
@@ -167,19 +197,44 @@ def key_text(key: tuple[int, ...]) -> str:
 
 def _splice(code: bytes, cid: int, direction: int) -> bytes:
     """The code with every crossing of curve cid replaced by its twist detour."""
-    marks, detours = _splice_table(cid, direction)
-    code = code.translate(marks)
-    for mark, detour in detours:
-        code = code.replace(mark, detour)
-    return code
+    return _substitute(code, _splice_table(cid, direction))
+
+
+@functools.cache
+def _turn_table(outer: int, inner: int, direction: int) -> tuple[bytes, _Substitution]:
+    """Rail bytes of curves outer and inner, and their substitution under the
+    quarter turn t_outer t_inner t_outer (each twist to the power direction).
+
+    A splice changes only rail bytes and maps each to a fixed string, so the
+    three splices compose to one substitution of the eight rail bytes; the
+    intermediate words need not be minimal for their composite to be the
+    image curve.
+    """
+    rails = _RAIL_BYTES[outer] + _RAIL_BYTES[inner]
+    images = []
+    for x in rails:
+        image = bytes((x,))
+        for cid in (outer, inner, outer):
+            image = _splice(image, cid, direction)
+        images.append(image)
+    return rails, _substitution(rails, images)
+
+
+def _quarter_turns(w: CurveWord, outer: str, inner: str, direction: int, turns: int) -> CurveWord:
+    """(t_outer t_inner t_outer)^(direction * turns) of a normalized word, for
+    curves outer and inner that meet once; every turn ends in `normalize`."""
+    rails, table = _turn_table(CURVE_NAMES.index(outer), CURVE_NAMES.index(inner), direction)
+    for _ in range(turns):
+        if not any(map(w.code.__contains__, rails)):
+            return w
+        w = normalize(CurveWord(_substitute(w.code, table)))
+    return w
 
 
 def twist_about_p(w: CurveWord, direction: int = 1) -> CurveWord:
-    """Full twist about the standard separating curve, via the C,Y handle."""
-    for _ in range(6):
-        w = twist_system(w, "Y", direction)
-        w = twist_system(w, "C", direction)
-    return w
+    """Full twist about the standard separating curve, via the C,Y handle:
+    (t_C t_Y)^6 = (t_C t_Y t_C)^4."""
+    return _quarter_turns(ensure_normal(w), "C", "Y", direction, 4)
 
 
 def apply_twist(w: CurveWord, twisting: CurveWord | str, direction: str | int = "right") -> CurveWord:
@@ -224,10 +279,6 @@ def _relabel(w: CurveWord, name: str) -> CurveWord:
                      normalized=True)
 
 
-_BETA_SEQUENCE = (("Z", 1), ("B", 1)) * 3
-_BETA_INV_SEQUENCE = (("B", -1), ("Z", -1)) * 3
-
-
 def apply_generator(w: CurveWord, g: str) -> CurveWord:
     w = ensure_normal(w)
     return CurveWord(_act(w.code, g), normalized=True)
@@ -240,19 +291,19 @@ _ACT_MEMO_SIZE = 4096
 
 @functools.lru_cache(maxsize=_ACT_MEMO_SIZE)
 def _act(code: bytes, g: str) -> bytes:
-    """Normalized code of the image of a normalized code under generator g."""
+    """Normalized code of the image of a normalized code under generator g.
+
+    beta = (t_B t_Z)^3 = (t_Z t_B t_Z)^2, as B and Z meet once and so satisfy
+    the braid relation t_B t_Z t_B = t_Z t_B t_Z.  A miss of beta^+-1 runs
+    two quarter turns, each one substitution then `normalize`: the kernel
+    and the re-embedding check run twice.
+    """
     w = CurveWord(code, normalized=True)
     if g in ("alpha", "gamma", "delta", "delta_inv"):
         return _relabel(w, g).code
-    if g == "beta":
-        seq = _BETA_SEQUENCE
-    elif g == "beta_inv":
-        seq = _BETA_INV_SEQUENCE
-    else:
+    if g not in ("beta", "beta_inv"):
         raise MalformedInput(f"unknown generator {g!r}")
-    for name, direction in seq:
-        w = twist_system(w, name, direction)
-    return w.code
+    return _quarter_turns(w, "Z", "B", 1 if g == "beta" else -1, 2).code
 
 
 def apply_word(w: CurveWord, word: list[str] | str) -> CurveWord:

@@ -145,6 +145,10 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
     base = normalize(P_CURVE)
     key = curve_key(base)
     store.add(AtlasRecord(key_text(key), key[:3], "", 0, to_doc(base)))
+    # Codes keyed in this call: their keys are in the store, so an image with
+    # one of them (alpha's, or g^-1 after g) needs no key.  Records loaded from
+    # a store are not in it; their codes are keyed again when they recur.
+    keyed = {base.code}
 
     for level in range(1, depth + 1):
         # rebuild the frontier from the store so saved runs can be extended
@@ -152,6 +156,9 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
                     for rec in store.records if rec.depth == level - 1]
         for item in frontier:
             for witness, img in _expand(item):
+                if img.code in keyed:
+                    continue
+                keyed.add(img.code)
                 key = curve_key(img)
                 triple = key[:3]
                 if any(t % 2 for t in triple):

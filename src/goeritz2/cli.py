@@ -30,7 +30,6 @@ from .handlebody import (
     arc_pi1_words,
     bounds_disk,
     check_word_constraints,
-    reducing_reason,
     require_reducing,
     theta_word,
 )
@@ -100,15 +99,15 @@ def _cmd_words(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    w = _read_curve(args.infile)
-    reason = reducing_reason(w)
-    if reason is not None:
-        print(f"not a reducing curve: {reason}")
+    try:
+        w = require_reducing(_read_curve(args.infile))  # normalized once, here
+    except NotReducing as exc:
+        print(f"not a reducing curve: {exc.reason}")
         return 4
     dom = red.classify(w)
-    print(f"reducing curve; dominance class {dom}; "
-          f"counts {cm.counts(w).as_tuple()}")
-    if dom == "A" and cm.counts(w).total_abc() > 2:
+    c = cm.counts(w)
+    print(f"reducing curve; dominance class {dom}; counts {c.as_tuple()}")
+    if dom == "A" and c.total_abc() > 2:
         check_word_constraints(w)
         print("word-form constraints: pass")
     return 0

@@ -15,7 +15,7 @@ from . import atlas as atlas_mod
 from . import clear_caches
 from . import curve as cm
 from . import reduction as red
-from .action import apply_generator, apply_word, curve_key, twist_about_p
+from .action import apply_generator, apply_word, curve_key, twist_about_p, twist_system
 from .handlebody import (
     bounds_disk,
     check_word_constraints,
@@ -102,6 +102,19 @@ def _checks(quick: bool):
             bb = apply_generator(apply_generator(w, "beta"), "beta")
             assert cm.signature(bb) == cm.signature(twist_about_p(w)), word
 
+    def half_twist_route():
+        # beta^+-1 as two quarter turns against six single twists, and the full
+        # twist about P as four quarter turns against twelve, compared as codes
+        for word, w in corpus:
+            for d, g in ((1, "beta"), (-1, "beta_inv")):
+                six = twelve = w
+                for name in ("ZB" if d == 1 else "BZ") * 3:
+                    six = twist_system(six, name, d)
+                assert apply_generator(w, g).code == six.code, (word, g)
+                for name in "YC" * 6:
+                    twelve = twist_system(twelve, name, d)
+                assert twist_about_p(w, d).code == twelve.code, (word, d)
+
     def arc_reader():
         # arcs, arc ends and census read from the code, against a walk of the steps
         for word, w in corpus:
@@ -164,6 +177,7 @@ def _checks(quick: bool):
         ("aa-arc-word-constraints", aa_arc_constraints),
         ("reduction-round-trip", reduction_roundtrip),
         ("half-twist-realization", beta_realization),
+        ("half-twist-route", half_twist_route),
         ("arc-reader", arc_reader),
         ("generator-memo", generator_memo),
         ("verified-words", verified_words),

@@ -7,12 +7,10 @@ import pytest
 import reembed_oracle
 
 import goeritz2
-from goeritz2 import action
+from goeritz2 import action, kernel
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2.action import (
-    _BETA_INV_SEQUENCE,
-    _BETA_SEQUENCE,
     GENERATORS,
     _cross_detour,
     _splice,
@@ -28,6 +26,10 @@ from goeritz2.action import (
 from goeritz2.errors import InternalInvariantError, MalformedInput
 from goeritz2.reduction import reduce_to_standard, verify_certificate
 from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, EDGE_HEXES, complex_symmetry
+
+# beta = (t_B t_Z)^3 and its inverse as single twists, in the order applied
+BETA_SEQUENCE = (("Z", 1), ("B", 1)) * 3
+BETA_INV_SEQUENCE = (("B", -1), ("Z", -1)) * 3
 
 # hand-traced on the hexagon net: the half twist applied to the A-pushoff
 ETA1_FIXTURE = cm.CurveWord.from_tokens(
@@ -184,7 +186,7 @@ def _oracle_generator(w, g):
         r = complex_symmetry(g)
         return reembed_oracle.least_rotation(
             tuple((r.apply_edge(e), r.apply_hex(h)) for e, h in w.steps))
-    for name, d in _BETA_SEQUENCE if g == "beta" else _BETA_INV_SEQUENCE:
+    for name, d in BETA_SEQUENCE if g == "beta" else BETA_INV_SEQUENCE:
         cid = CURVE_NAMES.index(name)
         if any(EDGE_CURVE[e] == cid for e, _ in w.steps):
             spliced = _step_splice(w.steps, cid, d)
@@ -215,10 +217,26 @@ def test_table_splice_matches_step_splice(corpus, standard_curve):
                     cm.CurveWord(_step_splice(w.steps, cid, d)).code, (w, cid, d)
 
 
-def test_generators_match_the_oracle_composition(corpus):
-    for word, w in corpus:
+def test_generators_match_the_oracle_composition(corpus, ladders):
+    records = [(rec.witness, at.record_curve(rec)) for rec in at.enumerate_atlas(5).records]
+    for word, w in corpus + [("ladder", w) for w in ladders] + records:
         for g in GENERATORS:
             assert apply_generator(w, g).steps == _oracle_generator(w, g), (word, g)
+
+
+def test_half_twist_is_two_normalized_quarter_turns(corpus, ladders, monkeypatch):
+    calls = []
+    real = kernel.normalize_steps
+    monkeypatch.setattr(kernel, "normalize_steps", lambda c: calls.append(c) or real(c))
+    monkeypatch.setattr(action, "twist_system", None)  # calling it would raise
+    rails = {x for name in "BZ" for x in action._RAIL_BYTES[CURVE_NAMES.index(name)]}
+    curves = [w for _, w in corpus if rails & set(w.code)] + ladders
+    assert len(curves) > 250
+    for w in curves:
+        for g in ("beta", "beta_inv"):
+            calls.clear()
+            action._act.__wrapped__(w.code, g)
+            assert len(calls) == 2, (w, g)
 
 
 def test_memo_hit_equals_a_cold_recomputation(corpus):

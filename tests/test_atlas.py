@@ -1,5 +1,6 @@
 """Breadth-first atlas enumeration and persistence."""
 
+import hashlib
 import os
 import pathlib
 import re
@@ -18,6 +19,11 @@ from goeritz2.reduction import reduce_to_standard, verify_certificate
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+
+# SHA-256 of the depth-6 records' `as_json` lines joined by newlines, as built
+# with beta composed of six single twists and every image keyed: the quarter
+# turns and the skipped keys must reproduce it byte for byte
+DEPTH6_SHA256 = "d55a71804fa956861ea239fb29bcf55bacde1e14d52bd9664f137556b99296be"
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +152,19 @@ def test_every_depth6_record_reduces_and_verifies(depth6):
     for rec in depth6.records:
         w = at.record_curve(rec)
         assert verify_certificate(reduce_to_standard(w), w), rec.witness
+
+
+def test_depth6_records_are_pinned(depth6):
+    text = "\n".join(rec.as_json() for rec in depth6.records)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEPTH6_SHA256
+
+
+def test_enumeration_keys_each_code_once(monkeypatch):
+    keyed = []
+    real = at.curve_key
+    monkeypatch.setattr(at, "curve_key", lambda w: keyed.append(w.code) or real(w))
+    store = at.enumerate_atlas(5)
+    assert len(keyed) == len(set(keyed)) > len(store.records)
 
 
 def test_depth7_completes_and_extends_depth6(depth6):

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from goeritz2 import curve as cm
+from goeritz2 import kernel
 from goeritz2.action import apply_word
 from goeritz2.cli import main
 
@@ -75,6 +76,20 @@ def test_verify_rejects_nonseparating(pushoff_b_file, capsys):
 def test_verify_accepts_standard(p_file, capsys):
     assert main(["verify", "--in", p_file]) == 0
     assert "dominance class A" in capsys.readouterr().out
+
+
+def test_verify_normalizes_its_input_once(tmp_path, monkeypatch, capsys):
+    code = apply_word(cm.P_CURVE, "dbdB").code
+    rotated = cm.CurveWord(code[3:] + code[:3])
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"format": cm.CURVE_FORMAT, "representation": "steps",
+                                "steps": rotated.tokens()}))
+    calls = []
+    real = kernel.normalize_steps
+    monkeypatch.setattr(kernel, "normalize_steps", lambda c: calls.append(c) or real(c))
+    assert main(["verify", "--in", str(path)]) == 0
+    assert "reducing curve" in capsys.readouterr().out
+    assert calls == [rotated.code]
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):

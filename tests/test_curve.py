@@ -62,9 +62,10 @@ def test_vertex_encircling_word_rejected():
 
 def test_validate_rejects_a_word_whose_counts_trace_another(standard_curve, unembedded_word):
     w = cm.canonical_form(action.apply_word(standard_curve, "dbdbdb"))
-    for name, d in action._BETA_INV_SEQUENCE[:4]:
+    beta_inv_sequence = (("B", -1), ("Z", -1)) * 3  # beta^-1 as single twists
+    for name, d in beta_inv_sequence[:4]:
         w = action.twist_system(w, name, d)
-    name, d = action._BETA_INV_SEQUENCE[4]
+    name, d = beta_inv_sequence[4]
     code, _ = kernel.normalize_steps(action._splice(w.code, "ABCXYZ".index(name), d))
     assert cm.CurveWord(code).tokens() == unembedded_word
     with pytest.raises(InternalInvariantError):
