@@ -292,6 +292,9 @@ _CURVE_OF_BYTE = bytes(EDGE_CURVE[x >> 2] if x < 48 else 255 for x in range(256)
 _LETTER_OF_BYTE = bytes(CURVE_NAMES[c].encode()[0] if c < 6 else 0 for c in _CURVE_OF_BYTE)
 _ABC_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] < 3)
 _XYZ_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] >= 3)
+# doubled letters of the curves each system's disk test reads: X/Y/Z in V, A/B/C in W
+_DOUBLED_CURVES = {"V": tuple(bytes((c, c)) for c in range(3, 6)),
+                   "W": tuple(bytes((c, c)) for c in range(3))}
 
 
 def _arc_table() -> bytes:
@@ -538,9 +541,15 @@ def _theta_letters(code: bytes, system: str) -> list[str]:
 def _bounds_disk(code: bytes, system: str) -> bool:
     """Does the curve bound a disk in V (W)?  The X/Y/Z (A/B/C) curves it
     crosses, a word in the free product of three copies of Z/2, must cancel
-    to nothing; a reduced word stays nonempty when also read cyclically."""
+    to nothing; a reduced word stays nonempty when also read cyclically.
+
+    Cancellation is confluent, so one round of deleting the doubled letters
+    (one replace each) runs before the stack loop finishes the cascades."""
+    word = code.translate(_CURVE_OF_BYTE, _ABC_BYTES if system == "V" else _XYZ_BYTES)
+    for pair in _DOUBLED_CURVES[system]:
+        word = word.replace(pair, b"")
     stack: list[int] = []
-    for c in code.translate(_CURVE_OF_BYTE, _ABC_BYTES if system == "V" else _XYZ_BYTES):
+    for c in word:
         if stack and stack[-1] == c:
             stack.pop()
         else:
@@ -824,19 +833,29 @@ def from_doc(doc: dict) -> CurveWord:
         raise MalformedInput(f"not a {CURVE_FORMAT} document")
     rep = doc.get("representation")
     if rep == "steps":
-        return CurveWord.from_tokens(doc.get("steps", []))
+        steps = doc.get("steps", [])
+        if not isinstance(steps, list):
+            raise MalformedInput(f"steps must be a list, not {type(steps).__name__}")
+        return CurveWord.from_tokens(steps)
     if rep == "normal":
         coords = {}
-        for ht, chords in (doc.get("coordinates") or {}).items():
+        hexes = doc.get("coordinates") or {}
+        if not isinstance(hexes, dict):
+            raise MalformedInput(f"coordinates must be an object, not {type(hexes).__name__}")
+        for ht, chords in hexes.items():
             if ht not in HEX_OF_TOKEN:
                 raise MalformedInput(f"unknown hexagon {ht!r}")
+            if not isinstance(chords, dict):
+                raise MalformedInput(f"chords of {ht} must be an object, not {type(chords).__name__}")
             for pair, c in chords.items():
                 try:
                     t1, t2 = pair.split("-")
                     e1, e2 = EDGE_OF_TOKEN[t1], EDGE_OF_TOKEN[t2]
-                except (ValueError, KeyError):
+                except (ValueError, KeyError, AttributeError):
                     raise MalformedInput(f"bad side pair {pair!r}") from None
-                coords[(HEX_OF_TOKEN[ht], min(e1, e2), max(e1, e2))] = int(c)
+                if type(c) is not int:
+                    raise MalformedInput(f"count of {ht} {pair} must be an integer, not {type(c).__name__}")
+                coords[(HEX_OF_TOKEN[ht], min(e1, e2), max(e1, e2))] = c
         comps = from_normal_coordinates(coords)
         if len(comps) != 1:
             raise MalformedInput(

@@ -6,9 +6,25 @@ of its sides, the hexagon the step before entered.  Two steps cross the same
 edge iff their bytes agree above the low two bits.
 
 `remove_spurs` cancels spurs (an arc entering and leaving a hexagon through
-the same side) in one linear pass: stack-based free cancellation, which jumps
+the same side).  On a closed chain two adjacent steps cross the same edge iff
+they form one of the 24 spur pairs (4e+h, 4e+h'), h' the hexagon across e
+from h, and deleting such a pair leaves a closed chain.  The stack pass
+cancels them in one linear pass: stack-based free cancellation, which jumps
 between the adjacent same-edge pairs that one big-integer XOR marks, then a
-trim of equal pairs at the two ends of the cyclic word.
+trim of equal pairs at the two ends of the cyclic word.  It pays one
+Python-level step per spur site.
+
+Free cancellation is confluent: the reduced word does not depend on the order
+in which pairs cancel (Lyndon-Schupp, Combinatorial Group Theory, I.1).  So
+a word may first lose every occurrence of each spur pair, one `bytes.replace`
+per pair.  That pre-pass costs 24 C-level scans of the word whatever it
+holds, and every adjacent spur pair of the word loses at least one of its
+steps (a pair that a deletion brings together goes too when a later scan
+matches it).  The stack pass then finishes deeper cascades on the shorter
+word, so the whole stays linear.  The pre-pass pays when the word holds
+more adjacent spur pairs than there are scans, and `remove_spurs` runs it
+only then: a quarter turn's spliced word is about half spurs, while most
+words of a few dozen steps go straight to the stack pass.
 
 `_find_run` returns the smallest start of a generalized bigon run: a subpath
 that crosses a curve, runs parallel to it through fence chords (each leaving
@@ -66,6 +82,10 @@ _SURVIVED = bytes(x != _FAILED for x in range(256))
 # and are finished one start at a time.
 _PREFILTER_PASSES = 8
 
+# The step pairs that cancel on a closed chain: (4e+h, 4e+h'), h' across e from h.
+_SPUR_PAIRS = tuple(bytes((4 * e + h, 4 * e + OTHER_HEX[e][h]))
+                    for e in range(12) for h in OTHER_HEX[e])
+
 
 def _same_edge_pairs(code: bytes) -> bytes:
     """Byte i is 0 iff steps i and i+1 cross the same edge (one big-int XOR)."""
@@ -74,16 +94,11 @@ def _same_edge_pairs(code: bytes) -> bytes:
         len(e) - 1, "big")
 
 
-def remove_spurs(code: bytes) -> bytes:
-    """The cyclic word with every spur pair cancelled.
-
-    Removes the same steps as cancelling the leftmost adjacent pair until none
-    is left and then the wrap-around pair (last, first) while they are equal.
-    """
+def _stack_pass(code: bytes, pairs: bytes) -> bytes:
+    """Free cancellation of a word of at least two steps, given its
+    `_same_edge_pairs`, then the trim of the cyclic word's two ends."""
     n = len(code)
-    if n < 2:
-        return code
-    pairs, out, pos = _same_edge_pairs(code), bytearray(), 0
+    out, pos = bytearray(), 0
     while True:
         i = pairs.find(0, pos)
         if i < 0:
@@ -100,6 +115,27 @@ def remove_spurs(code: bytes) -> bytes:
         i += 1
         j -= 1
     return bytes(out[i:j + 1])
+
+
+def remove_spurs(code: bytes) -> bytes:
+    """The cyclic word with every spur pair cancelled.
+
+    Returns the same word as cancelling the leftmost adjacent pair until none
+    is left and then the wrap-around pair (last, first) while they are equal.
+    When the word holds more than 24 adjacent spur pairs, every occurrence of
+    each spur pair is deleted first (one replace per pair, linear time); by
+    confluence the stack pass on the shorter word reaches the same result.
+    """
+    if len(code) < 2:
+        return code
+    pairs = _same_edge_pairs(code)
+    if pairs.count(0) > len(_SPUR_PAIRS):
+        for pair in _SPUR_PAIRS:
+            code = code.replace(pair, b"")
+        if len(code) < 2:
+            return code
+        pairs = _same_edge_pairs(code)
+    return _stack_pass(code, pairs)
 
 
 def _prefilter(pos: bytes, n: int) -> bytes:

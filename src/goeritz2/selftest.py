@@ -14,8 +14,17 @@ from collections import Counter
 from . import atlas as atlas_mod
 from . import clear_caches
 from . import curve as cm
+from . import kernel
 from . import reduction as red
-from .action import apply_generator, apply_word, curve_key, twist_about_p, twist_system
+from .action import (
+    _substitute,
+    _turn_table,
+    apply_generator,
+    apply_word,
+    curve_key,
+    twist_about_p,
+    twist_system,
+)
 from .handlebody import (
     bounds_disk,
     check_word_constraints,
@@ -24,7 +33,7 @@ from .handlebody import (
     theta_word,
     word_str,
 )
-from .surface import CURVE_NAMES, EDGE_CURVE, EDGE_TOKENS, HEX_PANTS
+from .surface import CURVE_NAMES, EDGE_CURVE, EDGE_TOKENS, HEX_PANTS, B, Z
 from .surface import build_complex, complex_symmetry
 
 
@@ -132,6 +141,26 @@ def _checks(quick: bool):
             census = Counter((a.type, a.pants) for a in cm.split_arcs(w))
             assert cm.arc_census(w) == {k: census[k] for k in cm.arc_census(w)}, word
 
+    def spur_levels():
+        # the pair-deleting pre-pass changes nothing the stack pass alone returns,
+        # on the quarter turns' spliced words and on a long retrace, which is dense
+        def splice(code, d):  # one quarter turn t_Z t_B t_Z of beta^d, not yet normalized
+            return _substitute(code, _turn_table(Z, B, d)[1])
+
+        spliced = [splice(w.code, d) for _, w in corpus for d in (1, -1)]
+        long = splice(apply_word(P, "db" * 6).code, 1)
+        long += cm._reversed(long)
+        third = len(long) // 3
+        retrace = long[third:] + long[:third]
+        assert kernel._same_edge_pairs(retrace).count(0) > len(kernel._SPUR_PAIRS)
+        for code in spliced + [retrace]:
+            out = kernel.remove_spurs(code)
+            assert out == kernel._stack_pass(code, kernel._same_edge_pairs(code)), code.hex()
+            # no adjacent same-edge pair is left, the wrap-around pair included
+            assert len(out) < 2 or kernel._same_edge_pairs(out + out[:1]).count(0) == 0
+            assert kernel.remove_spurs(out) == out, code.hex()
+        assert not kernel.remove_spurs(retrace)
+
     def generator_memo():
         words = [word for word, _ in corpus[:40]]
         clear_caches()
@@ -179,6 +208,7 @@ def _checks(quick: bool):
         ("half-twist-realization", beta_realization),
         ("half-twist-route", half_twist_route),
         ("arc-reader", arc_reader),
+        ("spur-levels", spur_levels),
         ("generator-memo", generator_memo),
         ("verified-words", verified_words),
         ("curve-key", curve_key_check),

@@ -99,6 +99,23 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert main(["validate", "--in", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("doc", [
+    {"representation": "normal", "coordinates": {"H1": {"A1-X1": "abc"}}},
+    {"representation": "normal", "coordinates": {"H1": {"A1-X1": None}}},
+    {"representation": "normal", "coordinates": {"H1": {"A1-X1": True}}},
+    {"representation": "normal", "coordinates": {"H1": {"A1-X1": 0.5}}},
+    {"representation": "normal", "coordinates": ["x"]},
+    {"representation": "normal", "coordinates": {"H1": [1, 2]}},
+    {"representation": "steps", "steps": 5},
+], ids=["count-str", "count-null", "count-bool", "count-fraction", "coordinates-list",
+        "chords-list", "steps-int"])
+def test_ill_typed_document_exit_code(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": "goeritz-curve/1", **doc}))
+    assert main(["validate", "--in", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unembeddable_input_exit_code(tmp_path):
     steps = [["A1", "H1"], ["B1", "H3"], ["Z2", "H4"], ["B2", "H2"],
              ["Z1", "H1"], ["X1", "H2"], ["A2", "H4"], ["X2", "H3"]]

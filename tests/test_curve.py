@@ -205,6 +205,45 @@ def test_multicomponent_document_rejected():
                      "coordinates": doubled})
 
 
+def _with_first_count(count):
+    doc = cm.coordinates_doc(cm.normalize(cm.P_CURVE))
+    chords = next(iter(doc["coordinates"].values()))
+    chords[next(iter(chords))] = count
+    return doc
+
+
+_NORMAL = {"format": cm.CURVE_FORMAT, "representation": "normal"}
+_STEPS = {"format": cm.CURVE_FORMAT, "representation": "steps"}
+
+
+_ILL_TYPED = {
+    "count-str": _with_first_count("abc"),
+    "count-digit-str": _with_first_count("1"),
+    "count-null": _with_first_count(None),
+    "count-bool": _with_first_count(True),
+    "count-fraction": _with_first_count(1.5),
+    "count-float": _with_first_count(1.0),
+    "count-list": _with_first_count([1]),
+    "coordinates-list": {**_NORMAL, "coordinates": ["x"]},
+    "coordinates-str": {**_NORMAL, "coordinates": "H1"},
+    "chords-list": {**_NORMAL, "coordinates": {"H1": [1, 2]}},
+    "chords-null": {**_NORMAL, "coordinates": {"H1": None}},
+    "pair-int": {**_NORMAL, "coordinates": {"H1": {1: 1}}},
+    "steps-int": {**_STEPS, "steps": 5},
+    "steps-null": {**_STEPS, "steps": None},
+    "steps-str": {**_STEPS, "steps": "A1H1"},
+    "step-int": {**_STEPS, "steps": [5]},
+}
+
+
+@pytest.mark.parametrize("doc", _ILL_TYPED.values(), ids=_ILL_TYPED)
+def test_ill_typed_documents_raise_malformed_input(doc):
+    from goeritz2.errors import MalformedInput
+
+    with pytest.raises(MalformedInput):
+        cm.from_doc(doc)
+
+
 def test_signature_rotation_and_reversal_invariant():
     w = cm.normalize(cm.P_CURVE)
     rotated = cm.CurveWord(w.steps[1:] + w.steps[:1])

@@ -35,10 +35,23 @@ def _same_normal_form(steps):
     assert _lists(code) == oracle.normalize_steps(*_split(steps)), steps
 
 
+def _stack_pass(code):
+    """The kernel's stack pass and trim alone, without the pair-deleting pre-pass."""
+    return kernel._stack_pass(code, kernel._same_edge_pairs(code)) if len(code) > 1 else code
+
+
+def _dense(code):
+    """Does `remove_spurs` delete the spur pairs by replace before its stack pass?"""
+    return len(code) > 1 and kernel._same_edge_pairs(code).count(0) > len(kernel._SPUR_PAIRS)
+
+
 def _same_spur_pass(steps):
     old_e, old_h = _split(steps)
     oracle._remove_spurs(old_e, old_h)
-    assert _lists(kernel.remove_spurs(_code(steps))) == (old_e, old_h), steps
+    code = _code(steps)
+    out = kernel.remove_spurs(code)
+    assert _lists(out) == (old_e, old_h), steps
+    assert out == _stack_pass(code), steps
 
 
 def _walk(rng, length, backtrack):
@@ -104,12 +117,20 @@ def test_ladder_inputs_match_up_to_ten_thousand_crossings(standard_curve, monkey
     monkeypatch.undo()
     assert max(len(code) for code in seen) > 15_000
     for code in seen:
-        _same_normal_form(cm.CurveWord(code).steps)
+        # the oracle's normal form starts with its spur pass, so it goes on from there
+        es, hs = _lists(code)
+        oracle._remove_spurs(es, hs)
+        spur_free = kernel.remove_spurs(code)
+        assert _lists(spur_free) == (es, hs)
+        assert spur_free == _stack_pass(code)
+        assert _lists(kernel.normalize_steps(code)[0]) == oracle.normalize_steps(es, hs)
+    dense = sum(map(_dense, seen))
+    assert 0 < dense < len(seen)  # inputs on both sides of the pre-pass threshold
 
 
 def test_random_spur_heavy_walks_match():
     rng = random.Random(11)
-    cancelled = straddling = 0
+    cancelled = straddling = dense = 0
     for _ in range(1500):
         steps = _walk(rng, rng.randint(1, 40), rng.choice((0.3, 0.6, 0.9)))
         if rng.random() < 0.3:
@@ -119,7 +140,76 @@ def test_random_spur_heavy_walks_match():
         _same_normal_form(steps)
         cancelled += not kernel.remove_spurs(_code(steps))
         straddling += steps[0][0] == steps[-1][0]
+        dense += _dense(_code(steps))
     assert cancelled > 300 and straddling > 100
+    assert 100 < dense < 1400
+
+
+def test_long_retrace_cancels_past_one_replace_round():
+    rng = random.Random(23)
+    for _ in range(4):
+        steps = _retrace(_walk(rng, 2000, 0.0))
+        code = _code(_rotate(steps, rng.randrange(len(steps))))
+        assert _dense(code)
+        once = code
+        for pair in kernel._SPUR_PAIRS:
+            once = once.replace(pair, b"")
+        assert len(once) > len(code) // 2  # one replace round peels off a level or two
+        assert kernel.remove_spurs(code) == _stack_pass(code) == b""
+
+
+def test_runs_of_same_edge_steps_match():
+    # a step that crosses back and forth over one edge three or more times
+    rng = random.Random(29)
+    for _ in range(200):
+        steps = _rotate(_walk(rng, rng.randint(60, 200), 0.85), rng.randrange(60))
+        edges = [e for e, _ in steps]
+        assert any(edges[i] == edges[i + 1] == edges[i + 2] for i in range(len(edges) - 2))
+        assert _dense(_code(steps))
+        _same_spur_pass(steps)
+
+
+def _disk_reference(code, system):
+    stack = []
+    for c in code.translate(cm._CURVE_OF_BYTE, cm._ABC_BYTES if system == "V" else cm._XYZ_BYTES):
+        if stack and stack[-1] == c:
+            stack.pop()
+        else:
+            stack.append(c)
+    return not stack
+
+
+def _nested(rng, depth):
+    """Curve letters that cancel to nothing: blocks c + (nested word) + c."""
+    if depth <= 0:
+        return []
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        c = rng.randrange(6)
+        out += [c] + _nested(rng, depth - rng.randint(1, 2)) + [c]
+    return out
+
+
+def test_bounds_disk_matches_a_stack_reference():
+    # the disk test reads only the crossed curves: any byte of a curve's edges stands for it
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(3000):
+        kind = rng.randrange(3)
+        if kind == 0:
+            letters = [rng.randrange(6) for _ in range(rng.randint(0, 40))]
+        else:
+            letters = _nested(rng, rng.randint(1, 5))
+            if kind == 2 and letters:  # one letter dropped or doubled
+                i = rng.randrange(len(letters))
+                letters[i:i + 1] = rng.choice(([], [letters[i]] * 2, [letters[i]] * 3))
+        code = bytes(4 * (2 * c + rng.randrange(2)) + rng.randrange(4) for c in letters)
+        for system in "VW":
+            verdict = cm._bounds_disk(code, system)
+            assert verdict == _disk_reference(code, system), (letters, system)
+            verdicts.add((kind, verdict))
+    # nested words cancel in either system; the others go both ways
+    assert verdicts == {(0, False), (0, True), (1, True), (2, False), (2, True)}
 
 
 @pytest.mark.parametrize("passes", [1, 2, kernel._PREFILTER_PASSES])
