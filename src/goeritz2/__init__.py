@@ -9,17 +9,14 @@ certificate, and a breadth-first atlas of realized intersection triples.
 from .curve import (
     CurveWord,
     Counts,
-    CurveSignature,
     P_CURVE,
     PUSHOFFS,
     arc_census,
-    canonical_form,
     counts,
     from_doc,
     from_normal_coordinates,
     is_separating,
     normalize,
-    signature,
     to_doc,
     validate,
 )
@@ -45,25 +42,23 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the generator-action memo, the signature cache and the set of
-    verified words.
+    """Empty the generator-action memo and the set of verified words.
 
-    All three hold pure functions of a curve's code, so clearing changes no
+    Both hold pure functions of a curve's code, so clearing changes no
     result, only how much work the next calls repeat.
     """
     from . import action, curve
     action._act.cache_clear()
-    curve._SIGNATURE_CACHE.clear()
     curve._VERIFIED.clear()
 
 
 __all__ = [
-    "AtlasStore", "Counts", "CurveSignature", "CurveWord", "P_CURVE", "PUSHOFFS",
+    "AtlasStore", "Counts", "CurveWord", "P_CURVE", "PUSHOFFS",
     "ReductionCertificate", "SurfaceComplex", "apply_generator", "apply_twist",
     "apply_word", "arc_census", "arc_pi1_words", "bounds_disk", "build_complex",
-    "canonical_form", "check_word_constraints", "classify", "clear_caches",
+    "check_word_constraints", "classify", "clear_caches",
     "complex_symmetry", "counts", "curve_key", "enumerate_atlas", "express_from_standard",
     "from_doc", "from_normal_coordinates", "is_reducing", "is_separating",
     "is_standard", "lambda_triples", "normalize", "parse_goeritz_word",
-    "reduce_to_standard", "signature", "to_doc", "validate",
+    "reduce_to_standard", "to_doc", "validate",
 ]

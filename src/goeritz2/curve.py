@@ -5,15 +5,14 @@ each step records the edge crossed and the hexagon entered.  The in-hexagon
 arcs are then chords between sides, and a curve is embeddable iff its chords
 can be drawn disjointly.  Minimal position is reached by removing spurs and
 generalized bigons (kernel), after which the word is re-embedded canonically
-from its normal coordinates and corner passes are slid to a fixed side.
+from its normal coordinates.  Two curves are compared by
+`action.curve_key`, their 24 intersection numbers.
 
 A word is stored as its code, one byte 4e+h per step (`CurveWord.code`);
-`steps` decodes it on demand.  The kernel, re-embedding, rotation, counts and
-the signature cache all work on the code: curve counts are one `translate`
-and six `count`s, and the least rotation is found by slice comparisons among
-the positions of the least byte, which membership tests find.  The
-signature cache is keyed by the code it is given, so a hit skips
-normalization; it holds 200,000 entries and evicts the oldest one when full.
+`steps` decodes it on demand.  The kernel, re-embedding, rotation and counts
+all work on the code: curve counts are one `translate` and six `count`s, and
+the least rotation is found by slice comparisons among the positions of the
+least byte, which membership tests find.
 
 Arc and disk queries read subsequences of the code.  An arc runs from one
 A/B/C crossing to the next and stays in the pants it enters, as every X/Y/Z
@@ -43,7 +42,7 @@ rotations whose trace passed, and `_reembed` and `validate` trace only a
 word not in it.  A word whose trace raises is never recorded.  The set is
 bounded by 128 KiB of codes, which holds every distinct word of the depth-6
 atlas and its round trips, and evicts the oldest words first.
-`goeritz2.clear_caches()` empties it with the other caches.
+`goeritz2.clear_caches()` empties it with the generator-action memo.
 """
 
 from __future__ import annotations
@@ -522,11 +521,6 @@ def _reversed(w: bytes) -> bytes:
     return w[::-1].translate(_REVERSED)
 
 
-def canonical_steps(w: CurveWord) -> tuple[Step, ...]:
-    """Rotation-minimal form of the step list (traversal orientation preserved)."""
-    return CurveWord(_least_rotation(w.code)).steps
-
-
 def canonical_unoriented(w: CurveWord) -> bytes:
     """Rotation- and reversal-minimal form of the code."""
     return min(_least_rotation(w.code), _least_rotation(_reversed(w.code)))
@@ -563,24 +557,6 @@ def normalize(w: CurveWord) -> CurveWord:
     if not code:
         raise EmptyAfterNormalization("curve is null-homotopic")
     return _reembed(code)
-
-
-def canonical_form(w: CurveWord) -> CurveWord:
-    """Minimal position with corner passes slid to the index-1 side.
-
-    Only slides that keep the word realizable are performed (a slide shifts
-    the fan position of the neighboring chords, which can collide with other
-    strands); each successful slide removes one index-2 A/B/C crossing, so
-    the loop terminates.  Used by signatures only: the library stores and
-    returns `normalize()` words.
-
-    The result depends on the route: over all words in b, B, d, D of length
-    <= 6, 8 of the 303 signature classes hold two canonical words, even up to
-    rotation and reversal.  Each slide is decided at its vertex (`slides`),
-    and one `_reembed` verifies the result.
-    """
-    from .slides import slide_corners  # builds on the re-embedding in this module
-    return _reembed(_encode(slide_corners(list(canonical_steps(ensure_normal(w))))))
 
 
 def _trace(w: bytes) -> tuple[list[int], list[int], int]:
@@ -655,6 +631,25 @@ def ensure_normal(w: CurveWord) -> CurveWord:
     return w if w.normalized else normalize(w)
 
 
+def canonical_form(w: CurveWord) -> CurveWord:
+    """The `normalize()` word of w.
+
+    The name exists only for the benchmark's tracer, which looks it up, and
+    goes away with ROADMAP item 5.
+    """
+    return ensure_normal(w)
+
+
+def signature(w: CurveWord) -> tuple[int, ...]:
+    """The 24 intersection numbers of w (`action.curve_key`).
+
+    The name exists only for the benchmark's tracer, which looks it up, and
+    goes away with ROADMAP item 5.
+    """
+    from .action import curve_key  # action builds on this module
+    return curve_key(w)
+
+
 # ------------------------------------------------------------------- queries
 
 
@@ -708,13 +703,10 @@ class Arc:
         return _ARC_OF_ENDS[96 * self.start_edge + 4 * self.end_edge][0]
 
 
-# type and sorted edge tokens of an arc between A/B/C edges e and f
-_ARC_OF_EDGES = {
-    (e, f): ("".join(sorted(CURVE_NAMES[EDGE_CURVE[e]] + CURVE_NAMES[EDGE_CURVE[f]])),
-             tuple(sorted((EDGE_TOKENS[e], EDGE_TOKENS[f])))) for e in range(6) for f in range(6)}
-# (type, pants, edge tokens) of the arc from A/B/C step byte x to y: _ARC_OF_ENDS[24x+y]
-_ARC_OF_ENDS = tuple((t, HEX_PANTS[x & 3], pair) for x in range(24) for y in range(24)
-                     for t, pair in [_ARC_OF_EDGES[x >> 2, y >> 2]])
+# (type, pants) of the arc from A/B/C step byte x to y: _ARC_OF_ENDS[24x+y]
+_ARC_OF_ENDS = tuple(
+    ("".join(sorted(CURVE_NAMES[EDGE_CURVE[x >> 2]] + CURVE_NAMES[EDGE_CURVE[y >> 2]])),
+     HEX_PANTS[x & 3]) for x in range(24) for y in range(24))
 _IS_ABC = bytes(x < 48 and EDGE_CURVE[x >> 2] < 3 for x in range(256))
 _HEX_OF_BYTE = bytes(x & 3 for x in range(256))
 
@@ -724,8 +716,8 @@ def _arc_starts(code: bytes) -> list[int]:
     return list(compress(count(), code.translate(_IS_ABC)))
 
 
-def _arc_ends(code: bytes) -> list[tuple[str, int, tuple[str, str]]]:
-    """(type, pants, edge tokens) of each arc, read from its two ends."""
+def _arc_ends(code: bytes) -> list[tuple[str, int]]:
+    """(type, pants) of each arc, read from its two ends."""
     ends = bytes(map(code.__getitem__, _arc_starts(code)))
     return [_ARC_OF_ENDS[24 * x + y] for x, y in zip(ends, ends[1:] + ends[:1])]
 
@@ -751,64 +743,17 @@ def arc_census(w: CurveWord) -> dict[tuple[str, int], int]:
     return _census(_arc_ends(ensure_normal(w).code))
 
 
-def _census(arcs: list[tuple[str, int, tuple[str, str]]]) -> dict[tuple[str, int], int]:
+def _census(arcs: list[tuple[str, int]]) -> dict[tuple[str, int], int]:
     """Arc-type counts per pair of pants; raises if a forbidden pair coexists."""
     census = {(t, i): 0 for t in ARC_TYPES for i in (1, 2)}
-    for t, i, _ in arcs:
-        census[t, i] += 1
+    for arc in arcs:
+        census[arc] += 1
     for t1, t2 in _FORBIDDEN_PAIRS:
         for i in (1, 2):
             if census[(t1, i)] and census[(t2, i)]:
                 raise NotEmbeddable(
                     f"incompatible arc types {t1},{t2} coexist on pants {i}")
     return census
-
-
-@dataclass(frozen=True)
-class CurveSignature:
-    """Computable invariant bundle used as the working equality test."""
-
-    counts: tuple[int, ...]
-    census: tuple[int, ...]
-    disk_v: bool
-    disk_w: bool
-    refined: tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]
-
-    def triple(self) -> tuple[int, int, int]:
-        return self.counts[:3]
-
-    def key(self) -> str:
-        return json.dumps(
-            [self.counts, self.census, self.disk_v, self.disk_w,
-             [list(map(list, r)) for r in self.refined]],
-            separators=(",", ":"))
-
-
-# Signatures by the code they were asked for, oldest first.
-_SIGNATURE_CACHE_SIZE = 200_000
-_SIGNATURE_CACHE: OrderedDict[bytes, CurveSignature] = OrderedDict()
-
-
-def signature(w: CurveWord) -> CurveSignature:
-    cached = _SIGNATURE_CACHE.get(w.code)
-    if cached is not None:
-        return cached
-    sig = _signature_of_canonical(canonical_form(w))
-    _SIGNATURE_CACHE[w.code] = sig
-    if len(_SIGNATURE_CACHE) > _SIGNATURE_CACHE_SIZE:
-        _SIGNATURE_CACHE.popitem(last=False)
-    return sig
-
-
-def _signature_of_canonical(w: CurveWord) -> CurveSignature:
-    arcs = _arc_ends(w.code)
-    return CurveSignature(
-        counts=counts(w).as_tuple(),
-        census=tuple(_census(arcs).values()),
-        disk_v=_bounds_disk(w.code, "V"),
-        disk_w=_bounds_disk(w.code, "W"),
-        refined=tuple(tuple(sorted(pair for _, i, pair in arcs if i == k)) for k in (1, 2)),
-    )
 
 
 # ------------------------------------------------------------- serialization

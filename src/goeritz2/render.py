@@ -9,9 +9,9 @@ in their order on the edge in the normal embedding, so no two chords cross.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
-from .curve import _ORIGIN, CurveWord, counts, ensure_normal
-from .slides import Slides
+from .curve import _ORIGIN, CurveWord, _trace, counts, ensure_normal
 from .surface import CORNER_AFTER, EDGE_TOKENS, HEX_SIDES, HEX_TOKENS, SIDE_POS, VERTEX_TOKENS
 
 _CENTERS = {0: (160.0, 160.0), 1: (480.0, 160.0), 2: (160.0, 480.0), 3: (480.0, 480.0)}
@@ -37,6 +37,19 @@ def _crossing_point(h: int, e: int, slot: int, total: int) -> tuple[float, float
     if _ORIGIN[e] != start_vertex:
         t = 1.0 - t
     return (x1 + (x2 - x1) * t, y1 + (y2 - y1) * t)
+
+
+def _ranks(code: bytes) -> tuple[list[int], list[int]]:
+    """Each crossing's rank along its edge (0 nearest the edge's origin) and
+    each edge's crossing count.  The normal curve numbers the slots edge by
+    edge, so position p's rank is its traced slot minus the slots of the
+    edges before its own."""
+    _, path, r = _trace(code)
+    n, size = len(code), [0] * 12
+    for x in code:
+        size[x >> 2] += 1
+    base = list(accumulate(size, initial=0))
+    return [(path[(p - r) % n] >> 1) - base[code[p] >> 2] for p in range(n)], size
 
 
 def render_svg(w: CurveWord | None = None, title: str = "") -> str:
@@ -65,14 +78,14 @@ def render_svg(w: CurveWord | None = None, title: str = "") -> str:
                          f'class="vert">{VERTEX_TOKENS[CORNER_AFTER[(p - 1) % 6]]}</text>')
     if w is not None:
         w = ensure_normal(w)
-        ranks = Slides(list(w.steps))
+        rank, size = _ranks(w.code)
         steps = w.steps
         n = len(steps)
         for i in range(n):
             h = steps[i][1]
             e_in, e_out = steps[i][0], steps[(i + 1) % n][0]
-            p1 = _crossing_point(h, e_in, ranks.rank(i), ranks.size[e_in])
-            p2 = _crossing_point(h, e_out, ranks.rank((i + 1) % n), ranks.size[e_out])
+            p1 = _crossing_point(h, e_in, rank[i], size[e_in])
+            p2 = _crossing_point(h, e_out, rank[(i + 1) % n], size[e_out])
             parts.append(f'<path class="curve" d="M {p1[0]:.1f} {p1[1]:.1f} '
                          f'L {p2[0]:.1f} {p2[1]:.1f}"/>')
         c = counts(w)

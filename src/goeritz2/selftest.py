@@ -33,7 +33,7 @@ from .handlebody import (
     theta_word,
     word_str,
 )
-from .surface import CURVE_NAMES, EDGE_CURVE, EDGE_TOKENS, HEX_PANTS, B, Z
+from .surface import CURVE_NAMES, EDGE_CURVE, HEX_PANTS, B, Z
 from .surface import build_complex, complex_symmetry
 
 
@@ -106,10 +106,10 @@ def _checks(quick: bool):
             assert red.verify_certificate(cert, w), word
 
     def beta_realization():
-        assert cm.signature(apply_generator(P, "beta")) == cm.signature(P)
+        assert curve_key(apply_generator(P, "beta")) == curve_key(P)
         for word, w in corpus[:6]:
             bb = apply_generator(apply_generator(w, "beta"), "beta")
-            assert cm.signature(bb) == cm.signature(twist_about_p(w)), word
+            assert curve_key(bb) == curve_key(twist_about_p(w)), word
 
     def half_twist_route():
         # beta^+-1 as two quarter turns against six single twists, and the full
@@ -136,8 +136,8 @@ def _checks(quick: bool):
                 tuple(h for _, h in s[1:-1])) for s in walks], word
             ends = [(s[0][0], s[-1][0], HEX_PANTS[s[0][1]]) for s in walks]
             assert cm._arc_ends(w.code) == [
-                ("".join(sorted(CURVE_NAMES[EDGE_CURVE[e]] + CURVE_NAMES[EDGE_CURVE[f]])), i,
-                 tuple(sorted((EDGE_TOKENS[e], EDGE_TOKENS[f])))) for e, f, i in ends], word
+                ("".join(sorted(CURVE_NAMES[EDGE_CURVE[e]] + CURVE_NAMES[EDGE_CURVE[f]])), i)
+                for e, f, i in ends], word
             census = Counter((a.type, a.pants) for a in cm.split_arcs(w))
             assert cm.arc_census(w) == {k: census[k] for k in cm.arc_census(w)}, word
 

@@ -114,22 +114,6 @@ def fence_edge(vertex: int, curve: int, side: int) -> int:
     raise InternalInvariantError("no fence edge")
 
 
-def hex_neighbors(h: int, e: int) -> tuple[int, int]:
-    """The two sides adjacent to side e in hexagon h (previous, next in stored order)."""
-    p = SIDE_POS[h][e]
-    sides = HEX_SIDES[h]
-    return sides[(p - 1) % 6], sides[(p + 1) % 6]
-
-
-def shared_vertex(e1: int, e2: int) -> int:
-    """The common endpoint of two adjacent edges."""
-    s = set(EDGE_ENDPOINTS[e1]) & set(EDGE_ENDPOINTS[e2])
-    if len(s) != 1:
-        raise InternalInvariantError(
-            f"edges {EDGE_TOKENS[e1]},{EDGE_TOKENS[e2]} share {len(s)} vertices")
-    return next(iter(s))
-
-
 def fan_key_from(h: int, e: int, e2: int, vertex: int) -> int:
     """Rank of the chord class {e, e2} along side e of h, counted from `vertex`.
 

@@ -1,6 +1,6 @@
-"""Reference arc readings: the step-walking `split_arcs`, `_census` and
-refined pairs that `goeritz2.curve` replaced with one reader of the A/B/C
-positions of the code, kept as a test oracle.
+"""Reference arc readings: the step-walking `split_arcs` and `_census` that
+`goeritz2.curve` replaced with one reader of the A/B/C positions of the
+code, kept as a test oracle.
 
 `split_arcs` decodes the word into step tuples and walks from each A/B/C
 crossing to the next, checking that every inner crossing enters a hexagon of
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from goeritz2.curve import ARC_TYPES, Arc, ensure_normal
 from goeritz2.errors import InternalInvariantError
-from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, EDGE_TOKENS, HEX_PANTS
+from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, HEX_PANTS
 
 
 def arc_type(arc: Arc) -> str:
@@ -47,11 +47,3 @@ def census(arcs: list[Arc]) -> dict[tuple[str, int], int]:
         out[(arc_type(arc), arc.pants)] += 1
     return out
 
-
-def refined(arcs: list[Arc]) -> tuple[tuple[tuple[str, str], ...], ...]:
-    """Sorted edge-token pairs of the arcs, per pair of pants."""
-    pairs: tuple[list, list] = ([], [])
-    for arc in arcs:
-        pairs[arc.pants - 1].append(
-            tuple(sorted((EDGE_TOKENS[arc.start_edge], EDGE_TOKENS[arc.end_edge]))))
-    return tuple(sorted(pairs[0])), tuple(sorted(pairs[1]))

@@ -18,8 +18,8 @@ CORPUS_MAX_LEN = 6
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Start every test with an empty action memo and signature cache, so a
-    test that captures or patches internals sees every call it expects."""
+    """Start every test with an empty action memo and set of verified words,
+    so a test that captures or patches internals sees every call it expects."""
     goeritz2.clear_caches()
 
 
@@ -28,12 +28,28 @@ def standard_curve():
     return curve.normalize(curve.P_CURVE)
 
 
+# A minimal word of apply_word(P, "dbdbdb") whose corner passes were slid to
+# one side, so it differs from that curve's normalize() word.
+KERNEL_DEFECT_CODE = bytes.fromhex(
+    "000a00291802271e08021019071e0802271e00291802271e08021f261019280208021f26"
+    "000a1f051812000a1f26001928021f26000a1f051812271e")
+
+
+@pytest.fixture(scope="session")
+def kernel_defect_word():
+    """A normalized word on which beta^-1 raises InternalInvariantError: the
+    kernel slides a bigon run that is not innermost (ROADMAP item 3)."""
+    w = curve.normalize(curve.CurveWord(KERNEL_DEFECT_CODE))
+    assert w.code == KERNEL_DEFECT_CODE
+    return w
+
+
 @pytest.fixture(scope="session")
 def unembedded_word():
     """A closed chain that passes the chord-class and edge-order checks but is
     not embedded: its class counts re-embed as a curve with another word.  It
-    is the kernel output of the fifth twist of beta^-1 on
-    canonical_form(apply_word(P, "dbdbdb"))."""
+    is the kernel output of the fifth twist of beta^-1, applied as single
+    twists, on `kernel_defect_word`."""
     return [["B2", "H4"], ["X2", "H3"], ["Y2", "H4"], ["B2", "H2"], ["Z1", "H1"],
             ["Y1", "H2"], ["B2", "H4"], ["Y2", "H3"], ["C1", "H1"], ["Z1", "H2"],
             ["B2", "H4"], ["A2", "H2"], ["B2", "H4"], ["Y2", "H3"], ["B1", "H1"],

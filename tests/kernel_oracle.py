@@ -1,11 +1,11 @@
-"""Reference kernel: the quadratic spur removal, bigon-run search and slide
+"""Reference kernel: the list-based spur removal, bigon-run search and slide
 on parallel lists of edges and hexagons, which the step-byte kernel of
 `goeritz2.kernel` replaced, kept as a test oracle.
 
-`_remove_spurs` rescans the word from index 0 after every cancelled pair and
-deletes the pair in place, so it is quadratic in the number of spurs.  The
-surface tables are kept as flat copies (an edge that is not a side of a
-hexagon maps to -1), as they were in the replaced module.
+`_remove_spurs` deletes each cancelled pair in place and resumes its scan
+just before the pair, so it cancels the pairs in the order a rescan from
+index 0 would.  The surface tables are kept as flat copies (an edge that is
+not a side of a hexagon maps to -1), as they were in the replaced module.
 """
 
 from __future__ import annotations
@@ -47,14 +47,20 @@ _NEIGHBORS = tuple(
 
 
 def _remove_spurs(es: list[int], hs: list[int]) -> bool:
-    """Remove one round of spur pairs; True if anything changed."""
-    changed = False
+    """Remove one round of spur pairs; True if anything changed.
+
+    Each pass cancels the first spur pair from index 0.  No pair before it
+    is a spur, and deleting it changes only the pair it leaves behind at
+    index hit - 1 (or, when the pair wraps round the end, the last one), so
+    the next search resumes there and deletes the pairs a restart from 0
+    would."""
+    changed, start = False, 0
     while True:
         n = len(es)
         if n < 2:
             return changed
         hit = -1
-        for i in range(n):
+        for i in range(start, n):
             if es[i] == es[(i + 1) % n]:
                 hit = i
                 break
@@ -65,6 +71,7 @@ def _remove_spurs(es: list[int], hs: list[int]) -> bool:
         for k in sorted((hit, j), reverse=True):
             del es[k]
             del hs[k]
+        start = min(max(hit - 1, 0), n - 3)
 
 
 def _find_run(es: list[int], hs: list[int]) -> tuple[int, list[int], int] | None:

@@ -13,6 +13,10 @@ chord classes, several dict operations per crossing) but direct.
 laid out only present fan ends and walked exactly n - 1 successors: class
 counts from a set of arc classes, a successor table filled by two `range`
 slices per chord class, and a walk of every component.
+
+`slide_pass` and `crosses_index2_corner` build the corner-slid words of an
+earlier canonical form, which the table-driven re-embedding must accept or
+reject as this reference does.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ from goeritz2.curve import CurveWord, reversed_steps
 from goeritz2.errors import InconsistentCoordinates, InternalInvariantError, NotEmbeddable
 from goeritz2.surface import (
     CORNER_AFTER,
+    EDGE_CURVE,
     EDGE_ENDPOINTS,
     EDGE_HEXES,
     EDGE_TOKENS,
+    HEX_SIDES,
     HEX_TOKENS,
     OTHER_HEX,
     SIDE_POS,
@@ -319,3 +325,32 @@ def trace(w):
             raise InternalInvariantError("re-embedding changed the cyclic word")
         path.reverse()
     return counts, path, r
+
+
+# (e, f) for every two sides e, f of a hexagon that meet at a corner
+_CORNERS = {(sides[p], sides[(p + d) % 6]) for sides in HEX_SIDES for p in range(6)
+            for d in (1, -1)}
+
+
+def crosses_index2_corner(steps, i):
+    """Is arc i a corner pass crossing an index-2 A/B/C edge?"""
+    e1, e2 = steps[i][0], steps[(i + 1) % len(steps)][0]
+    return (e1, e2) in _CORNERS and bool((e1 if EDGE_CURVE[e1] < 3 else e2) & 1)
+
+
+def slide_pass(steps, i):
+    """Slide the corner pass at arc i across its vertex (crossing order swaps)."""
+    n = len(steps)
+    j = (i + 1) % n
+    e1, h1 = steps[i]
+    e2, h2 = steps[j]
+    h_prev = OTHER_HEX[e1][h1]
+    e1p, e2p = e2 ^ 1, e1 ^ 1
+    h1p = OTHER_HEX[e1p][h_prev]
+    h2p = OTHER_HEX[e2p][h1p]
+    if h2p != h2:
+        raise InternalInvariantError("corner slide broke the chain")
+    out = list(steps)
+    out[i] = (e1p, h1p)
+    out[j] = (e2p, h2p)
+    return tuple(out)

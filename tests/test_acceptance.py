@@ -10,7 +10,7 @@ import goeritz2
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import reduction as red
-from goeritz2.action import apply_generator, apply_word, twist_about_p
+from goeritz2.action import apply_generator, apply_word, curve_key, twist_about_p
 from goeritz2.handlebody import (
     arc_pi1_words,
     arc_word,
@@ -123,7 +123,7 @@ def test_criterion_5_structure_suite(corpus):
 
 
 def test_criterion_6_reduction_round_trip(corpus, standard_curve):
-    p_sig = cm.signature(standard_curve)
+    p_key = curve_key(standard_curve)
     for word, w in corpus:
         c0 = cm.counts(w).total_abc()
         cert = red.reduce_to_standard(w)
@@ -139,23 +139,23 @@ def test_criterion_6_reduction_round_trip(corpus, standard_curve):
                 assert new == total, word
             total = new
         assert total == 2, word
-        assert cm.signature(apply_word(w, cert.word)) == p_sig, word
+        assert curve_key(apply_word(w, cert.word)) == p_key, word
         back = apply_word(standard_curve, red.express_from_standard(cert))
-        assert cm.signature(back) == cm.signature(w), word
+        assert curve_key(back) == curve_key(w), word
     _report("6 reduction round trip on %d curves" % len(corpus))
 
 
 def test_criterion_7_half_twist_realization(corpus, standard_curve):
     P = standard_curve
-    assert cm.signature(apply_generator(P, "beta")) == cm.signature(P)
+    assert curve_key(apply_generator(P, "beta")) == curve_key(P)
     for word, w in corpus[:50]:
         bb = apply_word(w, "bb")
-        assert cm.signature(bb) == cm.signature(twist_about_p(w, 1)), word
+        assert curve_key(bb) == curve_key(twist_about_p(w, 1)), word
     eta1 = apply_generator(cm.PUSHOFFS["A"], "beta")
     fixture = cm.CurveWord.from_tokens(
         [["Y1", "H2"], ["A2", "H4"], ["X2", "H3"], ["A1", "H1"],
          ["Z1", "H2"], ["X1", "H1"]])
-    assert cm.signature(eta1) == cm.signature(fixture)
+    assert curve_key(eta1) == curve_key(fixture)
     _report("7 half-twist realization (fixed curve, squared twist, eta1 fixture)")
 
 

@@ -17,6 +17,7 @@ from goeritz2.action import (
     apply_generator,
     apply_twist,
     apply_word,
+    curve_key,
     format_goeritz_word,
     invert_goeritz_word,
     parse_goeritz_word,
@@ -49,13 +50,13 @@ def test_word_parsing():
 
 def test_twist_fixes_own_pushoff():
     pb = cm.normalize(cm.PUSHOFFS["B"])
-    assert cm.signature(twist_system(pb, "B", 1)) == cm.signature(pb)
+    assert curve_key(twist_system(pb, "B", 1)) == curve_key(pb)
 
 
 def test_twist_fixes_disjoint_curve():
     P = cm.normalize(cm.P_CURVE)
-    assert cm.signature(twist_system(P, "B", 1)) == cm.signature(P)
-    assert cm.signature(twist_system(P, "Y", -1)) == cm.signature(P)
+    assert curve_key(twist_system(P, "B", 1)) == curve_key(P)
+    assert curve_key(twist_system(P, "Y", -1)) == curve_key(P)
 
 
 def test_twist_about_z_on_a_pushoff_matches_hand_trace():
@@ -73,20 +74,20 @@ def test_twist_preserves_rail_count(corpus):
 def test_twist_inverse_pair(corpus):
     for _, w in corpus[:20]:
         back = twist_system(twist_system(w, "Z", 1), "Z", -1)
-        assert cm.signature(back) == cm.signature(w)
+        assert curve_key(back) == curve_key(w)
 
 
 def test_apply_twist_accepts_pushoff_word():
     pa = cm.PUSHOFFS["A"]
     via_name = twist_system(pa, "Z", 1)
     via_word = apply_twist(pa, cm.PUSHOFFS["Z"], "right")
-    assert cm.signature(via_name) == cm.signature(via_word)
+    assert curve_key(via_name) == curve_key(via_word)
 
 
 def test_apply_twist_accepts_standard_curve():
     pa = cm.PUSHOFFS["A"]
-    assert cm.signature(apply_twist(pa, cm.P_CURVE, "right")) == \
-        cm.signature(twist_about_p(pa, 1))
+    assert curve_key(apply_twist(pa, cm.P_CURVE, "right")) == \
+        curve_key(twist_about_p(pa, 1))
 
 
 def test_apply_twist_rejects_unknown_rail():
@@ -105,31 +106,30 @@ def test_delta_sends_standard_to_prime():
 
 
 def test_beta_fixes_standard_curve():
-    assert cm.signature(apply_generator(cm.P_CURVE, "beta")) == cm.signature(cm.P_CURVE)
-    assert cm.signature(apply_generator(cm.P_CURVE, "beta_inv")) == cm.signature(cm.P_CURVE)
+    assert curve_key(apply_generator(cm.P_CURVE, "beta")) == curve_key(cm.P_CURVE)
+    assert curve_key(apply_generator(cm.P_CURVE, "beta_inv")) == curve_key(cm.P_CURVE)
 
 
 def test_beta_on_a_pushoff_matches_fixture():
     eta1 = apply_generator(cm.PUSHOFFS["A"], "beta")
     assert cm.counts(eta1).as_tuple() == (2, 0, 0, 2, 1, 1)
-    assert cm.signature(eta1) == cm.signature(ETA1_FIXTURE)
+    assert curve_key(eta1) == curve_key(ETA1_FIXTURE)
 
 
 def test_beta_and_inverse_differ_on_a_pushoff():
     eta1 = apply_generator(cm.PUSHOFFS["A"], "beta")
     eta2 = apply_generator(cm.PUSHOFFS["A"], "beta_inv")
-    assert cm.canonical_unoriented(cm.canonical_form(eta1)) != \
-        cm.canonical_unoriented(cm.canonical_form(eta2))
+    assert curve_key(eta1) != curve_key(eta2)
 
 
 def test_generator_word_identities(standard_curve):
     P = standard_curve
-    sig = cm.signature(P)
-    assert cm.signature(apply_word(P, "ddd")) == sig
-    assert cm.signature(apply_word(P, "bB")) == sig
-    assert cm.signature(apply_word(P, "dD")) == sig
-    assert cm.signature(apply_word(P, "gg")) == sig
-    assert cm.signature(apply_word(P, "aa")) == sig
+    key = curve_key(P)
+    assert curve_key(apply_word(P, "ddd")) == key
+    assert curve_key(apply_word(P, "bB")) == key
+    assert curve_key(apply_word(P, "dD")) == key
+    assert curve_key(apply_word(P, "gg")) == key
+    assert curve_key(apply_word(P, "aa")) == key
 
 
 def test_count_laws_on_corpus_sample(corpus):
@@ -148,14 +148,14 @@ def test_count_laws_on_corpus_sample(corpus):
 
 def test_beta_inverse_identity_on_corpus(corpus):
     for word, w in corpus[:25]:
-        assert cm.signature(apply_word(w, "bB")) == cm.signature(w), word
-        assert cm.signature(apply_word(w, "Bb")) == cm.signature(w), word
+        assert curve_key(apply_word(w, "bB")) == curve_key(w), word
+        assert curve_key(apply_word(w, "Bb")) == curve_key(w), word
 
 
 def test_beta_squared_is_twist_about_standard_curve(corpus):
     for word, w in corpus[:12]:
         bb = apply_word(w, "bb")
-        assert cm.signature(bb) == cm.signature(twist_about_p(w, 1)), word
+        assert curve_key(bb) == curve_key(twist_about_p(w, 1)), word
 
 
 def test_alpha_commutes_with_everything(corpus):
@@ -163,7 +163,7 @@ def test_alpha_commutes_with_everything(corpus):
         for g in ("beta", "gamma", "delta"):
             lhs = apply_generator(apply_generator(w, "alpha"), g)
             rhs = apply_generator(apply_generator(w, g), "alpha")
-            assert cm.signature(lhs) == cm.signature(rhs), (word, g)
+            assert curve_key(lhs) == curve_key(rhs), (word, g)
 
 
 def test_unknown_generator_rejected():
@@ -250,9 +250,9 @@ def test_memo_hit_equals_a_cold_recomputation(corpus):
             assert again is not first and again.normalized
 
 
-def test_a_failing_action_is_not_memoized(standard_curve):
+def test_a_failing_action_is_not_memoized(kernel_defect_word):
     # the word of the strict xfail in test_canonical.py
-    w = cm.canonical_form(apply_word(standard_curve, "dbdbdb"))
+    w = kernel_defect_word
     size = action._act.cache_info().currsize
     for _ in range(2):
         with pytest.raises(InternalInvariantError):

@@ -6,6 +6,7 @@ import pytest
 
 from goeritz2 import action, kernel
 from goeritz2 import curve as cm
+from goeritz2.action import curve_key
 from goeritz2.errors import (
     EmptyAfterNormalization,
     Goeritz2Error,
@@ -60,8 +61,8 @@ def test_vertex_encircling_word_rejected():
           ("A1", "H1"), ("Y1", "H2"), ("A2", "H4"), ("X2", "H3"))
 
 
-def test_validate_rejects_a_word_whose_counts_trace_another(standard_curve, unembedded_word):
-    w = cm.canonical_form(action.apply_word(standard_curve, "dbdbdb"))
+def test_validate_rejects_a_word_whose_counts_trace_another(kernel_defect_word, unembedded_word):
+    w = kernel_defect_word
     beta_inv_sequence = (("B", -1), ("Z", -1)) * 3  # beta^-1 as single twists
     for name, d in beta_inv_sequence[:4]:
         w = action.twist_system(w, name, d)
@@ -105,7 +106,7 @@ def test_double_spur_word_normalizes_to_nothing():
 
 def test_normalize_fixes_standard_curve():
     n = cm.normalize(cm.P_CURVE)
-    assert cm.canonical_steps(n) == cm.canonical_steps(cm.P_CURVE)
+    assert cm._least_rotation(n.code) == cm._least_rotation(cm.P_CURVE.code)
 
 
 def test_normalize_removes_spur():
@@ -191,7 +192,7 @@ def test_coordinate_roundtrip_preserves_signature(corpus):
     for _, w in corpus[:40]:
         comps = cm.from_normal_coordinates(cm.to_coordinates(w))
         assert len(comps) == 1
-        assert cm.signature(comps[0]) == cm.signature(w)
+        assert curve_key(comps[0]) == curve_key(w)
 
 
 def test_multicomponent_document_rejected():
@@ -248,25 +249,14 @@ def test_signature_rotation_and_reversal_invariant():
     w = cm.normalize(cm.P_CURVE)
     rotated = cm.CurveWord(w.steps[1:] + w.steps[:1])
     reversed_ = cm.CurveWord(cm.reversed_steps(w.steps))
-    assert cm.signature(rotated) == cm.signature(w)
-    assert cm.signature(reversed_) == cm.signature(w)
+    assert curve_key(rotated) == curve_key(w)
+    assert curve_key(reversed_) == curve_key(w)
 
 
 def test_signature_differs_for_delta_image():
     from goeritz2.action import apply_generator
 
-    assert cm.signature(apply_generator(cm.P_CURVE, "delta")) != cm.signature(cm.P_CURVE)
-
-
-def test_full_signature_cache_evicts_oldest_first(corpus, monkeypatch):
-    monkeypatch.setattr(cm, "_SIGNATURE_CACHE_SIZE", 8)
-    words = list({w.code: w for _, w in corpus}.values())[:20]
-    expected = [cm._signature_of_canonical(cm.canonical_form(w)) for w in words]
-    assert [cm.signature(w) for w in words] == expected
-    assert list(cm._SIGNATURE_CACHE) == [w.code for w in words[-8:]]
-    assert cm.signature(words[12]) == expected[12]  # a hit keeps the order
-    assert cm.signature(words[0]) == expected[0]  # a miss evicts words[12]
-    assert list(cm._SIGNATURE_CACHE) == [w.code for w in words[13:] + words[:1]]
+    assert curve_key(apply_generator(cm.P_CURVE, "delta")) != curve_key(cm.P_CURVE)
 
 
 def test_inconsistent_coordinates_rejected():
@@ -290,11 +280,11 @@ def test_normalize_never_increases_counts():
 def test_gamma_fixes_standard_curve():
     from goeritz2.action import apply_generator
 
-    assert cm.signature(apply_generator(cm.P_CURVE, "gamma")) == cm.signature(cm.P_CURVE)
+    assert curve_key(apply_generator(cm.P_CURVE, "gamma")) == curve_key(cm.P_CURVE)
 
 
 def test_document_roundtrip(corpus):
     for _, w in corpus[:20]:
         assert cm.loads(cm.dumps(w)) == w
     doc = cm.coordinates_doc(cm.normalize(cm.P_CURVE))
-    assert cm.signature(cm.from_doc(doc)) == cm.signature(cm.P_CURVE)
+    assert curve_key(cm.from_doc(doc)) == curve_key(cm.P_CURVE)

@@ -5,8 +5,8 @@ import pytest
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import reduction as red
-from goeritz2.action import apply_generator, apply_word
-from goeritz2.curve import arc_census, counts, signature
+from goeritz2.action import apply_generator, apply_word, curve_key
+from goeritz2.curve import arc_census, counts
 from goeritz2.errors import MalformedInput, NotReducing
 
 
@@ -75,8 +75,8 @@ def test_certificate_roundtrip_small():
     w = apply_word(cm.P_CURVE, "dbD")
     cert = red.reduce_to_standard(w)
     assert red.verify_certificate(cert, w)
-    assert signature(apply_word(cm.P_CURVE, red.express_from_standard(cert))) == \
-        signature(w)
+    assert curve_key(apply_word(cm.P_CURVE, red.express_from_standard(cert))) == \
+        curve_key(w)
 
 
 def test_reduction_roundtrip_corpus(corpus):

@@ -7,7 +7,6 @@ Every check compares results, or the exception type raised, on the same input.
 
 import random
 
-import canonical_oracle
 import pytest
 import reembed_oracle as oracle
 
@@ -19,7 +18,6 @@ from goeritz2.errors import (
     MalformedWord,
     NotEmbeddable,
 )
-from goeritz2.slides import is_index2_pass
 from goeritz2.surface import (
     EDGE_HEXES,
     EDGE_OF_TOKEN,
@@ -83,8 +81,8 @@ def _traced(trace, code):
 
 def test_trace_matches_the_reference(corpus, ladders, standard_curve, unembedded_word,
                                      monkeypatch):
-    # counts, path and alignment are what `Slides` reads; a short state table
-    # makes nearly every input longer than the prefilled one
+    # counts, path and alignment are what the renderer's ranks read; a short
+    # state table makes nearly every input longer than the prefilled one
     monkeypatch.setattr(cm, "_STATES", cm._STATES[:16])
     codes = [w.code for _, w in corpus] + [w.code for w in ladders]
     codes += [cm._reversed(code) for code in codes]
@@ -176,19 +174,13 @@ def test_every_rotation_and_the_reversal(ladders):
 def test_corner_slide_candidates_accept_and_reject_alike(ladders):
     decided = set()
     for w in ladders[:6]:
-        steps = cm.canonical_steps(w)
+        steps = w.steps  # a normalized word starts at its least rotation
         for i in range(len(steps)):
-            if is_index2_pass(steps, i):
-                candidate = cm.CurveWord(canonical_oracle.slide_pass(steps, i))
+            if oracle.crosses_index2_corner(steps, i):
+                candidate = cm.CurveWord(oracle.slide_pass(steps, i))
                 _same_reembed(candidate)
                 decided.add(_outcome(cm._reembed, candidate.code)[0])
     assert decided == {"ok", "raised"}
-
-
-def test_canonical_form_unchanged(ladders, monkeypatch):
-    expected = [cm.canonical_form(w).steps for w in ladders[:6]]
-    monkeypatch.setattr(cm, "_reembed", lambda code: oracle.reembed(cm.CurveWord(code)))
-    assert [canonical_oracle.canonical_form(w).steps for w in ladders[:6]] == expected
 
 
 def test_multicomponent_and_empty_words_rejected(standard_curve):

@@ -49,9 +49,9 @@ def test_warm_codes_equal_cold_codes(corpus, ladders, traced):
     assert len(traced) - cold_traces < cold_traces // 2
 
 
-def test_a_failing_trace_is_never_recorded(standard_curve, traced):
+def test_a_failing_trace_is_never_recorded(kernel_defect_word, traced):
     # the word of the strict xfail in test_canonical.py
-    w = cm.canonical_form(apply_word(standard_curve, "dbdbdb"))
+    w = kernel_defect_word
     errors, contents = [], []
     for _ in range(2):
         with pytest.raises(InternalInvariantError) as exc:
