@@ -20,7 +20,7 @@ from .curve import (
     to_doc,
     validate,
 )
-from .action import apply_generator, apply_twist, apply_word, curve_key, parse_goeritz_word
+from .action import apply_generator, apply_twist, apply_word, parse_goeritz_word
 from .atlas import AtlasStore, enumerate_atlas, lambda_triples
 from .handlebody import (
     arc_pi1_words,
@@ -57,7 +57,7 @@ __all__ = [
     "ReductionCertificate", "SurfaceComplex", "apply_generator", "apply_twist",
     "apply_word", "arc_census", "arc_pi1_words", "bounds_disk", "build_complex",
     "check_word_constraints", "classify", "clear_caches",
-    "complex_symmetry", "counts", "curve_key", "enumerate_atlas", "express_from_standard",
+    "complex_symmetry", "counts", "enumerate_atlas", "express_from_standard",
     "from_doc", "from_normal_coordinates", "is_reducing", "is_separating",
     "is_standard", "lambda_triples", "normalize", "parse_goeritz_word",
     "reduce_to_standard", "to_doc", "validate",

@@ -39,6 +39,10 @@ that raises is not stored.  Keys and values are codes, so each call builds a
 new `CurveWord`.  An entry costs about 2n + 220 bytes for codes of n bytes,
 so a full memo holds 1.7 MB at n = 100 and 25 MB at n = 3,000; the atlas to
 depth 7 uses 1,818 entries and 0.3 MB of codes.
+
+Nothing here tells two curves apart.  Images of the standard curve are
+reducing, and two reducing curves are equal iff `reduction.reduce_to_standard`
+gives them the same certificate word.
 """
 
 from __future__ import annotations
@@ -170,29 +174,6 @@ def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord
     if not any(map(w.code.__contains__, _RAIL_BYTES[cid])):
         return w
     return normalize(CurveWord(_splice(w.code, cid, direction)))
-
-
-def curve_key(w: CurveWord) -> tuple[int, ...]:
-    """Exact equality key of a curve: 24 geometric intersection numbers.
-
-    The six counts of w, then the six counts of each of t_A^-1(w), t_B^-1(w)
-    and t_C^-1(w).  Each is the intersection number of a minimal word with a
-    system curve, so the key does not depend on the word's rotation, its
-    reversal or the route that built it.  A curve is determined by finitely
-    many intersection numbers (Fathi-Laudenbach-Poenaru, Asterisque 66-67,
-    1979).  That these 24 suffice is checked, not proved: on reducing curves
-    they agree with the reduction certificate, an exact invariant there.
-    """
-    w = ensure_normal(w)
-    key = cm.counts(w).as_tuple()
-    for name in "ABC":
-        key += cm.counts(twist_system(w, name, -1)).as_tuple()
-    return key
-
-
-def key_text(key: tuple[int, ...]) -> str:
-    """A `curve_key` as stored text: comma-joined decimals."""
-    return ",".join(map(str, key))
 
 
 def _splice(code: bytes, cid: int, direction: int) -> bytes:

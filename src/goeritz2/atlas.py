@@ -1,8 +1,8 @@
 """Breadth-first atlas of reducing curves reachable from the standard one.
 
-Images of the standard curve under generator words are deduplicated by
-`curve_key`, 24 intersection numbers that tell apart every isotopy class the
-tests reach; each record keeps the first (hence shortest) witness word, the
+Images of the standard curve under generator words are deduplicated by their
+reduction certificate word, the exact equality test of reducing curves (see
+`reduction`); each record keeps the first (hence shortest) witness word, the
 realized (a,b,c) triple, the search depth and the normalized image, which the
 next level expands.  The store is one line-delimited JSON file, so reruns can extend it
 and diffs stay readable; `load` rebuilds the index from the records.
@@ -14,17 +14,17 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .action import GENERATORS, apply_generator, curve_key, format_goeritz_word, key_text
+from .action import GENERATORS, apply_generator, format_goeritz_word
 from .curve import CurveWord, P_CURVE, from_doc, normalize, to_doc
 from .errors import MalformedInput, NotReducing
-from .handlebody import require_reducing
+from .reduction import reduce_to_standard
 
-ATLAS_FORMAT = "goeritz-atlas/2"
+ATLAS_FORMAT = "goeritz-atlas/3"
 
 
 @dataclass(frozen=True)
 class AtlasRecord:
-    key: str                       # curve_key as comma-joined text (dedup handle)
+    key: str                       # certificate word text (dedup handle)
     triple: tuple[int, int, int]
     witness: str                   # compact generator word
     depth: int
@@ -84,17 +84,17 @@ class AtlasStore:
     @staticmethod
     def load(path: str) -> "AtlasStore":
         """Read a store that `save` wrote; a malformed one raises MalformedInput
-        naming the file and the line.  A goeritz-atlas/1 store is refused: its
-        records are keyed by signature, which merges curves, so extending it
-        would add duplicates of its records."""
+        naming the file and the line.  A store of an earlier format is refused:
+        its keys (signatures in /1, 24 intersection numbers in /2) never match
+        a certificate word, so extending it would duplicate its records."""
         store = AtlasStore()
         with open(path) as fh:
             lineno = 1
             try:
                 header = _json_object(fh.readline() or "{}")  # an empty file has no format
-                if header.get("format") == "goeritz-atlas/1":
-                    raise MalformedInput("a goeritz-atlas/1 store is keyed by signature; "
-                                         "rebuild it")
+                if header.get("format") in ("goeritz-atlas/1", "goeritz-atlas/2"):
+                    raise MalformedInput(f"a {header['format']} store has keys of an "
+                                         "earlier format; rebuild it")
                 if header.get("format") != ATLAS_FORMAT:
                     raise MalformedInput(f"not a {ATLAS_FORMAT} file")
                 store.meta = {k: v for k, v in header.items() if k != "format"}
@@ -122,13 +122,11 @@ class AtlasStore:
 
 
 def _expand(item: tuple[CurveWord, str]) -> list[tuple[str, CurveWord]]:
+    """The six images of a record, each with its witness; `reduce_to_standard`
+    checks that a new one is reducing."""
     w, witness = item
-    out = []
-    for gen in GENERATORS:
-        img = apply_generator(w, gen)
-        require_reducing(img)
-        out.append((witness + format_goeritz_word([gen]), img))
-    return out
+    return [(witness + format_goeritz_word([gen]), apply_generator(w, gen))
+            for gen in GENERATORS]
 
 
 def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
@@ -143,11 +141,10 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
     store.meta["depth"] = max(depth, store.meta.get("depth", 0))
 
     base = normalize(P_CURVE)
-    key = curve_key(base)
-    store.add(AtlasRecord(key_text(key), key[:3], "", 0, to_doc(base)))
+    store.add(AtlasRecord("", (2, 0, 0), "", 0, to_doc(base)))
     # Codes keyed in this call: their keys are in the store, so an image with
-    # one of them (alpha's, or g^-1 after g) needs no key.  Records loaded from
-    # a store are not in it; their codes are keyed again when they recur.
+    # one of them (alpha's, or g^-1 after g) needs no reduction.  Records loaded
+    # from a store are not in it; their codes are keyed again when they recur.
     keyed = {base.code}
 
     for level in range(1, depth + 1):
@@ -159,13 +156,12 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
                 if img.code in keyed:
                     continue
                 keyed.add(img.code)
-                key = curve_key(img)
-                triple = key[:3]
-                if any(t % 2 for t in triple):
+                cert = reduce_to_standard(img)
+                if any(t % 2 for t in cert.input_counts):
                     raise NotReducing("odd intersection triple in atlas")
-                text = key_text(key)
+                text = cert.word_text()
                 if text not in store.index:  # only a new record needs its document
-                    store.add(AtlasRecord(text, triple, witness, level, to_doc(img)))
+                    store.add(AtlasRecord(text, cert.input_counts, witness, level, to_doc(img)))
     return store
 
 

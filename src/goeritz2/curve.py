@@ -5,8 +5,9 @@ each step records the edge crossed and the hexagon entered.  The in-hexagon
 arcs are then chords between sides, and a curve is embeddable iff its chords
 can be drawn disjointly.  Minimal position is reached by removing spurs and
 generalized bigons (kernel), after which the word is re-embedded canonically
-from its normal coordinates.  Two curves are compared by
-`action.curve_key`, their 24 intersection numbers.
+from its normal coordinates.  Equal codes mean equal curves, but one curve
+may have several minimal words; reducing curves are compared exactly by
+their reduction certificate words (`reduction`).
 
 A word is stored as its code, one byte 4e+h per step (`CurveWord.code`);
 `steps` decodes it on demand.  The kernel, re-embedding, rotation and counts
@@ -641,13 +642,12 @@ def canonical_form(w: CurveWord) -> CurveWord:
 
 
 def signature(w: CurveWord) -> tuple[int, ...]:
-    """The 24 intersection numbers of w (`action.curve_key`).
+    """The six intersection numbers of w (`counts`).
 
     The name exists only for the benchmark's tracer, which looks it up, and
     goes away with ROADMAP item 5.
     """
-    from .action import curve_key  # action builds on this module
-    return curve_key(w)
+    return counts(w).as_tuple()
 
 
 # ------------------------------------------------------------------- queries

@@ -5,7 +5,13 @@ reduction loop makes the curve A-dominant with delta or its inverse, then
 applies whichever of the half twist or its inverse lowers a; each pass lowers
 a+b+c by an even positive amount until it reaches 2, after which at most one
 delta move lands on the standard curve.  The certificate records the applied
-generators with a count trace, and the input's `curve_key` as text.
+generators with a count trace.
+
+The certificate word is the equality test of reducing curves.  Each step is
+chosen from counts of minimal words, which are isotopy invariants, so one
+curve gets one word W; and W(Q) = P fixes Q = W^-1(P), so two curves with
+one word are one curve.  The word also fixes the terminal: every pass ends
+in a half twist, so a trailing delta^+-1 comes only from the terminal move.
 
 `verify_certificate` replays the word both ways.  Forward, the image must
 have counts (2,0,0,2,0,0): B with Z and C with Y fill two disjoint one-holed
@@ -13,7 +19,8 @@ tori whose complement is an annulus around P, so a curve missing all four
 is P.
 Backward, the rebuilt curve must equal the input: by equal codes up to
 rotation and reversal, or else (two minimal words of one curve) by equal
-`curve_key`.  No step computes a signature.
+certificate words.  Both curves are reducing there, as the forward replay
+took the input to P.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .action import (apply_generator, apply_word, curve_key, format_goeritz_word,
-                     invert_goeritz_word, key_text, parse_goeritz_word)
+from .action import (apply_generator, apply_word, format_goeritz_word, invert_goeritz_word,
+                     parse_goeritz_word)
 from .curve import (Counts, CurveWord, P_CURVE, arc_census, canonical_unoriented, counts,
                     ensure_normal, to_doc)
 from .errors import (
@@ -33,7 +40,7 @@ from .errors import (
 )
 from .handlebody import require_reducing
 
-CERTIFICATE_FORMAT = "goeritz-certificate/2"
+CERTIFICATE_FORMAT = "goeritz-certificate/3"
 
 # passes allowed beyond (a+b+c)/2; a pass that does not lower a+b+c by 2 or more raises
 ITERATION_SLACK = 4
@@ -74,11 +81,9 @@ def _triple(value) -> tuple[int, int, int]:
 
 @dataclass
 class ReductionCertificate:
-    """Word u with u(Q) = P, plus the per-step count trace; `input_key` is
-    the `curve_key` text of Q."""
+    """Word u with u(Q) = P, plus the per-step count trace."""
 
     input_counts: tuple[int, int, int]
-    input_key: str = ""
     word: list[str] = field(default_factory=list)
     trace: list[tuple[int, int, int]] = field(default_factory=list)
     terminal: str = "P"
@@ -92,7 +97,6 @@ class ReductionCertificate:
             "format": CERTIFICATE_FORMAT,
             "word": self.word_text(),
             "input_counts": list(self.input_counts),
-            "input_key": self.input_key,
             "trace": [list(t) for t in self.trace],
             "terminal": self.terminal,
         }
@@ -106,12 +110,11 @@ class ReductionCertificate:
     def from_doc(doc: dict) -> "ReductionCertificate":
         if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
             raise MalformedInput(f"not a {CERTIFICATE_FORMAT} document")
-        word, key = doc.get("word", ""), doc.get("input_key", "")
-        trace, terminal = doc.get("trace", []), doc.get("terminal", "P")
-        if not isinstance(word, str) or not isinstance(key, str) or \
-                not isinstance(trace, list) or terminal not in ("P", "P_prime", "P_double_prime"):
+        word, trace, terminal = doc.get("word", ""), doc.get("trace", []), doc.get("terminal", "P")
+        if not isinstance(word, str) or not isinstance(trace, list) or \
+                terminal not in ("P", "P_prime", "P_double_prime"):
             raise MalformedInput(f"malformed {CERTIFICATE_FORMAT} document")
-        return ReductionCertificate(_triple(doc.get("input_counts", (0, 0, 0))), key,
+        return ReductionCertificate(_triple(doc.get("input_counts", (0, 0, 0))),
                                     parse_goeritz_word(word), list(map(_triple, trace)), terminal)
 
     def dumps(self, **kw) -> str:
@@ -123,7 +126,7 @@ def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
     each curve's counts are read once, when the curve is made."""
     w = require_reducing(w)
     c = counts(w)
-    cert = ReductionCertificate(c.abc(), input_key=key_text(curve_key(w)))
+    cert = ReductionCertificate(c.abc())
     limit = c.total_abc() // 2 + ITERATION_SLACK
 
     def push(gen: str, new: CurveWord, c_new: Counts | None = None) -> tuple[CurveWord, Counts]:
@@ -172,4 +175,4 @@ def verify_certificate(cert: ReductionCertificate, original: CurveWord) -> bool:
         return False
     back = apply_word(P_CURVE, express_from_standard(cert))
     return canonical_unoriented(back) == canonical_unoriented(original) or \
-        curve_key(back) == curve_key(original)
+        reduce_to_standard(back).word == reduce_to_standard(original).word

@@ -5,6 +5,7 @@ import random
 import kernel_oracle
 import pytest
 import reembed_oracle
+from key_oracle import curve_key
 
 import goeritz2
 from goeritz2 import action, kernel
@@ -17,7 +18,6 @@ from goeritz2.action import (
     apply_generator,
     apply_twist,
     apply_word,
-    curve_key,
     format_goeritz_word,
     invert_goeritz_word,
     parse_goeritz_word,
@@ -55,8 +55,8 @@ def test_twist_fixes_own_pushoff():
 
 def test_twist_fixes_disjoint_curve():
     P = cm.normalize(cm.P_CURVE)
-    assert curve_key(twist_system(P, "B", 1)) == curve_key(P)
-    assert curve_key(twist_system(P, "Y", -1)) == curve_key(P)
+    assert reduce_to_standard(twist_system(P, "B", 1)).word == []
+    assert reduce_to_standard(twist_system(P, "Y", -1)).word == []
 
 
 def test_twist_about_z_on_a_pushoff_matches_hand_trace():
@@ -74,7 +74,7 @@ def test_twist_preserves_rail_count(corpus):
 def test_twist_inverse_pair(corpus):
     for _, w in corpus[:20]:
         back = twist_system(twist_system(w, "Z", 1), "Z", -1)
-        assert curve_key(back) == curve_key(w)
+        assert reduce_to_standard(back).word == reduce_to_standard(w).word
 
 
 def test_apply_twist_accepts_pushoff_word():
@@ -106,8 +106,8 @@ def test_delta_sends_standard_to_prime():
 
 
 def test_beta_fixes_standard_curve():
-    assert curve_key(apply_generator(cm.P_CURVE, "beta")) == curve_key(cm.P_CURVE)
-    assert curve_key(apply_generator(cm.P_CURVE, "beta_inv")) == curve_key(cm.P_CURVE)
+    assert reduce_to_standard(apply_generator(cm.P_CURVE, "beta")).word == []
+    assert reduce_to_standard(apply_generator(cm.P_CURVE, "beta_inv")).word == []
 
 
 def test_beta_on_a_pushoff_matches_fixture():
@@ -123,13 +123,8 @@ def test_beta_and_inverse_differ_on_a_pushoff():
 
 
 def test_generator_word_identities(standard_curve):
-    P = standard_curve
-    key = curve_key(P)
-    assert curve_key(apply_word(P, "ddd")) == key
-    assert curve_key(apply_word(P, "bB")) == key
-    assert curve_key(apply_word(P, "dD")) == key
-    assert curve_key(apply_word(P, "gg")) == key
-    assert curve_key(apply_word(P, "aa")) == key
+    for word in ("ddd", "bB", "dD", "gg", "aa"):
+        assert reduce_to_standard(apply_word(standard_curve, word)).word == [], word
 
 
 def test_count_laws_on_corpus_sample(corpus):
@@ -148,14 +143,15 @@ def test_count_laws_on_corpus_sample(corpus):
 
 def test_beta_inverse_identity_on_corpus(corpus):
     for word, w in corpus[:25]:
-        assert curve_key(apply_word(w, "bB")) == curve_key(w), word
-        assert curve_key(apply_word(w, "Bb")) == curve_key(w), word
+        cert = reduce_to_standard(w).word
+        assert reduce_to_standard(apply_word(w, "bB")).word == cert, word
+        assert reduce_to_standard(apply_word(w, "Bb")).word == cert, word
 
 
 def test_beta_squared_is_twist_about_standard_curve(corpus):
     for word, w in corpus[:12]:
         bb = apply_word(w, "bb")
-        assert curve_key(bb) == curve_key(twist_about_p(w, 1)), word
+        assert reduce_to_standard(bb).word == reduce_to_standard(twist_about_p(w, 1)).word, word
 
 
 def test_alpha_commutes_with_everything(corpus):
@@ -163,7 +159,7 @@ def test_alpha_commutes_with_everything(corpus):
         for g in ("beta", "gamma", "delta"):
             lhs = apply_generator(apply_generator(w, "alpha"), g)
             rhs = apply_generator(apply_generator(w, g), "alpha")
-            assert curve_key(lhs) == curve_key(rhs), (word, g)
+            assert reduce_to_standard(lhs).word == reduce_to_standard(rhs).word, (word, g)
 
 
 def test_unknown_generator_rejected():

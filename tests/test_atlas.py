@@ -1,6 +1,7 @@
 """Breadth-first atlas enumeration and persistence."""
 
 import hashlib
+import json
 import os
 import pathlib
 import re
@@ -12,7 +13,7 @@ import pytest
 import goeritz2
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
-from goeritz2.action import apply_word, curve_key, key_text
+from goeritz2.action import apply_word
 from goeritz2.errors import MalformedInput
 from goeritz2.handlebody import is_reducing
 from goeritz2.reduction import reduce_to_standard, verify_certificate
@@ -20,10 +21,19 @@ from goeritz2.reduction import reduce_to_standard, verify_certificate
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# SHA-256 of the depth-6 records' `as_json` lines joined by newlines, as built
-# with beta composed of six single twists and every image keyed: the quarter
-# turns and the skipped keys must reproduce it byte for byte
-DEPTH6_SHA256 = "d55a71804fa956861ea239fb29bcf55bacde1e14d52bd9664f137556b99296be"
+# SHA-256 of the depth-6 records' `as_json` lines joined by newlines, keyed by
+# certificate word; CURVES_SHA256 shows that the rest of each record is the
+# same as when records were keyed by 24 intersection numbers
+DEPTH6_SHA256 = "537a99b6388f5be15bdbbb791cd7c8a71c5f7d644b57bc72782740d85ecfc5fe"
+
+# SHA-256 of each record's [witness, depth, triple, curve document] as compact
+# sorted JSON, one line per record, at depths 6 and 7: pinned while records
+# were keyed by 24 intersection numbers, so it shows that keying them by
+# certificate word keeps every record and its order
+CURVES_SHA256 = {
+    6: "4033a492bdac6c77d357c603ad9e578cd713117ec99d71834b32d0cc37ceb4fb",
+    7: "5a9ec79caa683f55cccf63c24a492997fd9f6cc95090f602f61409977ff40752",
+}
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +68,7 @@ def test_witness_rebuilds_record(standard_curve):
     store = at.enumerate_atlas(2)
     for rec in store.records[:8]:
         img = apply_word(standard_curve, rec.witness)
-        assert key_text(curve_key(img)) == rec.key
+        assert reduce_to_standard(img).word_text() == rec.key
 
 
 def test_determinism_across_hash_seeds():
@@ -107,16 +117,17 @@ def test_load_names_the_file_and_line_of_a_malformed_record(tmp_path):
         at.AtlasStore.load(str(path))
 
 
-def test_load_refuses_a_signature_keyed_store(tmp_path):
-    # its keys would never match curve_key text, so extending it would
-    # duplicate every record
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_refuses_a_store_of_an_earlier_format(tmp_path, version):
+    # its keys (signatures, then 24 intersection numbers) would never match a
+    # certificate word, so extending it would duplicate every record
     path = tmp_path / "atlas.jsonl"
     at.enumerate_atlas(1).save(str(path))
     lines = path.read_text().splitlines()
-    path.write_text("\n".join([lines[0].replace("goeritz-atlas/2", "goeritz-atlas/1")]
-                              + lines[1:]) + "\n")
-    with pytest.raises(MalformedInput,
-                       match=f"^{re.escape(str(path))}, line 1: a goeritz-atlas/1 store"):
+    old = f"goeritz-atlas/{version}"
+    path.write_text("\n".join([lines[0].replace("goeritz-atlas/3", old)] + lines[1:]) + "\n")
+    with pytest.raises(MalformedInput, match=f"^{re.escape(str(path))}, line 1: a {old} store"
+                                             ".*; rebuild it$"):
         at.AtlasStore.load(str(path))
 
 
@@ -159,10 +170,19 @@ def test_depth6_records_are_pinned(depth6):
     assert hashlib.sha256(text.encode()).hexdigest() == DEPTH6_SHA256
 
 
+def test_depth6_and_depth7_curves_are_pinned(depth6):
+    for store in (depth6, at.enumerate_atlas(7)):
+        text = "\n".join(json.dumps([r.witness, r.depth, list(r.triple), r.curve_doc],
+                                    sort_keys=True, separators=(",", ":"))
+                         for r in store.records)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == CURVES_SHA256[store.meta["depth"]]
+
+
 def test_enumeration_keys_each_code_once(monkeypatch):
     keyed = []
-    real = at.curve_key
-    monkeypatch.setattr(at, "curve_key", lambda w: keyed.append(w.code) or real(w))
+    real = at.reduce_to_standard
+    monkeypatch.setattr(at, "reduce_to_standard", lambda w: keyed.append(w.code) or real(w))
     store = at.enumerate_atlas(5)
     assert len(keyed) == len(set(keyed)) > len(store.records)
 

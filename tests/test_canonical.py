@@ -1,8 +1,8 @@
-"""Curve keys and normal words across computation routes.
+"""Certificates and normal words across computation routes.
 
 These checks pin the observable contract: isotopic curves reached along
-different twist routes get equal keys, and normalization is idempotent and
-independent of the word's start and orientation.
+different twist routes get equal certificate words, and normalization is
+idempotent and independent of the word's start and orientation.
 """
 
 import random
@@ -10,8 +10,9 @@ import random
 import pytest
 
 from goeritz2 import curve as cm
-from goeritz2.action import apply_word, curve_key, twist_about_p
+from goeritz2.action import apply_word, twist_about_p
 from goeritz2.errors import InternalInvariantError
+from goeritz2.reduction import reduce_to_standard
 
 
 def _deep_corpus(standard_curve, n, lo, hi, seed):
@@ -25,16 +26,15 @@ def _deep_corpus(standard_curve, n, lo, hi, seed):
 
 def test_identity_routes_deep(standard_curve):
     for word, w in _deep_corpus(standard_curve, 10, 8, 11, seed=607):
-        key = curve_key(w)
-        assert curve_key(apply_word(w, "bB")) == key, word
-        assert curve_key(apply_word(w, "Bb")) == key, word
-        assert curve_key(apply_word(w, "dD")) == key, word
-        assert curve_key(apply_word(w, "gg")) == key, word
+        cert = reduce_to_standard(w).word
+        for loop in ("bB", "Bb", "dD", "gg"):
+            assert reduce_to_standard(apply_word(w, loop)).word == cert, (word, loop)
 
 
 def test_boundary_twist_through_both_handles_deep(standard_curve):
     for word, w in _deep_corpus(standard_curve, 8, 8, 11, seed=608):
-        assert curve_key(apply_word(w, "bb")) == curve_key(twist_about_p(w, 1)), word
+        assert reduce_to_standard(apply_word(w, "bb")).word == \
+            reduce_to_standard(twist_about_p(w, 1)).word, word
 
 
 def test_canonical_form_idempotent_and_reversal_stable(standard_curve):
@@ -42,7 +42,7 @@ def test_canonical_form_idempotent_and_reversal_stable(standard_curve):
         nw = cm.normalize(w)
         assert cm.normalize(nw).code == nw.code, word
         rev = cm.CurveWord(cm.reversed_steps(w.steps))
-        assert curve_key(rev) == curve_key(w), word
+        assert reduce_to_standard(rev).word == reduce_to_standard(w).word, word
 
 
 def test_rotation_start_does_not_matter(standard_curve):

@@ -12,8 +12,9 @@ import pytest
 
 from goeritz2 import curve as cm
 from goeritz2 import kernel
-from goeritz2.action import apply_word, curve_key
+from goeritz2.action import apply_word
 from goeritz2.cli import main
+from goeritz2.reduction import reduce_to_standard
 
 
 @pytest.fixture
@@ -50,7 +51,7 @@ def test_apply_roundtrip_canonical_file(p_file, tmp_path):
     assert main(["apply", "--in", mid, "--word", "gBD", "--out", back]) == 0
     orig = cm.loads(pathlib.Path(p_file).read_text())
     returned = cm.loads(pathlib.Path(back).read_text())
-    assert curve_key(orig) == curve_key(returned)
+    assert reduce_to_standard(orig).word == reduce_to_standard(returned).word
 
 
 def test_reduce_prime_emits_delta_inverse(p_file, tmp_path, capsys):
@@ -161,7 +162,7 @@ def test_normal_coordinates_output(p_file, tmp_path):
     doc = json.loads(pathlib.Path(out).read_text())
     assert doc["representation"] == "normal"
     returned = cm.from_doc(doc)
-    assert curve_key(returned) == curve_key(cm.P_CURVE)
+    assert reduce_to_standard(returned).word == []
 
 
 def test_words_command(p_file, capsys):
@@ -219,9 +220,9 @@ def test_atlas_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, line, reason", [
-    ("", 1, "not a goeritz-atlas/2 file"),
-    ('{"format":"goeritz-atlas/2"}\nnot json\n', 2, "not JSON"),
-    ('{"format":"goeritz-atlas/2"}\n\n{"key":"k","witness":"","depth":0,"curve":{}}\n',
+    ("", 1, "not a goeritz-atlas/3 file"),
+    ('{"format":"goeritz-atlas/3"}\nnot json\n', 2, "not JSON"),
+    ('{"format":"goeritz-atlas/3"}\n\n{"key":"k","witness":"","depth":0,"curve":{}}\n',
      3, "record has no 'triple'"),
 ], ids=["empty", "not-json", "no-triple"])
 def test_malformed_atlas_store_exit_code(tmp_path, capsys, text, line, reason):

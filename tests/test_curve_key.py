@@ -1,10 +1,13 @@
-"""The 24-number curve key: invariance, exactness against the reduction
-certificate, and its use as the equality test of reduce, verify and the atlas."""
+"""The reduction certificate as the key of reducing curves: its invariance,
+its agreement with the reference 24-number key, and its use as the equality
+test of verify and the atlas."""
+
+from key_oracle import curve_key
 
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import reduction as red
-from goeritz2.action import GENERATORS, apply_generator, apply_word, curve_key
+from goeritz2.action import GENERATORS, apply_generator, apply_word
 
 
 def test_key_starts_with_the_counts(corpus):
@@ -13,15 +16,16 @@ def test_key_starts_with_the_counts(corpus):
         assert len(key) == 24 and key[:6] == cm.counts(w).as_tuple(), word
 
 
-def test_key_invariance(corpus):
-    for word, w in corpus:
-        key = curve_key(w)
+def test_key_invariance(corpus, ladders):
+    # rotation, reversal and relators leave the certificate word unchanged
+    for word, w in corpus + [("ladder", w) for w in ladders]:
+        cert = red.reduce_to_standard(w).word
         code = w.code
         rotated = cm.CurveWord(code[len(code) // 2:] + code[:len(code) // 2])
-        assert curve_key(rotated) == key, word
-        assert curve_key(cm.CurveWord(cm._reversed(code))) == key, word
+        assert red.reduce_to_standard(rotated).word == cert, word
+        assert red.reduce_to_standard(cm.CurveWord(cm._reversed(code))).word == cert, word
         for loop in ("bB", "dD", "gg"):
-            assert curve_key(apply_word(w, loop)) == key, (word, loop)
+            assert red.reduce_to_standard(apply_word(w, loop)).word == cert, (word, loop)
 
 
 def test_equal_keys_iff_equal_certificates():
@@ -56,8 +60,7 @@ def test_verify_rejects_a_dropped_letter_and_a_wrong_curve(corpus, ladders):
         cert = red.reduce_to_standard(w)
         assert red.verify_certificate(cert, w), word
         for i in range(len(cert.word)):
-            short = red.ReductionCertificate(cert.input_counts, cert.input_key,
-                                             cert.word[:i] + cert.word[i + 1:])
+            short = red.ReductionCertificate(cert.input_counts, cert.word[:i] + cert.word[i + 1:])
             assert not red.verify_certificate(short, w), (word, i)
             checked += 1
         if cert.word:
@@ -71,16 +74,25 @@ def test_verify_rejects_a_dropped_letter_by_the_forward_replay(monkeypatch, corp
     for word, w in corpus[:80]:
         cert = red.reduce_to_standard(w)
         for i in range(len(cert.word)):
-            short = red.ReductionCertificate(cert.input_counts, cert.input_key,
-                                             cert.word[:i] + cert.word[i + 1:])
+            short = red.ReductionCertificate(cert.input_counts, cert.word[:i] + cert.word[i + 1:])
             assert not red.verify_certificate(short, w), (word, i)
 
 
-def test_verify_falls_back_to_the_key(monkeypatch, corpus):
-    # codes that never match leave the backward replay to curve_key
+def test_verify_falls_back_to_the_key(monkeypatch, corpus, ladders):
+    # codes that never match leave the backward replay to the certificate
+    # words, which also accept a certificate padded with relators
     monkeypatch.setattr(red, "canonical_unoriented", lambda w: object())
-    for word, w in corpus[:80]:
-        assert red.verify_certificate(red.reduce_to_standard(w), w), word
+    reduced = []
+    real = red.reduce_to_standard
+    monkeypatch.setattr(red, "reduce_to_standard", lambda w: reduced.append(w) or real(w))
+    for word, w in corpus[:80] + [("ladder", w) for w in ladders]:
+        cert = real(w)
+        padded = red.ReductionCertificate(cert.input_counts, ["gamma", "gamma"] + cert.word
+                                          + ["beta", "beta_inv"])
+        for c in (cert, padded):
+            reduced.clear()
+            assert red.verify_certificate(c, w), word
+            assert len(reduced) == 2, word
 
 
 def test_reduce_verify_and_atlas_compute_no_canonical_form(monkeypatch, corpus, ladders):

@@ -11,8 +11,10 @@ import random
 import kernel_oracle as oracle
 import pytest
 
+from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import kernel
+from goeritz2 import reduction as red
 from goeritz2.action import _cross_detour, apply_word
 from goeritz2.errors import Goeritz2Error
 from goeritz2.surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX
@@ -277,3 +279,16 @@ def test_validate_messages_unchanged(monkeypatch):
     monkeypatch.setattr(kernel, "remove_spurs", oracle_pass)
     assert [outcome(s) for s in walks] == new
     assert sum("not realizable" in r[1] for r in new if r) > 50
+
+
+def test_library_made_kernel_inputs_hold_no_bigon_run(monkeypatch, ladders):
+    # Observed, not proved (ROADMAP item 9): after spur cancellation, every
+    # word the generator action hands the kernel is in minimal position.
+    # Depth 6, as depth 5 with its round trips makes only about 700 calls.
+    found = []
+    real = kernel._find_run
+    monkeypatch.setattr(kernel, "_find_run", lambda code: found.append(real(code)) or found[-1])
+    records = at.enumerate_atlas(6).records
+    for w in [at.record_curve(rec) for rec in records] + ladders:
+        assert red.verify_certificate(red.reduce_to_standard(w), w)
+    assert len(found) > 1000 and found.count(None) == len(found)

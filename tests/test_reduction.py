@@ -1,13 +1,21 @@
 """Dominance classification and the reduction algorithm."""
 
+import hashlib
+import json
+
 import pytest
 
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import reduction as red
-from goeritz2.action import apply_generator, apply_word, curve_key
+from goeritz2.action import apply_generator, apply_word
 from goeritz2.curve import arc_census, counts
 from goeritz2.errors import MalformedInput, NotReducing
+
+# SHA-256 of [word text, trace, terminal] of the certificate of every ladder,
+# then every corpus curve, as compact JSON, one line per curve: pinned while
+# certificates carried the input's 24 intersection numbers
+CERTIFICATES_SHA256 = "b22b1e571466b668f2a8251970951d1bc7fa514ca5c9759aa592ad65ff116952"
 
 
 def test_classify_standard_curves():
@@ -75,8 +83,8 @@ def test_certificate_roundtrip_small():
     w = apply_word(cm.P_CURVE, "dbD")
     cert = red.reduce_to_standard(w)
     assert red.verify_certificate(cert, w)
-    assert curve_key(apply_word(cm.P_CURVE, red.express_from_standard(cert))) == \
-        curve_key(w)
+    back = apply_word(cm.P_CURVE, red.express_from_standard(cert))
+    assert red.reduce_to_standard(back).word == cert.word
 
 
 def test_reduction_roundtrip_corpus(corpus):
@@ -121,7 +129,7 @@ def test_certificate_serialization():
     {"input_counts": [True, 0, 0]},
     {"word": 5},
     {"word": ["b"]},
-    {"input_key": 3},
+    {"word": "bx"},
     {"terminal": "none"},
 ])
 def test_certificate_from_doc_rejects_malformed_documents(fields):
@@ -131,11 +139,12 @@ def test_certificate_from_doc_rejects_malformed_documents(fields):
         red.ReductionCertificate.from_doc({**doc, **fields})
 
 
-def test_certificate_from_doc_refuses_version_1():
+@pytest.mark.parametrize("version, field", [(1, "input_signature"), (2, "input_key")])
+def test_certificate_from_doc_refuses_an_earlier_version(version, field):
     doc = red.reduce_to_standard(apply_word(cm.P_CURVE, "dB")).as_doc()
-    assert doc["format"] == "goeritz-certificate/2" and "input_key" in doc
-    old = {**doc, "format": "goeritz-certificate/1", "input_signature": doc["input_key"]}
-    with pytest.raises(MalformedInput, match="not a goeritz-certificate/2 document"):
+    assert doc["format"] == "goeritz-certificate/3" and "input_key" not in doc
+    old = {**doc, "format": f"goeritz-certificate/{version}", field: ""}
+    with pytest.raises(MalformedInput, match="not a goeritz-certificate/3 document"):
         red.ReductionCertificate.from_doc(old)
 
 
@@ -194,3 +203,12 @@ def test_exactly_one_half_twist_lowers_a(ladders):
                 passes += 1
             w = apply_generator(w, gen)
     assert passes > 300
+
+
+def test_certificates_are_pinned(corpus, ladders):
+    lines = []
+    for w in ladders + [w for _, w in corpus]:
+        cert = red.reduce_to_standard(w)
+        lines.append(json.dumps([cert.word_text(), [list(t) for t in cert.trace], cert.terminal],
+                                separators=(",", ":")))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CERTIFICATES_SHA256
