@@ -11,9 +11,9 @@ B meets Z once, and C meets Y once, so each pair satisfies the braid relation
 t_B t_Z t_B = t_Z t_B t_Z (Farb-Margalit, A Primer on Mapping Class Groups,
 Prop. 3.11).  Hence (t_B t_Z)^3 = (t_Z t_B t_Z)^2 and (t_C t_Y)^6 =
 (t_C t_Y t_C)^4: the quarter turn sigma = t_Z t_B t_Z gives beta in two
-steps, and sigma = t_C t_Y t_C the full twist in four.  A quarter turn is one
-byte substitution, the composite of its three twists' splices, and each step
-is normalized (`_quarter_turns`).
+steps, and sigma = t_C t_Y t_C the full twist in four.  Each is applied as
+one byte substitution, the composite of its twists' splices with every
+image freely reduced, then one normalization (`_quarter_turns`).
 
 A twist replaces every crossing of the curve with the twisting rail by a
 detour that spirals half around the rail on each side, crossing the rail's
@@ -25,16 +25,17 @@ names the direction with sign +1 under that rule.
 Words are step-byte codes (see `curve`).  A twist marks the four rail bytes
 of the code with placeholder bytes by one `bytes.translate`, then replaces
 each placeholder with its detour by one `bytes.replace`; the detours per
-(rail, direction) are built from `_cross_detour` on first use.  A quarter
-turn does the same with the eight rail bytes of its two curves, each
-replaced by its image under the three splices.  A relabeling symmetry is one
-`bytes.translate`.
+(rail, direction) are built from `_cross_detour` on first use.  beta^+-1 and
+the full twist do the same with the eight rail bytes of their two curves,
+each replaced by its image under all their splices: 5 bytes for beta^+-1
+and 9 for the full twist, where the unreduced composites have 21 or 37 and
+305 or 529.  A relabeling symmetry is one `bytes.translate`.
 
 The generator action is memoized by normalized code (`_act`, an LRU memo of
 4096 entries): the atlas applies every generator to each record, and the
 reduction and certificate replay of that record apply the same ones again.
-A miss of beta^+-1 runs two quarter turns, each ending in the kernel and
-the re-embedding check, so every word the memo stores is verified; an action
+A miss of beta^+-1 runs one substitution, then the kernel and the
+re-embedding check, so every word the memo stores is verified; an action
 that raises is not stored.  Keys and values are codes, so each call builds a
 new `CurveWord`.  An entry costs about 2n + 220 bytes for codes of n bytes,
 so a full memo holds 1.7 MB at n = 100 and 25 MB at n = 3,000; the atlas to
@@ -52,6 +53,7 @@ import functools
 from . import curve as cm
 from .curve import CurveWord, Step, canonical_unoriented, ensure_normal, normalize
 from .errors import MalformedInput
+from .kernel import freely_reduce
 from .surface import (
     CURVE_NAMES,
     EDGE_CURVE,
@@ -182,34 +184,38 @@ def _splice(code: bytes, cid: int, direction: int) -> bytes:
 
 
 @functools.cache
-def _turn_table(outer: int, inner: int, direction: int) -> tuple[bytes, _Substitution]:
-    """Rail bytes of curves outer and inner, and their substitution under the
-    quarter turn t_outer t_inner t_outer (each twist to the power direction).
+def _turn_table(outer: int, inner: int, direction: int, turns: int) -> tuple[bytes, _Substitution]:
+    """Rail bytes of curves outer and inner, and their substitution under
+    turns quarter turns t_outer t_inner t_outer (each twist to the power
+    direction).
 
     A splice changes only rail bytes and maps each to a fixed string, so the
-    three splices compose to one substitution of the eight rail bytes; the
-    intermediate words need not be minimal for their composite to be the
-    image curve.
+    3 * turns splices compose to one substitution of the eight rail bytes;
+    the intermediate words need not be minimal for their composite to be the
+    image curve.  Each image is then freely reduced as a linear word:
+    substitution is a homomorphism of words, so a spur pair inside an image
+    cancels in every word the image lands in, and by confluence the kernel
+    reaches the same reduced word.
     """
     rails = _RAIL_BYTES[outer] + _RAIL_BYTES[inner]
     images = []
     for x in rails:
         image = bytes((x,))
-        for cid in (outer, inner, outer):
+        for cid in (outer, inner, outer) * turns:
             image = _splice(image, cid, direction)
-        images.append(image)
+        images.append(freely_reduce(image))
     return rails, _substitution(rails, images)
 
 
 def _quarter_turns(w: CurveWord, outer: str, inner: str, direction: int, turns: int) -> CurveWord:
     """(t_outer t_inner t_outer)^(direction * turns) of a normalized word, for
-    curves outer and inner that meet once; every turn ends in `normalize`."""
-    rails, table = _turn_table(CURVE_NAMES.index(outer), CURVE_NAMES.index(inner), direction)
-    for _ in range(turns):
-        if not any(map(w.code.__contains__, rails)):
-            return w
-        w = normalize(CurveWord(_substitute(w.code, table)))
-    return w
+    curves outer and inner that meet once: one substitution, then one
+    `normalize`."""
+    rails, table = _turn_table(CURVE_NAMES.index(outer), CURVE_NAMES.index(inner),
+                               direction, turns)
+    if not any(map(w.code.__contains__, rails)):
+        return w
+    return normalize(CurveWord(_substitute(w.code, table)))
 
 
 def twist_about_p(w: CurveWord, direction: int = 1) -> CurveWord:
@@ -276,8 +282,8 @@ def _act(code: bytes, g: str) -> bytes:
 
     beta = (t_B t_Z)^3 = (t_Z t_B t_Z)^2, as B and Z meet once and so satisfy
     the braid relation t_B t_Z t_B = t_Z t_B t_Z.  A miss of beta^+-1 runs
-    two quarter turns, each one substitution then `normalize`: the kernel
-    and the re-embedding check run twice.
+    one substitution then `normalize`: the kernel and the re-embedding check
+    run once.
     """
     w = CurveWord(code, normalized=True)
     if g in ("alpha", "gamma", "delta", "delta_inv"):

@@ -213,9 +213,28 @@ def _check_edge_orders(core: bytes) -> None:
                     f"crossing order along {EDGE_TOKENS[e]} is not realizable")
 
 
+def _index(i: int, what: str, value, size: int) -> int:
+    """An edge or hexagon number of step i, an integer in range(size)."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != value or not 0 <= k < size:
+        raise MalformedWord(f"step {i}: {what} {value!r} is not an integer in 0-{size - 1}")
+    return k
+
+
 def validate(steps) -> CurveWord:
-    """Check the chain, parity and embeddability conditions."""
-    steps = [(int(e), int(h)) for e, h in steps]
+    """Check the steps' ranges, then the chain, parity and embeddability
+    conditions."""
+    checked = []
+    for i, step in enumerate(steps):
+        try:
+            e, h = step
+        except (TypeError, ValueError):
+            raise MalformedWord(f"step {i}: {step!r} is not an (edge, hexagon) pair") from None
+        checked.append((_index(i, "edge", e, 12), _index(i, "hexagon", h, 4)))
+    steps = checked
     _check_chain(steps)
     _check_parity(steps)
     _check_embeddable(steps)

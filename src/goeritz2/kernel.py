@@ -8,23 +8,19 @@ edge iff their bytes agree above the low two bits.
 `remove_spurs` cancels spurs (an arc entering and leaving a hexagon through
 the same side).  On a closed chain two adjacent steps cross the same edge iff
 they form one of the 24 spur pairs (4e+h, 4e+h'), h' the hexagon across e
-from h, and deleting such a pair leaves a closed chain.  The stack pass
+from h, and deleting such a pair leaves a closed chain.  `freely_reduce`
 cancels them in one linear pass: stack-based free cancellation, which jumps
-between the adjacent same-edge pairs that one big-integer XOR marks, then a
-trim of equal pairs at the two ends of the cyclic word.  It pays one
-Python-level step per spur site.
+between the adjacent same-edge pairs that one big-integer XOR marks.
+`remove_spurs` then trims equal pairs at the two ends of the cyclic word.
+It pays one Python-level step per spur site.
 
 Free cancellation is confluent: the reduced word does not depend on the order
 in which pairs cancel (Lyndon-Schupp, Combinatorial Group Theory, I.1).  So
-a word may first lose every occurrence of each spur pair, one `bytes.replace`
-per pair.  That pre-pass costs 24 C-level scans of the word whatever it
-holds, and every adjacent spur pair of the word loses at least one of its
-steps (a pair that a deletion brings together goes too when a later scan
-matches it).  The stack pass then finishes deeper cascades on the shorter
-word, so the whole stays linear.  The pre-pass pays when the word holds
-more adjacent spur pairs than there are scans, and `remove_spurs` runs it
-only then: a quarter turn's spliced word is about half spurs, while most
-words of a few dozen steps go straight to the stack pass.
+the generator action may cancel the spurs inside each rail byte's image once,
+when it builds its substitution table, and hand the kernel only the spurs
+that meet across image boundaries.  On a traced seed-1 `replay_large`
+benchmark pass, 49,080 of the kernel's 232,068 input steps cancel as spurs;
+334,840 of 647,116 did when each quarter turn went in with unreduced images.
 
 `_find_run` returns the smallest start of a generalized bigon run: a subpath
 that crosses a curve, runs parallel to it through fence chords (each leaving
@@ -82,10 +78,6 @@ _SURVIVED = bytes(x != _FAILED for x in range(256))
 # and are finished one start at a time.
 _PREFILTER_PASSES = 8
 
-# The step pairs that cancel on a closed chain: (4e+h, 4e+h'), h' across e from h.
-_SPUR_PAIRS = tuple(bytes((4 * e + h, 4 * e + OTHER_HEX[e][h]))
-                    for e in range(12) for h in OTHER_HEX[e])
-
 
 def _same_edge_pairs(code: bytes) -> bytes:
     """Byte i is 0 iff steps i and i+1 cross the same edge (one big-int XOR)."""
@@ -94,10 +86,13 @@ def _same_edge_pairs(code: bytes) -> bytes:
         len(e) - 1, "big")
 
 
-def _stack_pass(code: bytes, pairs: bytes) -> bytes:
-    """Free cancellation of a word of at least two steps, given its
-    `_same_edge_pairs`, then the trim of the cyclic word's two ends."""
+def freely_reduce(code: bytes) -> bytes:
+    """Free cancellation of a linear word: stack-based, jumping between the
+    adjacent same-edge pairs that one big-integer XOR marks."""
     n = len(code)
+    if n < 2:
+        return code
+    pairs = _same_edge_pairs(code)
     out, pos = bytearray(), 0
     while True:
         i = pairs.find(0, pos)
@@ -110,32 +105,22 @@ def _stack_pass(code: bytes, pairs: bytes) -> bytes:
             out.pop()
             j += 1
         pos = j
-    i, j = 0, len(out) - 1
-    while i < j and (out[i] ^ out[j]) < 4:
-        i += 1
-        j -= 1
-    return bytes(out[i:j + 1])
+    return bytes(out)
 
 
 def remove_spurs(code: bytes) -> bytes:
     """The cyclic word with every spur pair cancelled.
 
     Returns the same word as cancelling the leftmost adjacent pair until none
-    is left and then the wrap-around pair (last, first) while they are equal.
-    When the word holds more than 24 adjacent spur pairs, every occurrence of
-    each spur pair is deleted first (one replace per pair, linear time); by
-    confluence the stack pass on the shorter word reaches the same result.
+    is left and then the wrap-around pair (last, first) while they are equal:
+    the free cancellation of the linear word, then the trim of its two ends.
     """
-    if len(code) < 2:
-        return code
-    pairs = _same_edge_pairs(code)
-    if pairs.count(0) > len(_SPUR_PAIRS):
-        for pair in _SPUR_PAIRS:
-            code = code.replace(pair, b"")
-        if len(code) < 2:
-            return code
-        pairs = _same_edge_pairs(code)
-    return _stack_pass(code, pairs)
+    out = freely_reduce(code)
+    i, j = 0, len(out) - 1
+    while i < j and (out[i] ^ out[j]) < 4:
+        i += 1
+        j -= 1
+    return out[i:j + 1]
 
 
 def _prefilter(pos: bytes, n: int) -> bytes:

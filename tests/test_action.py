@@ -220,19 +220,96 @@ def test_generators_match_the_oracle_composition(corpus, ladders):
             assert apply_generator(w, g).steps == _oracle_generator(w, g), (word, g)
 
 
-def test_half_twist_is_two_normalized_quarter_turns(corpus, ladders, monkeypatch):
+def test_half_twist_and_full_twist_normalize_once(corpus, ladders, monkeypatch):
     calls = []
     real = kernel.normalize_steps
     monkeypatch.setattr(kernel, "normalize_steps", lambda c: calls.append(c) or real(c))
     monkeypatch.setattr(action, "twist_system", None)  # calling it would raise
-    rails = {x for name in "BZ" for x in action._RAIL_BYTES[CURVE_NAMES.index(name)]}
-    curves = [w for _, w in corpus if rails & set(w.code)] + ladders
-    assert len(curves) > 250
+    rails = {name: {x for c in name for x in action._RAIL_BYTES[CURVE_NAMES.index(c)]}
+             for name in ("BZ", "CY")}
+    curves = [w for _, w in corpus] + ladders
+    for name in rails:
+        assert sum(bool(rails[name] & set(w.code)) for w in curves) > 250, name
     for w in curves:
+        # a word that misses both rails is fixed without a kernel call
+        beta_calls = 1 if rails["BZ"] & set(w.code) else 0
+        p_calls = 1 if rails["CY"] & set(w.code) else 0
         for g in ("beta", "beta_inv"):
             calls.clear()
             action._act.__wrapped__(w.code, g)
-            assert len(calls) == 2, (w, g)
+            assert len(calls) == beta_calls, (w, g)
+        for d in (1, -1):
+            calls.clear()
+            twist_about_p(w, d)
+            assert len(calls) == p_calls, (w, d)
+
+
+# (outer, inner, turns) of the two tables: beta = (t_Z t_B t_Z)^2 and the
+# full twist about P = (t_C t_Y t_C)^4
+_TABLES = (("Z", "B", 2), ("C", "Y", 4))
+
+
+def _table(outer, inner, direction, turns):
+    rails, (_, images) = action._turn_table(
+        CURVE_NAMES.index(outer), CURVE_NAMES.index(inner), direction, turns)
+    return dict(zip(rails, (image for _, image in images)))
+
+
+def test_turn_table_images_are_nonempty_and_freely_reduced():
+    for outer, inner, turns in _TABLES:
+        for d in (1, -1):
+            for x, image in _table(outer, inner, d, turns).items():
+                steps = cm.CurveWord(image).steps
+                assert steps, (outer, d, x)
+                assert all(e != f for (e, _), (f, _) in zip(steps, steps[1:])), (outer, d, x)
+                # a path from the hexagon before x to the hexagon x enters
+                assert steps[-1][1] == x & 3, (outer, d, x)
+
+
+def _free_reduction(code):
+    out = []
+    for x in code:
+        if out and out[-1] >> 2 == x >> 2:
+            out.pop()
+        else:
+            out.append(x)
+    return bytes(out)
+
+
+def test_turn_table_images_are_the_reduced_composed_splices():
+    for outer, inner, turns in _TABLES:
+        for d in (1, -1):
+            for x, image in _table(outer, inner, d, turns).items():
+                composed = bytes((x,))
+                for name in (outer, inner, outer) * turns:
+                    composed = _splice(composed, CURVE_NAMES.index(name), d)
+                assert len(composed) > len(image)
+                assert image == _free_reduction(composed), (outer, d, x)
+
+
+def _quarter_turn_route(w, outer, inner, d, turns):
+    """The replaced route: each quarter turn one unreduced substitution, then
+    `normalize`."""
+    cids = [CURVE_NAMES.index(c) for c in (outer, inner)]
+    rails = {x for cid in cids for x in action._RAIL_BYTES[cid]}
+    for _ in range(turns):
+        if not rails & set(w.code):
+            return w
+        code = w.code
+        for cid in (cids[0], cids[1], cids[0]):
+            code = _splice(code, cid, d)
+        w = cm.normalize(cm.CurveWord(code))
+    return w
+
+
+def test_one_substitution_matches_normalized_quarter_turns(corpus, ladders):
+    records = [at.record_curve(rec) for rec in at.enumerate_atlas(5).records]
+    for w in [w for _, w in corpus] + ladders + records:
+        for d, g in ((1, "beta"), (-1, "beta_inv")):
+            assert apply_generator(w, g).code == \
+                _quarter_turn_route(w, "Z", "B", d, 2).code, (w, g)
+            assert twist_about_p(w, d).code == \
+                _quarter_turn_route(w, "C", "Y", d, 4).code, (w, d)
 
 
 def test_memo_hit_equals_a_cold_recomputation(corpus):

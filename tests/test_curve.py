@@ -61,6 +61,27 @@ def test_vertex_encircling_word_rejected():
           ("A1", "H1"), ("Y1", "H2"), ("A2", "H4"), ("X2", "H3"))
 
 
+@pytest.mark.parametrize("steps, message", [
+    ([(12, 0), (0, 1)], "step 0: edge 12 "),
+    ([(0, 7), (0, 1)], "step 0: hexagon 7 "),
+    ([(0, 1), (-1, 0)], "step 1: edge -1 "),  # not read as Z2
+    ([(0.5, 0), (0, 1)], "step 0: edge 0.5 "),  # not truncated to A1
+    ([(0, 1), (0, 2.5)], "step 1: hexagon 2.5 "),
+    ([(0, 1), (0, "1")], "step 1: hexagon '1' "),
+    ([(0, 1), (0, float("nan"))], "step 1: hexagon nan "),
+    ([(0, 1), (0, 1, 2)], r"step 1: \(0, 1, 2\) is not an \(edge, hexagon\) pair"),
+    ([None], "step 0: None is not an"),
+])
+def test_validate_rejects_steps_out_of_range(steps, message):
+    with pytest.raises(MalformedWord, match=message):
+        cm.validate(steps)
+
+
+def test_validate_accepts_integral_values_of_any_type():
+    steps = [(float(e), h) for e, h in cm.P_CURVE.steps]
+    assert cm.validate(steps).code == cm.P_CURVE.code
+
+
 def test_validate_rejects_a_word_whose_counts_trace_another(kernel_defect_word, unembedded_word):
     w = kernel_defect_word
     beta_inv_sequence = (("B", -1), ("Z", -1)) * 3  # beta^-1 as single twists
