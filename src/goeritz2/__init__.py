@@ -42,14 +42,16 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the generator-action memo and the set of verified words.
+    """Empty the three memos: the generator action, the set of verified
+    words and the reduction passes.
 
-    Both hold pure functions of a curve's code, so clearing changes no
+    All three hold pure functions of a curve's code, so clearing changes no
     result, only how much work the next calls repeat.
     """
-    from . import action, curve
+    from . import action, curve, reduction
     action._act.cache_clear()
     curve._VERIFIED.clear()
+    reduction._pass.cache_clear()
 
 
 __all__ = [

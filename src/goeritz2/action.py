@@ -261,9 +261,13 @@ def _relabel_table(name: str) -> bytes:
 
 def _relabel(w: CurveWord, name: str) -> CurveWord:
     """Image of a normalized word: an automorphism preserves minimality, so
-    only the rotation start drifts."""
-    return CurveWord(cm._least_rotation(w.code.translate(_relabel_table(name))),
-                     normalized=True)
+    only the rotation start drifts.  It also maps the word's normal
+    multicurve onto the image's, so the image of a verified word is
+    verified (`curve._VERIFIED`)."""
+    least = cm._least_rotation(w.code.translate(_relabel_table(name)))
+    if w.code in cm._VERIFIED:
+        cm._VERIFIED.add(least)
+    return CurveWord(least, normalized=True)
 
 
 def apply_generator(w: CurveWord, g: str) -> CurveWord:

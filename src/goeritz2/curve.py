@@ -40,10 +40,12 @@ then compared with the input by substring tests in both directions.
 That check's verdict depends only on the cyclic word, so each word is traced
 once per process: a set of verified words (`_VERIFIED`) holds the least
 rotations whose trace passed, and `_reembed` and `validate` trace only a
-word not in it.  A word whose trace raises is never recorded.  The set is
+word not in it.  A word whose trace raises is never recorded.  A relabeling
+symmetry maps a word's normal multicurve onto its image's, so
+`action._relabel` records the image of a word in the set.  The set is
 bounded by 128 KiB of codes, which holds every distinct word of the depth-6
 atlas and its round trips, and evicts the oldest words first.
-`goeritz2.clear_caches()` empties it with the generator-action memo.
+`goeritz2.clear_caches()` empties it with the other two memos.
 """
 
 from __future__ import annotations

@@ -13,6 +13,15 @@ curve gets one word W; and W(Q) = P fixes Q = W^-1(P), so two curves with
 one word are one curve.  The word also fixes the terminal: every pass ends
 in a half twist, so a trailing delta^+-1 comes only from the terminal move.
 
+Each pass is memoized by the code it starts from (`_pass`, an LRU memo of
+4096 entries): the atlas reduces every new image to key it, and a round
+trip of a stored record reduces it again, so the same passes recur.  The
+memo is exact, as the argument above shows: a pass is a function of the
+normalized code alone, since it reads counts of minimal words and applies
+the deterministic generator action, so a hit returns exactly what
+recomputing would.  A pass that raises is not stored.
+`goeritz2.clear_caches()` empties the memo.
+
 `verify_certificate` replays the word both ways.  Forward, the image must
 have counts (2,0,0,2,0,0): B with Z and C with Y fill two disjoint one-holed
 tori whose complement is an annulus around P, so a curve missing all four
@@ -25,12 +34,13 @@ took the input to P.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 from .action import (apply_generator, apply_word, format_goeritz_word, invert_goeritz_word,
                      parse_goeritz_word)
-from .curve import (Counts, CurveWord, P_CURVE, arc_census, canonical_unoriented, counts,
+from .curve import (CurveWord, P_CURVE, arc_census, canonical_unoriented, counts,
                     ensure_normal, to_doc)
 from .errors import (
     BetaReductionFailure,
@@ -121,43 +131,73 @@ class ReductionCertificate:
         return json.dumps(self.as_doc(**kw), indent=1) + "\n"
 
 
+# Entries of the pass memo: enumerate_atlas(7) plus a round trip per record
+# needs 1,108 (0.47 MB by tracemalloc), enumerate_atlas(6) plus its round
+# trips 428.
+_PASS_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_PASS_MEMO_SIZE)
+def _pass(code: bytes, abc: tuple[int, int, int]) -> tuple[tuple, tuple, bytes]:
+    """One reduction pass from the normalized code of a reducing curve with
+    a+b+c > 2: the generators it applies, their count trace and the code it
+    lands on.
+
+    The pass makes the curve A-dominant with delta or its inverse, then
+    applies whichever half twist gives the lower a.  abc is the code's
+    (a, b, c), which the caller has read; being a function of the code, it
+    splits no entry of the memo.
+    """
+    w = CurveWord(code, normalized=True)
+    a, before = abc[0], sum(abc)
+    gens, trace = [], []
+    gen = {"C": "delta", "B": "delta_inv"}.get(classify(w))
+    if gen:
+        w = apply_generator(w, gen)
+        c = counts(w)
+        gens.append(gen)
+        trace.append(c.abc())
+        a = c.a
+    s1 = apply_generator(w, "beta")
+    s2 = apply_generator(w, "beta_inv")
+    c1, c2 = counts(s1), counts(s2)
+    if min(c1.a, c2.a) >= a:
+        raise BetaReductionFailure(f"half twist did not lower a: {a} -> {c1.a}/{c2.a}")
+    gen, w, c = ("beta", s1, c1) if c1.a <= c2.a else ("beta_inv", s2, c2)
+    gens.append(gen)
+    trace.append(c.abc())
+    after = c.total_abc()
+    if after >= before or (before - after) % 2:
+        raise IterationLimitExceeded(f"pass changed a+b+c from {before} to {after}")
+    return tuple(gens), tuple(trace), w.code
+
+
 def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
     """Transform a reducing curve into the standard one, recording the moves;
-    each curve's counts are read once, when the curve is made."""
+    each curve's counts are read once, when the curve is made, and a pass
+    the memo holds (`_pass`) is not computed again."""
     w = require_reducing(w)
-    c = counts(w)
-    cert = ReductionCertificate(c.abc())
-    limit = c.total_abc() // 2 + ITERATION_SLACK
-
-    def push(gen: str, new: CurveWord, c_new: Counts | None = None) -> tuple[CurveWord, Counts]:
-        c_new = c_new or counts(new)
-        cert.word.append(gen)
-        cert.trace.append(c_new.abc())
-        return new, c_new
-
+    abc = counts(w).abc()
+    cert = ReductionCertificate(abc)
+    limit = sum(abc) // 2 + ITERATION_SLACK
+    code = w.code
     iterations = 0
-    while c.total_abc() > 2:
+    while sum(abc) > 2:
         iterations += 1
         if iterations > limit:
             raise IterationLimitExceeded(f"no convergence within {limit} passes")
-        before = c.total_abc()
-        gen = {"C": "delta", "B": "delta_inv"}.get(classify(w))
-        if gen:
-            w, c = push(gen, apply_generator(w, gen))
-        s1 = apply_generator(w, "beta")
-        s2 = apply_generator(w, "beta_inv")
-        c1, c2 = counts(s1), counts(s2)
-        if min(c1.a, c2.a) >= c.a:
-            raise BetaReductionFailure(f"half twist did not lower a: {c.a} -> {c1.a}/{c2.a}")
-        w, c = push("beta", s1, c1) if c1.a <= c2.a else push("beta_inv", s2, c2)
-        after = c.total_abc()
-        if after >= before or (before - after) % 2:
-            raise IterationLimitExceeded(f"pass changed a+b+c from {before} to {after}")
+        gens, trace, code = _pass(code, abc)
+        cert.word.extend(gens)
+        cert.trace.extend(trace)
+        abc = trace[-1]
+    w = CurveWord(code, normalized=True)
     cert.terminal = is_standard(w)
     gen = {"P_prime": "delta_inv", "P_double_prime": "delta"}.get(cert.terminal)
     if gen:
-        w, c = push(gen, apply_generator(w, gen))
-    if c.abc() != (2, 0, 0):
+        abc = counts(apply_generator(w, gen)).abc()
+        cert.word.append(gen)
+        cert.trace.append(abc)
+    if abc != (2, 0, 0):
         raise IterationLimitExceeded("reduction did not land on the standard curve")
     return cert
 

@@ -188,6 +188,19 @@ def _checks(quick: bool):
         warm = [cm.normalize(w).code for w in words]  # served by the set: no trace
         assert cold == warm == [w.code for w in words]
 
+    def reduction_memo():
+        curves = [atlas_mod.record_curve(rec) for rec in atlas_mod.enumerate_atlas(4).records]
+
+        def certificates():
+            return [(c.word, c.trace, c.terminal) for c in map(red.reduce_to_standard, curves)]
+
+        clear_caches()
+        cold = certificates()
+        misses = red._pass.cache_info().misses
+        assert misses > 0
+        assert certificates() == cold  # served by the pass memo: no new pass
+        assert red._pass.cache_info().misses == misses
+
     def certificate_invariance():
         for word, w in corpus:
             cert = certificate(w)
@@ -223,6 +236,7 @@ def _checks(quick: bool):
         ("spur-levels", spur_levels),
         ("generator-memo", generator_memo),
         ("verified-words", verified_words),
+        ("reduction-memo", reduction_memo),
         ("certificate-invariance", certificate_invariance),
         ("atlas-determinism", atlas_determinism),
     ]

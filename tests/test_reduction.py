@@ -5,12 +5,13 @@ import json
 
 import pytest
 
+import goeritz2
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import reduction as red
 from goeritz2.action import apply_generator, apply_word
 from goeritz2.curve import arc_census, counts
-from goeritz2.errors import MalformedInput, NotReducing
+from goeritz2.errors import MalformedInput, NotReducing, TrichotomyViolation
 
 # SHA-256 of [word text, trace, terminal] of the certificate of every ladder,
 # then every corpus curve, as compact JSON, one line per curve: pinned while
@@ -171,6 +172,7 @@ def test_reduction_reads_each_curve_counts_once(monkeypatch, corpus, ladders):
     monkeypatch.setattr(red, "classify", nested(red.classify))
     monkeypatch.setattr(red, "is_standard", nested(red.is_standard))
     for w in [w for _, w in corpus[:60]] + ladders:
+        goeritz2.clear_caches()  # a pass found in the memo reads no counts
         counted.clear()
         cert = red.reduce_to_standard(w)
         assert len({id(x) for x in counted}) == len(counted)
@@ -212,3 +214,53 @@ def test_certificates_are_pinned(corpus, ladders):
         lines.append(json.dumps([cert.word_text(), [list(t) for t in cert.trace], cert.terminal],
                                 separators=(",", ":")))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CERTIFICATES_SHA256
+
+
+def _certificate(w):
+    cert = red.reduce_to_standard(w)
+    return cert.word, cert.trace, cert.terminal
+
+
+def test_certificates_are_equal_uncached_cold_and_warm(monkeypatch, corpus, ladders):
+    curves = [w for _, w in corpus] + ladders + \
+        [at.record_curve(rec) for rec in at.enumerate_atlas(6).records]
+    with monkeypatch.context() as m:
+        m.setattr(red, "_pass", red._pass.__wrapped__)  # every pass recomputed
+        uncached = list(map(_certificate, curves))
+    goeritz2.clear_caches()
+    cold = list(map(_certificate, curves))
+    misses = red._pass.cache_info().misses
+    warm = list(map(_certificate, curves))
+    assert cold == warm == uncached
+    assert red._pass.cache_info().misses == misses > 300  # a warm reduce computes no pass
+
+
+def test_a_pass_that_raises_is_not_stored(monkeypatch):
+    w = apply_word(cm.P_CURVE, "dbdbdB")
+    expected = _certificate(w)
+    passes = sum(g in ("beta", "beta_inv") for g in expected[0])
+    assert passes >= 3
+    goeritz2.clear_caches()
+    real = red.classify
+    calls = []
+
+    def fail_second(x):  # the first pass is stored, the second raises
+        calls.append(x)
+        if len(calls) == 2:
+            raise TrichotomyViolation("injected")
+        return real(x)
+
+    monkeypatch.setattr(red, "classify", fail_second)
+    with pytest.raises(TrichotomyViolation, match="injected"):
+        red.reduce_to_standard(w)
+    assert red._pass.cache_info().currsize == 1
+    assert _certificate(w) == expected
+    info = red._pass.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, passes + 1, passes)
+
+
+def test_clear_caches_empties_the_pass_memo(ladders):
+    red.reduce_to_standard(ladders[-1])
+    assert red._pass.cache_info().currsize > 0
+    goeritz2.clear_caches()
+    assert red._pass.cache_info().currsize == 0

@@ -1,9 +1,10 @@
 """The set of verified words in front of `curve._trace`.
 
 `_reembed` and `validate` skip the trace of a cyclic word whose least
-rotation already passed one.  These checks pin that the skip changes no
-result, that only words whose trace passed are recorded, and how the set is
-bounded and emptied.
+rotation already passed one, and `action._relabel` records the image of a
+verified word.  These checks pin that the skip changes no result, that only
+words whose trace passed (or images of them) are recorded, and how the set
+is bounded and emptied.
 """
 
 import pytest
@@ -115,3 +116,32 @@ def test_a_loaded_record_is_traced_once(traced):
     curves = [at.record_curve(rec) for rec in records]
     assert len(traced) == len(records)
     assert list(map(cm.to_doc, curves)) == [rec.curve_doc for rec in records]
+
+
+_RELABELS = ("alpha", "gamma", "delta", "delta_inv")
+
+
+def _distinct_curves(corpus, ladders):
+    curves = [w for _, w in corpus] + ladders + \
+        [at.record_curve(rec) for rec in at.enumerate_atlas(5).records]
+    return list({w.code: w for w in curves}.values())
+
+
+def test_relabel_images_pass_the_trace(corpus, ladders):
+    # the equivariance that lets a relabel image inherit its input's verdict
+    for w in _distinct_curves(corpus, ladders):
+        cm._trace(w.code)
+        for g in _RELABELS:
+            cm._trace(action._relabel(w, g).code)
+
+
+def test_a_relabel_image_is_verified_exactly_when_its_input_is(corpus, ladders):
+    for i, w in enumerate(_distinct_curves(corpus, ladders)):
+        verified = i % 2 == 0
+        for g in _RELABELS:
+            goeritz2.clear_caches()
+            if verified:
+                cm._VERIFIED.add(w.code)
+            image = action._relabel(w, g)
+            assert (image.code in cm._VERIFIED) == verified, (w, g)
+            assert len(cm._VERIFIED) == verified * len({w.code, image.code})
