@@ -38,8 +38,10 @@ A miss of beta^+-1 runs one substitution, then the kernel and the
 re-embedding check, so every word the memo stores is verified; an action
 that raises is not stored.  Keys and values are codes, so each call builds a
 new `CurveWord`.  An entry costs about 2n + 220 bytes for codes of n bytes,
-so a full memo holds 1.7 MB at n = 100 and 25 MB at n = 3,000; the atlas to
-depth 7 uses 1,818 entries and 0.3 MB of codes.
+so a full memo holds 1.7 MB at n = 100 and 25 MB at n = 3,000.  The atlas
+to depth 7 with a round trip per record uses 3,108 entries (clearing them
+frees 0.44 MB); to depth 8 it misses 8,517 times, so the memo fills and
+evicts, but no workload runs depth 8.
 
 Nothing here tells two curves apart.  Images of the standard curve are
 reducing, and two reducing curves are equal iff `reduction.reduce_to_standard`
@@ -275,8 +277,8 @@ def apply_generator(w: CurveWord, g: str) -> CurveWord:
     return CurveWord(_act(w.code, g), normalized=True)
 
 
-# Entries of the generator memo: enumerate_atlas(7) needs 1,818, and one
-# e2ebench pass at most 1,026.
+# Entries of the generator memo: enumerate_atlas(7) needs 3,108 and one
+# e2ebench atlas pass 1,228; enumerate_atlas(8) misses 8,517 times and evicts.
 _ACT_MEMO_SIZE = 4096
 
 

@@ -4,8 +4,11 @@ Images of the standard curve under generator words are deduplicated by their
 reduction certificate word, the exact equality test of reducing curves (see
 `reduction`); each record keeps the first (hence shortest) witness word, the
 realized (a,b,c) triple, the search depth and the normalized image, which the
-next level expands.  The store is one line-delimited JSON file, so reruns can extend it
-and diffs stay readable; `load` rebuilds the index from the records.
+next level expands.  The store is one line-delimited JSON file, so reruns can
+extend it and diffs stay readable; `load` rebuilds the index from the records.
+A record holds its curve as a `CurveWord`: the curve document exists only at
+the file boundary, written by `as_json` and read, validated and normalized
+once by `from_json` when `load` reads a store.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .action import GENERATORS, apply_generator, format_goeritz_word
 from .curve import CurveWord, P_CURVE, from_doc, normalize, to_doc
-from .errors import MalformedInput, NotReducing
+from .errors import INPUT_ERRORS, MalformedInput, NotReducing
 from .reduction import reduce_to_standard
 
 ATLAS_FORMAT = "goeritz-atlas/3"
@@ -28,7 +31,12 @@ class AtlasRecord:
     triple: tuple[int, int, int]
     witness: str                   # compact generator word
     depth: int
-    curve_doc: dict
+    curve: CurveWord               # the normalized image
+
+    @property
+    def curve_doc(self) -> dict:
+        """The curve document a store line holds."""
+        return to_doc(self.curve)
 
     def as_json(self) -> str:
         return json.dumps(
@@ -38,7 +46,8 @@ class AtlasRecord:
 
     @staticmethod
     def from_json(line: str) -> "AtlasRecord":
-        """One store line as a record; MalformedInput says what is wrong with it."""
+        """One store line as a record, its curve validated and normalized; an
+        input error says what is wrong with it."""
         doc = _json_object(line)
         missing = [k for k in ("key", "triple", "witness", "depth", "curve") if k not in doc]
         if missing:
@@ -46,7 +55,7 @@ class AtlasRecord:
         if not isinstance(doc["triple"], list):
             raise MalformedInput("record triple is not a list")
         return AtlasRecord(doc["key"], tuple(doc["triple"]), doc["witness"],
-                           doc["depth"], doc["curve"])
+                           doc["depth"], normalize(from_doc(doc["curve"])))
 
 
 def _json_object(line: str) -> dict:
@@ -83,10 +92,11 @@ class AtlasStore:
 
     @staticmethod
     def load(path: str) -> "AtlasStore":
-        """Read a store that `save` wrote; a malformed one raises MalformedInput
-        naming the file and the line.  A store of an earlier format is refused:
-        its keys (signatures in /1, 24 intersection numbers in /2) never match
-        a certificate word, so extending it would duplicate its records."""
+        """Read a store that `save` wrote; a malformed line or curve raises
+        MalformedInput naming the file and the line.  A store of an earlier
+        format is refused: its keys (signatures in /1, 24 intersection numbers
+        in /2) never match a certificate word, so extending it would duplicate
+        its records."""
         store = AtlasStore()
         with open(path) as fh:
             lineno = 1
@@ -101,7 +111,7 @@ class AtlasStore:
                 for lineno, line in enumerate(fh, 2):
                     if line.strip():
                         store.add(AtlasRecord.from_json(line))
-            except MalformedInput as exc:
+            except INPUT_ERRORS as exc:
                 raise MalformedInput(f"{path}, line {lineno}: {exc}") from None
         return store
 
@@ -141,7 +151,7 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
     store.meta["depth"] = max(depth, store.meta.get("depth", 0))
 
     base = normalize(P_CURVE)
-    store.add(AtlasRecord("", (2, 0, 0), "", 0, to_doc(base)))
+    store.add(AtlasRecord("", (2, 0, 0), "", 0, base))
     # Codes keyed in this call: their keys are in the store, so an image with
     # one of them (alpha's, or g^-1 after g) needs no reduction.  Records loaded
     # from a store are not in it; their codes are keyed again when they recur.
@@ -159,9 +169,7 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
                 cert = reduce_to_standard(img)
                 if any(t % 2 for t in cert.input_counts):
                     raise NotReducing("odd intersection triple in atlas")
-                text = cert.word_text()
-                if text not in store.index:  # only a new record needs its document
-                    store.add(AtlasRecord(text, cert.input_counts, witness, level, to_doc(img)))
+                store.add(AtlasRecord(cert.word_text(), cert.input_counts, witness, level, img))
     return store
 
 
@@ -180,5 +188,5 @@ def is_non_triangular(triple: tuple[int, int, int]) -> bool:
 
 
 def record_curve(rec: AtlasRecord) -> CurveWord:
-    """The stored curve, normalized once here so that its uses do not repeat it."""
-    return normalize(from_doc(rec.curve_doc))
+    """The stored curve, already normalized."""
+    return rec.curve

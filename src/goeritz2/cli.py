@@ -16,16 +16,7 @@ from . import curve as cm
 from . import reduction as red
 from . import render as render_mod
 from .action import apply_word, parse_goeritz_word
-from .errors import (
-    EmptyAfterNormalization,
-    Goeritz2Error,
-    InconsistentCoordinates,
-    MalformedInput,
-    MalformedWord,
-    NotEmbeddable,
-    NotReducing,
-    ParityViolation,
-)
+from .errors import INPUT_ERRORS, Goeritz2Error, NotReducing
 from .handlebody import (
     arc_pi1_words,
     bounds_disk,
@@ -33,10 +24,6 @@ from .handlebody import (
     require_reducing,
     theta_word,
 )
-
-_INPUT_ERRORS = (MalformedInput, MalformedWord, NotEmbeddable, ParityViolation,
-                 InconsistentCoordinates, EmptyAfterNormalization)
-
 
 def _read_curve(path: str | None) -> cm.CurveWord:
     text = sys.stdin.read() if path in (None, "-") else pathlib.Path(path).read_text()
@@ -206,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotReducing as exc:
         print(f"not a reducing curve: {exc.reason}", file=sys.stderr)
         return 4
-    except _INPUT_ERRORS as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Goeritz2Error as exc:

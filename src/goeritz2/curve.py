@@ -39,10 +39,12 @@ then compared with the input by substring tests in both directions.
 
 That check's verdict depends only on the cyclic word, so each word is traced
 once per process: a set of verified words (`_VERIFIED`) holds the least
-rotations whose trace passed, and `_reembed` and `validate` trace only a
-word not in it.  A word whose trace raises is never recorded.  A relabeling
-symmetry maps a word's normal multicurve onto its image's, so
-`action._relabel` records the image of a word in the set.  The set is
+rotations whose trace passed, and `_reembed` traces only a word not in it.
+`validate` checks outside input, so it traces its spur-free core every time
+and records it; the `normalize` that follows does not trace the word again.
+A word whose trace raises is never recorded.  A relabeling symmetry maps a
+word's normal multicurve onto its image's, so `action._relabel` records the
+image of a word in the set.  The set is
 bounded by 128 KiB of codes, which holds every distinct word of the depth-6
 atlas and its round trips, and evicts the oldest words first.
 `goeritz2.clear_caches()` empties it with the other two memos.
@@ -186,15 +188,12 @@ def _check_embeddable(steps: list[Step]) -> None:
     # complete for a spur-free word: its counts re-embed as one curve tracing it
     core = kernel.remove_spurs(code)
     if core:
-        least = _least_rotation(core)
-        if least in _VERIFIED:
-            return
         try:
             _trace(core)
         except (InternalInvariantError, NotEmbeddable) as exc:
             _check_edge_orders(core)  # the more specific reason, where it applies
             raise NotEmbeddable(f"spur-free word is not one embedded curve: {exc}") from None
-        _VERIFIED.add(least)
+        _VERIFIED.add(_least_rotation(core))
 
 
 def _check_edge_orders(core: bytes) -> None:

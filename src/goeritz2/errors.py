@@ -58,3 +58,8 @@ class IterationLimitExceeded(Goeritz2Error):
 
 class InternalInvariantError(Goeritz2Error):
     """A structural invariant that should be unconditionally true failed."""
+
+
+# Errors of a malformed or unembeddable curve input (command-line exit code 3).
+INPUT_ERRORS = (MalformedInput, MalformedWord, NotEmbeddable, ParityViolation,
+                InconsistentCoordinates, EmptyAfterNormalization)

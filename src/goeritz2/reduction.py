@@ -133,7 +133,7 @@ class ReductionCertificate:
 
 # Entries of the pass memo: enumerate_atlas(7) plus a round trip per record
 # needs 1,108 (0.47 MB by tracemalloc), enumerate_atlas(6) plus its round
-# trips 428.
+# trips 428, enumerate_atlas(8) plus its round trips 2,844.
 _PASS_MEMO_SIZE = 4096
 
 

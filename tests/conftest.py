@@ -1,3 +1,4 @@
+import json
 import pathlib
 import random
 import sys
@@ -9,7 +10,7 @@ if _SRC.exists() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 import goeritz2  # noqa: E402
-from goeritz2 import action, curve  # noqa: E402
+from goeritz2 import action, atlas, curve  # noqa: E402
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 520
@@ -57,6 +58,33 @@ def unembedded_word():
             ["B2", "H4"], ["Y2", "H3"], ["B1", "H1"], ["C1", "H3"], ["Y2", "H4"],
             ["B2", "H2"], ["A2", "H4"], ["B2", "H2"], ["Z1", "H1"], ["Y1", "H2"],
             ["B2", "H4"], ["C2", "H2"]]
+
+
+# Store curves `AtlasStore.load` refuses, each with the start of its reason.
+# Every A/B/C edge joins the two pants and every X/Y/Z edge the two balls, so
+# a closed chain crosses each system evenly: an odd crossing count fails the
+# chain check.
+BAD_STORE_CURVES = {
+    "unembedded": (None, "spur-free word is not one embedded curve"),
+    "odd-parity": ([["A1", "H1"], ["X1", "H2"], ["X1", "H1"]],
+                   "step 3: expected hexagon H3"),
+    "null-homotopic": ([["A1", "H1"], ["A1", "H3"]], "curve is null-homotopic"),
+}
+
+
+@pytest.fixture(params=sorted(BAD_STORE_CURVES))
+def bad_curve_store(request, tmp_path, unembedded_word):
+    """A saved depth-1 store whose third record, on line 4, holds a curve that
+    is not a valid one, and the start of the reason `load` gives for it."""
+    steps, reason = BAD_STORE_CURVES[request.param]
+    path = tmp_path / "atlas.jsonl"
+    atlas.enumerate_atlas(1).save(str(path))
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[3])
+    doc["curve"]["steps"] = steps or unembedded_word
+    lines[3] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    return path, reason
 
 
 @pytest.fixture(scope="session")

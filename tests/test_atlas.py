@@ -117,6 +117,13 @@ def test_load_names_the_file_and_line_of_a_malformed_record(tmp_path):
         at.AtlasStore.load(str(path))
 
 
+def test_load_names_the_file_and_line_of_a_bad_curve(bad_curve_store):
+    # a record's curve is checked once, when its store is loaded
+    path, reason = bad_curve_store
+    with pytest.raises(MalformedInput, match=f"^{re.escape(f'{path}, line 4: {reason}')}"):
+        at.AtlasStore.load(str(path))
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_load_refuses_a_store_of_an_earlier_format(tmp_path, version):
     # its keys (signatures, then 24 intersection numbers) would never match a

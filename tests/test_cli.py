@@ -231,3 +231,10 @@ def test_malformed_atlas_store_exit_code(tmp_path, capsys, text, line, reason):
     assert main(["atlas", "--in", str(store), "--depth", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {store}, line {line}: {reason}"), err
+
+
+def test_bad_curve_in_atlas_store_exit_code(bad_curve_store, capsys):
+    store, reason = bad_curve_store
+    assert main(["atlas", "--in", str(store), "--depth", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {store}, line 4: {reason}"), err

@@ -15,7 +15,7 @@ from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import kernel
 from goeritz2 import reduction as red
-from goeritz2.action import _cross_detour, apply_word, twist_about_p
+from goeritz2.action import _cross_detour, apply_generator, apply_word, twist_about_p
 from goeritz2.errors import Goeritz2Error
 from goeritz2.surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX
 
@@ -262,9 +262,11 @@ def test_validate_messages_unchanged(monkeypatch):
 def test_library_made_kernel_inputs_hold_no_bigon_run(monkeypatch, ladders):
     # Observed, not proved (ROADMAP item 9): after spur cancellation, every
     # word the generator action hands the kernel is in minimal position.
-    # Depth 6 with its round trips makes about 1,080 calls, as each half
-    # twist is one substitution and one kernel call; the full twists about P
-    # of its records add about 620 more, on the other handle.
+    # Depth 6 with its round trips and the ladders makes about 640 calls: each
+    # half twist is one substitution and one kernel call, and a record holds
+    # its normalized curve.  The full twists about P of its records and of
+    # their delta and delta^-1 images add about 1,860 more, on the other
+    # handle.
     found = []
     real = kernel._find_run
     monkeypatch.setattr(kernel, "_find_run", lambda code: found.append(real(code)) or found[-1])
@@ -272,6 +274,7 @@ def test_library_made_kernel_inputs_hold_no_bigon_run(monkeypatch, ladders):
     for w in curves + ladders:
         assert red.verify_certificate(red.reduce_to_standard(w), w)
     for w in curves:
-        for d in (1, -1):
-            twist_about_p(w, d)
+        for v in (w, apply_generator(w, "delta"), apply_generator(w, "delta_inv")):
+            for d in (1, -1):
+                twist_about_p(v, d)
     assert len(found) > 1500 and found.count(None) == len(found)

@@ -1,10 +1,10 @@
 """The set of verified words in front of `curve._trace`.
 
-`_reembed` and `validate` skip the trace of a cyclic word whose least
-rotation already passed one, and `action._relabel` records the image of a
-verified word.  These checks pin that the skip changes no result, that only
-words whose trace passed (or images of them) are recorded, and how the set
-is bounded and emptied.
+`_reembed` skips the trace of a cyclic word whose least rotation already
+passed one; `validate` traces its input every time and records it, and
+`action._relabel` records the image of a verified word.  These checks pin
+that the skip changes no result, that only words whose trace passed (or
+images of them) are recorded, and how the set is bounded and emptied.
 """
 
 import pytest
@@ -13,6 +13,7 @@ import goeritz2
 from goeritz2 import action
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2 import kernel
 from goeritz2.action import GENERATORS, apply_generator, apply_word
 from goeritz2.errors import InternalInvariantError, NotEmbeddable
 
@@ -109,13 +110,21 @@ def test_normalizing_a_word_twice_traces_it_once(corpus, traced):
     assert traced == [(w.code, True)]
 
 
-def test_a_loaded_record_is_traced_once(traced):
-    records = at.enumerate_atlas(3).records
+def test_a_loaded_record_is_traced_once(tmp_path, monkeypatch, traced):
+    path = str(tmp_path / "atlas.jsonl")
+    at.enumerate_atlas(3).save(path)
     goeritz2.clear_caches()
     traced.clear()
+    records = at.AtlasStore.load(path).records
+    assert len(traced) == len(records) > 1
+    calls = []
+    normalize_steps = kernel.normalize_steps
+    monkeypatch.setattr(kernel, "normalize_steps",
+                        lambda code: calls.append(code) or normalize_steps(code))
     curves = [at.record_curve(rec) for rec in records]
-    assert len(traced) == len(records)
-    assert list(map(cm.to_doc, curves)) == [rec.curve_doc for rec in records]
+    assert not calls and len(traced) == len(records)
+    assert [w.code for w in curves] == \
+        [cm.normalize(cm.from_doc(rec.curve_doc)).code for rec in records]
 
 
 _RELABELS = ("alpha", "gamma", "delta", "delta_inv")
