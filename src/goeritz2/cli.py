@@ -91,8 +91,8 @@ def _cmd_verify(args) -> int:
     except NotReducing as exc:
         print(f"not a reducing curve: {exc.reason}")
         return 4
-    dom = red.classify(w)
     c = cm.counts(w)
+    dom = red._dominance(w, c.abc())  # w is checked: no second require_reducing
     print(f"reducing curve; dominance class {dom}; counts {c.as_tuple()}")
     if dom == "A" and c.total_abc() > 2:
         check_word_constraints(w)

@@ -20,8 +20,10 @@ A/B/C crossing to the next and stays in the pants it enters, as every X/Y/Z
 edge borders two hexagons of one pants (checked in `surface`).  One
 `translate` gives the A/B/C positions (`_arc_starts`); an arc's type, pants
 and edges are one table lookup on the bytes at two consecutive ones, and
-`split_arcs` slices the code between them.  A curve bounds a disk in V (W)
-iff the X/Y/Z (A/B/C) curves it crosses cancel to nothing.
+`split_arcs` slices the code between them.  `arc_census` reads every arc's
+type and pants at once, from big-integer sums over the A/B/C bytes.  A
+curve bounds a disk in V (W) iff the X/Y/Z (A/B/C) curves it crosses cancel
+to nothing.
 
 Re-embedding is table-driven and linear in the word length.  Static tables,
 built once at import from `surface`, number the 60 chord classes and hold
@@ -53,7 +55,7 @@ atlas and its round trips, and evicts the oldest words first.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter
@@ -67,7 +69,6 @@ from .errors import (
     MalformedInput,
     MalformedWord,
     NotEmbeddable,
-    ParityViolation,
 )
 from .surface import (
     CORNER_AFTER,
@@ -164,13 +165,6 @@ def _check_chain(steps: list[Step]) -> None:
                 f"step {i + 1}: expected hexagon {HEX_TOKENS[OTHER_HEX[e2][h]]}")
 
 
-def _check_parity(steps: list[Step]) -> None:
-    abc = sum(1 for e, _ in steps if EDGE_CURVE[e] < 3)
-    xyz = len(steps) - abc
-    if abc % 2 or xyz % 2:
-        raise ParityViolation(f"crossing parities: ABC={abc}, XYZ={xyz}")
-
-
 def _check_embeddable(steps: list[Step]) -> None:
     code = _encode(steps)
     # chord classes present in a hexagon must not interleave (spur chords exempt)
@@ -226,8 +220,12 @@ def _index(i: int, what: str, value, size: int) -> int:
 
 
 def validate(steps) -> CurveWord:
-    """Check the steps' ranges, then the chain, parity and embeddability
-    conditions."""
+    """Check the steps' ranges, then the chain and embeddability conditions.
+
+    A closed chain crosses each system of three curves an even number of
+    times: every A/B/C edge joins the two pants and every X/Y/Z edge the two
+    balls, so no parity check is needed (`ParityViolation` is never raised).
+    """
     checked = []
     for i, step in enumerate(steps):
         try:
@@ -237,7 +235,6 @@ def validate(steps) -> CurveWord:
         checked.append((_index(i, "edge", e, 12), _index(i, "hexagon", h, 4)))
     steps = checked
     _check_chain(steps)
-    _check_parity(steps)
     _check_embeddable(steps)
     return CurveWord(steps)
 
@@ -543,8 +540,11 @@ def _reversed(w: bytes) -> bytes:
 
 
 def canonical_unoriented(w: CurveWord) -> bytes:
-    """Rotation- and reversal-minimal form of the code."""
-    return min(_least_rotation(w.code), _least_rotation(_reversed(w.code)))
+    """Rotation- and reversal-minimal form of the code.  A normalized word's
+    code is already its least rotation (`_reembed`, `action._relabel` and
+    `action._act` return only least rotations)."""
+    least = w.code if w.normalized else _least_rotation(w.code)
+    return min(least, _least_rotation(_reversed(w.code)))
 
 
 def _theta_letters(code: bytes, system: str) -> list[str]:
@@ -673,23 +673,23 @@ def signature(w: CurveWord) -> tuple[int, ...]:
 # ------------------------------------------------------------------- queries
 
 
-@dataclass(frozen=True)
-class Counts:
-    a: int
-    b: int
-    c: int
-    x: int
-    y: int
-    z: int
+class Counts(namedtuple("Counts", "a b c x y z")):
+    """The six intersection numbers of a curve with A, B, C, X, Y, Z.
+
+    A named tuple: it compares equal to the plain 6-tuple of its fields, and
+    `abc()` and `as_tuple()` return plain tuples.
+    """
+
+    __slots__ = ()
 
     def abc(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
+        return self[:3]
 
     def total_abc(self) -> int:
-        return self.a + self.b + self.c
+        return self[0] + self[1] + self[2]
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (self.a, self.b, self.c, self.x, self.y, self.z)
+        return tuple(self)
 
 
 def counts(w: CurveWord) -> Counts:
@@ -736,12 +736,6 @@ def _arc_starts(code: bytes) -> list[int]:
     return list(compress(count(), code.translate(_IS_ABC)))
 
 
-def _arc_ends(code: bytes) -> list[tuple[str, int]]:
-    """(type, pants) of each arc, read from its two ends."""
-    ends = bytes(map(code.__getitem__, _arc_starts(code)))
-    return [_ARC_OF_ENDS[24 * x + y] for x, y in zip(ends, ends[1:] + ends[:1])]
-
-
 def split_arcs(w: CurveWord) -> list[Arc]:
     """Cut the cyclic word at its A/B/C crossings, in traversal order: each arc
     is the slice of the code between two consecutive ones, so it crosses only
@@ -757,23 +751,36 @@ def split_arcs(w: CurveWord) -> list[Arc]:
     return arcs
 
 
+# An arc's census key is one byte, 9 (pants - 1) + 3 (start curve) + end
+# curve: the sum of its start byte's share and its end byte's.  Keys of one
+# type and pants translate to the index of that census entry.
+_KEY_FROM = bytes(9 * (HEX_PANTS[x & 3] - 1) + 3 * EDGE_CURVE[x >> 2] if x < 24 else 0
+                  for x in range(256))
+_KEY_TO = bytes(EDGE_CURVE[x >> 2] if x < 24 else 0 for x in range(256))
+_CENSUS_KEYS = tuple((t, i) for t in ARC_TYPES for i in (1, 2))
+_ENTRY_OF_KEY = bytes(_CENSUS_KEYS.index(("".join(sorted(CURVE_NAMES[s] + CURVE_NAMES[e])), p))
+                      for p in (1, 2) for s in range(3) for e in range(3)).ljust(256, b"\xff")
+_FORBIDDEN_ENTRIES = tuple((_CENSUS_KEYS.index((t1, i)), _CENSUS_KEYS.index((t2, i)), t1, t2, i)
+                           for t1, t2 in _FORBIDDEN_PAIRS for i in (1, 2))
+
+
 def arc_census(w: CurveWord) -> dict[tuple[str, int], int]:
-    """Counts |DE|_i of arc types per pair of pants, read from the arcs' ends
-    (`_arc_ends`): no arc is built."""
-    return _census(_arc_ends(ensure_normal(w).code))
+    """Counts |DE|_i of arc types per pair of pants; raises NotEmbeddable if a
+    forbidden pair coexists.
 
-
-def _census(arcs: list[tuple[str, int]]) -> dict[tuple[str, int], int]:
-    """Arc-type counts per pair of pants; raises if a forbidden pair coexists."""
-    census = {(t, i): 0 for t in ARC_TYPES for i in (1, 2)}
-    for arc in arcs:
-        census[arc] += 1
-    for t1, t2 in _FORBIDDEN_PAIRS:
-        for i in (1, 2):
-            if census[(t1, i)] and census[(t2, i)]:
-                raise NotEmbeddable(
-                    f"incompatible arc types {t1},{t2} coexist on pants {i}")
-    return census
+    Read at bytes speed, with no arc built: deleting the X/Y/Z crossings
+    leaves each arc's two ends, consecutive A/B/C bytes.  Two translated
+    copies of them, added as big integers, give every arc's census key in one
+    byte (the 18 keys of 2 pants and 3 x 3 ordered ends), and `count` reads
+    how many arcs each census entry has.
+    """
+    ends = ensure_normal(w).code.translate(None, _XYZ_BYTES)
+    keys = (_big(ends, _KEY_FROM) + _big(ends[1:] + ends[:1], _KEY_TO)).to_bytes(len(ends), "big")
+    sizes = list(map(keys.translate(_ENTRY_OF_KEY).count, range(len(_CENSUS_KEYS))))
+    for j, k, t1, t2, i in _FORBIDDEN_ENTRIES:
+        if sizes[j] and sizes[k]:
+            raise NotEmbeddable(f"incompatible arc types {t1},{t2} coexist on pants {i}")
+    return dict(zip(_CENSUS_KEYS, sizes))
 
 
 # ------------------------------------------------------------- serialization

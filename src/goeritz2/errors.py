@@ -14,7 +14,11 @@ class MalformedWord(Goeritz2Error):
 
 
 class ParityViolation(Goeritz2Error):
-    """Odd number of crossings with one of the two curve systems."""
+    """Odd number of crossings with one of the two curve systems.
+
+    Kept in the public API, but never raised: a closed chain crosses each
+    system evenly (`curve.validate`).
+    """
 
 
 class NotEmbeddable(Goeritz2Error):

@@ -13,22 +13,32 @@ curve gets one word W; and W(Q) = P fixes Q = W^-1(P), so two curves with
 one word are one curve.  The word also fixes the terminal: every pass ends
 in a half twist, so a trailing delta^+-1 comes only from the terminal move.
 
+Each curve is checked once.  `reduce_to_standard` runs `require_reducing`
+on its input, and each pass runs it on the curve it lands on, so every code
+the certificate passes through is checked, either as the input or as a
+landing.  A pass reads its input's dominance class from the (a, b, c) its
+caller already has (`_dominance`), and the terminal class is read from the
+last counts (`_TERMINALS`); the public `classify` and `is_standard` keep
+their own check of outside input.
+
 Each pass is memoized by the code it starts from (`_pass`, an LRU memo of
-4096 entries): the atlas reduces every new image to key it, and a round
-trip of a stored record reduces it again, so the same passes recur.  The
-memo is exact, as the argument above shows: a pass is a function of the
-normalized code alone, since it reads counts of minimal words and applies
-the deterministic generator action, so a hit returns exactly what
-recomputing would.  A pass that raises is not stored.
-`goeritz2.clear_caches()` empties the memo.
+4096 entries), landing check included: the atlas reduces every new image to
+key it, and a round trip of a stored record reduces it again, so the same
+passes recur.  The memo is exact, as the argument above shows: a pass is a
+function of the normalized code alone, since it reads counts of minimal
+words and applies the deterministic generator action, so a hit returns
+exactly what recomputing would.  A pass that raises, on its landing check
+too, is not stored.  `goeritz2.clear_caches()` empties the memo.
 
 `verify_certificate` replays the word both ways.  Forward, the image must
 have counts (2,0,0,2,0,0): B with Z and C with Y fill two disjoint one-holed
 tori whose complement is an annulus around P, so a curve missing all four
 is P.
-Backward, the rebuilt curve must equal the input: by equal codes up to
-rotation and reversal, or else (two minimal words of one curve) by equal
-certificate words.  Both curves are reducing there, as the forward replay
+Backward, the rebuilt curve must equal the input.  Both are normalized
+words, so equal codes decide at once (all 311 round trips of the depth-6
+atlas end there).  Otherwise the codes are compared up to rotation and
+reversal, and last (two minimal words of one curve) by their certificate
+words.  Both curves are reducing there, as the forward replay
 took the input to P.
 """
 
@@ -59,13 +69,19 @@ ITERATION_SLACK = 4
 def classify(w: CurveWord) -> str:
     """The unique dominance class: "A", "B" or "C"."""
     w = require_reducing(w)
-    c = counts(w)
-    sums = (("A", c.a, c.b + c.c), ("B", c.b, c.c + c.a), ("C", c.c, c.a + c.b))
+    return _dominance(w, counts(w).abc())
+
+
+def _dominance(w: CurveWord, abc: tuple[int, int, int]) -> str:
+    """`classify` of a checked reducing curve whose (a, b, c) the caller has read:
+    the trichotomy, and for an A-dominant curve its arc census."""
+    a, b, c = abc
+    sums = (("A", a, b + c), ("B", b, c + a), ("C", c, a + b))
     dominant = [name for name, x, rest in sums if x > rest]
     if len(dominant) != 1:
-        raise TrichotomyViolation(f"counts {c.abc()} satisfy {len(dominant)} inequalities")
+        raise TrichotomyViolation(f"counts {abc} satisfy {len(dominant)} inequalities")
     if any(x == rest for _, x, rest in sums):
-        raise TrichotomyViolation(f"degenerate counts {c.abc()}")
+        raise TrichotomyViolation(f"degenerate counts {abc}")
     if dominant[0] == "A":
         census = arc_census(w)
         for t in ("BB", "BC", "CC"):
@@ -77,10 +93,12 @@ def classify(w: CurveWord) -> str:
     return dominant[0]
 
 
+_TERMINALS = {(2, 0, 0): "P", (0, 2, 0): "P_prime", (0, 0, 2): "P_double_prime"}
+
+
 def is_standard(w: CurveWord) -> str:
     """"P", "P_prime", "P_double_prime", or "none"."""
-    triple = counts(require_reducing(w)).abc()
-    return {(2, 0, 0): "P", (0, 2, 0): "P_prime", (0, 0, 2): "P_double_prime"}.get(triple, "none")
+    return _TERMINALS.get(counts(require_reducing(w)).abc(), "none")
 
 
 def _triple(value) -> tuple[int, int, int]:
@@ -143,15 +161,17 @@ def _pass(code: bytes, abc: tuple[int, int, int]) -> tuple[tuple, tuple, bytes]:
     a+b+c > 2: the generators it applies, their count trace and the code it
     lands on.
 
-    The pass makes the curve A-dominant with delta or its inverse, then
-    applies whichever half twist gives the lower a.  abc is the code's
-    (a, b, c), which the caller has read; being a function of the code, it
-    splits no entry of the memo.
+    Precondition: the input was checked to be reducing, by the caller or by
+    the pass that landed on it; this pass checks the curve it lands on.  The
+    pass makes the curve A-dominant with delta or its inverse, then applies
+    whichever half twist gives the lower a.  abc is the code's (a, b, c),
+    which the caller has read; being a function of the code, it splits no
+    entry of the memo.
     """
     w = CurveWord(code, normalized=True)
     a, before = abc[0], sum(abc)
     gens, trace = [], []
-    gen = {"C": "delta", "B": "delta_inv"}.get(classify(w))
+    gen = {"C": "delta", "B": "delta_inv"}.get(_dominance(w, abc))
     if gen:
         w = apply_generator(w, gen)
         c = counts(w)
@@ -169,13 +189,16 @@ def _pass(code: bytes, abc: tuple[int, int, int]) -> tuple[tuple, tuple, bytes]:
     after = c.total_abc()
     if after >= before or (before - after) % 2:
         raise IterationLimitExceeded(f"pass changed a+b+c from {before} to {after}")
-    return tuple(gens), tuple(trace), w.code
+    return tuple(gens), tuple(trace), require_reducing(w).code
 
 
 def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
-    """Transform a reducing curve into the standard one, recording the moves;
-    each curve's counts are read once, when the curve is made, and a pass
-    the memo holds (`_pass`) is not computed again."""
+    """Transform a reducing curve into the standard one, recording the moves.
+
+    The input is checked once; each pass checks the curve it lands on
+    (`_pass`), and a pass the memo holds is not computed again.  Each
+    curve's counts are read once, when the curve is made.
+    """
     w = require_reducing(w)
     abc = counts(w).abc()
     cert = ReductionCertificate(abc)
@@ -190,11 +213,10 @@ def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
         cert.word.extend(gens)
         cert.trace.extend(trace)
         abc = trace[-1]
-    w = CurveWord(code, normalized=True)
-    cert.terminal = is_standard(w)
+    cert.terminal = _TERMINALS.get(abc, "none")
     gen = {"P_prime": "delta_inv", "P_double_prime": "delta"}.get(cert.terminal)
     if gen:
-        abc = counts(apply_generator(w, gen)).abc()
+        abc = counts(apply_generator(CurveWord(code, normalized=True), gen)).abc()
         cert.word.append(gen)
         cert.trace.append(abc)
     if abc != (2, 0, 0):
@@ -214,5 +236,6 @@ def verify_certificate(cert: ReductionCertificate, original: CurveWord) -> bool:
     if counts(apply_word(original, cert.word)).as_tuple() != (2, 0, 0, 2, 0, 0):
         return False
     back = apply_word(P_CURVE, express_from_standard(cert))
-    return canonical_unoriented(back) == canonical_unoriented(original) or \
+    return back.code == original.code or \
+        canonical_unoriented(back) == canonical_unoriented(original) or \
         reduce_to_standard(back).word == reduce_to_standard(original).word

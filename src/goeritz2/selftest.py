@@ -127,7 +127,7 @@ def _checks(quick: bool):
                 assert twist_about_p(w, d).code == twelve.code, (word, d)
 
     def arc_reader():
-        # arcs, arc ends and census read from the code, against a walk of the steps
+        # arcs, arc types and census read from the code, against a walk of the steps
         for word, w in corpus:
             steps, n = w.steps, len(w)
             starts = [i for i in range(n) if EDGE_CURVE[steps[i][0]] < 3]
@@ -136,10 +136,9 @@ def _checks(quick: bool):
             assert cm.split_arcs(w) == [cm.Arc(
                 HEX_PANTS[s[0][1]], s[0][0], s[-1][0], tuple(e for e, _ in s[1:-1]),
                 tuple(h for _, h in s[1:-1])) for s in walks], word
-            ends = [(s[0][0], s[-1][0], HEX_PANTS[s[0][1]]) for s in walks]
-            assert cm._arc_ends(w.code) == [
-                ("".join(sorted(CURVE_NAMES[EDGE_CURVE[e]] + CURVE_NAMES[EDGE_CURVE[f]])), i)
-                for e, f, i in ends], word
+            assert [a.type for a in cm.split_arcs(w)] == [
+                "".join(sorted(CURVE_NAMES[EDGE_CURVE[s[0][0]]] + CURVE_NAMES[EDGE_CURVE[s[-1][0]]]))
+                for s in walks], word
             census = Counter((a.type, a.pants) for a in cm.split_arcs(w))
             assert cm.arc_census(w) == {k: census[k] for k in cm.arc_census(w)}, word
 

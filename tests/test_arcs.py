@@ -27,7 +27,6 @@ def test_census_and_refined_pairs_match_the_step_walk(curves):
         arcs = oracle.split_arcs(w)
         assert cm.arc_census(w) == oracle.census(arcs), w
         assert [a.type for a in cm.split_arcs(w)] == list(map(oracle.arc_type, arcs)), w
-        assert cm._arc_ends(w.code) == [(oracle.arc_type(a), a.pants) for a in arcs], w
 
 
 def test_arc_ends_of_a_word_without_abc_crossings():
@@ -46,6 +45,11 @@ def test_one_arc_type_per_pair_of_ends():
 
 
 def test_census_still_rejects_forbidden_pairs():
-    arcs = [("AA", 1), ("BB", 1)]
+    # A/B/C ends A1>H1, A2>H4, B1>H1, B2>H4: arcs AA and BB on pants 1 (a code
+    # no embedded curve has, so it is passed as normalized, unchecked)
+    ends = [(S.EDGE_OF_TOKEN[e], S.HEX_OF_TOKEN[h])
+            for e, h in (("A1", "H1"), ("A2", "H4"), ("B1", "H1"), ("B2", "H4"))]
+    assert [S.HEX_PANTS[h] for _, h in ends] == [1, 2, 1, 2]
+    w = cm.CurveWord(ends, normalized=True)
     with pytest.raises(NotEmbeddable, match="AA,BB coexist on pants 1"):
-        cm._census(arcs)
+        cm.arc_census(w)

@@ -186,10 +186,26 @@ def test_census_accounting_identity(corpus):
 
 
 def test_parity_invariant(corpus):
-    for _, w in corpus[:120]:
-        abc = sum(1 for e, _ in w.steps if cm.EDGE_CURVE[e] < 3)
-        xyz = len(w.steps) - abc
-        assert abc % 2 == 0 and xyz % 2 == 0
+    # every A/B/C edge joins the two pants and every X/Y/Z edge the two balls,
+    # so a chain that closes crosses each system evenly: validate needs no
+    # parity check, and ParityViolation is never raised
+    rng = random.Random(7)
+    walks = []
+    for _ in range(5_000):
+        h0 = h = rng.randrange(4)
+        steps, length = [], rng.randint(1, 40)
+        while len(steps) < length or h != h0:
+            e = steps[-1][0] if steps and rng.random() < 0.2 else rng.choice(HEX_SIDES[h])
+            h = OTHER_HEX[e][h]
+            steps.append((e, h))
+        walks.append(steps)
+    mixed = 0
+    for steps in walks + [list(w.steps) for _, w in corpus]:
+        cm._check_chain(steps)
+        abc = sum(cm.EDGE_CURVE[e] < 3 for e, _ in steps)
+        assert abc % 2 == 0 and (len(steps) - abc) % 2 == 0, steps
+        mixed += abc > 2 and len(steps) - abc > 2
+    assert mixed > 3_000
 
 
 def test_coordinates_roundtrip_standard():

@@ -80,7 +80,16 @@ def test_verify_rejects_a_dropped_letter_by_the_forward_replay(monkeypatch, corp
 
 def test_verify_falls_back_to_the_key(monkeypatch, corpus, ladders):
     # codes that never match leave the backward replay to the certificate
-    # words, which also accept a certificate padded with relators
+    # words, which also accept a certificate padded with relators: each replay
+    # returns its curve as an unnormalized word rotated by one step, whose code
+    # is not the input's least rotation, and no unoriented form matches
+    real_apply = red.apply_word
+
+    def rotated(w, word):
+        code = real_apply(w, word).code
+        return cm.CurveWord(code[1:] + code[:1])
+
+    monkeypatch.setattr(red, "apply_word", rotated)
     monkeypatch.setattr(red, "canonical_unoriented", lambda w: object())
     reduced = []
     real = red.reduce_to_standard

@@ -12,6 +12,7 @@ from goeritz2 import reduction as red
 from goeritz2.action import apply_generator, apply_word
 from goeritz2.curve import arc_census, counts
 from goeritz2.errors import MalformedInput, NotReducing, TrichotomyViolation
+from goeritz2.handlebody import require_reducing
 
 # SHA-256 of [word text, trace, terminal] of the certificate of every ladder,
 # then every corpus curve, as compact JSON, one line per curve: pinned while
@@ -241,16 +242,16 @@ def test_a_pass_that_raises_is_not_stored(monkeypatch):
     passes = sum(g in ("beta", "beta_inv") for g in expected[0])
     assert passes >= 3
     goeritz2.clear_caches()
-    real = red.classify
+    real = red._dominance
     calls = []
 
-    def fail_second(x):  # the first pass is stored, the second raises
+    def fail_second(x, abc):  # each pass classifies its input once: the second raises
         calls.append(x)
         if len(calls) == 2:
             raise TrichotomyViolation("injected")
-        return real(x)
+        return real(x, abc)
 
-    monkeypatch.setattr(red, "classify", fail_second)
+    monkeypatch.setattr(red, "_dominance", fail_second)
     with pytest.raises(TrichotomyViolation, match="injected"):
         red.reduce_to_standard(w)
     assert red._pass.cache_info().currsize == 1
@@ -264,3 +265,59 @@ def test_clear_caches_empties_the_pass_memo(ladders):
     assert red._pass.cache_info().currsize > 0
     goeritz2.clear_caches()
     assert red._pass.cache_info().currsize == 0
+
+
+@pytest.fixture(scope="module")
+def reducing_curves(ladders):
+    """The ladders and the depth-5 atlas records."""
+    return ladders + [at.record_curve(rec) for rec in at.enumerate_atlas(5).records]
+
+
+def test_each_code_is_checked_once(monkeypatch, reducing_curves):
+    # reduce_to_standard checks its input, and each computed pass the code it
+    # lands on (the code after each half twist of the certificate), each once
+    landings = []
+    for w in reducing_curves:
+        cert = red.reduce_to_standard(w)
+        x, codes = w, []
+        for gen in cert.word:
+            x = apply_generator(x, gen)
+            if gen in ("beta", "beta_inv"):
+                codes.append(x.code)
+        landings.append(codes)
+    checked = []
+    monkeypatch.setattr(red, "require_reducing",
+                        lambda w: checked.append(w.code) or require_reducing(w))
+    for w, codes in zip(reducing_curves, landings):
+        goeritz2.clear_caches()
+        checked.clear()
+        red.reduce_to_standard(w)
+        assert checked == [w.code] + codes
+        assert len(set(checked)) == len(checked)
+        assert red._pass.cache_info().misses == len(codes)
+        checked.clear()
+        red.reduce_to_standard(w)  # warm: the memo holds each pass with its check
+        assert checked == [w.code]
+    assert sum(map(len, landings)) > 300
+
+
+def test_a_non_reducing_landing_raises_and_is_not_stored(monkeypatch, reducing_curves):
+    curves = [w for w in reducing_curves if counts(w).total_abc() > 2]
+    assert len(curves) > 100
+    for w in curves:
+        expected = _certificate(w)
+        goeritz2.clear_caches()
+        refused = []
+
+        def refuse_first_landing(x):
+            if refused or x.code == w.code:
+                return require_reducing(x)
+            refused.append(x.code)
+            raise NotReducing("no-disk-V")
+
+        with monkeypatch.context() as m:
+            m.setattr(red, "require_reducing", refuse_first_landing)
+            with pytest.raises(NotReducing):
+                red.reduce_to_standard(w)
+        assert refused and red._pass.cache_info().currsize == 0
+        assert _certificate(w) == expected  # the refused pass is computed again

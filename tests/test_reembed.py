@@ -10,7 +10,10 @@ import random
 import pytest
 import reembed_oracle as oracle
 
+from goeritz2 import action
+from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2.action import GENERATORS, apply_generator
 from goeritz2.errors import (
     Goeritz2Error,
     InconsistentCoordinates,
@@ -242,6 +245,26 @@ def test_least_rotation_of_curve_words(corpus, ladders):
     for w in ladders[:3]:
         for r in range(len(w)):
             _same_least_rotation(w.steps[r:] + w.steps[:r])
+
+
+def test_library_words_are_their_own_least_rotations(corpus, ladders):
+    # canonical_unoriented reads a normalized word's code as its least rotation
+    records = [at.record_curve(rec) for rec in at.enumerate_atlas(5).records]
+    curves = {w.code: w for w in [w for _, w in corpus] + ladders + records}.values()
+    made = []
+    for w in curves:
+        half = len(w) // 2
+        turned = [cm.CurveWord(w.code[half:] + w.code[:half]), cm.CurveWord(cm._reversed(w.code))]
+        for x in turned:  # unnormalized words of the curve: their codes are read in full
+            assert cm.canonical_unoriented(x) == cm.canonical_unoriented(w)
+        made += map(cm.normalize, turned)
+        made += [apply_generator(w, g) for g in GENERATORS]
+        made += [action._relabel(w, g) for g in ("alpha", "gamma", "delta", "delta_inv")]
+    assert len(made) > 1500
+    for w in made:
+        assert w.normalized and w.code == cm._least_rotation(w.code), w
+        assert cm.canonical_unoriented(w) == min(cm._least_rotation(w.code),
+                                                 cm._least_rotation(cm._reversed(w.code)))
 
 
 def test_least_rotation_random():
