@@ -42,15 +42,17 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the three memos: the generator action, the set of verified
-    words and the reduction passes.
+    """Empty the three memos (the generator action, the set of verified
+    words and the reduction passes) and the table of chord-class layouts.
 
-    All three hold pure functions of a curve's code, so clearing changes no
-    result, only how much work the next calls repeat.
+    The memos hold pure functions of a curve's code and the table a pure
+    function of a set of chord classes, so clearing changes no result, only
+    how much work the next calls repeat.
     """
     from . import action, curve, reduction
     action._act.cache_clear()
     curve._VERIFIED.clear()
+    curve._layout.cache_clear()
     reduction._pass.cache_clear()
 
 

@@ -12,8 +12,8 @@ their reduction certificate words (`reduction`).
 A word is stored as its code, one byte 4e+h per step (`CurveWord.code`);
 `steps` decodes it on demand.  The kernel, re-embedding, rotation and counts
 all work on the code: curve counts are one `translate` and six `count`s, and
-the least rotation is found by slice comparisons among the positions of the
-least byte, which membership tests find.
+the least rotation ranks the pieces between runs of the least byte and finds
+the least rotation of the ranks, at most half as long (`_least_rotation`).
 
 Arc and disk queries read subsequences of the code.  An arc runs from one
 A/B/C crossing to the next and stays in the pants it enters, as every X/Y/Z
@@ -29,15 +29,21 @@ Re-embedding is table-driven and linear in the word length.  Static tables,
 built once at import from `surface`, number the 60 chord classes and hold
 each class's interleave bitmask and each edge side's fan order.  The class of
 every arc is one byte, read for all arcs at once from two translated copies
-of the code by a big-integer OR; membership tests find the present classes
-and `count`s their sizes.  The normal multicurve with those counts becomes a
-successor table over crossing states.  The present class ends, in slot
-order, tile the slots once along the first sides of the edges and once
-along the second sides, so each half of the table is one slice assignment
-of chained spans, cut from one shared list of state numbers.  The counts of
-n crossings re-embed as one curve iff the walk of n - 1 successors from the
-first state closes there without passing it again; the traced bytes are
-then compared with the input by substring tests in both directions.
+of the code by a big-integer OR; a set of those bytes gives the present
+classes, and `count`s their sizes.  What depends only on the set of present
+classes is its layout (`_layout`), built once per set in a bounded table:
+the interleave verdict and, for the present class ends in slot order, their
+sides, partners, exit bits and orientations.  The ends tile the slots once
+along the first sides of the edges and once along the second sides, so
+prefix sums of their sizes place every end, the state bytes read along the
+two sides agree iff both sides of every edge carry as many crossings, and
+each half of the successor table is one slice assignment of spans cut from
+one shared list of state numbers.  The counts of n crossings re-embed as one
+curve iff the walk of n - 1 successors from the first state closes there
+without passing it again; the traced bytes are then compared with the input
+by substring tests in both directions.  A walk that passes its first state
+early repeats its bytes, so only an input that repeats itself needs that
+pass counted.
 
 That check's verdict depends only on the cyclic word, so each word is traced
 once per process: a set of verified words (`_VERIFIED`) holds the least
@@ -49,16 +55,19 @@ word's normal multicurve onto its image's, so `action._relabel` records the
 image of a word in the set.  The set is
 bounded by 128 KiB of codes, which holds every distinct word of the depth-6
 atlas and its round trips, and evicts the oldest words first.
-`goeritz2.clear_caches()` empties it with the other two memos.
+`goeritz2.clear_caches()` empties it with the other two memos and the layout
+table.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter
+from functools import lru_cache
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, itemgetter, mul
 
 from . import kernel
 from .kernel import _EDGE_OF_BYTE, _POSITION
@@ -168,17 +177,12 @@ def _check_chain(steps: list[Step]) -> None:
 def _check_embeddable(steps: list[Step]) -> None:
     code = _encode(steps)
     # chord classes present in a hexagon must not interleave (spur chords exempt)
-    present = 0
-    for i in set(_arc_classes(code)) - {_SPUR_ARC}:
-        present |= 1 << i
-    for i, (h, e1, e2) in enumerate(_CLASS_KEYS):
-        clash = present & _CLASS_CROSSES[i] & -(2 << i) if present >> i & 1 else 0
-        if clash:
-            j = (clash & -clash).bit_length() - 1
-            raise NotEmbeddable(
-                f"chords {(EDGE_TOKENS[e1], EDGE_TOKENS[e2])} and "
-                f"{tuple(EDGE_TOKENS[x] for x in _CLASS_KEYS[j][1:])} "
-                f"interleave in {HEX_TOKENS[h]}")
+    clash = _first_clash(bytes(sorted(set(_arc_classes(code)) - {_SPUR_ARC})))
+    if clash:
+        (h, *first), (_, *second) = map(_CLASS_KEYS.__getitem__, clash)
+        raise NotEmbeddable(
+            f"chords {tuple(EDGE_TOKENS[x] for x in first)} and "
+            f"{tuple(EDGE_TOKENS[x] for x in second)} interleave in {HEX_TOKENS[h]}")
     # complete for a spur-free word: its counts re-embed as one curve tracing it
     core = kernel.remove_spurs(code)
     if core:
@@ -366,33 +370,44 @@ def _raise_bad_arc(w: bytes, nw: bytes) -> None:
     raise InconsistentCoordinates("bad chord class ({},{},{})".format(*bad))
 
 
-def _arc_counts(w: bytes) -> list[int]:
-    """Chord-class counts of an encoded word, indexed by class id."""
+def _class_sizes(w: bytes) -> tuple[bytes, list[int]]:
+    """The chord classes of an encoded spur-free word's arcs, ascending, and
+    how many arcs each has.  A long word's first arcs hold most of its
+    classes, so the set reads those and what `translate` leaves of the rest."""
     arcs = _arc_classes(w)
-    if _SPUR_ARC in arcs:
+    seen = set(arcs[:64])
+    seen.update(arcs.translate(None, bytes(seen)))
+    if _SPUR_ARC in seen:
         raise InternalInvariantError("coordinates of a word with spurs")
-    counts = [0] * len(_CLASS_KEYS)
-    for i in range(len(_CLASS_KEYS)):
-        if i in arcs:
-            counts[i] = arcs.count(i)
-    return counts
+    present = bytes(sorted(seen))
+    return present, list(map(arcs.count, present))
 
 
 def to_coordinates(w: CurveWord) -> dict[tuple[int, int, int], int]:
     """Chord-class counts {(hexagon, lo edge, hi edge): n}.  Word must be spur-free."""
-    counts = _arc_counts(w.code)
-    return {_CLASS_KEYS[i]: c for i, c in enumerate(counts) if c}
+    present, sizes = _class_sizes(w.code)
+    return dict(zip(map(_CLASS_KEYS.__getitem__, present), sizes))
 
 
-def _class_counts(coords) -> list[int]:
-    """Normal coordinates as a list of class counts."""
+def _class_counts(coords) -> tuple[bytes, list[int]]:
+    """Normal coordinates as their classes, ascending, and the class counts."""
     counts = [0] * len(_CLASS_KEYS)
     for (h, e1, e2), c in {k: int(v) for k, v in coords.items() if v}.items():
         i = _CLASS_OF.get((h, e1, e2))
         if i is None or c < 0:
             raise InconsistentCoordinates(f"bad chord class ({h},{e1},{e2})")
         counts[i] += c
-    return counts
+    return bytes(compress(count(), counts)), list(filter(None, counts))
+
+
+def _first_clash(present: bytes) -> tuple[int, int] | None:
+    """The first two of these ascending class ids whose chords interleave."""
+    mask = sum(1 << i for i in present)
+    for i in present:
+        clash = _CLASS_CROSSES[i] & mask & -(2 << i)
+        if clash:
+            return i, (clash & -clash).bit_length() - 1
+    return None
 
 
 # State numbers 0, 1, 2, ...: each span of the successor table is a slice of
@@ -412,59 +427,71 @@ def _states(size: int) -> list[int]:
 # The 120 class ends 2i+(0 lo, 1 hi) in slot order: those on the first side
 # (2e) of each edge, edge by edge, then those on the second sides (2e+1).
 _ENDS = tuple(end for k in (0, 1) for e in range(12) for end in _FAN[2 * e + k])
-_END_CLASS = tuple(end >> 1 for end in _ENDS)
-# per end id: a strand that enters the class's hexagon at this end leaves it
-# across the partner end's edge, so its next state has the other bit k there
-_END_EXIT = tuple(1 - (_CLASS_ENDS[end >> 1][1 - (end & 1)] & 1)
-                  for end in range(2 * len(_CLASS_KEYS)))
 
 
-def _embedding(counts: list[int]) -> tuple[list[int], bytes]:
-    """Successor table and state bytes of the normal multicurve with these counts.
+@lru_cache(maxsize=128)  # enumerate_atlas(7) uses 31 class sets
+def _layout(present: bytes) -> tuple:
+    """Where the ends of a nonempty set of classes (ascending ids) sit.
 
-    Checks that no two classes present in a hexagon interleave and that both
-    sides of every edge carry the same number of crossings.  The present
+    Raises NotEmbeddable if two of the classes interleave; a raise is not
+    cached.  For the class ends in slot order it returns how many lie on
+    first sides, their state bytes and, in bytes: each end's index in the
+    class sizes; its partner's index in the slot starts (the first-side
+    ends' prefix sums with their total, then the second-side ends'); the
+    bit k of the states its strands lead to, as they leave the class's
+    hexagon across the partner end's edge; and whether they run against
+    the slots.
+    """
+    clash = _first_clash(present)
+    if clash:
+        raise NotEmbeddable(
+            f"interleaving chord classes in {HEX_TOKENS[_CLASS_KEYS[clash[0]][0]]}")
+    ends = [end for end in _ENDS if end >> 1 in present]
+    side = {end: _CLASS_ENDS[end >> 1][end & 1] for end in ends}
+    first = sum(~side[end] & 1 for end in ends)
+    start = {end: t + (t >= first) for t, end in enumerate(ends)}
+    return (first, tuple(_SLOT_BYTES[side[end] >> 1] for end in ends),
+            bytes(map(present.index, (end >> 1 for end in ends))),
+            bytes(start[end ^ 1] for end in ends),
+            bytes(~side[end ^ 1] & 1 for end in ends),
+            bytes(_CLASS_ANTI[end >> 1] for end in ends))
+
+
+def _embedding(present: bytes, sizes: list[int]) -> tuple[list[int], bytes]:
+    """Successor table and state bytes of the normal multicurve whose classes
+    (ascending ids, `_layout`) have these sizes.
+
+    Checks that no two of the classes interleave in a hexagon and that both
+    sides of every edge carry the same number of crossings: the state bytes
+    read along the first sides equal those read along the second.  The
     class ends, in slot order, tile the slots once along the first sides of
     the edges and once along the second sides; each end's states lead to the
     slots of its partner end, so each side's successors are one chain of
-    spans, assigned as one slice.
+    spans, assigned as one slice.  The sequences made per call are lists
+    and bytes: CPython 3.11 never reuses a freed tuple of 20 items, so
+    tuples made per call would pile up.
     """
-    present = list(compress(range(len(counts)), counts))
-    mask = sum(1 << i for i in present)
-    for i in present:
-        if _CLASS_CROSSES[i] & mask:
-            raise NotEmbeddable(
-                f"interleaving chord classes in {HEX_TOKENS[_CLASS_KEYS[i][0]]}")
-    crossings = [0] * 24  # per edge side 2e+k
-    for i in present:
-        lo, hi = _CLASS_ENDS[i]
-        crossings[lo] += counts[i]
-        crossings[hi] += counts[i]
-    for e in range(12):
-        if crossings[2 * e] != crossings[2 * e + 1]:
-            raise InconsistentCoordinates(
-                f"edge {EDGE_TOKENS[e]} endpoint counts differ: {crossings[2 * e:2 * e + 2]}")
-    code = b"".join([_SLOT_BYTES[e] * crossings[2 * e] for e in range(12)])
-    n = len(code) >> 1
-    sizes = list(map(counts.__getitem__, _END_CLASS))
-    ends, sizes = list(compress(_ENDS, sizes)), list(filter(None, sizes))
-    # the present ends on first sides fill slots 0..n-1 in order, then those
-    # on second sides fill them again
-    start, pos, first = [0] * len(_ENDS), 0, 0
-    for t, (end, c) in enumerate(zip(ends, sizes)):
-        if pos == n:
-            first, pos = t, 0
-        start[end] = pos
-        pos += c
-    states, spans = _states(len(code)), []
-    for end, c in zip(ends, sizes):
-        # a descending span down to state 0 or 1 needs stop None: -1 would wrap
-        lo = 2 * start[end ^ 1] + _END_EXIT[end]
-        spans.append(states[lo + 2 * c - 2:lo - 2 if lo > 1 else None:-2]
-                     if _CLASS_ANTI[end >> 1] else states[lo:lo + 2 * c:2])
-    nxt = [0] * len(code)
-    nxt[0::2] = list(chain.from_iterable(spans[:first]))
-    nxt[1::2] = list(chain.from_iterable(spans[first:]))
+    if not present:
+        return [], b""
+    first, slots, size_of, partner, exits, antis = _layout(present)
+    ends = list(map(sizes.__getitem__, size_of))
+    starts = [*accumulate(ends[:first], initial=0), *accumulate(ends[first:], initial=0)]
+    both, n = b"".join(map(mul, slots, ends)), starts[first]
+    code, other = both[:2 * n], both[2 * n:]
+    if code != other:
+        e, sides = next((e, c) for e, c in enumerate([code.count(s), other.count(s)]
+                                                     for s in _SLOT_BYTES) if c[0] != c[1])
+        raise InconsistentCoordinates(f"edge {EDGE_TOKENS[e]} endpoint counts differ: {sides}")
+    states, nxt = _states(2 * n), [0] * (2 * n)
+    spans = zip(map(starts.__getitem__, partner), ends, exits, antis)
+    for k, size in enumerate((first, len(ends) - first)):  # the first sides, then the second
+        half = []
+        for s, c, x, anti in islice(spans, size):
+            # a descending span down to state 0 or 1 needs stop None: -1 would wrap
+            lo = 2 * s + x
+            half += states[lo + 2 * c - 2:lo - 2 if lo > 1 else None:-2] if anti \
+                else states[lo:lo + 2 * c:2]
+        nxt[k::2] = half
     return nxt, code
 
 
@@ -478,10 +505,9 @@ def _traces(nxt: list[int]):
         if not seen[g]:
             start = 2 * g + 1
             path = [start]
-            append = path.append
             d = nxt[start]
             while d != start:
-                append(d)
+                path.append(d)
                 d = nxt[d]
             yield path
             for d in path:
@@ -495,7 +521,7 @@ def _path_code(code: bytes, path: list[int]) -> bytes:
 
 def from_normal_coordinates(coords) -> list[CurveWord]:
     """All components of the unique normal multicurve with these chord counts."""
-    nxt, code = _embedding(_class_counts(coords))
+    nxt, code = _embedding(*_class_counts(coords))
     return [CurveWord(_path_code(code, path)) for path in _traces(nxt)]
 
 
@@ -507,22 +533,50 @@ def reversed_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     return tuple((e, OTHER_HEX[e][h]) for e, h in reversed(steps))
 
 
+# Rank pieces only where the least byte occurs more often than this: on the
+# benchmark workloads' words, a few rounds of slice comparisons among fewer
+# starts take less time.
+_FEW_STARTS = 32
+
+
 def _least_rotation(w: bytes) -> bytes:
     """The lexicographically least rotation of w.
 
-    It starts at an occurrence of the least byte, found by membership tests
-    in increasing byte order.  The rotations that start there are compared by
-    slices of w + w: first on a short prefix, then on prefixes four times
-    longer among those tied, up to their full length.
+    It starts a maximal run of the least byte, found by membership tests in
+    increasing byte order.  Cut w into pieces that each start one (the run,
+    then the bytes up to the next run): the rotations that start there
+    compare as their sequences of pieces, and pieces compare as bytes, since
+    a longer run or a piece that ends sooner meets the least byte first.  So
+    the pieces are ranked, and the least rotation of the rank sequence, at
+    most half as long, picks the start.  Curve words have no runs, and then
+    the pieces are what `split` leaves.  Where the least byte occurs only a
+    few times, or the pieces take more than 256 ranks, the rotations that
+    start at its positions are compared by slices of w + w instead: first
+    on a short prefix, then on prefixes four times longer among those tied,
+    up to their full length.
     """
     n = len(w)
     if n < 2:
         return w
     least = next(filter(w.__contains__, range(256)))
-    ww, pieces = w + w, w.split(bytes((least,)))
-    # the least byte's positions: the lengths of the pieces before each, plus its index
-    starts = list(map(add, accumulate(map(len, pieces[:-1])), count()))
-    k = 8
+    mark = bytes((least,))
+    parts = w.split(mark)
+    if len(parts) > _FEW_STARTS:
+        pieces, cut, width = parts[1:-1] + [parts[-1] + parts[0]], len(parts[0]), 1
+        if not all(pieces):  # runs: cut w at the start of one that does not wrap
+            cut = len(w.rstrip(mark)) if w[-1] == least else cut
+            pieces = re.findall(rb"\x%02x+[^\x%02x]+" % (least, least), w[cut:] + w[:cut])
+            width = 0
+        ranks = sorted(set(pieces))
+        if len(ranks) <= 256:
+            rank = dict(zip(ranks, range(256)))
+            code = bytes(map(rank.__getitem__, pieces))
+            j = (code + code).find(_least_rotation(code))
+            i = (cut + j * width + sum(map(len, pieces[:j]))) % n
+            return w[i:] + w[:i]
+    # the least byte's positions: the lengths of the parts before each, plus its index
+    starts = list(map(add, accumulate(map(len, parts[:-1])), count()))
+    ww, k = w + w, 8
     while len(starts) > 1:
         k = min(k, n)
         heads = list(map(ww.__getitem__, map(slice, starts, map(k.__add__, starts))))
@@ -586,24 +640,31 @@ def _trace(w: bytes) -> tuple[list[int], list[int], int]:
     The counts must re-embed as a single normal curve that traces w forwards
     or backwards (then the path is reversed): position p is path[(p - r) % n].
     """
-    counts = _arc_counts(w)
-    nxt, code = _embedding(counts)
+    present, sizes = _class_sizes(w)
+    nxt, code = _embedding(present, sizes)
     # the slots number n = len(w), so one cycle of n states is the only component
     n, path, d = len(w), [1], 1
-    append = path.append
     for _ in repeat(None, n - 1):
         d = nxt[d]
-        append(d)
-    if not n or nxt[d] != 1 or path.count(1) > 1:
-        found = sum(1 for _ in _traces(nxt))
-        raise InternalInvariantError(f"minimal word re-embedded into {found} components")
-    traced, ww = _path_code(code, path), w + w
-    r = ww.find(traced)
-    if r < 0:
-        r = ww.find(traced[::-1].translate(_REVERSED))
+        path.append(d)  # specialized by the interpreter: faster than a bound append
+    ww, r = w + w, -1
+    if n and nxt[d] == 1:
+        traced = _path_code(code, path)
+        r = ww.find(traced)
+        if r < 0:
+            r = ww.find(traced[::-1].translate(_REVERSED))
+            path.reverse()
+    # a walk that passes state 1 before it closes repeats its bytes, which only
+    # a word that repeats itself can match: only then are the passes counted
+    if r < 0 or ww.find(w, 1) < n:
+        if not n or nxt[d] != 1 or path.count(1) > 1:
+            found = sum(1 for _ in _traces(nxt))
+            raise InternalInvariantError(f"minimal word re-embedded into {found} components")
         if r < 0:
             raise InternalInvariantError("re-embedding changed the cyclic word")
-        path.reverse()
+    counts = [0] * len(_CLASS_KEYS)
+    for i, c in zip(present, sizes):
+        counts[i] = c
     return counts, path, r
 
 

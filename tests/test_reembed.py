@@ -1,15 +1,18 @@
 """The table-driven re-embedding agrees with the dict-based reference.
 
 `reembed_oracle` keeps the earlier implementation of `to_coordinates`,
-`from_normal_coordinates`, `_reembed`, `_trace` and Booth's least rotation.
-Every check compares results, or the exception type raised, on the same input.
+`from_normal_coordinates`, `_reembed`, `_trace`, Booth's least rotation and
+a two-pointer least rotation.  Every check compares results, or the
+exception type raised, on the same input.
 """
 
+import functools
 import random
 
 import pytest
 import reembed_oracle as oracle
 
+import goeritz2
 from goeritz2 import action
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
@@ -275,3 +278,136 @@ def test_least_rotation_random():
         unit = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
         seq = unit * rng.randint(1, 4)
         _same_least_rotation(seq)
+
+
+# ------------------------------------------------ layouts of chord-class sets
+
+
+@pytest.fixture(scope="module")
+def class_set_families(standard_curve):
+    """Words grouped by their set of chord classes: the rung powers (db)^k and
+    the like, which share one set for k = 3..6, and the depth-5 records."""
+    words = [action.apply_word(standard_curve, rung * k)
+             for rung in ("db", "dB", "Db", "DB") for k in range(1, 7)]
+    words += [at.record_curve(rec) for rec in at.enumerate_atlas(5).records]
+    families = {}
+    for w in words:
+        families.setdefault(cm._class_sizes(w.code)[0], []).append(w)
+    return families
+
+
+def test_one_layout_serves_a_class_set_with_any_counts(class_set_families):
+    shared = [ws for ws in class_set_families.values()
+              if len({tuple(cm._class_sizes(w.code)[1]) for w in ws}) >= 4]
+    assert len(shared) >= 8
+    cm._layout.cache_clear()
+    for w in (w for ws in shared for w in ws):
+        assert _traced(cm._trace, w.code) == _traced(oracle.trace, w.code), w
+        coords = cm.to_coordinates(w)
+        for factor in (1, 2, 3):
+            kind, comps, _ = _same_components({k: factor * c for k, c in coords.items()})
+            assert kind == "ok" and len(comps) == factor
+    assert cm._layout.cache_info().currsize == len(shared)  # one layout per class set
+
+
+def test_a_small_or_cleared_layout_table_gives_the_same_results(class_set_families,
+                                                                 monkeypatch):
+    words = [w for ws in class_set_families.values() for w in ws]
+    expected = [_traced(cm._trace, w.code) for w in words]
+    cm._layout.cache_clear()
+    assert [_traced(cm._trace, w.code) for w in words] == expected
+    monkeypatch.setattr(cm, "_layout", functools.lru_cache(maxsize=1)(cm._layout.__wrapped__))
+    assert [_traced(cm._trace, w.code) for w in words] == expected
+    assert cm._layout.cache_info().currsize == 1
+
+
+def test_an_interleaving_class_set_raises_every_time():
+    i, j = next((i, j) for i, mask in enumerate(cm._CLASS_CROSSES) for j in range(i)
+                if mask >> j & 1)
+    coords = {cm._CLASS_KEYS[i]: 1, cm._CLASS_KEYS[j]: 1}
+    size = cm._layout.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotEmbeddable, match="interleaving chord classes in H") as exc:
+            cm.from_normal_coordinates(coords)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert cm._layout.cache_info().currsize == size
+    assert _outcome(oracle.from_normal_coordinates, coords) == ("raised", NotEmbeddable)
+
+
+def test_side_count_mismatches_name_the_first_edge(ladders):
+    found = set()
+    for w in ladders[:6]:
+        coords = cm.to_coordinates(w)
+        for key in coords:
+            bad = {**coords, key: coords[key] + 1}
+            got = _traced(cm.from_normal_coordinates, bad)
+            assert got == _traced(oracle.from_normal_coordinates, bad), bad
+            found.add(got[1].split(":")[0])
+    assert all(msg.startswith("edge ") and msg.endswith(" endpoint counts differ")
+               for msg in found)
+    assert len(found) >= 6
+
+
+def test_the_empty_word_and_no_coordinates():
+    assert _traced(cm._trace, b"") == _traced(oracle.trace, b"") == (
+        InternalInvariantError, "minimal word re-embedded into 0 components")
+    assert cm.from_normal_coordinates({}) == oracle.from_normal_coordinates({}) == []
+
+
+def test_clear_caches_empties_the_layout_table(ladders):
+    cm._trace(ladders[-1].code)
+    assert cm._layout.cache_info().currsize > 0
+    goeritz2.clear_caches()
+    assert cm._layout.cache_info().currsize == 0
+
+
+# ------------------------------------------------------ least rotation at scale
+
+
+def _least_matches(w):
+    k = oracle.least_rotation_index(w)
+    assert cm._least_rotation(w) == w[k:] + w[:k], (len(w), w[:40])
+
+
+def test_least_rotation_of_runs_of_the_least_byte():
+    # splitting at single least bytes would recurse once per byte here
+    for k in (1, 2, 3, 9, 10, 11, 100, 1000, 10_000):
+        _least_matches(b"a" * k + b"b")
+        _least_matches(b"b" + b"a" * k)
+        for j in (2, 3, 10):
+            _least_matches((b"a" * k + b"b") * j + b"c")
+            _least_matches(b"c" + (b"a" * k + b"b") * j)
+
+
+def test_least_rotation_with_many_distinct_pieces():
+    rng = random.Random(17)
+    # more than 256 distinct pieces between the least bytes, at the top level
+    # and one level down
+    pieces = [bytes((1 + i % 250, 1 + i // 250)) for i in range(600)]
+    rng.shuffle(pieces)
+    top = b"".join(b"\x00" + piece for piece in pieces)
+    _least_matches(top)
+    _least_matches(b"".join(b"\x00\x00" + piece for piece in pieces))
+    # each byte of `top` as its own piece, in the same order: 252 ranks here
+    # give `top` again one level down
+    _least_matches(b"".join(bytes((0, 1 + x)) for x in top))
+    for _ in range(3):
+        _least_matches(bytes(rng.randrange(200) for _ in range(100_000)))
+
+
+def test_least_rotation_of_single_bytes_and_repeats():
+    for w in (b"", b"\x00", b"\x2f", b"\xff", b"\x05" * 2, b"\x05" * 30, b"\x07\x05" * 20):
+        _least_matches(w)
+        assert cm._least_rotation(w) == oracle.least_rotation(w)
+    rng = random.Random(23)
+    for _ in range(3000):
+        alphabet = rng.sample(range(256), rng.randint(1, 3))
+        _least_matches(bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 60))))
+
+
+def test_least_rotation_of_every_ladder_rotation(ladders):
+    for w in ladders:
+        for r in range(len(w)):
+            _least_matches(w.code[r:] + w.code[:r])
