@@ -30,16 +30,14 @@ words and applies the deterministic generator action, so a hit returns
 exactly what recomputing would.  A pass that raises, on its landing check
 too, is not stored.  `goeritz2.clear_caches()` empties the memo.
 
-`verify_certificate` replays the word both ways.  Forward, the image must
-have counts (2,0,0,2,0,0): B with Z and C with Y fill two disjoint one-holed
-tori whose complement is an annulus around P, so a curve missing all four
-is P.
-Backward, the rebuilt curve must equal the input.  Both are normalized
-words, so equal codes decide at once (all 311 round trips of the depth-6
-atlas end there).  Otherwise the codes are compared up to rotation and
-reversal, and last (two minimal words of one curve) by their certificate
-words.  Both curves are reducing there, as the forward replay
-took the input to P.
+`verify_certificate` replays the word forward, and that replay is the whole
+proof.  The image must have counts (2,0,0,2,0,0): B with Z and C with Y fill
+two disjoint one-holed tori whose complement is an annulus around P, so a
+curve missing all four is P.  Then W(Q) = P, and as W is a mapping class,
+Q = W^-1(P) as isotopy classes.  Verify reads only the word: a certificate
+padded with words that act as the identity (gamma^2 ... beta beta^-1)
+proves the same equality with a trace that does not match its word, so
+neither the trace nor the input counts is checked.
 """
 
 from __future__ import annotations
@@ -50,8 +48,7 @@ from dataclasses import dataclass, field
 
 from .action import (apply_generator, apply_word, format_goeritz_word, invert_goeritz_word,
                      parse_goeritz_word)
-from .curve import (CurveWord, P_CURVE, arc_census, canonical_unoriented, counts,
-                    ensure_normal, to_doc)
+from .curve import CurveWord, arc_census, counts, to_doc
 from .errors import (
     BetaReductionFailure,
     IterationLimitExceeded,
@@ -61,9 +58,6 @@ from .errors import (
 from .handlebody import require_reducing
 
 CERTIFICATE_FORMAT = "goeritz-certificate/3"
-
-# passes allowed beyond (a+b+c)/2; a pass that does not lower a+b+c by 2 or more raises
-ITERATION_SLACK = 4
 
 
 def classify(w: CurveWord) -> str:
@@ -138,11 +132,14 @@ class ReductionCertificate:
     def from_doc(doc: dict) -> "ReductionCertificate":
         if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
             raise MalformedInput(f"not a {CERTIFICATE_FORMAT} document")
-        word, trace, terminal = doc.get("word", ""), doc.get("trace", []), doc.get("terminal", "P")
+        missing = [k for k in ("word", "input_counts", "trace", "terminal") if k not in doc]
+        if missing:
+            raise MalformedInput(f"certificate has no {missing[0]!r}")
+        word, trace, terminal = doc["word"], doc["trace"], doc["terminal"]
         if not isinstance(word, str) or not isinstance(trace, list) or \
                 terminal not in ("P", "P_prime", "P_double_prime"):
             raise MalformedInput(f"malformed {CERTIFICATE_FORMAT} document")
-        return ReductionCertificate(_triple(doc.get("input_counts", (0, 0, 0))),
+        return ReductionCertificate(_triple(doc["input_counts"]),
                                     parse_goeritz_word(word), list(map(_triple, trace)), terminal)
 
     def dumps(self, **kw) -> str:
@@ -197,18 +194,14 @@ def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
 
     The input is checked once; each pass checks the curve it lands on
     (`_pass`), and a pass the memo holds is not computed again.  Each
-    curve's counts are read once, when the curve is made.
+    curve's counts are read once, when the curve is made.  The loop needs no
+    bound: a pass that does not lower a+b+c by an even amount raises.
     """
     w = require_reducing(w)
     abc = counts(w).abc()
     cert = ReductionCertificate(abc)
-    limit = sum(abc) // 2 + ITERATION_SLACK
     code = w.code
-    iterations = 0
     while sum(abc) > 2:
-        iterations += 1
-        if iterations > limit:
-            raise IterationLimitExceeded(f"no convergence within {limit} passes")
         gens, trace, code = _pass(code, abc)
         cert.word.extend(gens)
         cert.trace.extend(trace)
@@ -230,12 +223,9 @@ def express_from_standard(cert: ReductionCertificate) -> list[str]:
 
 
 def verify_certificate(cert: ReductionCertificate, original: CurveWord) -> bool:
-    """Replay both directions: the word must take the input to P, and its
-    inverse must take P back to the input (see the module docstring)."""
-    original = ensure_normal(original)
-    if counts(apply_word(original, cert.word)).as_tuple() != (2, 0, 0, 2, 0, 0):
-        return False
-    back = apply_word(P_CURVE, express_from_standard(cert))
-    return back.code == original.code or \
-        canonical_unoriented(back) == canonical_unoriented(original) or \
-        reduce_to_standard(back).word == reduce_to_standard(original).word
+    """Whether the word takes the input to P (see the module docstring).
+
+    Only the word is read: the trace and input counts are not verified, so a
+    certificate padded with words that act as the identity, whose trace does
+    not match its word, still verifies."""
+    return counts(apply_word(original, cert.word)).as_tuple() == (2, 0, 0, 2, 0, 0)

@@ -14,7 +14,7 @@ from goeritz2 import curve as cm
 from goeritz2 import kernel
 from goeritz2.action import apply_word
 from goeritz2.cli import main
-from goeritz2.reduction import reduce_to_standard
+from goeritz2.reduction import ReductionCertificate, reduce_to_standard, verify_certificate
 
 
 @pytest.fixture
@@ -55,13 +55,17 @@ def test_apply_roundtrip_canonical_file(p_file, tmp_path):
 
 
 def test_reduce_prime_emits_delta_inverse(p_file, tmp_path, capsys):
-    pp = str(tmp_path / "pp.json")
-    main(["apply", "--in", p_file, "--word", "d", "--out", pp])
-    cert_path = str(tmp_path / "cert.json")
-    assert main(["reduce", "--in", pp, "--out", cert_path]) == 0
-    cert = json.loads(pathlib.Path(cert_path).read_text())
-    assert cert["word"] == "D"
-    assert cert["output"]["steps"]
+    # each written certificate reads back and verifies against its own input
+    for word, certificate in (("d", "D"), ("dbD", "dBD")):
+        pp = str(tmp_path / "pp.json")
+        main(["apply", "--in", p_file, "--word", word, "--out", pp])
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["reduce", "--in", pp, "--out", cert_path]) == 0
+        doc = json.loads(pathlib.Path(cert_path).read_text())
+        assert doc["word"] == certificate
+        cert = ReductionCertificate.from_doc(doc)
+        assert verify_certificate(cert, cm.from_doc(doc["input"]))
+        assert cm.counts(cm.from_doc(doc["output"])).as_tuple() == (2, 0, 0, 2, 0, 0)
 
 
 def test_reduce_rejects_nonseparating(pushoff_b_file, tmp_path, capsys):

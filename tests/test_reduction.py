@@ -122,6 +122,9 @@ def test_certificate_serialization():
     assert restored.terminal == cert.terminal
 
 
+MISSING = object()  # a field the document leaves out
+
+
 @pytest.mark.parametrize("fields", [
     {"trace": [1, 2]},
     {"trace": [[2, 0, "0"]]},
@@ -133,12 +136,18 @@ def test_certificate_serialization():
     {"word": ["b"]},
     {"word": "bx"},
     {"terminal": "none"},
+    {"word": MISSING},
+    {"input_counts": MISSING},
+    {"trace": MISSING},
+    {"terminal": MISSING},
 ])
 def test_certificate_from_doc_rejects_malformed_documents(fields):
     doc = red.reduce_to_standard(apply_word(cm.P_CURVE, "dB")).as_doc()
     red.ReductionCertificate.from_doc(doc)
-    with pytest.raises(MalformedInput):
-        red.ReductionCertificate.from_doc({**doc, **fields})
+    missing = [k for k, v in fields.items() if v is MISSING]
+    bad = {k: v for k, v in {**doc, **fields}.items() if v is not MISSING}
+    with pytest.raises(MalformedInput, match=f"no {missing[0]!r}" if missing else None):
+        red.ReductionCertificate.from_doc(bad)
 
 
 @pytest.mark.parametrize("version, field", [(1, "input_signature"), (2, "input_key")])
