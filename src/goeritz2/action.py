@@ -31,17 +31,19 @@ each replaced by its image under all their splices: 5 bytes for beta^+-1
 and 9 for the full twist, where the unreduced composites have 21 or 37 and
 305 or 529.  A relabeling symmetry is one `bytes.translate`.
 
-The generator action is memoized by normalized code (`_act`, an LRU memo of
+The generator action is memoized by normalized curve (`_act`, an LRU memo of
 4096 entries): the atlas applies every generator to each record, and the
 reduction and certificate replay of that record apply the same ones again.
 A miss of beta^+-1 runs one substitution, then the kernel and the
 re-embedding check, so every word the memo stores is verified; an action
-that raises is not stored.  Keys and values are codes, so each call builds a
-new `CurveWord`.  An entry costs about 2n + 220 bytes for codes of n bytes,
-so a full memo holds 1.7 MB at n = 100 and 25 MB at n = 3,000.  The atlas
-to depth 7 with a round trip per record uses 3,108 entries (clearing them
-frees 0.44 MB); to depth 8 it misses 8,517 times, so the memo fills and
-evicts, but no workload runs depth 8.
+that raises is not stored.  Keys and values are normalized curves, which
+hash and compare by their code, and a hit hands back the curve the memo
+holds, so a call builds no `CurveWord`.  An entry whose key and value curves
+nothing else holds costs 2n + 283 bytes (tracemalloc) for curves of n
+crossings, so a full memo holds 2.0 MB at n = 100 and 26 MB at n = 3,000.
+The atlas to depth 7 with a round trip per record uses 3,108 entries
+(clearing them frees 0.53 MB); to depth 8 it misses 8,517 times, so the
+memo fills and evicts, but no workload runs depth 8.
 
 Nothing here tells two curves apart.  Images of the standard curve are
 reducing, and two reducing curves are equal iff `reduction.reduce_to_standard`
@@ -273,8 +275,7 @@ def _relabel(w: CurveWord, name: str) -> CurveWord:
 
 
 def apply_generator(w: CurveWord, g: str) -> CurveWord:
-    w = ensure_normal(w)
-    return CurveWord(_act(w.code, g), normalized=True)
+    return _act(ensure_normal(w), g)
 
 
 # Entries of the generator memo: enumerate_atlas(7) needs 3,108 and one
@@ -283,20 +284,19 @@ _ACT_MEMO_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_ACT_MEMO_SIZE)
-def _act(code: bytes, g: str) -> bytes:
-    """Normalized code of the image of a normalized code under generator g.
+def _act(w: CurveWord, g: str) -> CurveWord:
+    """The normalized image of a normalized curve under generator g.
 
     beta = (t_B t_Z)^3 = (t_Z t_B t_Z)^2, as B and Z meet once and so satisfy
     the braid relation t_B t_Z t_B = t_Z t_B t_Z.  A miss of beta^+-1 runs
     one substitution then `normalize`: the kernel and the re-embedding check
     run once.
     """
-    w = CurveWord(code, normalized=True)
     if g in ("alpha", "gamma", "delta", "delta_inv"):
-        return _relabel(w, g).code
+        return _relabel(w, g)
     if g not in ("beta", "beta_inv"):
         raise MalformedInput(f"unknown generator {g!r}")
-    return _quarter_turns(w, "Z", "B", 1 if g == "beta" else -1, 2).code
+    return _quarter_turns(w, "Z", "B", 1 if g == "beta" else -1, 2)
 
 
 def apply_word(w: CurveWord, word: list[str] | str) -> CurveWord:

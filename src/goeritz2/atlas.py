@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .action import GENERATORS, apply_generator, format_goeritz_word
+from .action import GENERATORS, apply_generator, format_goeritz_word, parse_goeritz_word
 from .curve import CurveWord, P_CURVE, from_doc, normalize, to_doc
 from .errors import INPUT_ERRORS, MalformedInput, NotReducing
 from .reduction import reduce_to_standard
@@ -52,10 +52,25 @@ class AtlasRecord:
         missing = [k for k in ("key", "triple", "witness", "depth", "curve") if k not in doc]
         if missing:
             raise MalformedInput(f"record has no {missing[0]!r}")
-        if not isinstance(doc["triple"], list):
-            raise MalformedInput("record triple is not a list")
-        return AtlasRecord(doc["key"], tuple(doc["triple"]), doc["witness"],
-                           doc["depth"], normalize(from_doc(doc["curve"])))
+        triple, depth = doc["triple"], doc["depth"]
+        if not (isinstance(triple, list) and len(triple) == 3 and all(type(v) is int for v in triple)):
+            raise MalformedInput(f"record triple {triple!r} is not three integers")
+        if type(depth) is not int or depth < 0:
+            raise MalformedInput(f"record depth {depth!r} is not a nonnegative integer")
+        return AtlasRecord(_generator_word(doc, "key"), tuple(triple), _generator_word(doc, "witness"),
+                           depth, normalize(from_doc(doc["curve"])))
+
+
+def _generator_word(doc: dict, name: str) -> str:
+    """The record's field `name`, checked to be a string of generator letters."""
+    word = doc[name]
+    if not isinstance(word, str):
+        raise MalformedInput(f"record {name} {word!r} is not a string")
+    try:
+        parse_goeritz_word(word)
+    except MalformedInput as exc:
+        raise MalformedInput(f"record {name} {word!r}: {exc}") from None
+    return word
 
 
 def _json_object(line: str) -> dict:
@@ -107,6 +122,8 @@ class AtlasStore:
                                          "earlier format; rebuild it")
                 if header.get("format") != ATLAS_FORMAT:
                     raise MalformedInput(f"not a {ATLAS_FORMAT} file")
+                if type(header.get("depth", 0)) is not int:
+                    raise MalformedInput(f"header depth {header['depth']!r} is not an integer")
                 store.meta = {k: v for k, v in header.items() if k != "format"}
                 for lineno, line in enumerate(fh, 2):
                     if line.strip():
@@ -152,10 +169,10 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
 
     base = normalize(P_CURVE)
     store.add(AtlasRecord("", (2, 0, 0), "", 0, base))
-    # Codes keyed in this call: their keys are in the store, so an image with
-    # one of them (alpha's, or g^-1 after g) needs no reduction.  Records loaded
-    # from a store are not in it; their codes are keyed again when they recur.
-    keyed = {base.code}
+    # Curves keyed in this call: their keys are in the store, so an image equal
+    # to one of them (alpha's, or g^-1 after g) needs no reduction.  Records
+    # loaded from a store are not in it; their curves are keyed when they recur.
+    keyed = {base}
 
     for level in range(1, depth + 1):
         # rebuild the frontier from the store so saved runs can be extended
@@ -163,9 +180,9 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
                     for rec in store.records if rec.depth == level - 1]
         for item in frontier:
             for witness, img in _expand(item):
-                if img.code in keyed:
+                if img in keyed:
                     continue
-                keyed.add(img.code)
+                keyed.add(img)
                 cert = reduce_to_standard(img)
                 if any(t % 2 for t in cert.input_counts):
                     raise NotReducing("odd intersection triple in atlas")

@@ -131,11 +131,10 @@ class CurveWord:
         return len(self.code)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CurveWord) and \
-            _least_rotation(self.code) == _least_rotation(other.code)
+        return isinstance(other, CurveWord) and _cyclic(self) == _cyclic(other)
 
     def __hash__(self) -> int:
-        return hash(_least_rotation(self.code))
+        return hash(_cyclic(self))
 
     def __repr__(self) -> str:
         body = " ".join(f"{EDGE_TOKENS[x >> 2]}>{HEX_TOKENS[x & 3]}" for x in self.code)
@@ -593,12 +592,15 @@ def _reversed(w: bytes) -> bytes:
     return w[::-1].translate(_REVERSED)
 
 
+def _cyclic(w: CurveWord) -> bytes:
+    """The least rotation of the code, which a normalized word's code is:
+    `_reembed` and `action._relabel` make only least rotations."""
+    return w.code if w.normalized else _least_rotation(w.code)
+
+
 def canonical_unoriented(w: CurveWord) -> bytes:
-    """Rotation- and reversal-minimal form of the code.  A normalized word's
-    code is already its least rotation (`_reembed`, `action._relabel` and
-    `action._act` return only least rotations)."""
-    least = w.code if w.normalized else _least_rotation(w.code)
-    return min(least, _least_rotation(_reversed(w.code)))
+    """Rotation- and reversal-minimal form of the code."""
+    return min(_cyclic(w), _least_rotation(_reversed(w.code)))
 
 
 def _theta_letters(code: bytes, system: str) -> list[str]:
@@ -634,10 +636,10 @@ def normalize(w: CurveWord) -> CurveWord:
     return _reembed(code)
 
 
-def _trace(w: bytes) -> tuple[list[int], list[int], int]:
-    """Class counts, traced states and alignment of an encoded minimal word.
+def _trace(w: bytes) -> tuple[list[int], int]:
+    """Traced states and alignment of an encoded minimal word.
 
-    The counts must re-embed as a single normal curve that traces w forwards
+    Its class counts must re-embed as one normal curve that traces w forwards
     or backwards (then the path is reversed): position p is path[(p - r) % n].
     """
     present, sizes = _class_sizes(w)
@@ -662,10 +664,7 @@ def _trace(w: bytes) -> tuple[list[int], list[int], int]:
             raise InternalInvariantError(f"minimal word re-embedded into {found} components")
         if r < 0:
             raise InternalInvariantError("re-embedding changed the cyclic word")
-    counts = [0] * len(_CLASS_KEYS)
-    for i, c in zip(present, sizes):
-        counts[i] = c
-    return counts, path, r
+    return path, r
 
 
 # Total code bytes the set of verified words may hold.

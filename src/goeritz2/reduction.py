@@ -14,21 +14,24 @@ one word are one curve.  The word also fixes the terminal: every pass ends
 in a half twist, so a trailing delta^+-1 comes only from the terminal move.
 
 Each curve is checked once.  `reduce_to_standard` runs `require_reducing`
-on its input, and each pass runs it on the curve it lands on, so every code
+on its input, and each pass runs it on the curve it lands on, so every curve
 the certificate passes through is checked, either as the input or as a
 landing.  A pass reads its input's dominance class from the (a, b, c) its
 caller already has (`_dominance`), and the terminal class is read from the
 last counts (`_TERMINALS`); the public `classify` and `is_standard` keep
 their own check of outside input.
 
-Each pass is memoized by the code it starts from (`_pass`, an LRU memo of
-4096 entries), landing check included: the atlas reduces every new image to
-key it, and a round trip of a stored record reduces it again, so the same
-passes recur.  The memo is exact, as the argument above shows: a pass is a
-function of the normalized code alone, since it reads counts of minimal
-words and applies the deterministic generator action, so a hit returns
-exactly what recomputing would.  A pass that raises, on its landing check
-too, is not stored.  `goeritz2.clear_caches()` empties the memo.
+Each pass is memoized by the normalized curve it starts from (`_pass`, an
+LRU memo of 4096 entries), landing check included: the atlas reduces every
+new image to key it, and a round trip of a stored record reduces it again,
+so the same passes recur.  The memo is exact, as the argument above shows: a
+pass is a function of the normalized curve alone, since it reads counts of
+minimal words and applies the deterministic generator action, so a hit
+returns exactly what recomputing would.  A pass that raises, on its landing
+check too, is not stored.  `goeritz2.clear_caches()` empties the memo.  The
+reduction reads a curve only through `counts`, `arc_census`, `apply_word`,
+`apply_generator` and `require_reducing`; how a curve is stored is the word
+layers' business.
 
 `verify_certificate` replays the word forward, and that replay is the whole
 proof.  The image must have counts (2,0,0,2,0,0): B with Z and C with Y fill
@@ -147,25 +150,23 @@ class ReductionCertificate:
 
 
 # Entries of the pass memo: enumerate_atlas(7) plus a round trip per record
-# needs 1,108 (0.47 MB by tracemalloc), enumerate_atlas(6) plus its round
-# trips 428, enumerate_atlas(8) plus its round trips 2,844.
+# needs 1,108 (clearing them frees 0.37 MB by tracemalloc), enumerate_atlas(6)
+# plus its round trips 428, enumerate_atlas(8) plus its round trips 2,844.
 _PASS_MEMO_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_PASS_MEMO_SIZE)
-def _pass(code: bytes, abc: tuple[int, int, int]) -> tuple[tuple, tuple, bytes]:
-    """One reduction pass from the normalized code of a reducing curve with
-    a+b+c > 2: the generators it applies, their count trace and the code it
-    lands on.
+def _pass(w: CurveWord, abc: tuple[int, int, int]) -> tuple[tuple, tuple, CurveWord]:
+    """One reduction pass from a normalized reducing curve with a+b+c > 2:
+    the generators it applies, their count trace and the curve it lands on.
 
     Precondition: the input was checked to be reducing, by the caller or by
     the pass that landed on it; this pass checks the curve it lands on.  The
     pass makes the curve A-dominant with delta or its inverse, then applies
-    whichever half twist gives the lower a.  abc is the code's (a, b, c),
-    which the caller has read; being a function of the code, it splits no
+    whichever half twist gives the lower a.  abc is the curve's (a, b, c),
+    which the caller has read; being a function of the curve, it splits no
     entry of the memo.
     """
-    w = CurveWord(code, normalized=True)
     a, before = abc[0], sum(abc)
     gens, trace = [], []
     gen = {"C": "delta", "B": "delta_inv"}.get(_dominance(w, abc))
@@ -186,7 +187,7 @@ def _pass(code: bytes, abc: tuple[int, int, int]) -> tuple[tuple, tuple, bytes]:
     after = c.total_abc()
     if after >= before or (before - after) % 2:
         raise IterationLimitExceeded(f"pass changed a+b+c from {before} to {after}")
-    return tuple(gens), tuple(trace), require_reducing(w).code
+    return tuple(gens), tuple(trace), require_reducing(w)
 
 
 def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
@@ -200,16 +201,15 @@ def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
     w = require_reducing(w)
     abc = counts(w).abc()
     cert = ReductionCertificate(abc)
-    code = w.code
     while sum(abc) > 2:
-        gens, trace, code = _pass(code, abc)
+        gens, trace, w = _pass(w, abc)
         cert.word.extend(gens)
         cert.trace.extend(trace)
         abc = trace[-1]
     cert.terminal = _TERMINALS.get(abc, "none")
     gen = {"P_prime": "delta_inv", "P_double_prime": "delta"}.get(cert.terminal)
     if gen:
-        abc = counts(apply_generator(CurveWord(code, normalized=True), gen)).abc()
+        abc = counts(apply_generator(w, gen)).abc()
         cert.word.append(gen)
         cert.trace.append(abc)
     if abc != (2, 0, 0):

@@ -42,9 +42,9 @@ def _crossing_point(h: int, e: int, slot: int, total: int) -> tuple[float, float
 def _ranks(code: bytes) -> tuple[list[int], list[int]]:
     """Each crossing's rank along its edge (0 nearest the edge's origin) and
     each edge's crossing count.  The normal curve numbers the slots edge by
-    edge, so position p's rank is its traced slot minus the slots of the
-    edges before its own."""
-    _, path, r = _trace(code)
+    edge, so position p's rank is its traced slot, read from `_trace`'s path
+    and alignment, minus the slots of the edges before its own."""
+    path, r = _trace(code)
     n, size = len(code), [0] * 12
     for x in code:
         size[x >> 2] += 1

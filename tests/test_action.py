@@ -239,7 +239,7 @@ def test_half_twist_and_full_twist_normalize_once(corpus, ladders, monkeypatch):
         p_calls = 1 if rails["CY"] & set(w.code) else 0
         for g in ("beta", "beta_inv"):
             calls.clear()
-            action._act.__wrapped__(w.code, g)
+            action._act.__wrapped__(w, g)
             assert len(calls) == beta_calls, (w, g)
         for d in (1, -1):
             calls.clear()
@@ -322,8 +322,8 @@ def test_memo_hit_equals_a_cold_recomputation(corpus):
             hits = action._act.cache_info().hits
             again = apply_generator(w, g)
             assert action._act.cache_info().hits == hits + 1
-            assert again.code == action._act.__wrapped__(w.code, g) == first.code, (word, g)
-            assert again is not first and again.normalized
+            assert again.code == action._act.__wrapped__(w, g).code == first.code, (word, g)
+            assert again is first and again.normalized
 
 
 def test_a_failing_action_is_not_memoized(kernel_defect_word):

@@ -223,12 +223,29 @@ def test_atlas_command(tmp_path, capsys):
     assert (tmp_path / "atlas.jsonl").exists()
 
 
+def _store(**fields):
+    """A store whose one record holds P, with the given fields replaced."""
+    doc = {"key": "", "triple": [2, 0, 0], "witness": "", "depth": 0,
+           "curve": cm.to_doc(cm.P_CURVE), **fields}
+    return '{"format":"goeritz-atlas/3"}\n' + json.dumps(doc) + "\n"
+
+
 @pytest.mark.parametrize("text, line, reason", [
     ("", 1, "not a goeritz-atlas/3 file"),
     ('{"format":"goeritz-atlas/3"}\nnot json\n', 2, "not JSON"),
     ('{"format":"goeritz-atlas/3"}\n\n{"key":"k","witness":"","depth":0,"curve":{}}\n',
      3, "record has no 'triple'"),
-], ids=["empty", "not-json", "no-triple"])
+    ('{"depth":"x","format":"goeritz-atlas/3"}\n', 1, "header depth 'x' is not an integer"),
+    (_store(triple=["a", 0, 0]), 2, "record triple ['a', 0, 0] is not three integers"),
+    (_store(triple=[2, 0]), 2, "record triple [2, 0] is not three integers"),
+    (_store(witness=7), 2, "record witness 7 is not a string"),
+    (_store(witness="dx"), 2, "record witness 'dx': unknown generator letter 'x'"),
+    (_store(key=5), 2, "record key 5 is not a string"),
+    (_store(key=["d"]), 2, "record key ['d'] is not a string"),
+    (_store(depth="0"), 2, "record depth '0' is not a nonnegative integer"),
+    (_store(depth=-1), 2, "record depth -1 is not a nonnegative integer"),
+], ids=["empty", "not-json", "no-triple", "header-depth", "triple-type", "triple-length",
+        "witness-type", "witness-letter", "key-type", "key-list", "depth-type", "depth-negative"])
 def test_malformed_atlas_store_exit_code(tmp_path, capsys, text, line, reason):
     store = tmp_path / "atlas.jsonl"
     store.write_text(text)

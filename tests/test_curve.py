@@ -5,7 +5,9 @@ import random
 import pytest
 
 from goeritz2 import action, kernel
+from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2 import reduction as red
 from goeritz2.errors import (
     EmptyAfterNormalization,
     Goeritz2Error,
@@ -324,3 +326,60 @@ def test_document_roundtrip(corpus):
         assert cm.loads(cm.dumps(w)) == w
     doc = cm.coordinates_doc(cm.normalize(cm.P_CURVE))
     assert reduce_to_standard(cm.from_doc(doc)).word == []
+
+
+# A normalized word's code is its least rotation, so such a word hashes and
+# compares by its code, with no rotation; the tests below check what that
+# rests on.
+
+
+def test_every_curve_the_library_hands_out_is_its_least_rotation(corpus, ladders, monkeypatch):
+    landings = []
+    real_pass = red._pass
+
+    def spy(w, abc):
+        out = real_pass(w, abc)
+        landings.append(out[2])
+        return out
+
+    monkeypatch.setattr(red, "_pass", spy)
+    records = [at.record_curve(rec) for rec in at.enumerate_atlas(6).records]
+    images = [action.apply_generator(at.record_curve(rec), g)
+              for rec in at.enumerate_atlas(5).records for g in action.GENERATORS]
+    curves = [w for _, w in corpus] + ladders + records + images
+    for w in [w for _, w in corpus] + ladders + records:
+        reduce_to_standard(w)
+    assert len(landings) > 300
+    for w in curves + landings:
+        assert w.normalized and w.code == cm._least_rotation(w.code), w
+
+
+def test_a_rotation_of_a_normalized_word_is_equal_and_hashes_equal(corpus, ladders):
+    for w in [w for _, w in corpus] + ladders:
+        for k in {1, len(w) // 2, len(w) - 1}:
+            rotated = cm.CurveWord(w.code[k:] + w.code[:k])
+            assert rotated == w and w == rotated and hash(rotated) == hash(w), (w, k)
+
+
+def test_the_generator_memo_hands_back_the_curve_it_holds(corpus, ladders):
+    for w in [w for _, w in corpus] + ladders:
+        rotated = cm.CurveWord(w.code[1:] + w.code[:1])
+        for g in action.GENERATORS:
+            image = action.apply_generator(w, g)
+            assert action.apply_generator(w, g) is image
+            assert action.apply_generator(rotated, g) is image, (w, g)
+
+
+def test_a_normalized_curve_hashes_and_compares_without_a_rotation(ladders, monkeypatch):
+    calls = []
+    real = cm._least_rotation
+    monkeypatch.setattr(cm, "_least_rotation", lambda code: calls.append(code) or real(code))
+    for w in ladders:
+        image = action.apply_generator(w, "beta")
+        calls.clear()
+        hash(w)
+        assert w == cm.CurveWord(w.code, normalized=True)
+        assert action.apply_generator(w, "beta") is image  # a memo hit
+        assert calls == [], w
+        hash(cm.CurveWord(w.code))  # the spy sees an unnormalized word's rotation
+        assert calls[:1] == [w.code]
