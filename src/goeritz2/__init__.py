@@ -20,7 +20,7 @@ from .curve import (
     to_doc,
     validate,
 )
-from .action import apply_generator, apply_twist, apply_word, parse_goeritz_word
+from .action import apply_generator, apply_word, parse_goeritz_word
 from .atlas import AtlasStore, enumerate_atlas, lambda_triples
 from .handlebody import (
     arc_pi1_words,
@@ -58,8 +58,8 @@ def clear_caches() -> None:
 
 __all__ = [
     "AtlasStore", "Counts", "CurveWord", "P_CURVE", "PUSHOFFS",
-    "ReductionCertificate", "SurfaceComplex", "apply_generator", "apply_twist",
-    "apply_word", "arc_census", "arc_pi1_words", "bounds_disk", "build_complex",
+    "ReductionCertificate", "SurfaceComplex", "apply_generator", "apply_word",
+    "arc_census", "arc_pi1_words", "bounds_disk", "build_complex",
     "check_word_constraints", "classify", "clear_caches",
     "complex_symmetry", "counts", "enumerate_atlas", "express_from_standard",
     "from_doc", "from_normal_coordinates", "is_reducing", "is_separating",

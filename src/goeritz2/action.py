@@ -10,10 +10,7 @@ beta does not touch.
 B meets Z once, and C meets Y once, so each pair satisfies the braid relation
 t_B t_Z t_B = t_Z t_B t_Z (Farb-Margalit, A Primer on Mapping Class Groups,
 Prop. 3.11).  Hence (t_B t_Z)^3 = (t_Z t_B t_Z)^2 and (t_C t_Y)^6 =
-(t_C t_Y t_C)^4: the quarter turn sigma = t_Z t_B t_Z gives beta in two
-steps, and sigma = t_C t_Y t_C the full twist in four.  Each is applied as
-one byte substitution, the composite of its twists' splices with every
-image freely reduced, then one normalization (`_quarter_turns`).
+(t_C t_Y t_C)^4, the twist words `_BETA` and `_FULL_TWIST`.
 
 A twist replaces every crossing of the curve with the twisting rail by a
 detour that spirals half around the rail on each side, crossing the rail's
@@ -22,14 +19,14 @@ surface orientation (the sign of the crossed edge in the approach hexagon), so
 all detours of one twist turn the same way and stay pairwise disjoint; "right"
 names the direction with sign +1 under that rule.
 
-Words are step-byte codes (see `curve`).  A twist marks the four rail bytes
-of the code with placeholder bytes by one `bytes.translate`, then replaces
-each placeholder with its detour by one `bytes.replace`; the detours per
-(rail, direction) are built from `_cross_detour` on first use.  beta^+-1 and
-the full twist do the same with the eight rail bytes of their two curves,
-each replaced by its image under all their splices: 5 bytes for beta^+-1
-and 9 for the full twist, where the unreduced composites have 21 or 37 and
-305 or 529.  A relabeling symmetry is one `bytes.translate`.
+Words are step-byte codes (see `curve`).  Every twist, and every product of
+twists, is one cached byte substitution (`_twist_table`) and one
+normalization (`_twist`): the rail bytes of the code are marked with
+placeholder bytes by one `bytes.translate`, and each placeholder is replaced
+by its image by one `bytes.replace`.  A single twist's images are the
+detours of `_cross_detour`; a product's are the freely reduced composites of
+its single twists' images, 5 bytes for beta^+-1 and 9 for the full twist.
+A relabeling symmetry is one `bytes.translate`.
 
 The generator action is memoized by normalized curve (`_act`, an LRU memo of
 4096 entries): the atlas applies every generator to each record, and the
@@ -55,7 +52,7 @@ from __future__ import annotations
 import functools
 
 from . import curve as cm
-from .curve import CurveWord, Step, canonical_unoriented, ensure_normal, normalize
+from .curve import CurveWord, Step, ensure_normal, normalize
 from .errors import MalformedInput
 from .kernel import freely_reduce
 from .surface import (
@@ -142,21 +139,19 @@ _RAIL_BYTES = tuple(bytes(4 * e + h for e in (2 * c, 2 * c + 1) for h in EDGE_HE
 # substituted again.
 _MARKS = bytes(range(128, 136))
 
+# The twist words, applied left to right: beta = (t_Z t_B t_Z)^2 and the full
+# twist about the separating curve (t_C t_Y t_C)^4.
+_BETA = "ZBZ" * 2
+_FULL_TWIST = "CYC" * 4
 
-# A byte substitution: a translation table marking the substituted bytes,
-# and the (mark, image) pairs that replace the marks.
-_Substitution = tuple[bytes, tuple[tuple[bytes, bytes], ...]]
-
-
-def _substitution(rails: bytes, images) -> _Substitution:
-    """The substitution of each of the rail bytes by its image."""
-    marks = _MARKS[:len(rails)]
-    return bytes.maketrans(rails, marks), tuple(zip((bytes((m,)) for m in marks), images))
+# A twist table: the rail bytes it substitutes, a translation table marking
+# them, and the (mark, image) pairs that replace the marks.
+_Table = tuple[bytes, bytes, tuple[tuple[bytes, bytes], ...]]
 
 
-def _substitute(code: bytes, table: _Substitution) -> bytes:
-    """The code with each byte the table marks replaced by its image."""
-    marks, images = table
+def _substitute(code: bytes, table: _Table) -> bytes:
+    """The code with each rail byte of the table replaced by its image."""
+    _, marks, images = table
     code = code.translate(marks)
     for mark, image in images:
         code = code.replace(mark, image)
@@ -164,92 +159,55 @@ def _substitute(code: bytes, table: _Substitution) -> bytes:
 
 
 @functools.cache
-def _splice_table(cid: int, direction: int) -> _Substitution:
-    """Substitution of each rail byte of curve cid by its detour under one twist."""
-    return _substitution(_RAIL_BYTES[cid], (
-        bytes(4 * e + h for e, h in _cross_detour(x >> 2, x & 3, direction))
-        for x in _RAIL_BYTES[cid]))
+def _twist_table(curves: str, direction: int) -> _Table:
+    """The substitution of the rail bytes of the named curves under the
+    product of their twists, each to the power direction, applied in the
+    order the names are written.
+
+    One curve maps each rail byte to its detour.  A product composes the
+    one-curve tables: a twist changes only rail bytes and maps each to a
+    fixed string, so the twists compose to one substitution, and the
+    intermediate words need not be minimal for their composite to be the
+    image curve.  Each image is then freely reduced as a linear word:
+    substitution is a homomorphism of words, so a spur pair inside an image
+    cancels in every word the image lands in, and by confluence the kernel
+    reaches the same reduced word.
+    """
+    rails = b"".join(_RAIL_BYTES[CURVE_NAMES.index(c)] for c in dict.fromkeys(curves))
+    if len(curves) == 1:
+        images = [bytes(4 * e + h for e, h in _cross_detour(x >> 2, x & 3, direction))
+                  for x in rails]
+    else:
+        factors = [_twist_table(c, direction) for c in curves]
+        images = [freely_reduce(functools.reduce(_substitute, factors, bytes((x,))))
+                  for x in rails]
+    marks = _MARKS[:len(rails)]
+    return rails, bytes.maketrans(rails, marks), tuple(zip((bytes((m,)) for m in marks), images))
+
+
+def _twist(w: CurveWord, curves: str, direction: int) -> CurveWord:
+    """The image of a normalized word under the twists of `curves`: one
+    substitution, then one `normalize`; a word that crosses none of their
+    rails is fixed."""
+    table = _twist_table(curves, direction)
+    if not any(map(w.code.__contains__, table[0])):
+        return w
+    return normalize(CurveWord(_substitute(w.code, table)))
 
 
 def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord:
     """Dehn twist about one of the six system curves."""
     if curve_name not in CURVE_NAMES or direction not in (1, -1):
         raise MalformedInput(f"bad twist spec ({curve_name!r}, {direction})")
-    w = ensure_normal(w)
-    cid = CURVE_NAMES.index(curve_name)
-    if not any(map(w.code.__contains__, _RAIL_BYTES[cid])):
-        return w
-    return normalize(CurveWord(_splice(w.code, cid, direction)))
-
-
-def _splice(code: bytes, cid: int, direction: int) -> bytes:
-    """The code with every crossing of curve cid replaced by its twist detour."""
-    return _substitute(code, _splice_table(cid, direction))
-
-
-@functools.cache
-def _turn_table(outer: int, inner: int, direction: int, turns: int) -> tuple[bytes, _Substitution]:
-    """Rail bytes of curves outer and inner, and their substitution under
-    turns quarter turns t_outer t_inner t_outer (each twist to the power
-    direction).
-
-    A splice changes only rail bytes and maps each to a fixed string, so the
-    3 * turns splices compose to one substitution of the eight rail bytes;
-    the intermediate words need not be minimal for their composite to be the
-    image curve.  Each image is then freely reduced as a linear word:
-    substitution is a homomorphism of words, so a spur pair inside an image
-    cancels in every word the image lands in, and by confluence the kernel
-    reaches the same reduced word.
-    """
-    rails = _RAIL_BYTES[outer] + _RAIL_BYTES[inner]
-    images = []
-    for x in rails:
-        image = bytes((x,))
-        for cid in (outer, inner, outer) * turns:
-            image = _splice(image, cid, direction)
-        images.append(freely_reduce(image))
-    return rails, _substitution(rails, images)
-
-
-def _quarter_turns(w: CurveWord, outer: str, inner: str, direction: int, turns: int) -> CurveWord:
-    """(t_outer t_inner t_outer)^(direction * turns) of a normalized word, for
-    curves outer and inner that meet once: one substitution, then one
-    `normalize`."""
-    rails, table = _turn_table(CURVE_NAMES.index(outer), CURVE_NAMES.index(inner),
-                               direction, turns)
-    if not any(map(w.code.__contains__, rails)):
-        return w
-    return normalize(CurveWord(_substitute(w.code, table)))
+    return _twist(ensure_normal(w), curve_name, direction)
 
 
 def twist_about_p(w: CurveWord, direction: int = 1) -> CurveWord:
     """Full twist about the standard separating curve, via the C,Y handle:
     (t_C t_Y)^6 = (t_C t_Y t_C)^4."""
-    return _quarter_turns(ensure_normal(w), "C", "Y", direction, 4)
-
-
-def apply_twist(w: CurveWord, twisting: CurveWord | str, direction: str | int = "right") -> CurveWord:
-    """Twist about a system-curve pushoff or the standard separating curve.
-
-    `twisting` may be a curve name ("A".."Z" or "P") or the pushoff CurveWord
-    itself; `direction` is "right"/"left" or +1/-1.
-    """
-    sign = {"right": 1, "left": -1, 1: 1, -1: -1}.get(direction)
-    if sign is None:
+    if direction not in (1, -1):
         raise MalformedInput(f"bad twist direction {direction!r}")
-    if isinstance(twisting, str):
-        name = twisting
-    else:
-        key = canonical_unoriented(ensure_normal(twisting))
-        name = next((cand for cand, word in {**cm.PUSHOFFS, "P": cm.P_CURVE}.items()
-                     if canonical_unoriented(ensure_normal(word)) == key), None)
-        if name is None:
-            raise MalformedInput("twisting curve is not a system pushoff or the standard curve")
-    if name == "P":
-        return twist_about_p(w, sign)
-    if name in CURVE_NAMES:
-        return twist_system(w, name, sign)
-    raise MalformedInput(f"unknown twisting curve {name!r}")
+    return _twist(ensure_normal(w), _FULL_TWIST, direction)
 
 
 # ---------------------------------------------------------------- generators
@@ -296,7 +254,7 @@ def _act(w: CurveWord, g: str) -> CurveWord:
         return _relabel(w, g)
     if g not in ("beta", "beta_inv"):
         raise MalformedInput(f"unknown generator {g!r}")
-    return _quarter_turns(w, "Z", "B", 1 if g == "beta" else -1, 2)
+    return _twist(w, _BETA, 1 if g == "beta" else -1)
 
 
 def apply_word(w: CurveWord, word: list[str] | str) -> CurveWord:

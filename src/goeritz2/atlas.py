@@ -8,7 +8,9 @@ next level expands.  The store is one line-delimited JSON file, so reruns can
 extend it and diffs stay readable; `load` rebuilds the index from the records.
 A record holds its curve as a `CurveWord`: the curve document exists only at
 the file boundary, written by `as_json` and read, validated and normalized
-once by `from_json` when `load` reads a store.
+once by `from_json` when `load` reads a store.  Every record is made by
+`_record`, which reduces its curve for the key and triple, so `load` refuses
+a stored key or triple that is not its curve's.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class AtlasRecord:
 
     @staticmethod
     def from_json(line: str) -> "AtlasRecord":
-        """One store line as a record, its curve validated and normalized; an
+        """One store line as a record, its curve validated, normalized and
+        reduced, and its key and triple checked against the reduction's; an
         input error says what is wrong with it."""
         doc = _json_object(line)
         missing = [k for k in ("key", "triple", "witness", "depth", "curve") if k not in doc]
@@ -57,8 +60,25 @@ class AtlasRecord:
             raise MalformedInput(f"record triple {triple!r} is not three integers")
         if type(depth) is not int or depth < 0:
             raise MalformedInput(f"record depth {depth!r} is not a nonnegative integer")
-        return AtlasRecord(_generator_word(doc, "key"), tuple(triple), _generator_word(doc, "witness"),
-                           depth, normalize(from_doc(doc["curve"])))
+        key, witness = _generator_word(doc, "key"), _generator_word(doc, "witness")
+        try:
+            rec = _record(normalize(from_doc(doc["curve"])), witness, depth)
+        except NotReducing as exc:
+            raise MalformedInput(f"record curve is not reducing: {exc}") from None
+        if key != rec.key:
+            raise MalformedInput(f"record key {key!r} is not its curve's certificate word {rec.key!r}")
+        if tuple(triple) != rec.triple:
+            raise MalformedInput(f"record triple {triple!r} is not its curve's triple {list(rec.triple)!r}")
+        return rec
+
+
+def _record(curve: CurveWord, witness: str, depth: int) -> AtlasRecord:
+    """The record of a normalized curve, keyed by its certificate word; a curve
+    that is not reducing, or whose triple is odd, raises NotReducing."""
+    cert = reduce_to_standard(curve)
+    if any(t % 2 for t in cert.input_counts):
+        raise NotReducing("odd intersection triple in atlas")
+    return AtlasRecord(cert.word_text(), cert.input_counts, witness, depth, curve)
 
 
 def _generator_word(doc: dict, name: str) -> str:
@@ -107,7 +127,8 @@ class AtlasStore:
 
     @staticmethod
     def load(path: str) -> "AtlasStore":
-        """Read a store that `save` wrote; a malformed line or curve raises
+        """Read a store that `save` wrote; a malformed line, a curve that is
+        not reducing, or a key or triple that is not its curve's raises
         MalformedInput naming the file and the line.  A store of an earlier
         format is refused: its keys (signatures in /1, 24 intersection numbers
         in /2) never match a certificate word, so extending it would duplicate
@@ -167,12 +188,10 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
     store.meta.setdefault("generators", "abBgdD")
     store.meta["depth"] = max(depth, store.meta.get("depth", 0))
 
-    base = normalize(P_CURVE)
-    store.add(AtlasRecord("", (2, 0, 0), "", 0, base))
-    # Curves keyed in this call: their keys are in the store, so an image equal
-    # to one of them (alpha's, or g^-1 after g) needs no reduction.  Records
-    # loaded from a store are not in it; their curves are keyed when they recur.
-    keyed = {base}
+    store.add(_record(normalize(P_CURVE), "", 0))
+    # Curves whose keys are in the store: an image equal to one of them
+    # (alpha's, or g^-1 after g) needs no reduction.
+    keyed = {rec.curve for rec in store.records}
 
     for level in range(1, depth + 1):
         # rebuild the frontier from the store so saved runs can be extended
@@ -183,10 +202,7 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
                 if img in keyed:
                     continue
                 keyed.add(img)
-                cert = reduce_to_standard(img)
-                if any(t % 2 for t in cert.input_counts):
-                    raise NotReducing("odd intersection triple in atlas")
-                store.add(AtlasRecord(cert.word_text(), cert.input_counts, witness, level, img))
+                store.add(_record(img, witness, level))
     return store
 
 

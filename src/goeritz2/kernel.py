@@ -19,8 +19,7 @@ in which pairs cancel (Lyndon-Schupp, Combinatorial Group Theory, I.1).  So
 the generator action may cancel the spurs inside each rail byte's image once,
 when it builds its substitution table, and hand the kernel only the spurs
 that meet across image boundaries.  On a traced seed-1 `replay_large`
-benchmark pass, 49,080 of the kernel's 232,068 input steps cancel as spurs;
-334,840 of 647,116 did when each quarter turn went in with unreduced images.
+benchmark pass, 49,080 of the kernel's 232,068 input steps cancel as spurs.
 
 `_find_run` returns the smallest start of a generalized bigon run: a subpath
 that crosses a curve, runs parallel to it through fence chords (each leaving

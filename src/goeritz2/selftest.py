@@ -17,8 +17,9 @@ from . import curve as cm
 from . import kernel
 from . import reduction as red
 from .action import (
+    _BETA,
     _substitute,
-    _turn_table,
+    _twist_table,
     apply_generator,
     apply_word,
     twist_about_p,
@@ -32,7 +33,7 @@ from .handlebody import (
     theta_word,
     word_str,
 )
-from .surface import CURVE_NAMES, EDGE_CURVE, HEX_PANTS, B, Z
+from .surface import CURVE_NAMES, EDGE_CURVE, HEX_PANTS
 from .surface import build_complex, complex_symmetry
 
 
@@ -146,7 +147,7 @@ def _checks(quick: bool):
         # the kernel's spur pass against a byte-at-a-time stack, on the half
         # twists' substituted words and on a long retrace, which cancels to nothing
         def splice(code, d):  # beta^d as one substitution, not yet normalized
-            return _substitute(code, _turn_table(Z, B, d, 2)[1])
+            return _substitute(code, _twist_table(_BETA, d))
 
         def one_at_a_time(code):
             out = bytearray()

@@ -72,6 +72,32 @@ BAD_STORE_CURVES = {
 }
 
 
+@pytest.fixture
+def edited_store(tmp_path):
+    """A function that saves a depth-1 store with fields of its records
+    replaced, given as {record key: {field: value}}, and returns its path.
+    Line 2 holds the record keyed "" (P), line 3 the one keyed "D" (witness
+    d, triple 0 2 0) and line 4 the one keyed "d" (witness D, triple 0 0 2)."""
+    def save(edits):
+        path = tmp_path / "atlas.jsonl"
+        atlas.enumerate_atlas(1).save(str(path))
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines[1:], 1):
+            doc = json.loads(line)
+            lines[i] = json.dumps({**doc, **edits.get(doc["key"], {})})
+        path.write_text("\n".join(lines) + "\n")
+        return path
+    return save
+
+
+# Edits of a depth-1 store that, if its fields were trusted, would make its
+# extension to depth 2 list a triple 99 0 0 and lose 0 2 0: the record keyed
+# "D" gets another triple, and the record keyed "d" the key "D", so it would
+# be dropped as a duplicate.  `load` refuses line 3 with this reason.
+TAMPERED_STORE = ({"D": {"triple": [99, 0, 0]}, "d": {"key": "D"}},
+                  3, "record triple [99, 0, 0] is not its curve's triple [0, 2, 0]")
+
+
 @pytest.fixture(params=sorted(BAD_STORE_CURVES))
 def bad_curve_store(request, tmp_path, unembedded_word):
     """A saved depth-1 store whose third record, on line 4, holds a curve that

@@ -14,9 +14,7 @@ from goeritz2 import curve as cm
 from goeritz2.action import (
     GENERATORS,
     _cross_detour,
-    _splice,
     apply_generator,
-    apply_twist,
     apply_word,
     format_goeritz_word,
     invert_goeritz_word,
@@ -77,25 +75,12 @@ def test_twist_inverse_pair(corpus):
         assert reduce_to_standard(back).word == reduce_to_standard(w).word
 
 
-def test_apply_twist_accepts_pushoff_word():
-    pa = cm.PUSHOFFS["A"]
-    via_name = twist_system(pa, "Z", 1)
-    via_word = apply_twist(pa, cm.PUSHOFFS["Z"], "right")
-    assert curve_key(via_name) == curve_key(via_word)
-
-
-def test_apply_twist_accepts_standard_curve():
-    pa = cm.PUSHOFFS["A"]
-    assert curve_key(apply_twist(pa, cm.P_CURVE, "right")) == \
-        curve_key(twist_about_p(pa, 1))
-
-
-def test_apply_twist_rejects_unknown_rail():
-    weird = cm.CurveWord.from_tokens(
-        [["A1", "H1"], ["Z1", "H2"], ["X1", "H1"], ["Y1", "H2"],
-         ["A2", "H4"], ["X2", "H3"]])
-    with pytest.raises(MalformedInput):
-        apply_twist(cm.P_CURVE, weird)
+@pytest.mark.parametrize("direction", [0, 2, -2, -3])
+def test_twists_reject_a_direction_other_than_one_or_minus_one(direction):
+    with pytest.raises(MalformedInput, match=f"bad twist direction {direction}$"):
+        twist_about_p(cm.PUSHOFFS["A"], direction)
+    with pytest.raises(MalformedInput, match="bad twist spec"):
+        twist_system(cm.PUSHOFFS["A"], "Z", direction)
 
 
 def test_delta_sends_standard_to_prime():
@@ -175,6 +160,11 @@ def _step_splice(steps, cid, direction):
     return out
 
 
+def _splice(code, cid, direction):
+    """One twist about curve cid as a byte substitution, not yet normalized."""
+    return action._substitute(code, action._twist_table(CURVE_NAMES[cid], direction))
+
+
 def _oracle_generator(w, g):
     """apply_generator composed from the oracles: per-step splice, list kernel,
     dict-based re-embedding and Booth's least rotation."""
@@ -247,26 +237,25 @@ def test_half_twist_and_full_twist_normalize_once(corpus, ladders, monkeypatch):
             assert len(calls) == p_calls, (w, d)
 
 
-# (outer, inner, turns) of the two tables: beta = (t_Z t_B t_Z)^2 and the
-# full twist about P = (t_C t_Y t_C)^4
-_TABLES = (("Z", "B", 2), ("C", "Y", 4))
+# the two product tables: beta = (t_Z t_B t_Z)^2 and the full twist about
+# P = (t_C t_Y t_C)^4
+_TABLES = (action._BETA, action._FULL_TWIST)
 
 
-def _table(outer, inner, direction, turns):
-    rails, (_, images) = action._turn_table(
-        CURVE_NAMES.index(outer), CURVE_NAMES.index(inner), direction, turns)
+def _table(curves, direction):
+    rails, _, images = action._twist_table(curves, direction)
     return dict(zip(rails, (image for _, image in images)))
 
 
 def test_turn_table_images_are_nonempty_and_freely_reduced():
-    for outer, inner, turns in _TABLES:
+    for curves in _TABLES:
         for d in (1, -1):
-            for x, image in _table(outer, inner, d, turns).items():
+            for x, image in _table(curves, d).items():
                 steps = cm.CurveWord(image).steps
-                assert steps, (outer, d, x)
-                assert all(e != f for (e, _), (f, _) in zip(steps, steps[1:])), (outer, d, x)
+                assert steps, (curves, d, x)
+                assert all(e != f for (e, _), (f, _) in zip(steps, steps[1:])), (curves, d, x)
                 # a path from the hexagon before x to the hexagon x enters
-                assert steps[-1][1] == x & 3, (outer, d, x)
+                assert steps[-1][1] == x & 3, (curves, d, x)
 
 
 def _free_reduction(code):
@@ -280,14 +269,15 @@ def _free_reduction(code):
 
 
 def test_turn_table_images_are_the_reduced_composed_splices():
-    for outer, inner, turns in _TABLES:
+    for curves in _TABLES:
         for d in (1, -1):
-            for x, image in _table(outer, inner, d, turns).items():
-                composed = bytes((x,))
-                for name in (outer, inner, outer) * turns:
-                    composed = _splice(composed, CURVE_NAMES.index(name), d)
+            for x, image in _table(curves, d).items():
+                steps = [(x >> 2, x & 3)]
+                for name in curves:
+                    steps = _step_splice(steps, CURVE_NAMES.index(name), d)
+                composed = cm.CurveWord(steps).code
                 assert len(composed) > len(image)
-                assert image == _free_reduction(composed), (outer, d, x)
+                assert image == _free_reduction(composed), (curves, d, x)
 
 
 def _quarter_turn_route(w, outer, inner, d, turns):

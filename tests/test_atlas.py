@@ -18,6 +18,8 @@ from goeritz2.errors import MalformedInput
 from goeritz2.handlebody import is_reducing
 from goeritz2.reduction import reduce_to_standard, verify_certificate
 
+from conftest import TAMPERED_STORE
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -122,6 +124,39 @@ def test_load_names_the_file_and_line_of_a_bad_curve(bad_curve_store):
     path, reason = bad_curve_store
     with pytest.raises(MalformedInput, match=f"^{re.escape(f'{path}, line 4: {reason}')}"):
         at.AtlasStore.load(str(path))
+
+
+@pytest.mark.parametrize("edits, line, reason", [
+    TAMPERED_STORE,
+    ({"d": {"key": "D"}}, 4, "record key 'D' is not its curve's certificate word 'd'"),
+    ({"d": {"key": ""}}, 4, "record key '' is not its curve's certificate word 'd'"),
+    ({"D": {"triple": [0, 0, 2]}}, 3, "record triple [0, 0, 2] is not its curve's triple [0, 2, 0]"),
+    ({"": {"triple": [2, 0, 2]}}, 2, "record triple [2, 0, 2] is not its curve's triple [2, 0, 0]"),
+    ({"D": {"curve": cm.to_doc(cm.PUSHOFFS["A"])}}, 3,
+     "record curve is not reducing: nonseparating"),
+    ({"": {"curve": cm.to_doc(apply_word(cm.P_CURVE, "d"))}}, 2,
+     "record key '' is not its curve's certificate word 'D'"),
+], ids=["tampered", "key-of-another", "key-empty", "triple", "base-triple",
+        "curve-not-reducing", "curve-of-another"])
+def test_load_refuses_a_key_triple_or_curve_that_is_not_the_records(edited_store, edits, line,
+                                                                     reason):
+    path = edited_store(edits)
+    with pytest.raises(MalformedInput, match=f"^{re.escape(f'{path}, line {line}: {reason}')}$"):
+        at.AtlasStore.load(str(path))
+
+
+def test_extending_a_loaded_store_reduces_no_stored_curve_again(tmp_path, monkeypatch):
+    path = str(tmp_path / "atlas.jsonl")
+    at.enumerate_atlas(2).save(path)
+    loaded = at.AtlasStore.load(path)
+    stored = {rec.curve.code for rec in loaded.records}
+    reduced = []
+    real = at.reduce_to_standard
+    monkeypatch.setattr(at, "reduce_to_standard", lambda w: reduced.append(w.code) or real(w))
+    at.enumerate_atlas(3, loaded)
+    # only the base record is made again, and the store refuses it
+    assert stored & set(reduced) == {cm.normalize(cm.P_CURVE).code}
+    assert len(reduced) > len(loaded.records) - len(stored)
 
 
 @pytest.mark.parametrize("version", [1, 2])

@@ -16,6 +16,8 @@ from goeritz2.action import apply_word
 from goeritz2.cli import main
 from goeritz2.reduction import ReductionCertificate, reduce_to_standard, verify_certificate
 
+from conftest import TAMPERED_STORE
+
 
 @pytest.fixture
 def p_file(tmp_path):
@@ -252,6 +254,14 @@ def test_malformed_atlas_store_exit_code(tmp_path, capsys, text, line, reason):
     assert main(["atlas", "--in", str(store), "--depth", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {store}, line {line}: {reason}"), err
+
+
+def test_tampered_atlas_store_exit_code(edited_store, capsys):
+    edits, line, reason = TAMPERED_STORE
+    store = edited_store(edits)
+    assert main(["atlas", "--in", str(store), "--depth", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert err == f"error: {store}, line {line}: {reason}\n" and out == ""
 
 
 def test_bad_curve_in_atlas_store_exit_code(bad_curve_store, capsys):

@@ -90,7 +90,7 @@ def test_validate_rejects_a_word_whose_counts_trace_another(kernel_defect_word, 
     for name, d in beta_inv_sequence[:4]:
         w = action.twist_system(w, name, d)
     name, d = beta_inv_sequence[4]
-    code, _ = kernel.normalize_steps(action._splice(w.code, "ABCXYZ".index(name), d))
+    code, _ = kernel.normalize_steps(action._substitute(w.code, action._twist_table(name, d)))
     assert cm.CurveWord(code).tokens() == unembedded_word
     with pytest.raises(InternalInvariantError):
         cm._reembed(code)
