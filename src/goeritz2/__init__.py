@@ -47,7 +47,10 @@ def clear_caches() -> None:
 
     The memos hold pure functions of a curve's code and the table a pure
     function of a set of chord classes, so clearing changes no result, only
-    how much work the next calls repeat.
+    how much work the next calls repeat.  It leaves the facts a normalized
+    curve object keeps (its counts and reducing verdict, `CurveWord`) alone:
+    they live and die with the object, so a cold timing needs fresh curve
+    objects, such as `CurveWord(w.code, normalized=True)`.
     """
     from . import action, curve, reduction
     action._act.cache_clear()

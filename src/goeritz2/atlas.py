@@ -10,7 +10,9 @@ A record holds its curve as a `CurveWord`: the curve document exists only at
 the file boundary, written by `as_json` and read, validated and normalized
 once by `from_json` when `load` reads a store.  Every record is made by
 `_record`, which reduces its curve for the key and triple, so `load` refuses
-a stored key or triple that is not its curve's.
+a stored key or triple that is not its curve's; it also refuses a witness
+that does not take the standard curve to the record's curve, or a depth
+that is not the witness's length.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .action import GENERATORS, apply_generator, format_goeritz_word, parse_goeritz_word
+from .action import (GENERATORS, apply_generator, apply_word, format_goeritz_word,
+                     parse_goeritz_word)
 from .curve import CurveWord, P_CURVE, from_doc, normalize, to_doc
 from .errors import INPUT_ERRORS, MalformedInput, NotReducing
 from .reduction import reduce_to_standard
@@ -49,8 +52,8 @@ class AtlasRecord:
     @staticmethod
     def from_json(line: str) -> "AtlasRecord":
         """One store line as a record, its curve validated, normalized and
-        reduced, and its key and triple checked against the reduction's; an
-        input error says what is wrong with it."""
+        reduced, its key and triple checked against the reduction's, and its
+        witness replayed from P; an input error says what is wrong with it."""
         doc = _json_object(line)
         missing = [k for k in ("key", "triple", "witness", "depth", "curve") if k not in doc]
         if missing:
@@ -69,6 +72,10 @@ class AtlasRecord:
             raise MalformedInput(f"record key {key!r} is not its curve's certificate word {rec.key!r}")
         if tuple(triple) != rec.triple:
             raise MalformedInput(f"record triple {triple!r} is not its curve's triple {list(rec.triple)!r}")
+        if depth != len(witness):
+            raise MalformedInput(f"record depth {depth} is not the length of its witness {witness!r}")
+        if apply_word(P_CURVE, witness) != rec.curve:
+            raise MalformedInput(f"record witness {witness!r} does not take P to its curve")
         return rec
 
 
@@ -128,11 +135,11 @@ class AtlasStore:
     @staticmethod
     def load(path: str) -> "AtlasStore":
         """Read a store that `save` wrote; a malformed line, a curve that is
-        not reducing, or a key or triple that is not its curve's raises
-        MalformedInput naming the file and the line.  A store of an earlier
-        format is refused: its keys (signatures in /1, 24 intersection numbers
-        in /2) never match a certificate word, so extending it would duplicate
-        its records."""
+        not reducing, or a key, triple, witness or depth that is not its
+        curve's raises MalformedInput naming the file and the line.  A store
+        of an earlier format is refused: its keys (signatures in /1, 24
+        intersection numbers in /2) never match a certificate word, so
+        extending it would duplicate its records."""
         store = AtlasStore()
         with open(path) as fh:
             lineno = 1

@@ -100,6 +100,9 @@ from .surface import (
 
 Step = tuple[int, int]  # (edge id, hexagon entered)
 
+# the reducing verdict of a word not yet checked (`CurveWord`)
+_UNCHECKED = object()
+
 CURVE_FORMAT = "goeritz-curve/1"
 
 
@@ -115,13 +118,23 @@ class CurveWord:
 
     The word is stored as its code, one byte 4e+h per step; `steps` decodes
     it.  `CurveWord(steps)` takes a step sequence or its code.
+
+    A normalized word also holds two facts of its curve, each filled the
+    first time it is asked for: its `Counts` (`counts`; None until then)
+    and its reducing verdict, the `reducing_reason` string or None
+    (`handlebody`; `_UNCHECKED` until then).  Both are functions of the
+    code, so they live and die with the object, and no memo holds them.  An
+    unnormalized word holds neither: its facts are those of its
+    `normalize()` word.
     """
 
-    __slots__ = ("code", "normalized")
+    __slots__ = ("code", "normalized", "_counts", "_reason")
 
     def __init__(self, steps, normalized: bool = False):
         self.code = steps if isinstance(steps, bytes) else _encode(steps)
         self.normalized = normalized
+        self._counts = None
+        self._reason = _UNCHECKED
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -753,8 +766,13 @@ class Counts(namedtuple("Counts", "a b c x y z")):
 
 
 def counts(w: CurveWord) -> Counts:
-    curves = ensure_normal(w).code.translate(_CURVE_OF_BYTE)
-    return Counts(*map(curves.count, range(6)))
+    """The six counts of w's normalized word, counted once per object."""
+    w = ensure_normal(w)
+    c = w._counts
+    if c is None:
+        curves = w.code.translate(_CURVE_OF_BYTE)
+        w._counts = c = Counts(*map(curves.count, range(6)))
+    return c
 
 
 def is_separating(w: CurveWord) -> bool:

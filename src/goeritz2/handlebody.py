@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .curve import (
     Arc,
     CurveWord,
+    _UNCHECKED,
     _bounds_disk,
     _theta_letters,
     counts,
@@ -95,14 +96,20 @@ def bounds_disk(w: CurveWord, side: str) -> bool:
 
 
 def _normal_reason(w: CurveWord) -> str | None:
-    """`reducing_reason` of a normalized word."""
+    """`reducing_reason` of a normalized word, decided once per object and
+    kept on it (`CurveWord`)."""
+    if w._reason is not _UNCHECKED:
+        return w._reason
     if not is_separating(w):
-        return "nonseparating"
-    if not bounds_disk(w, "V"):
-        return "no-disk-V"
-    if not bounds_disk(w, "W"):
-        return "no-disk-W"
-    return None
+        reason = "nonseparating"
+    elif not bounds_disk(w, "V"):
+        reason = "no-disk-V"
+    elif not bounds_disk(w, "W"):
+        reason = "no-disk-W"
+    else:
+        reason = None
+    w._reason = reason
+    return reason
 
 
 def reducing_reason(w: CurveWord) -> str | None:

@@ -16,7 +16,9 @@ in a half twist, so a trailing delta^+-1 comes only from the terminal move.
 Each curve is checked once.  `reduce_to_standard` runs `require_reducing`
 on its input, and each pass runs it on the curve it lands on, so every curve
 the certificate passes through is checked, either as the input or as a
-landing.  A pass reads its input's dominance class from the (a, b, c) its
+landing.  The verdict and the counts are kept on the curve object
+(`CurveWord`), so a curve handed in again, such as an atlas record on its
+round trip, is not checked or counted again.  A pass reads its input's dominance class from the (a, b, c) its
 caller already has (`_dominance`), and the terminal class is read from the
 last counts (`_TERMINALS`); the public `classify` and `is_standard` keep
 their own check of outside input.
@@ -195,8 +197,8 @@ def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
 
     The input is checked once; each pass checks the curve it lands on
     (`_pass`), and a pass the memo holds is not computed again.  Each
-    curve's counts are read once, when the curve is made.  The loop needs no
-    bound: a pass that does not lower a+b+c by an even amount raises.
+    curve's counts are read when the curve is made, and counted once per
+    curve object.  The loop needs no bound: a pass that does not lower a+b+c by an even amount raises.
     """
     w = require_reducing(w)
     abc = counts(w).abc()

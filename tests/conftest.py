@@ -97,6 +97,21 @@ def edited_store(tmp_path):
 TAMPERED_STORE = ({"D": {"triple": [99, 0, 0]}, "d": {"key": "D"}},
                   3, "record triple [99, 0, 0] is not its curve's triple [0, 2, 0]")
 
+# Edits of the witness and depth of the record keyed "D" (witness d, depth 1),
+# each with the line and reason `load` refuses it with.  If they were trusted,
+# the first would make the store's extension to depth 2 list aaad as the
+# shortest witness of 0 2 0; the last keeps the witness's length but names
+# another curve's word.
+FALSE_WITNESS_STORES = {
+    "witness-and-depth": ({"D": {"witness": "aaad", "depth": 0}}, 3,
+                          "record depth 0 is not the length of its witness 'aaad'"),
+    "witness-length": ({"D": {"witness": "aaad"}}, 3,
+                       "record depth 1 is not the length of its witness 'aaad'"),
+    "depth": ({"D": {"depth": 0}}, 3, "record depth 0 is not the length of its witness 'd'"),
+    "witness-of-another": ({"D": {"witness": "D"}}, 3,
+                           "record witness 'D' does not take P to its curve"),
+}
+
 
 @pytest.fixture(params=sorted(BAD_STORE_CURVES))
 def bad_curve_store(request, tmp_path, unembedded_word):

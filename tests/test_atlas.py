@@ -18,7 +18,7 @@ from goeritz2.errors import MalformedInput
 from goeritz2.handlebody import is_reducing
 from goeritz2.reduction import reduce_to_standard, verify_certificate
 
-from conftest import TAMPERED_STORE
+from conftest import FALSE_WITNESS_STORES, TAMPERED_STORE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -136,8 +136,9 @@ def test_load_names_the_file_and_line_of_a_bad_curve(bad_curve_store):
      "record curve is not reducing: nonseparating"),
     ({"": {"curve": cm.to_doc(apply_word(cm.P_CURVE, "d"))}}, 2,
      "record key '' is not its curve's certificate word 'D'"),
+    *FALSE_WITNESS_STORES.values(),
 ], ids=["tampered", "key-of-another", "key-empty", "triple", "base-triple",
-        "curve-not-reducing", "curve-of-another"])
+        "curve-not-reducing", "curve-of-another", *FALSE_WITNESS_STORES])
 def test_load_refuses_a_key_triple_or_curve_that_is_not_the_records(edited_store, edits, line,
                                                                      reason):
     path = edited_store(edits)

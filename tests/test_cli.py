@@ -16,7 +16,7 @@ from goeritz2.action import apply_word
 from goeritz2.cli import main
 from goeritz2.reduction import ReductionCertificate, reduce_to_standard, verify_certificate
 
-from conftest import TAMPERED_STORE
+from conftest import FALSE_WITNESS_STORES, TAMPERED_STORE
 
 
 @pytest.fixture
@@ -257,11 +257,11 @@ def test_malformed_atlas_store_exit_code(tmp_path, capsys, text, line, reason):
 
 
 def test_tampered_atlas_store_exit_code(edited_store, capsys):
-    edits, line, reason = TAMPERED_STORE
-    store = edited_store(edits)
-    assert main(["atlas", "--in", str(store), "--depth", "2"]) == 3
-    out, err = capsys.readouterr()
-    assert err == f"error: {store}, line {line}: {reason}\n" and out == ""
+    for edits, line, reason in [TAMPERED_STORE, *FALSE_WITNESS_STORES.values()]:
+        store = edited_store(edits)
+        assert main(["atlas", "--in", str(store), "--depth", "2"]) == 3, edits
+        out, err = capsys.readouterr()
+        assert err == f"error: {store}, line {line}: {reason}\n" and out == "", edits
 
 
 def test_bad_curve_in_atlas_store_exit_code(bad_curve_store, capsys):

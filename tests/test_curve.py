@@ -7,6 +7,7 @@ import pytest
 from goeritz2 import action, kernel
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2 import handlebody as hb
 from goeritz2 import reduction as red
 from goeritz2.errors import (
     EmptyAfterNormalization,
@@ -14,6 +15,7 @@ from goeritz2.errors import (
     InternalInvariantError,
     MalformedWord,
     NotEmbeddable,
+    NotReducing,
     ParityViolation,
 )
 from goeritz2.reduction import reduce_to_standard
@@ -383,3 +385,46 @@ def test_a_normalized_curve_hashes_and_compares_without_a_rotation(ladders, monk
         assert calls == [], w
         hash(cm.CurveWord(w.code))  # the spy sees an unnormalized word's rotation
         assert calls[:1] == [w.code]
+
+
+# A normalized word keeps its counts and its reducing verdict once they are
+# asked for; the tests below check that what it keeps is what a fresh word
+# of the same code computes, and that an unnormalized word keeps nothing.
+
+
+def test_the_facts_a_curve_keeps_are_those_of_a_fresh_word(corpus, ladders):
+    records = [rec.curve for rec in at.enumerate_atlas(6).records]
+    images = [action.apply_generator(w, g) for w in records for g in action.GENERATORS]
+    curves = [w for _, w in corpus] + ladders + records + images
+    assert len({w.code for w in curves}) > 400
+    for w in curves:
+        fresh = cm.CurveWord(w.code, normalized=True)
+        for _ in range(2):  # the second call reads what the first kept
+            assert cm.counts(w) == cm.counts(fresh), w
+            assert hb.reducing_reason(w) == hb.reducing_reason(fresh), w
+        assert cm.counts(w) is cm.counts(w)
+
+
+def _facts(w):
+    return [w._counts is not None, w._reason is not cm._UNCHECKED]
+
+
+def test_an_unnormalized_word_keeps_no_fact(corpus, ladders):
+    rotated = [cm.CurveWord(w.code[1:] + w.code[:1]) for _, w in corpus[:40]] + \
+        [cm.CurveWord(w.code[::-1].translate(cm._REVERSED)) for w in ladders]
+    curves = rotated + list(cm.PUSHOFFS.values()) + [cm.validate(list(cm.P_CURVE.steps))]
+    for w in curves:
+        assert not w.normalized
+        cm.counts(w)
+        cm.is_separating(w)
+        hb.is_reducing(w)
+        try:
+            red.classify(w)
+            reduce_to_standard(w)
+        except NotReducing:
+            pass
+        assert _facts(w) == [False, False], w
+        normal = cm.normalize(w)
+        cm.counts(normal)
+        hb.is_reducing(normal)
+        assert _facts(normal) == [True, True], w

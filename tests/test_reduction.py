@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,10 +10,10 @@ import goeritz2
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import reduction as red
-from goeritz2.action import apply_generator, apply_word
+from goeritz2.action import apply_generator, apply_word, twist_system
 from goeritz2.curve import arc_census, counts
 from goeritz2.errors import MalformedInput, NotReducing, TrichotomyViolation
-from goeritz2.handlebody import require_reducing
+from goeritz2.handlebody import is_reducing, reducing_reason, require_reducing
 
 # SHA-256 of [word text, trace, terminal] of the certificate of every ladder,
 # then every corpus curve, as compact JSON, one line per curve: pinned while
@@ -330,3 +331,51 @@ def test_a_non_reducing_landing_raises_and_is_not_stored(monkeypatch, reducing_c
                 red.reduce_to_standard(w)
         assert refused and red._pass.cache_info().currsize == 0
         assert _certificate(w) == expected  # the refused pass is computed again
+
+
+def test_a_cold_atlas_and_its_round_trips_count_and_check_each_curve_once(monkeypatch):
+    # a curve keeps its counts and its reducing verdict: a spy on the two
+    # slots sees each stored at most once per object, and only on normalized
+    # words, although the same objects are counted and checked many times
+    stored = {"_counts": Counter(), "_reason": Counter()}
+    alive = []  # kept alive, so ids stay distinct
+    for (name, times), unset in zip(stored.items(), (None, cm._UNCHECKED)):
+        slot = getattr(cm.CurveWord, name)
+
+        def store(w, value, slot=slot, times=times, unset=unset):
+            if value is not unset:  # not the value a new word starts with
+                assert w.normalized, w
+                alive.append(w)
+                times[id(w)] += 1
+            slot.__set__(w, value)
+
+        monkeypatch.setattr(cm.CurveWord, name, property(slot.__get__, store))
+    checked = []
+    monkeypatch.setattr(red, "require_reducing",
+                        lambda w: checked.append(w) or require_reducing(w))
+    store = at.enumerate_atlas(6)
+    for rec in store.records:
+        assert red.verify_certificate(red.reduce_to_standard(rec.curve), rec.curve)
+    assert max(stored["_counts"].values()) == max(stored["_reason"].values()) == 1
+    # every checked object keeps its verdict, and fewer objects than checks are checked
+    assert {id(w) for w in checked} <= set(stored["_reason"])
+    assert len(stored["_reason"]) < len(checked)
+    # each record's curve was checked while the atlas keyed it, so its round
+    # trip reads the verdict it kept
+    assert {id(rec.curve) for rec in store.records} <= set(stored["_reason"])
+
+
+@pytest.mark.parametrize("w, reason", [
+    *((cm.normalize(p), "nonseparating") for p in cm.PUSHOFFS.values()),
+    (apply_word(cm.normalize(cm.PUSHOFFS["B"]), "dbd"), "nonseparating"),
+    (twist_system(cm.P_CURVE, "A"), "no-disk-V"),
+    (twist_system(cm.P_CURVE, "X"), "no-disk-W"),
+], ids=[*(f"pushoff-{k}" for k in cm.PUSHOFFS), "nonseparating", "no-disk-V", "no-disk-W"])
+def test_a_failed_check_raises_its_reason_on_every_call(w, reason):
+    assert w.normalized
+    for _ in range(3):
+        with pytest.raises(NotReducing, match=f"^{reason}$"):
+            require_reducing(w)
+        with pytest.raises(NotReducing, match=f"^{reason}$"):
+            red.reduce_to_standard(w)
+        assert reducing_reason(w) == reason and not is_reducing(w)
