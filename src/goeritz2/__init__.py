@@ -42,21 +42,17 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the three memos (the generator action, the set of verified
-    words and the reduction passes) and the table of chord-class layouts.
+    """Empty the two memos: the generator action and the chord-class layouts.
 
-    The memos hold pure functions of a curve's code and the table a pure
-    function of a set of chord classes, so clearing changes no result, only
-    how much work the next calls repeat.  It leaves the facts a normalized
-    curve object keeps (its counts and reducing verdict, `CurveWord`) alone:
-    they live and die with the object, so a cold timing needs fresh curve
-    objects, such as `CurveWord(w.code, normalized=True)`.
+    Both hold pure functions, so clearing changes no result, only how much
+    work the next calls repeat.  The facts a curve keeps (`CurveWord`) live
+    and die with the one object the library makes per code: clearing frees
+    the curves only the memo held, a curve held elsewhere keeps its facts,
+    and a cold timing needs a fresh interpreter.
     """
-    from . import action, curve, reduction
+    from . import action, curve
     action._act.cache_clear()
-    curve._VERIFIED.clear()
     curve._layout.cache_clear()
-    reduction._pass.cache_clear()
 
 
 __all__ = [

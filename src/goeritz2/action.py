@@ -32,15 +32,19 @@ The generator action is memoized by normalized curve (`_act`, an LRU memo of
 4096 entries): the atlas applies every generator to each record, and the
 reduction and certificate replay of that record apply the same ones again.
 A miss of beta^+-1 runs one substitution, then the kernel and the
-re-embedding check, so every word the memo stores is verified; an action
-that raises is not stored.  Keys and values are normalized curves, which
-hash and compare by their code, and a hit hands back the curve the memo
-holds, so a call builds no `CurveWord`.  An entry whose key and value curves
-nothing else holds costs 2n + 283 bytes (tracemalloc) for curves of n
-crossings, so a full memo holds 2.0 MB at n = 100 and 26 MB at n = 3,000.
+re-embedding, which traces only a code no live curve holds
+(`curve._CURVES`), so every word the memo stores is verified; an action
+that raises is not stored.  A miss hands out the live curve of its image's
+code where one lives, and the memo keeps its curves alive.  Keys and values
+are normalized curves, which hash and compare by their code, and a hit
+hands back the curve the memo holds, so a call builds no `CurveWord`.  An
+entry whose key and value curves nothing else holds costs about 2n + 560
+bytes (tracemalloc, with their intern-table references) for curves of n
+crossings, so a full memo holds 3.0 MB at n = 100 and 27 MB at n = 3,000.
 The atlas to depth 7 with a round trip per record uses 3,108 entries
-(clearing them frees 0.53 MB); to depth 8 it misses 8,517 times, so the
-memo fills and evicts, but no workload runs depth 8.
+(clearing them frees 0.86 MB, with the curves only the memo held); to
+depth 8 it misses 8,517 times, so the memo fills and evicts, but no
+workload runs depth 8.
 
 Nothing here tells two curves apart.  Images of the standard curve are
 reducing, and two reducing curves are equal iff `reduction.reduce_to_standard`
@@ -224,12 +228,13 @@ def _relabel_table(name: str) -> bytes:
 def _relabel(w: CurveWord, name: str) -> CurveWord:
     """Image of a normalized word: an automorphism preserves minimality, so
     only the rotation start drifts.  It also maps the word's normal
-    multicurve onto the image's, so the image of a verified word is
-    verified (`curve._VERIFIED`)."""
+    multicurve onto the image's, so the image of an interned curve is
+    interned (`curve._CURVES`); that of a word built with
+    `CurveWord(code, normalized=True)` is not, unless its code lives."""
     least = cm._least_rotation(w.code.translate(_relabel_table(name)))
-    if w.code in cm._VERIFIED:
-        cm._VERIFIED.add(least)
-    return CurveWord(least, normalized=True)
+    if w.code in cm._CURVES:
+        return cm._interned(least)
+    return cm._CURVES.get(least) or CurveWord(least, normalized=True)
 
 
 def apply_generator(w: CurveWord, g: str) -> CurveWord:

@@ -11,8 +11,9 @@ the file boundary, written by `as_json` and read, validated and normalized
 once by `from_json` when `load` reads a store.  Every record is made by
 `_record`, which reduces its curve for the key and triple, so `load` refuses
 a stored key or triple that is not its curve's; it also refuses a witness
-that does not take the standard curve to the record's curve, or a depth
-that is not the witness's length.
+that does not take the standard curve to the record's curve, a depth
+that is not the witness's length, or a witness that extends no earlier
+record's by one letter.
 """
 
 from __future__ import annotations
@@ -136,7 +137,9 @@ class AtlasStore:
     def load(path: str) -> "AtlasStore":
         """Read a store that `save` wrote; a malformed line, a curve that is
         not reducing, or a key, triple, witness or depth that is not its
-        curve's raises MalformedInput naming the file and the line.  A store
+        curve's raises MalformedInput naming the file and the line, and so
+        does a witness that extends no earlier record's by one letter, as
+        every witness `enumerate_atlas` stores does.  A store
         of an earlier format is refused: its keys (signatures in /1, 24
         intersection numbers in /2) never match a certificate word, so
         extending it would duplicate its records."""
@@ -153,9 +156,15 @@ class AtlasStore:
                 if type(header.get("depth", 0)) is not int:
                     raise MalformedInput(f"header depth {header['depth']!r} is not an integer")
                 store.meta = {k: v for k, v in header.items() if k != "format"}
+                witnesses = set()
                 for lineno, line in enumerate(fh, 2):
                     if line.strip():
-                        store.add(AtlasRecord.from_json(line))
+                        rec = AtlasRecord.from_json(line)
+                        if rec.depth and rec.witness[:-1] not in witnesses:
+                            raise MalformedInput(f"record witness {rec.witness!r} extends no "
+                                                 "witness of an earlier record")
+                        witnesses.add(rec.witness)
+                        store.add(rec)
             except INPUT_ERRORS as exc:
                 raise MalformedInput(f"{path}, line {lineno}: {exc}") from None
         return store

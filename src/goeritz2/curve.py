@@ -45,25 +45,22 @@ by substring tests in both directions.  A walk that passes its first state
 early repeats its bytes, so only an input that repeats itself needs that
 pass counted.
 
-That check's verdict depends only on the cyclic word, so each word is traced
-once per process: a set of verified words (`_VERIFIED`) holds the least
-rotations whose trace passed, and `_reembed` traces only a word not in it.
-`validate` checks outside input, so it traces its spur-free core every time
-and records it; the `normalize` that follows does not trace the word again.
-A word whose trace raises is never recorded.  A relabeling symmetry maps a
-word's normal multicurve onto its image's, so `action._relabel` records the
-image of a word in the set.  The set is
-bounded by 128 KiB of codes, which holds every distinct word of the depth-6
-atlas and its round trips, and evicts the oldest words first.
-`goeritz2.clear_caches()` empties it with the other two memos and the layout
-table.
+That check's verdict depends only on the cyclic word, so normalized curves
+are interned: a code has one live `CurveWord`, held weakly in `_CURVES`.
+`_reembed` hands it out and traces only a code no live curve holds, so a
+curve's facts (`CurveWord`) are computed once while it lives.  A word whose
+trace raises is never interned.  A relabeling symmetry maps a word's normal
+multicurve onto its image's, so `action._relabel` interns the image of an
+interned curve.  `validate` traces the spur-free core of outside input every
+time and hands it to the `normalize` that follows (`_normal`).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import OrderedDict, namedtuple
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, count, islice, repeat
@@ -119,22 +116,27 @@ class CurveWord:
     The word is stored as its code, one byte 4e+h per step; `steps` decodes
     it.  `CurveWord(steps)` takes a step sequence or its code.
 
-    A normalized word also holds two facts of its curve, each filled the
-    first time it is asked for: its `Counts` (`counts`; None until then)
-    and its reducing verdict, the `reducing_reason` string or None
-    (`handlebody`; `_UNCHECKED` until then).  Both are functions of the
-    code, so they live and die with the object, and no memo holds them.  An
-    unnormalized word holds neither: its facts are those of its
-    `normalize()` word.
+    A normalized word holds three facts of its curve, each filled the first
+    time it is asked for: its `Counts` (`counts`), its reducing verdict, the
+    `reducing_reason` string or None (`handlebody`; `_UNCHECKED` until
+    then), and its reduction pass (`reduction._pass`, once one succeeds).
+    They are functions of the code and live and die with the object, of
+    which the library makes one per live code (`_CURVES`).
+    `CurveWord(code, normalized=True)` asserts that the code is the least
+    rotation of an embedded minimal word: it checks nothing and is not
+    interned.  An unnormalized word holds no fact; `validate` may leave it
+    its `normalize()` word (`_normal`).
     """
 
-    __slots__ = ("code", "normalized", "_counts", "_reason")
+    __slots__ = ("code", "normalized", "_counts", "_reason", "_pass", "_normal", "__weakref__")
 
     def __init__(self, steps, normalized: bool = False):
         self.code = steps if isinstance(steps, bytes) else _encode(steps)
         self.normalized = normalized
         self._counts = None
         self._reason = _UNCHECKED
+        self._pass = None
+        self._normal = None
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -186,7 +188,8 @@ def _check_chain(steps: list[Step]) -> None:
                 f"step {i + 1}: expected hexagon {HEX_TOKENS[OTHER_HEX[e2][h]]}")
 
 
-def _check_embeddable(steps: list[Step]) -> None:
+def _check_embeddable(steps: list[Step]) -> bytes:
+    """Raise unless the steps are one embedded curve; return the traced spur-free core."""
     code = _encode(steps)
     # chord classes present in a hexagon must not interleave (spur chords exempt)
     clash = _first_clash(bytes(sorted(set(_arc_classes(code)) - {_SPUR_ARC})))
@@ -203,7 +206,7 @@ def _check_embeddable(steps: list[Step]) -> None:
         except (InternalInvariantError, NotEmbeddable) as exc:
             _check_edge_orders(core)  # the more specific reason, where it applies
             raise NotEmbeddable(f"spur-free word is not one embedded curve: {exc}") from None
-        _VERIFIED.add(_least_rotation(core))
+    return core
 
 
 def _check_edge_orders(core: bytes) -> None:
@@ -241,6 +244,8 @@ def validate(steps) -> CurveWord:
     A closed chain crosses each system of three curves an even number of
     times: every A/B/C edge joins the two pants and every X/Y/Z edge the two
     balls, so no parity check is needed (`ParityViolation` is never raised).
+    A traced core in which the kernel slides no run is the `normalize()`
+    word, which the word keeps, so the kernel and the trace run once.
     """
     checked = []
     for i, step in enumerate(steps):
@@ -251,8 +256,11 @@ def validate(steps) -> CurveWord:
         checked.append((_index(i, "edge", e, 12), _index(i, "hexagon", h, 4)))
     steps = checked
     _check_chain(steps)
-    _check_embeddable(steps)
-    return CurveWord(steps)
+    core = _check_embeddable(steps)
+    w = CurveWord(steps)
+    if core and not kernel.normalize_steps(core)[1]:
+        w._normal = _interned(_least_rotation(core))
+    return w
 
 
 # ------------------------------------------------------------- coordinates
@@ -643,6 +651,8 @@ def _bounds_disk(code: bytes, system: str) -> bool:
 
 def normalize(w: CurveWord) -> CurveWord:
     """Minimal position: spur and generalized-bigon removal, then re-embedding."""
+    if w._normal is not None:  # found by `validate`
+        return w._normal
     code, _ = kernel.normalize_steps(w.code)
     if not code:
         raise EmptyAfterNormalization("curve is null-homotopic")
@@ -680,45 +690,27 @@ def _trace(w: bytes) -> tuple[list[int], int]:
     return path, r
 
 
-# Total code bytes the set of verified words may hold.
-_VERIFIED_BYTES = 128 * 1024
+# The one live normalized curve of each code, weakly held: codes whose trace
+# passed, and the images of their curves under a relabeling symmetry.
+_CURVES: weakref.WeakValueDictionary[bytes, CurveWord] = weakref.WeakValueDictionary()
 
 
-class _VerifiedWords(OrderedDict):
-    """Least rotations of the codes whose `_trace` passed, oldest first.
-
-    The verdict depends only on the cyclic word, so a word found here needs
-    no new trace.  `add` evicts the oldest codes while the set holds more
-    than `_VERIFIED_BYTES` bytes of codes.
-    """
-
-    size = 0
-
-    def add(self, least: bytes) -> None:
-        if least in self:
-            return
-        self[least] = None
-        self.size += len(least)
-        while self.size > _VERIFIED_BYTES:
-            self.size -= len(self.popitem(last=False)[0])
-
-    def clear(self) -> None:
-        super().clear()
-        self.size = 0
-
-
-_VERIFIED = _VerifiedWords()
+def _interned(least: bytes) -> CurveWord:
+    """The live curve of a verified least rotation, made and interned if none lives."""
+    w = _CURVES.get(least)
+    if w is None:
+        w = _CURVES[least] = CurveWord(least, normalized=True)
+    return w
 
 
 def _reembed(code: bytes) -> CurveWord:
-    """Canonical embedded realization of a minimal word's code; verifies class
-    invariants (`_trace`, once per cyclic word) and returns the word's least
-    rotation."""
+    """Canonical embedded realization of a minimal word's code: the live
+    curve of its least rotation.  A code that no live curve holds is
+    verified first (`_trace`)."""
     least = _least_rotation(code)
-    if least not in _VERIFIED:
+    if least not in _CURVES:
         _trace(code)
-        _VERIFIED.add(least)
-    return CurveWord(least, normalized=True)
+    return _interned(least)
 
 
 def ensure_normal(w: CurveWord) -> CurveWord:
@@ -906,11 +898,14 @@ def from_doc(doc: dict) -> CurveWord:
                 if type(c) is not int:
                     raise MalformedInput(f"count of {ht} {pair} must be an integer, not {type(c).__name__}")
                 coords[(HEX_OF_TOKEN[ht], min(e1, e2), max(e1, e2))] = c
-        comps = from_normal_coordinates(coords)
-        if len(comps) != 1:
-            raise MalformedInput(
-                f"normal coordinates describe {len(comps)} components, expected 1")
-        return validate(list(comps[0].steps))
+        # one component must pass every slot: refuse the others unwalked
+        nxt, code = _embedding(*_class_counts(coords))
+        path, slots = next(_traces(nxt), []), len(nxt) // 2
+        if not path or len(path) < slots:
+            raise MalformedInput("normal coordinates describe more than one component: the first "
+                                 f"crosses {len(path)} of {slots} slots" if path else
+                                 "normal coordinates describe no component, expected 1")
+        return validate(list(map(_STEP_OF_BYTE.__getitem__, _path_code(code, path))))
     raise MalformedInput(f"unknown representation {rep!r}")
 
 

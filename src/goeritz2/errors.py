@@ -57,7 +57,8 @@ class BetaReductionFailure(Goeritz2Error):
 
 
 class IterationLimitExceeded(Goeritz2Error):
-    """Reduction loop guard tripped."""
+    """The reduction failed to make progress: a pass did not lower a+b+c by
+    an even positive amount, or the last pass did not land on P."""
 
 
 class InternalInvariantError(Goeritz2Error):

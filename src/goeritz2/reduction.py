@@ -16,24 +16,21 @@ in a half twist, so a trailing delta^+-1 comes only from the terminal move.
 Each curve is checked once.  `reduce_to_standard` runs `require_reducing`
 on its input, and each pass runs it on the curve it lands on, so every curve
 the certificate passes through is checked, either as the input or as a
-landing.  The verdict and the counts are kept on the curve object
-(`CurveWord`), so a curve handed in again, such as an atlas record on its
-round trip, is not checked or counted again.  A pass reads its input's dominance class from the (a, b, c) its
+landing.  A pass reads its input's dominance class from the (a, b, c) its
 caller already has (`_dominance`), and the terminal class is read from the
 last counts (`_TERMINALS`); the public `classify` and `is_standard` keep
 their own check of outside input.
 
-Each pass is memoized by the normalized curve it starts from (`_pass`, an
-LRU memo of 4096 entries), landing check included: the atlas reduces every
-new image to key it, and a round trip of a stored record reduces it again,
-so the same passes recur.  The memo is exact, as the argument above shows: a
-pass is a function of the normalized curve alone, since it reads counts of
-minimal words and applies the deterministic generator action, so a hit
-returns exactly what recomputing would.  A pass that raises, on its landing
-check too, is not stored.  `goeritz2.clear_caches()` empties the memo.  The
-reduction reads a curve only through `counts`, `arc_census`, `apply_word`,
-`apply_generator` and `require_reducing`; how a curve is stored is the word
-layers' business.
+A pass is a fact of the curve it starts from, like its counts and its
+reducing verdict: it reads counts of minimal words and applies the
+deterministic generator action, so it is a function of the normalized
+curve.  The curve object keeps all three (`CurveWord`; the pass, landing
+check included, only once it succeeds), and the library makes one object
+per live code (`curve._CURVES`).  So a curve handed in again, such as an
+atlas record on its round trip, is not checked, counted or reduced again.
+The reduction reads a curve only through `counts`, `arc_census`,
+`apply_word`, `apply_generator`, `require_reducing` and its `_pass` slot;
+how a curve is stored is the word layers' business.
 
 `verify_certificate` replays the word forward, and that replay is the whole
 proof.  The image must have counts (2,0,0,2,0,0): B with Z and C with Y fill
@@ -47,7 +44,6 @@ neither the trace nor the input counts is checked.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -151,25 +147,18 @@ class ReductionCertificate:
         return json.dumps(self.as_doc(**kw), indent=1) + "\n"
 
 
-# Entries of the pass memo: enumerate_atlas(7) plus a round trip per record
-# needs 1,108 (clearing them frees 0.37 MB by tracemalloc), enumerate_atlas(6)
-# plus its round trips 428, enumerate_atlas(8) plus its round trips 2,844.
-_PASS_MEMO_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=_PASS_MEMO_SIZE)
 def _pass(w: CurveWord, abc: tuple[int, int, int]) -> tuple[tuple, tuple, CurveWord]:
     """One reduction pass from a normalized reducing curve with a+b+c > 2:
-    the generators it applies, their count trace and the curve it lands on.
+    the generators it applies, their count trace and the curve it lands on,
+    kept on the curve (`w._pass`) once the landing passed its check.
 
     Precondition: the input was checked to be reducing, by the caller or by
     the pass that landed on it; this pass checks the curve it lands on.  The
     pass makes the curve A-dominant with delta or its inverse, then applies
     whichever half twist gives the lower a.  abc is the curve's (a, b, c),
-    which the caller has read; being a function of the curve, it splits no
-    entry of the memo.
+    which the caller has read.
     """
-    a, before = abc[0], sum(abc)
+    start, a, before = w, abc[0], sum(abc)
     gens, trace = [], []
     gen = {"C": "delta", "B": "delta_inv"}.get(_dominance(w, abc))
     if gen:
@@ -189,22 +178,24 @@ def _pass(w: CurveWord, abc: tuple[int, int, int]) -> tuple[tuple, tuple, CurveW
     after = c.total_abc()
     if after >= before or (before - after) % 2:
         raise IterationLimitExceeded(f"pass changed a+b+c from {before} to {after}")
-    return tuple(gens), tuple(trace), require_reducing(w)
+    start._pass = done = (tuple(gens), tuple(trace), require_reducing(w))
+    return done
 
 
 def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
     """Transform a reducing curve into the standard one, recording the moves.
 
     The input is checked once; each pass checks the curve it lands on
-    (`_pass`), and a pass the memo holds is not computed again.  Each
+    (`_pass`), and a pass its curve keeps is not computed again.  Each
     curve's counts are read when the curve is made, and counted once per
-    curve object.  The loop needs no bound: a pass that does not lower a+b+c by an even amount raises.
+    curve object.  The loop needs no bound: a pass that does not lower
+    a+b+c by an even amount raises.
     """
     w = require_reducing(w)
     abc = counts(w).abc()
     cert = ReductionCertificate(abc)
     while sum(abc) > 2:
-        gens, trace, w = _pass(w, abc)
+        gens, trace, w = w._pass or _pass(w, abc)
         cert.word.extend(gens)
         cert.trace.extend(trace)
         abc = trace[-1]

@@ -7,6 +7,7 @@ the corpus to the acceptance size.
 
 from __future__ import annotations
 
+import operator
 import random
 import traceback
 from collections import Counter
@@ -180,26 +181,27 @@ def _checks(quick: bool):
         warm = [apply_word(P, word).code for word in words]
         assert cold == warm == [w.code for _, w in corpus[:40]]
 
-    def verified_words():
-        words = [cm.CurveWord(w.code) for _, w in corpus[:40]]
-        clear_caches()
-        cold = [cm.normalize(w).code for w in words]
-        assert all(code in cm._VERIFIED for code in cold)
-        warm = [cm.normalize(w).code for w in words]  # served by the set: no trace
-        assert cold == warm == [w.code for w in words]
+    def interned_curves():
+        # one live curve per code: a fresh word of a live curve's code
+        # normalizes to that curve, so it is not traced and keeps its facts
+        curves = [w for _, w in corpus[:40]]
+        assert all(cm._CURVES[w.code] is w for w in curves)
+        assert all(map(operator.is_, (cm.normalize(cm.CurveWord(w.code)) for w in curves), curves))
 
-    def reduction_memo():
+    def reduction_passes():
         curves = [atlas_mod.record_curve(rec) for rec in atlas_mod.enumerate_atlas(4).records]
 
         def certificates():
             return [(c.word, c.trace, c.terminal) for c in map(red.reduce_to_standard, curves)]
 
-        clear_caches()
         cold = certificates()
-        misses = red._pass.cache_info().misses
-        assert misses > 0
-        assert certificates() == cold  # served by the pass memo: no new pass
-        assert red._pass.cache_info().misses == misses
+        kept = [w._pass for w in curves]
+        # each curve off the terminals keeps its first pass, which starts its certificate
+        for w, done, (word, _, _) in zip(curves, kept, cold):
+            assert (done is None) == (cm.counts(w).total_abc() == 2)
+            assert done is None or list(done[0]) == word[:len(done[0])]
+        assert certificates() == cold  # read from the curves: no pass is computed again
+        assert all(map(operator.is_, (w._pass for w in curves), kept))
 
     def certificate_invariance():
         for word, w in corpus:
@@ -214,11 +216,11 @@ def _checks(quick: bool):
         assert len(atlas_mod.enumerate_atlas(4).records) == 47
 
     def atlas_determinism():
-        s1 = atlas_mod.enumerate_atlas(2)
-        clear_caches()  # the second run recomputes, not replays the first
+        first = [r.as_json() for r in atlas_mod.enumerate_atlas(2).records]
+        clear_caches()  # the second run recomputes every curve nothing else holds
         s2 = atlas_mod.enumerate_atlas(2)
-        assert [r.as_json() for r in s1.records] == [r.as_json() for r in s2.records]
-        for rec in s1.records:
+        assert first == [r.as_json() for r in s2.records]
+        for rec in s2.records:
             assert atlas_mod.is_non_triangular(rec.triple)
             assert all(t % 2 == 0 for t in rec.triple)
 
@@ -235,8 +237,8 @@ def _checks(quick: bool):
         ("arc-reader", arc_reader),
         ("spur-levels", spur_levels),
         ("generator-memo", generator_memo),
-        ("verified-words", verified_words),
-        ("reduction-memo", reduction_memo),
+        ("interned-curves", interned_curves),
+        ("reduction-passes", reduction_passes),
         ("certificate-invariance", certificate_invariance),
         ("atlas-determinism", atlas_determinism),
     ]

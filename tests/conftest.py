@@ -1,6 +1,8 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -19,9 +21,50 @@ CORPUS_MAX_LEN = 6
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Start every test with an empty action memo and set of verified words,
-    so a test that captures or patches internals sees every call it expects."""
+    """Start every test with an empty action memo and layout table, so a test
+    that captures or patches internals sees every call it expects.  Curves
+    that session fixtures hold stay interned with their facts."""
     goeritz2.clear_caches()
+
+
+@pytest.fixture
+def fresh_curves(monkeypatch):
+    """A function that empties the intern table and the memos, as if no curve
+    had been made yet, and returns a new interned curve of each given code,
+    traced: the library no longer hands out the curves made before, so a
+    test that needs cold curves sees every fact computed again."""
+    def fresh(*codes):
+        monkeypatch.setattr(curve, "_CURVES", type(curve._CURVES)())
+        goeritz2.clear_caches()
+        return [curve._reembed(code) for code in codes]
+    return fresh
+
+
+# Counts of a cold enumerate_atlas(depth) plus a round trip per record, run
+# in a fresh interpreter so that no curve lives before it: reducing checks
+# computed and their distinct codes, traces and kernel calls.  The spies keep
+# codes, never curves, so they keep no curve alive.
+_COLD_ATLAS = """
+import sys
+from goeritz2 import atlas, curve, handlebody, kernel, reduction
+checks, traces, calls = [], [], []
+is_separating, trace, steps = handlebody.is_separating, curve._trace, kernel.normalize_steps
+handlebody.is_separating = lambda w: checks.append(w.code) or is_separating(w)
+curve._trace = lambda code: traces.append(code) or trace(code)
+kernel.normalize_steps = lambda code: calls.append(code) or steps(code)
+store = atlas.enumerate_atlas(int(sys.argv[1]))
+for rec in store.records:
+    assert reduction.verify_certificate(reduction.reduce_to_standard(rec.curve), rec.curve)
+print(len(store.records), len(checks), len(set(checks)), len(traces), len(calls))
+"""
+
+
+def cold_atlas_counts(depth: int) -> dict[str, int]:
+    out = subprocess.run([sys.executable, "-c", _COLD_ATLAS, str(depth)], capture_output=True,
+                         text=True, check=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": str(_SRC)}).stdout
+    return dict(zip(("records", "checks", "checked_codes", "traces", "kernel_calls"),
+                    map(int, out.split())))
 
 
 @pytest.fixture(scope="session")
@@ -100,7 +143,10 @@ TAMPERED_STORE = ({"D": {"triple": [99, 0, 0]}, "d": {"key": "D"}},
 # Edits of the witness and depth of the record keyed "D" (witness d, depth 1),
 # each with the line and reason `load` refuses it with.  If they were trusted,
 # the first would make the store's extension to depth 2 list aaad as the
-# shortest witness of 0 2 0; the last keeps the witness's length but names
+# shortest witness of 0 2 0, and the last but one would take the record off
+# the level-1 frontier, so the extension would lose 4 2 0: aaad reaches the
+# record's curve, as alpha fixes it, and its depth is its length, but aaa is
+# no earlier record's witness.  The last keeps the witness's length but names
 # another curve's word.
 FALSE_WITNESS_STORES = {
     "witness-and-depth": ({"D": {"witness": "aaad", "depth": 0}}, 3,
@@ -108,6 +154,8 @@ FALSE_WITNESS_STORES = {
     "witness-length": ({"D": {"witness": "aaad"}}, 3,
                        "record depth 1 is not the length of its witness 'aaad'"),
     "depth": ({"D": {"depth": 0}}, 3, "record depth 0 is not the length of its witness 'd'"),
+    "longer-witness": ({"D": {"witness": "aaad", "depth": 4}}, 3,
+                       "record witness 'aaad' extends no witness of an earlier record"),
     "witness-of-another": ({"D": {"witness": "D"}}, 3,
                            "record witness 'D' does not take P to its curve"),
 }

@@ -13,6 +13,7 @@ from goeritz2.errors import (
     EmptyAfterNormalization,
     Goeritz2Error,
     InternalInvariantError,
+    MalformedInput,
     MalformedWord,
     NotEmbeddable,
     NotReducing,
@@ -321,6 +322,33 @@ def test_gamma_fixes_standard_curve():
     from goeritz2.action import apply_generator
 
     assert reduce_to_standard(apply_generator(cm.P_CURVE, "gamma")).word == []
+
+
+def _times(doc: dict, k: int) -> dict:
+    """A normal document with every chord count multiplied by k."""
+    return {**doc, "coordinates": {h: {pair: k * c for pair, c in chords.items()}
+                                   for h, chords in doc["coordinates"].items()}}
+
+
+def test_a_normal_document_of_many_components_builds_none_of_them(monkeypatch):
+    # P times 10^4 describes 10^4 parallel copies of P: the first one walked
+    # crosses 4 of the 40,000 slots, so the document is refused unbuilt
+    doc = _times(cm.coordinates_doc(cm.P_CURVE), 10_000)
+    made = []
+
+    class Spy(cm.CurveWord):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cm, "CurveWord", Spy)
+    with pytest.raises(MalformedInput, match="^normal coordinates describe more than one "
+                                             "component: the first crosses 4 of 40000 slots$"):
+        cm.from_doc(doc)
+    assert not made
+    assert len(cm.from_doc(cm.coordinates_doc(cm.P_CURVE))) == 4 and made  # the spy sees P's
 
 
 def test_document_roundtrip(corpus):

@@ -6,7 +6,6 @@ from collections import Counter
 
 import pytest
 
-import goeritz2
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import reduction as red
@@ -14,6 +13,8 @@ from goeritz2.action import apply_generator, apply_word, twist_system
 from goeritz2.curve import arc_census, counts
 from goeritz2.errors import MalformedInput, NotReducing, TrichotomyViolation
 from goeritz2.handlebody import is_reducing, reducing_reason, require_reducing
+
+from conftest import cold_atlas_counts
 
 # SHA-256 of [word text, trace, terminal] of the certificate of every ladder,
 # then every corpus curve, as compact JSON, one line per curve: pinned while
@@ -160,7 +161,7 @@ def test_certificate_from_doc_refuses_an_earlier_version(version, field):
         red.ReductionCertificate.from_doc(old)
 
 
-def test_reduction_reads_each_curve_counts_once(monkeypatch, corpus, ladders):
+def test_reduction_reads_each_curve_counts_once(monkeypatch, corpus, ladders, fresh_curves):
     # calls from inside classify and is_standard are their own checks
     counted, inside = [], []
     real_counts = red.counts
@@ -183,9 +184,9 @@ def test_reduction_reads_each_curve_counts_once(monkeypatch, corpus, ladders):
     monkeypatch.setattr(red, "classify", nested(red.classify))
     monkeypatch.setattr(red, "is_standard", nested(red.is_standard))
     for w in [w for _, w in corpus[:60]] + ladders:
-        goeritz2.clear_caches()  # a pass found in the memo reads no counts
+        cold, = fresh_curves(w.code)  # a pass its curve keeps reads no counts
         counted.clear()
-        cert = red.reduce_to_standard(w)
+        cert = red.reduce_to_standard(cold)
         assert len({id(x) for x in counted}) == len(counted)
         # the input, every curve the certificate keeps, and the other half twist of each pass
         passes = sum(g in ("beta", "beta_inv") for g in cert.word)
@@ -232,26 +233,39 @@ def _certificate(w):
     return cert.word, cert.trace, cert.terminal
 
 
-def test_certificates_are_equal_uncached_cold_and_warm(monkeypatch, corpus, ladders):
-    curves = [w for _, w in corpus] + ladders + \
-        [at.record_curve(rec) for rec in at.enumerate_atlas(6).records]
+def _computed_passes(monkeypatch):
+    """The curves `reduction._pass` computes a pass from, in order."""
+    computed = []
+    real = red._pass
+    monkeypatch.setattr(red, "_pass", lambda w, abc: computed.append(w) or real(w, abc))
+    return computed
+
+
+def test_certificates_are_equal_uncached_cold_and_warm(monkeypatch, corpus, ladders,
+                                                       fresh_curves):
+    codes = [w.code for _, w in corpus] + [w.code for w in ladders] + \
+        [at.record_curve(rec).code for rec in at.enumerate_atlas(6).records]
+    slot = cm.CurveWord._pass
     with monkeypatch.context() as m:
-        m.setattr(red, "_pass", red._pass.__wrapped__)  # every pass recomputed
-        uncached = list(map(_certificate, curves))
-    goeritz2.clear_caches()
+        # no curve keeps its pass, so every pass is recomputed
+        m.setattr(cm.CurveWord, "_pass", property(lambda w: None,
+                                                  lambda w, v: slot.__set__(w, None)))
+        uncached = list(map(_certificate, fresh_curves(*codes)))
+    curves = fresh_curves(*codes)
+    computed = _computed_passes(monkeypatch)
     cold = list(map(_certificate, curves))
-    misses = red._pass.cache_info().misses
+    passes = len(computed)
     warm = list(map(_certificate, curves))
     assert cold == warm == uncached
-    assert red._pass.cache_info().misses == misses > 300  # a warm reduce computes no pass
+    assert len(computed) == passes > 300  # a warm reduce computes no pass
 
 
-def test_a_pass_that_raises_is_not_stored(monkeypatch):
+def test_a_pass_that_raises_is_not_stored(monkeypatch, fresh_curves):
     w = apply_word(cm.P_CURVE, "dbdbdB")
     expected = _certificate(w)
     passes = sum(g in ("beta", "beta_inv") for g in expected[0])
     assert passes >= 3
-    goeritz2.clear_caches()
+    w, = fresh_curves(w.code)
     real = red._dominance
     calls = []
 
@@ -261,20 +275,19 @@ def test_a_pass_that_raises_is_not_stored(monkeypatch):
             raise TrichotomyViolation("injected")
         return real(x, abc)
 
-    monkeypatch.setattr(red, "_dominance", fail_second)
-    with pytest.raises(TrichotomyViolation, match="injected"):
-        red.reduce_to_standard(w)
-    assert red._pass.cache_info().currsize == 1
+    with monkeypatch.context() as m:
+        m.setattr(red, "_dominance", fail_second)
+        with pytest.raises(TrichotomyViolation, match="injected"):
+            red.reduce_to_standard(w)
+    # the first pass is kept on its curve, the one that raised on none
+    assert w._pass is not None and w._pass[2] is calls[1] and calls[1]._pass is None
+    computed = _computed_passes(monkeypatch)
     assert _certificate(w) == expected
-    info = red._pass.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, passes + 1, passes)
-
-
-def test_clear_caches_empties_the_pass_memo(ladders):
-    red.reduce_to_standard(ladders[-1])
-    assert red._pass.cache_info().currsize > 0
-    goeritz2.clear_caches()
-    assert red._pass.cache_info().currsize == 0
+    assert computed[0] is calls[1] and len(computed) == passes - 1
+    x = w
+    for _ in range(passes):
+        x = x._pass[2]  # every curve the certificate passes through keeps its pass
+    assert x._pass is None and counts(x).total_abc() == 2
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +296,7 @@ def reducing_curves(ladders):
     return ladders + [at.record_curve(rec) for rec in at.enumerate_atlas(5).records]
 
 
-def test_each_code_is_checked_once(monkeypatch, reducing_curves):
+def test_each_code_is_checked_once(monkeypatch, reducing_curves, fresh_curves):
     # reduce_to_standard checks its input, and each computed pass the code it
     # lands on (the code after each half twist of the certificate), each once
     landings = []
@@ -298,25 +311,28 @@ def test_each_code_is_checked_once(monkeypatch, reducing_curves):
     checked = []
     monkeypatch.setattr(red, "require_reducing",
                         lambda w: checked.append(w.code) or require_reducing(w))
+    computed = _computed_passes(monkeypatch)
     for w, codes in zip(reducing_curves, landings):
-        goeritz2.clear_caches()
+        w, = fresh_curves(w.code)
         checked.clear()
+        computed.clear()
         red.reduce_to_standard(w)
         assert checked == [w.code] + codes
         assert len(set(checked)) == len(checked)
-        assert red._pass.cache_info().misses == len(codes)
+        assert len(computed) == len(codes)
         checked.clear()
-        red.reduce_to_standard(w)  # warm: the memo holds each pass with its check
-        assert checked == [w.code]
+        red.reduce_to_standard(w)  # warm: each curve keeps its pass with its check
+        assert checked == [w.code] and len(computed) == len(codes)
     assert sum(map(len, landings)) > 300
 
 
-def test_a_non_reducing_landing_raises_and_is_not_stored(monkeypatch, reducing_curves):
+def test_a_non_reducing_landing_raises_and_is_not_stored(monkeypatch, reducing_curves,
+                                                         fresh_curves):
     curves = [w for w in reducing_curves if counts(w).total_abc() > 2]
     assert len(curves) > 100
     for w in curves:
         expected = _certificate(w)
-        goeritz2.clear_caches()
+        w, = fresh_curves(w.code)
         refused = []
 
         def refuse_first_landing(x):
@@ -329,17 +345,20 @@ def test_a_non_reducing_landing_raises_and_is_not_stored(monkeypatch, reducing_c
             m.setattr(red, "require_reducing", refuse_first_landing)
             with pytest.raises(NotReducing):
                 red.reduce_to_standard(w)
-        assert refused and red._pass.cache_info().currsize == 0
+        assert refused and w._pass is None
         assert _certificate(w) == expected  # the refused pass is computed again
 
 
-def test_a_cold_atlas_and_its_round_trips_count_and_check_each_curve_once(monkeypatch):
-    # a curve keeps its counts and its reducing verdict: a spy on the two
-    # slots sees each stored at most once per object, and only on normalized
-    # words, although the same objects are counted and checked many times
-    stored = {"_counts": Counter(), "_reason": Counter()}
+def test_a_cold_atlas_and_its_round_trips_count_and_check_each_curve_once(monkeypatch,
+                                                                         fresh_curves):
+    # a curve keeps its counts, its reducing verdict and its pass: a spy on
+    # the three slots sees each stored at most once per object, and only on
+    # normalized words, although the same objects are counted and checked
+    # many times
+    fresh_curves()
+    stored = {"_counts": Counter(), "_reason": Counter(), "_pass": Counter()}
     alive = []  # kept alive, so ids stay distinct
-    for (name, times), unset in zip(stored.items(), (None, cm._UNCHECKED)):
+    for (name, times), unset in zip(stored.items(), (None, cm._UNCHECKED, None)):
         slot = getattr(cm.CurveWord, name)
 
         def store(w, value, slot=slot, times=times, unset=unset):
@@ -356,13 +375,24 @@ def test_a_cold_atlas_and_its_round_trips_count_and_check_each_curve_once(monkey
     store = at.enumerate_atlas(6)
     for rec in store.records:
         assert red.verify_certificate(red.reduce_to_standard(rec.curve), rec.curve)
-    assert max(stored["_counts"].values()) == max(stored["_reason"].values()) == 1
+    assert max(stored["_counts"].values()) == max(stored["_reason"].values()) == \
+        max(stored["_pass"].values()) == 1
+    # one object per code: no code is checked on two objects
+    assert len({w.code for w in alive if id(w) in stored["_reason"]}) == len(stored["_reason"])
     # every checked object keeps its verdict, and fewer objects than checks are checked
     assert {id(w) for w in checked} <= set(stored["_reason"])
     assert len(stored["_reason"]) < len(checked)
     # each record's curve was checked while the atlas keyed it, so its round
     # trip reads the verdict it kept
     assert {id(rec.curve) for rec in store.records} <= set(stored["_reason"])
+
+
+def test_a_cold_atlas_checks_each_code_once():
+    # in a fresh interpreter: the library makes one curve object per code,
+    # so no code is checked twice (678 objects were checked for 434 codes
+    # when each image was a new object), and no trace or kernel call is added
+    assert cold_atlas_counts(6) == {"records": 311, "checks": 434, "checked_codes": 434,
+                                    "traces": 360, "kernel_calls": 605}
 
 
 @pytest.mark.parametrize("w, reason", [

@@ -1,12 +1,14 @@
-"""The set of verified words in front of `curve._trace`.
+"""One live curve per code, in front of `curve._trace`.
 
-`_reembed` skips the trace of a cyclic word whose least rotation already
-passed one; `validate` traces its input every time and records it, and
-`action._relabel` records the image of a verified word.  These checks pin
-that the skip changes no result, that only words whose trace passed (or
-images of them) are recorded, and how the set is bounded and emptied.
+`_reembed` hands out the live curve of a code and traces only a code that
+no live curve holds; `validate` traces its input every time, and
+`action._relabel` interns the image of an interned curve.  These checks pin
+that interning changes no result, that only words whose trace passed (or
+images of them) are interned, that one code has one object, and that a
+curve leaves the table with its last holder.
 """
 
+import operator
 import pathlib
 
 import pytest
@@ -16,8 +18,11 @@ from goeritz2 import action
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import kernel
-from goeritz2.action import GENERATORS, apply_generator, apply_word
+from goeritz2 import reduction as red
+from goeritz2.action import GENERATORS, apply_generator
 from goeritz2.errors import InternalInvariantError, NotEmbeddable
+
+from conftest import cold_atlas_counts
 
 
 @pytest.fixture
@@ -40,76 +45,101 @@ def traced(monkeypatch):
 
 
 def _images(curves):
-    action._act.cache_clear()  # the set stays as it is
-    return [apply_generator(w, g).code for w in curves for g in GENERATORS]
+    action._act.cache_clear()  # the curves stay interned
+    return [apply_generator(w, g) for w in curves for g in GENERATORS]
 
 
-def test_warm_codes_equal_cold_codes(corpus, ladders, traced):
-    curves = [w for _, w in corpus] + ladders
+def test_warm_codes_equal_cold_codes(corpus, ladders, traced, fresh_curves):
+    curves = fresh_curves(*[w.code for _, w in corpus], *[w.code for w in ladders])
+    traced.clear()
     cold = _images(curves)
     cold_traces = len(traced)
-    warm = _images(curves)
-    assert warm == cold
-    assert len(traced) - cold_traces < cold_traces // 2
+    warm = _images(curves)  # every image made again, and handed out live
+    assert [w.code for w in warm] == [w.code for w in cold]
+    assert all(map(operator.is_, warm, cold))
+    assert cold_traces > 0 and len(traced) == cold_traces
 
 
-def test_a_failing_trace_is_never_recorded(kernel_defect_word, traced):
+def test_a_failing_trace_is_never_recorded(kernel_defect_word, traced, fresh_curves):
     # the word of the strict xfail in test_canonical.py
-    w = kernel_defect_word
-    errors, contents = [], []
+    w, = fresh_curves(kernel_defect_word.code)
+    errors = []
     for _ in range(2):
         with pytest.raises(InternalInvariantError) as exc:
             apply_generator(w, "beta_inv")
         errors.append(str(exc.value))
-        contents.append(list(cm._VERIFIED))
+        assert set(cm._CURVES) == {w.code}
     failed = [code for code, ok in traced if not ok]
     assert errors[0] == errors[1]
     assert len(failed) == 2 and failed[0] == failed[1]  # traced again on the second call
-    assert cm._least_rotation(failed[0]) not in cm._VERIFIED
-    assert contents[0] == contents[1]
 
 
-def test_validate_never_records_an_unembedded_word(unembedded_word, traced):
-    size = len(cm._VERIFIED)
+def test_validate_never_records_an_unembedded_word(unembedded_word, traced, fresh_curves):
+    fresh_curves()
     for _ in range(2):
         with pytest.raises(NotEmbeddable, match="spur-free word is not one embedded curve"):
             cm.CurveWord.from_tokens(unembedded_word)
-    assert len(cm._VERIFIED) == size
+        assert not cm._CURVES
     assert [ok for _, ok in traced] == [False, False]
 
 
-def test_eviction_is_oldest_first_within_the_byte_bound(corpus, monkeypatch):
-    bound = 120
-    monkeypatch.setattr(cm, "_VERIFIED_BYTES", bound)
-    codes = list(dict.fromkeys(w.code for _, w in corpus if len(w) <= bound))[:60]
-    goeritz2.clear_caches()
-    for code in codes:
-        assert cm.normalize(cm.CurveWord(code)).code == code
-        assert cm._VERIFIED.size == sum(map(len, cm._VERIFIED)) <= bound
-    newest, size = [], 0
-    for code in reversed(codes):  # the longest run of newest codes that fits
-        if size + len(code) > bound:
-            break
-        newest.insert(0, code)
-        size += len(code)
-    assert len(newest) > 1
-    assert list(cm._VERIFIED) == newest
-
-
-def test_clear_caches_empties_the_set(standard_curve):
-    apply_word(standard_curve, "bdbD")
-    assert cm._VERIFIED and cm._VERIFIED.size > 0
-    goeritz2.clear_caches()
-    assert not cm._VERIFIED and cm._VERIFIED.size == 0
-
-
-def test_normalizing_a_word_twice_traces_it_once(corpus, traced):
+def test_validate_hands_its_traced_core_to_normalize(corpus, traced, fresh_curves):
+    # the traced spur-free core of a minimal word is its normalize() word:
+    # normalize neither runs the kernel nor traces the word again
     w = max((w for _, w in corpus), key=len)
+    fresh_curves()
+    rotated = w.code[3:] + w.code[:3]
+    spur = bytes((cm._REVERSED[rotated[-1]], rotated[-1]))  # back across the last edge and over
+    raw = cm.validate(list(cm.CurveWord(rotated + spur).steps))
+    assert traced == [(rotated, True)]
+    assert raw._normal is cm._CURVES[w.code]
+    assert cm.normalize(raw) is raw._normal and cm.normalize(raw).code == w.code
+    assert len(traced) == 1
+
+
+def test_normalizing_a_word_twice_traces_it_once(corpus, traced, fresh_curves):
+    w = max((w for _, w in corpus), key=len)
+    fresh_curves()
     rotated = cm.CurveWord(w.code[5:] + w.code[:5])
     results = [cm.normalize(cm.CurveWord(w.code)), cm.normalize(cm.CurveWord(w.code)),
                cm.normalize(rotated)]
-    assert len({r.code for r in results}) == 1
+    assert results[0] is results[1] is results[2] is not w
+    assert results[0].code == w.code
     assert traced == [(w.code, True)]
+
+
+def test_an_interned_curve_leaves_the_table_when_its_last_holder_drops_it(ladders, traced,
+                                                                         fresh_curves):
+    curve, = fresh_curves(ladders[-1].code)
+    code = curve.code
+    red.reduce_to_standard(curve)  # the curve keeps its pass and the curve it lands on
+    landing = curve._pass[2].code
+    assert cm._CURVES[code] is curve and landing in cm._CURVES
+    del curve
+    assert code in cm._CURVES  # the generator memo holds it
+    goeritz2.clear_caches()
+    assert code not in cm._CURVES and landing not in cm._CURVES
+    traced.clear()
+    again = cm._reembed(code)
+    assert traced == [(code, True)] and again._pass is None
+
+
+def test_reembed_and_relabel_hand_out_one_object_per_code(corpus, ladders):
+    for w in _distinct_curves(corpus, ladders):
+        assert cm._reembed(w.code) is w
+        assert cm._reembed(w.code[1:] + w.code[:1]) is w
+        for g in GENERATORS:
+            image = apply_generator(w, g)
+            assert cm._reembed(image.code) is image, (w, g)
+            if g in _RELABELS:
+                assert action._relabel(w, g) is image, (w, g)
+
+
+def test_a_cold_atlas_to_depth_8_traces_at_most_3669_words():
+    # the byte-bounded set of verified words evicted here and traced 3,669
+    counted = cold_atlas_counts(8)
+    assert counted["records"] == 2047
+    assert counted["traces"] <= 3669
 
 
 def test_a_loaded_record_is_traced_once(tmp_path, monkeypatch, traced):
@@ -154,13 +184,17 @@ def test_relabel_images_pass_the_trace(corpus, ladders):
             cm._trace(action._relabel(w, g).code)
 
 
-def test_a_relabel_image_is_verified_exactly_when_its_input_is(corpus, ladders):
+def test_a_relabel_image_is_verified_exactly_when_its_input_is(corpus, ladders, fresh_curves):
+    # verified means interned: the image of an interned curve is interned,
+    # that of a word built with normalized=True only if its code lives
     for i, w in enumerate(_distinct_curves(corpus, ladders)):
         verified = i % 2 == 0
         for g in _RELABELS:
-            goeritz2.clear_caches()
-            if verified:
-                cm._VERIFIED.add(w.code)
-            image = action._relabel(w, g)
-            assert (image.code in cm._VERIFIED) == verified, (w, g)
-            assert len(cm._VERIFIED) == verified * len({w.code, image.code})
+            fresh_curves()
+            x = cm._interned(w.code) if verified else cm.CurveWord(w.code, normalized=True)
+            image = action._relabel(x, g)
+            assert (image.code in cm._CURVES) == verified, (w, g)
+            assert len(cm._CURVES) == verified * len({w.code, image.code})
+            if not verified:
+                live = cm._interned(image.code)
+                assert action._relabel(x, g) is live and len(cm._CURVES) == 1
