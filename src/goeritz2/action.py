@@ -12,39 +12,43 @@ t_B t_Z t_B = t_Z t_B t_Z (Farb-Margalit, A Primer on Mapping Class Groups,
 Prop. 3.11).  Hence (t_B t_Z)^3 = (t_Z t_B t_Z)^2 and (t_C t_Y)^6 =
 (t_C t_Y t_C)^4, the twist words `_BETA` and `_FULL_TWIST`.
 
-A twist replaces every crossing of the curve with the twisting rail by a
-detour that spirals half around the rail on each side, crossing the rail's
-other edge in the middle.  The spiral's sense at each crossing is tied to the
-surface orientation (the sign of the crossed edge in the approach hexagon), so
-all detours of one twist turn the same way and stay pairwise disjoint; "right"
-names the direction with sign +1 under that rule.
-
 Words are step-byte codes (see `curve`).  Every twist, and every product of
-twists, is one cached byte substitution (`_twist_table`) and one
-normalization (`_twist`): the rail bytes of the code are marked with
-placeholder bytes by one `bytes.translate`, and each placeholder is replaced
-by its image by one `bytes.replace`.  A single twist's images are the
-detours of `_cross_detour`; a product's are the freely reduced composites of
-its single twists' images, 5 bytes for beta^+-1 and 9 for the full twist.
-A relabeling symmetry is one `bytes.translate`.
+twists, is one cached byte substitution (`_twist_table`) and one kernel
+pass (`_twist`): the rail bytes of the code are marked with placeholder
+bytes by one `bytes.translate`, and each placeholder is replaced by its
+image by one `bytes.replace`.  A single twist's images are the detours of
+`_cross_detour`; a product's are the freely reduced composites of its
+single twists' images, 5 bytes for beta^+-1 and 9 for the full twist.  A
+relabeling symmetry is one `bytes.translate`.
 
-The generator action is memoized by normalized curve (`_act`, an LRU memo of
-4096 entries): the atlas applies every generator to each record, and the
-reduction and certificate replay of that record apply the same ones again.
-A miss of beta^+-1 runs one substitution, then the kernel and the
-re-embedding, which traces only a code no live curve holds
-(`curve._CURVES`), so every word the memo stores is verified; an action
-that raises is not stored.  A miss hands out the live curve of its image's
-code where one lives, and the memo keeps its curves alive.  Keys and values
-are normalized curves, which hash and compare by their code, and a hit
-hands back the curve the memo holds, so a call builds no `CurveWord`.  An
-entry whose key and value curves nothing else holds costs about 2n + 560
-bytes (tracemalloc, with their intern-table references) for curves of n
-crossings, so a full memo holds 3.0 MB at n = 100 and 27 MB at n = 3,000.
-The atlas to depth 7 with a round trip per record uses 3,108 entries
-(clearing them frees 0.86 MB, with the curves only the memo held); to
-depth 8 it misses 8,517 times, so the memo fills and evicts, but no
-workload runs depth 8.
+The image of an interned curve (`curve._CURVES`) in which the kernel slid
+no run is interned untraced, as `curve._trace` cannot fail on it:
+- the input is embedded: traced when it came from outside, or made by the
+  library from an embedded word;
+- all detours of one twist turn the same way, their sense tied to the
+  surface orientation (the sign of the crossed edge in the approach
+  hexagon; "right" is +1), so they stay pairwise disjoint.  This is the
+  linear-spiral picture of a twist (Farb-Margalit, Sec. 3.1): the
+  substituted word, and so that of a product of twists, is embedded;
+- removing an innermost spur, which always exists, is an isotopy, and free
+  cancellation is confluent (Lyndon-Schupp I.1), so the kernel reaches the
+  word that innermost-first removal reaches;
+- a spur-free embedded word is normal, so its chord-class counts re-embed
+  as the word itself;
+- sliding a run that is not innermost is a homotopy, not an isotopy, so a
+  word whose kernel pass slid a run is still traced (`normalize`), as is
+  the image of a `CurveWord(code, normalized=True)`, which nothing checked.
+The tests and `selftest --full` trace these images.
+
+The generator action is memoized by normalized curve (`_act`, an LRU memo
+of 4096 entries): the atlas applies every generator to each record, and
+the reduction and certificate replay of that record apply the same ones
+again.  A miss hands out the live curve of its image's code, so the memo
+stores interned curves for interned keys; an action that raises is not
+stored, and a hit builds no `CurveWord`.  An entry whose curves nothing
+else holds costs about 2n + 560 bytes for curves of n crossings
+(tracemalloc).  The atlas to depth 7 with a round trip per record uses
+3,108 entries; to depth 8 it misses 8,517 times and evicts.
 
 Nothing here tells two curves apart.  Images of the standard curve are
 reducing, and two reducing curves are equal iff `reduction.reduce_to_standard`
@@ -56,9 +60,9 @@ from __future__ import annotations
 import functools
 
 from . import curve as cm
+from . import kernel
 from .curve import CurveWord, Step, ensure_normal, normalize
 from .errors import MalformedInput
-from .kernel import freely_reduce
 from .surface import (
     CURVE_NAMES,
     EDGE_CURVE,
@@ -104,14 +108,10 @@ def invert_goeritz_word(word: list[str]) -> list[str]:
 
 
 def _cross_detour(e: int, h: int, direction: int) -> list[Step]:
-    """Replacement steps for one rail crossing: spiral half around each side.
-
-    The strand runs parallel to the rail on the approach side to the first
-    vertex, crosses the rail's other edge there onto the far side, and runs
-    parallel again to the second vertex, rejoining its old track.  This is the
-    linear-spiral picture of the twist, so simultaneous detours at several
-    crossings stay disjoint.
-    """
+    """Replacement steps for one rail crossing: the strand runs parallel to
+    the rail on the approach side to the first vertex, crosses the rail's
+    other edge there onto the far side, and runs parallel again to the
+    second vertex, rejoining its old track."""
     h_prev = OTHER_HEX[e][h]
     lam = direction * sign_in_hex(e, h_prev)
     u, v = EDGE_ENDPOINTS[e]
@@ -183,7 +183,7 @@ def _twist_table(curves: str, direction: int) -> _Table:
                   for x in rails]
     else:
         factors = [_twist_table(c, direction) for c in curves]
-        images = [freely_reduce(functools.reduce(_substitute, factors, bytes((x,))))
+        images = [kernel.freely_reduce(functools.reduce(_substitute, factors, bytes((x,))))
                   for x in rails]
     marks = _MARKS[:len(rails)]
     return rails, bytes.maketrans(rails, marks), tuple(zip((bytes((m,)) for m in marks), images))
@@ -191,12 +191,17 @@ def _twist_table(curves: str, direction: int) -> _Table:
 
 def _twist(w: CurveWord, curves: str, direction: int) -> CurveWord:
     """The image of a normalized word under the twists of `curves`: one
-    substitution, then one `normalize`; a word that crosses none of their
-    rails is fixed."""
+    substitution, then the kernel; a word that crosses none of their rails
+    is fixed.  The image of an interned curve in which the kernel slid no
+    run is interned untraced; any other image is `normalize`d."""
     table = _twist_table(curves, direction)
     if not any(map(w.code.__contains__, table[0])):
         return w
-    return normalize(CurveWord(_substitute(w.code, table)))
+    image = _substitute(w.code, table)
+    code, slides = kernel.normalize_steps(image)
+    if slides or not code or w.code not in cm._CURVES:
+        return normalize(CurveWord(image))
+    return cm._interned(cm._least_rotation(code))
 
 
 def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord:
@@ -241,20 +246,14 @@ def apply_generator(w: CurveWord, g: str) -> CurveWord:
     return _act(ensure_normal(w), g)
 
 
-# Entries of the generator memo: enumerate_atlas(7) needs 3,108 and one
-# e2ebench atlas pass 1,228; enumerate_atlas(8) misses 8,517 times and evicts.
+# Entries of the generator memo: one e2ebench atlas pass needs 1,228.
 _ACT_MEMO_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_ACT_MEMO_SIZE)
 def _act(w: CurveWord, g: str) -> CurveWord:
-    """The normalized image of a normalized curve under generator g.
-
-    beta = (t_B t_Z)^3 = (t_Z t_B t_Z)^2, as B and Z meet once and so satisfy
-    the braid relation t_B t_Z t_B = t_Z t_B t_Z.  A miss of beta^+-1 runs
-    one substitution then `normalize`: the kernel and the re-embedding check
-    run once.
-    """
+    """The normalized image of a normalized curve under generator g: a
+    relabeling, or for beta^+-1 one substitution and one kernel pass."""
     if g in ("alpha", "gamma", "delta", "delta_inv"):
         return _relabel(w, g)
     if g not in ("beta", "beta_inv"):

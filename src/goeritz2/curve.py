@@ -28,31 +28,23 @@ to nothing.
 Re-embedding is table-driven and linear in the word length.  Static tables,
 built once at import from `surface`, number the 60 chord classes and hold
 each class's interleave bitmask and each edge side's fan order.  The class of
-every arc is one byte, read for all arcs at once from two translated copies
-of the code by a big-integer OR; a set of those bytes gives the present
-classes, and `count`s their sizes.  What depends only on the set of present
-classes is its layout (`_layout`), built once per set in a bounded table:
-the interleave verdict and, for the present class ends in slot order, their
-sides, partners, exit bits and orientations.  The ends tile the slots once
-along the first sides of the edges and once along the second sides, so
-prefix sums of their sizes place every end, the state bytes read along the
-two sides agree iff both sides of every edge carry as many crossings, and
-each half of the successor table is one slice assignment of spans cut from
-one shared list of state numbers.  The counts of n crossings re-embed as one
-curve iff the walk of n - 1 successors from the first state closes there
-without passing it again; the traced bytes are then compared with the input
-by substring tests in both directions.  A walk that passes its first state
-early repeats its bytes, so only an input that repeats itself needs that
-pass counted.
+every arc is one byte, read for all arcs at once by a big-integer OR of two
+translated copies of the code.  What depends only on the set of present
+classes is built once per set (`_layout`), and each half of the successor
+table is one slice assignment of spans of one shared list of state numbers
+(`_embedding`).  The counts of n crossings re-embed as one curve iff the
+walk of n - 1 successors from the first state closes there without passing
+it again, and then the traced bytes are the input's (`_trace`).
 
 That check's verdict depends only on the cyclic word, so normalized curves
-are interned: a code has one live `CurveWord`, held weakly in `_CURVES`.
-`_reembed` hands it out and traces only a code no live curve holds, so a
-curve's facts (`CurveWord`) are computed once while it lives.  A word whose
-trace raises is never interned.  A relabeling symmetry maps a word's normal
-multicurve onto its image's, so `action._relabel` interns the image of an
-interned curve.  `validate` traces the spur-free core of outside input every
-time and hands it to the `normalize` that follows (`_normal`).
+are interned: a code has one live `CurveWord`, held weakly in `_CURVES`, and
+a curve's facts (`CurveWord`) are computed once while it lives.  The trace
+runs only on words from outside: `validate` traces the spur-free core of its
+input and hands it to the `normalize` that follows (`_normal`), and
+`_reembed` traces a code no live curve holds.  A word whose trace raises is
+never interned.  The images of an interned curve under a relabeling, and
+under a twist in which the kernel slid no run, are interned untraced
+(`action` gives the argument; the tests and `selftest --full` trace them).
 """
 
 from __future__ import annotations
@@ -431,17 +423,9 @@ def _first_clash(present: bytes) -> tuple[int, int] | None:
 
 
 # State numbers 0, 1, 2, ...: each span of the successor table is a slice of
-# this list, so states are not made again per class.  `_states` grows it to
-# the largest word seen by rebinding, so a list in use never changes.
+# this list, so states are not made again per class.  A longer word gets a
+# list of its own (`_embedding`), so outside input never grows the shared one.
 _STATES = list(range(2048))
-
-
-def _states(size: int) -> list[int]:
-    global _STATES
-    states = _STATES
-    if len(states) < size:
-        states = _STATES = list(range(size))
-    return states
 
 
 # The 120 class ends 2i+(0 lo, 1 hi) in slot order: those on the first side
@@ -502,7 +486,8 @@ def _embedding(present: bytes, sizes: list[int]) -> tuple[list[int], bytes]:
         e, sides = next((e, c) for e, c in enumerate([code.count(s), other.count(s)]
                                                      for s in _SLOT_BYTES) if c[0] != c[1])
         raise InconsistentCoordinates(f"edge {EDGE_TOKENS[e]} endpoint counts differ: {sides}")
-    states, nxt = _states(2 * n), [0] * (2 * n)
+    states = _STATES if 2 * n <= len(_STATES) else list(range(2 * n))
+    nxt = [0] * (2 * n)
     spans = zip(map(starts.__getitem__, partner), ends, exits, antis)
     for k, size in enumerate((first, len(ends) - first)):  # the first sides, then the second
         half = []
@@ -615,7 +600,7 @@ def _reversed(w: bytes) -> bytes:
 
 def _cyclic(w: CurveWord) -> bytes:
     """The least rotation of the code, which a normalized word's code is:
-    `_reembed` and `action._relabel` make only least rotations."""
+    `_interned` and `action._relabel` make only least rotations."""
     return w.code if w.normalized else _least_rotation(w.code)
 
 
@@ -691,12 +676,14 @@ def _trace(w: bytes) -> tuple[list[int], int]:
 
 
 # The one live normalized curve of each code, weakly held: codes whose trace
-# passed, and the images of their curves under a relabeling symmetry.
+# passed, and the images of their curves under a relabeling or a slide-free twist.
 _CURVES: weakref.WeakValueDictionary[bytes, CurveWord] = weakref.WeakValueDictionary()
 
 
 def _interned(least: bytes) -> CurveWord:
-    """The live curve of a verified least rotation, made and interned if none lives."""
+    """The live curve of a verified least rotation, made and interned if
+    none lives.  Verified: traced, or the image of an interned curve under a
+    relabeling or under a twist in which the kernel slid no run (`action`)."""
     w = _CURVES.get(least)
     if w is None:
         w = _CURVES[least] = CurveWord(least, normalized=True)
@@ -718,20 +705,12 @@ def ensure_normal(w: CurveWord) -> CurveWord:
 
 
 def canonical_form(w: CurveWord) -> CurveWord:
-    """The `normalize()` word of w.
-
-    The name exists only for the benchmark's tracer, which looks it up, and
-    goes away with ROADMAP item 5.
-    """
+    """The `normalize()` word of w, named for the benchmark's tracer (ROADMAP item 5)."""
     return ensure_normal(w)
 
 
 def signature(w: CurveWord) -> tuple[int, ...]:
-    """The six intersection numbers of w (`counts`).
-
-    The name exists only for the benchmark's tracer, which looks it up, and
-    goes away with ROADMAP item 5.
-    """
+    """The six counts of w (`counts`), named for the benchmark's tracer (ROADMAP item 5)."""
     return counts(w).as_tuple()
 
 

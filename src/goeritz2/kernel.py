@@ -36,7 +36,8 @@ the far side of the curve.  `normalize_steps` alternates the two to a fixed
 point.
 
 Moves are free-homotopy moves: no strand-nesting checks are made here.
-Callers re-embed canonically afterwards.
+Callers re-embed canonically afterwards, and trace the result unless it is
+the slide-free twist image of an interned curve (`action`).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import random
 import traceback
 from collections import Counter
 
+from . import action as action_mod
 from . import atlas as atlas_mod
 from . import clear_caches
 from . import curve as cm
@@ -215,6 +216,22 @@ def _checks(quick: bool):
         assert len(atlas_mod.enumerate_atlas(2).records) == 7
         assert len(atlas_mod.enumerate_atlas(4).records) == 47
 
+    def twist_images_trace():
+        # `action._twist` hands out slide-free twist images of interned curves
+        # untraced: trace those of a cold atlas to depth 8 and its round trips,
+        # run before any reduction, so that no curve keeps a pass
+        twist, images = action_mod._twist, []
+        action_mod._twist = lambda *args: images.append(twist(*args)) or images[-1]
+        clear_caches()
+        try:
+            for rec in atlas_mod.enumerate_atlas(8).records:
+                assert red.verify_certificate(red.reduce_to_standard(rec.curve), rec.curve)
+        finally:
+            action_mod._twist = twist
+        for w in images:
+            assert cm._CURVES[w.code] is w
+            cm._trace(w.code)
+
     def atlas_determinism():
         first = [r.as_json() for r in atlas_mod.enumerate_atlas(2).records]
         clear_caches()  # the second run recomputes every curve nothing else holds
@@ -228,6 +245,7 @@ def _checks(quick: bool):
         ("complex-sanity", complex_sanity),
         ("standard-curve-anchors", standard_anchors),
         ("handlebody-word-calibration", word_calibration),
+        *([] if quick else [("twist-images-trace", twist_images_trace)]),
         ("generator-count-laws", count_laws),
         ("dominance-trichotomy", dominance_trichotomy),
         ("aa-arc-word-constraints", aa_arc_constraints),

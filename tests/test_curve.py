@@ -351,6 +351,14 @@ def test_a_normal_document_of_many_components_builds_none_of_them(monkeypatch):
     assert len(cm.from_doc(cm.coordinates_doc(cm.P_CURVE))) == 4 and made  # the spy sees P's
 
 
+def test_a_refused_document_leaves_the_shared_state_list_as_it_was():
+    # P times 10^5 needs 800,000 states: its successor table gets a list of
+    # its own, and the process keeps no list of that size after the refusal
+    with pytest.raises(MalformedInput, match="^normal coordinates describe more than one "):
+        cm.from_doc(_times(cm.coordinates_doc(cm.P_CURVE), 100_000))
+    assert len(cm._STATES) == 2048
+
+
 def test_document_roundtrip(corpus):
     for _, w in corpus[:20]:
         assert cm.loads(cm.dumps(w)) == w

@@ -2,10 +2,12 @@
 
 `_reembed` hands out the live curve of a code and traces only a code that
 no live curve holds; `validate` traces its input every time, and
-`action._relabel` interns the image of an interned curve.  These checks pin
-that interning changes no result, that only words whose trace passed (or
-images of them) are interned, that one code has one object, and that a
-curve leaves the table with its last holder.
+`action._relabel` and `action._twist` intern the images of an interned
+curve untraced (a twist image only when the kernel slid no run).  These
+checks pin that interning changes no result, that only words whose trace
+passed (or images of them) are interned, that the images handed out
+untraced pass the trace, that one code has one object, and that a curve
+leaves the table with its last holder.
 """
 
 import operator
@@ -21,6 +23,7 @@ from goeritz2 import kernel
 from goeritz2 import reduction as red
 from goeritz2.action import GENERATORS, apply_generator
 from goeritz2.errors import InternalInvariantError, NotEmbeddable
+from goeritz2.surface import CURVE_NAMES
 
 from conftest import cold_atlas_counts
 
@@ -49,15 +52,20 @@ def _images(curves):
     return [apply_generator(w, g) for w in curves for g in GENERATORS]
 
 
-def test_warm_codes_equal_cold_codes(corpus, ladders, traced, fresh_curves):
+def test_warm_codes_equal_cold_codes_and_only_outside_words_are_traced(corpus, ladders,
+                                                                       traced, fresh_curves):
     curves = fresh_curves(*[w.code for _, w in corpus], *[w.code for w in ladders])
     traced.clear()
     cold = _images(curves)
-    cold_traces = len(traced)
     warm = _images(curves)  # every image made again, and handed out live
     assert [w.code for w in warm] == [w.code for w in cold]
     assert all(map(operator.is_, warm, cold))
-    assert cold_traces > 0 and len(traced) == cold_traces
+    assert not traced  # images of interned curves, and no kernel pass slid a run
+    # the same codes from outside are traced, once per code
+    fresh_curves()
+    outside = [cm.normalize(cm.CurveWord(w.code)) for w in cold]
+    assert [w.code for w in outside] == [w.code for w in cold]
+    assert sorted(code for code, _ in traced) == sorted({w.code for w in cold})
 
 
 def test_a_failing_trace_is_never_recorded(kernel_defect_word, traced, fresh_curves):
@@ -135,11 +143,13 @@ def test_reembed_and_relabel_hand_out_one_object_per_code(corpus, ladders):
                 assert action._relabel(w, g) is image, (w, g)
 
 
-def test_a_cold_atlas_to_depth_8_traces_at_most_3669_words():
-    # the byte-bounded set of verified words evicted here and traced 3,669
+def test_a_cold_atlas_to_depth_8_traces_no_word():
+    # every word the atlas and its round trips make is a relabel image or a
+    # slide-free twist image of an interned curve: the trace runs on none
+    # (the byte-bounded set of verified words traced 3,669, interning 2,457)
     counted = cold_atlas_counts(8)
     assert counted["records"] == 2047
-    assert counted["traces"] <= 3669
+    assert counted["traces"] == 0 and counted["kernel_calls"] == 4959
 
 
 def test_a_loaded_record_is_traced_once(tmp_path, monkeypatch, traced):
@@ -182,6 +192,62 @@ def test_relabel_images_pass_the_trace(corpus, ladders):
         cm._trace(w.code)
         for g in _RELABELS:
             cm._trace(action._relabel(w, g).code)
+
+
+@pytest.fixture
+def twist_images(monkeypatch):
+    """The images `action._twist` hands out, each checked to be the live
+    curve of its code when it is handed out."""
+    images = []
+    twist = action._twist
+
+    def spy(w, curves, direction):
+        image = twist(w, curves, direction)
+        assert cm._CURVES.get(image.code) is image, (w, curves, direction)
+        images.append(image)
+        return image
+
+    monkeypatch.setattr(action, "_twist", spy)
+    return images
+
+
+def test_slide_free_twist_images_pass_the_trace_and_come_back_interned(
+        corpus, ladders, traced, twist_images, fresh_curves):
+    # `action._twist` hands these images out untraced; the check it skips runs here
+    curves = fresh_curves(*{w.code for w in [w for _, w in corpus] + ladders})
+    traced.clear()
+    for w in curves:
+        for name in CURVE_NAMES:
+            for d in (1, -1):
+                action.twist_system(w, name, d)
+        for d in (1, -1):
+            action.twist_about_p(w, d)
+        for g in ("beta", "beta_inv"):
+            apply_generator(w, g)
+    assert len(twist_images) == 16 * len(curves)
+    root = fresh_curves(cm.P_CURVE.code)  # the atlas's root, traced as outside input
+    traced.clear()
+    for rec in at.enumerate_atlas(6).records:
+        assert red.verify_certificate(red.reduce_to_standard(rec.curve), rec.curve)
+    assert not traced  # no kernel pass slid a run, so the library traced no image
+    assert len(twist_images) > 16 * len(curves) and root[0] is cm._CURVES[root[0].code]
+    for image in twist_images:
+        cm._trace(image.code)
+    assert all(ok for _, ok in traced)
+
+
+def test_the_twist_image_of_an_uninterned_word_is_traced(corpus, traced, twist_images,
+                                                         fresh_curves):
+    # a word built with normalized=True was checked by nothing, so its
+    # images are normalized as outside words are
+    w = max((w for _, w in corpus), key=len)
+    fresh_curves()
+    x = cm.CurveWord(w.code, normalized=True)
+    images = [action.twist_system(x, "B"), action.twist_about_p(x, -1),
+              apply_generator(x, "beta"), apply_generator(x, "beta_inv")]
+    assert x.code not in cm._CURVES and twist_images == images
+    assert [(cm._least_rotation(code), ok) for code, ok in traced] == \
+        [(image.code, True) for image in images]
 
 
 def test_a_relabel_image_is_verified_exactly_when_its_input_is(corpus, ladders, fresh_curves):
