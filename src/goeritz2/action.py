@@ -36,7 +36,7 @@ no run is interned untraced, as `curve._trace` cannot fail on it:
 - a spur-free embedded word is normal, so its chord-class counts re-embed
   as the word itself;
 - sliding a run that is not innermost is a homotopy, not an isotopy, so a
-  word whose kernel pass slid a run is still traced (`normalize`), as is
+  word whose kernel pass slid a run is still traced (`curve._reembed`), as is
   the image of a `CurveWord(code, normalized=True)`, which nothing checked.
 The tests and `selftest --full` trace these images.
 
@@ -61,8 +61,8 @@ import functools
 
 from . import curve as cm
 from . import kernel
-from .curve import CurveWord, Step, ensure_normal, normalize
-from .errors import MalformedInput
+from .curve import CurveWord, Step, ensure_normal
+from .errors import EmptyAfterNormalization, MalformedInput
 from .surface import (
     CURVE_NAMES,
     EDGE_CURVE,
@@ -193,14 +193,16 @@ def _twist(w: CurveWord, curves: str, direction: int) -> CurveWord:
     """The image of a normalized word under the twists of `curves`: one
     substitution, then the kernel; a word that crosses none of their rails
     is fixed.  The image of an interned curve in which the kernel slid no
-    run is interned untraced; any other image is `normalize`d."""
+    run is interned untraced; any other image is re-embedded (`curve._reembed`)."""
     table = _twist_table(curves, direction)
     if not any(map(w.code.__contains__, table[0])):
         return w
     image = _substitute(w.code, table)
     code, slides = kernel.normalize_steps(image)
-    if slides or not code or w.code not in cm._CURVES:
-        return normalize(CurveWord(image))
+    if not code:
+        raise EmptyAfterNormalization("curve is null-homotopic")
+    if slides or w.code not in cm._CURVES:
+        return cm._reembed(code)
     return cm._interned(cm._least_rotation(code))
 
 

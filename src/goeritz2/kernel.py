@@ -8,18 +8,25 @@ edge iff their bytes agree above the low two bits.
 `remove_spurs` cancels spurs (an arc entering and leaving a hexagon through
 the same side).  On a closed chain two adjacent steps cross the same edge iff
 they form one of the 24 spur pairs (4e+h, 4e+h'), h' the hexagon across e
-from h, and deleting such a pair leaves a closed chain.  `freely_reduce`
-cancels them in one linear pass: stack-based free cancellation, which jumps
-between the adjacent same-edge pairs that one big-integer XOR marks.
-`remove_spurs` then trims equal pairs at the two ends of the cyclic word.
-It pays one Python-level step per spur site.
+from h, that is iff their bytes XOR to less than 4, and deleting such a pair
+leaves a closed chain.  `remove_spurs` runs `freely_reduce` on the linear
+word, then trims equal pairs at the two ends of the cyclic word.
 
 Free cancellation is confluent: the reduced word does not depend on the order
 in which pairs cancel (Lyndon-Schupp, Combinatorial Group Theory, I.1).  So
 the generator action may cancel the spurs inside each rail byte's image once,
 when it builds its substitution table, and hand the kernel only the spurs
-that meet across image boundaries.  On a traced seed-1 `replay_large`
-benchmark pass, 49,080 of the kernel's 232,068 input steps cancel as spurs.
+that meet across image boundaries; and `freely_reduce` may delete many pairs
+at once.  It first makes two whole-word rounds.  Each marks every adjacent
+same-edge pair with a few big-integer operations, keeps the left one of two
+pairs that overlap, and deletes the kept pairs with one `bytes.translate`.
+A stack-based loop then jumps between the pairs that are left, one
+Python-level step per spur site.  In every half twist's image the tests
+meet, spurs cascade at most two pairs deep, so the rounds cancel them all
+and the loop finds no pair; deeper cascades (4 in a full twist about P, any
+depth in an outside word) are left to the loop.  On a traced seed-1
+`replay_large` benchmark pass, 49,080 of the kernel's 232,068 input steps
+cancel as spurs, and the rounds take half the time the loop alone took.
 
 `_find_run` returns the smallest start of a generalized bigon run: a subpath
 that crosses a curve, runs parallel to it through fence chords (each leaving
@@ -47,6 +54,14 @@ from .surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX
 BACKEND = "python"
 
 _EDGE_OF_BYTE = bytes(x >> 2 for x in range(256))
+
+# Two step bytes cross the same edge iff their XOR is below 4: the XOR's byte
+# maps to 0x80 then, else to 0.  Step bytes are below 48, so a byte with its
+# high bit set is one marked for deletion.
+_PAIRED = bytes(0x80 if x < 4 else 0 for x in range(256))
+_MARKED = bytes(range(0x80, 0x100))
+# Whole-word rounds before the loop: no half twist's image cascades deeper.
+_ROUNDS = 2
 
 # Position of each step byte's curve in the side order of every hexagon (6: none).
 _SIDE_CURVES = tuple(EDGE_CURVE[e] for e in HEX_SIDES[0])
@@ -79,23 +94,39 @@ _SURVIVED = bytes(x != _FAILED for x in range(256))
 _PREFILTER_PASSES = 8
 
 
-def _same_edge_pairs(code: bytes) -> bytes:
-    """Byte i is 0 iff steps i and i+1 cross the same edge (one big-int XOR)."""
-    e = code.translate(_EDGE_OF_BYTE)
-    return (int.from_bytes(e[:-1], "big") ^ int.from_bytes(e[1:], "big")).to_bytes(
-        len(e) - 1, "big")
+def _same_edge_pairs(x: int, n: int) -> bytes:
+    """Byte i is 0x80 iff steps i and i+1 of an n-step code cross the same
+    edge, else 0, given the code as a big-endian integer x: one XOR of x with
+    itself shifted by one byte, whose first byte no step pairs with."""
+    return (x ^ (x >> 8)).to_bytes(n, "big")[1:].translate(_PAIRED)
 
 
 def freely_reduce(code: bytes) -> bytes:
-    """Free cancellation of a linear word: stack-based, jumping between the
-    adjacent same-edge pairs that one big-integer XOR marks."""
+    """Free cancellation of a linear word.
+
+    Each of `_ROUNDS` whole-word rounds deletes a set of disjoint adjacent
+    same-edge pairs at once (of two overlapping pairs, the left one); a
+    stack-based loop then jumps between the pairs that are left.  By
+    confluence, every order of cancellation gives this word.
+    """
+    for _ in range(_ROUNDS):
+        n = len(code)
+        if n < 2:
+            return code
+        x = int.from_bytes(code, "big")
+        marked = int.from_bytes(_same_edge_pairs(x, n), "big")
+        if not marked:
+            return code
+        # pair byte i stands over code byte i + 1: mark both bytes of each kept pair
+        kept = marked & ~(marked >> 8)
+        code = (x | kept | (kept << 8)).to_bytes(n, "big").translate(None, _MARKED)
     n = len(code)
     if n < 2:
         return code
-    pairs = _same_edge_pairs(code)
+    pairs = _same_edge_pairs(int.from_bytes(code, "big"), n)
     out, pos = bytearray(), 0
     while True:
-        i = pairs.find(0, pos)
+        i = pairs.find(0x80, pos)
         if i < 0:
             out += code[pos:]
             break

@@ -20,6 +20,7 @@ from . import kernel
 from . import reduction as red
 from .action import (
     _BETA,
+    _FULL_TWIST,
     _substitute,
     _twist_table,
     apply_generator,
@@ -146,10 +147,13 @@ def _checks(quick: bool):
             assert cm.arc_census(w) == {k: census[k] for k in cm.arc_census(w)}, word
 
     def spur_levels():
-        # the kernel's spur pass against a byte-at-a-time stack, on the half
-        # twists' substituted words and on a long retrace, which cancels to nothing
-        def splice(code, d):  # beta^d as one substitution, not yet normalized
-            return _substitute(code, _twist_table(_BETA, d))
+        # the kernel's spur pass against a byte-at-a-time stack, on the
+        # substituted words of the half twists, which cancel in the kernel's
+        # whole-word rounds, of the full twist about P on the curves and their
+        # delta^+-1 images, which cascade up to 4 deep and so reach its loop,
+        # and of a long retrace, which cancels to nothing
+        def splice(code, d, twist=_BETA):  # one substitution, not yet normalized
+            return _substitute(code, _twist_table(twist, d))
 
         def one_at_a_time(code):
             out = bytearray()
@@ -163,6 +167,9 @@ def _checks(quick: bool):
             return bytes(out)
 
         spliced = [splice(w.code, d) for _, w in corpus for d in (1, -1)]
+        spliced += [splice(v.code, d, _FULL_TWIST) for _, w in corpus
+                    for v in (w, apply_generator(w, "delta"), apply_generator(w, "delta_inv"))
+                    for d in (1, -1)]
         long = splice(apply_word(P, "db" * 6).code, 1)
         long += cm._reversed(long)
         third = len(long) // 3
@@ -171,7 +178,8 @@ def _checks(quick: bool):
             out = kernel.remove_spurs(code)
             assert out == one_at_a_time(code), code.hex()
             # no adjacent same-edge pair is left, the wrap-around pair included
-            assert len(out) < 2 or kernel._same_edge_pairs(out + out[:1]).count(0) == 0
+            ring = out + out[:1]
+            assert 0x80 not in kernel._same_edge_pairs(int.from_bytes(ring, "big"), len(ring))
             assert kernel.remove_spurs(out) == out, code.hex()
         assert not kernel.remove_spurs(retrace)
 

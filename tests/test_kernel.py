@@ -231,6 +231,12 @@ def test_prefilter_reports_every_run_start(monkeypatch, passes):
     [(6, 0), (10, 1), (6, 0), (10, 1), (10, 0)],
     [(0, 2), (2, 0), (2, 2), (10, 1), (10, 0), (0, 0)],
     [(0, 2), (4, 0), (8, 1), (8, 0), (2, 2), (0, 0)],
+    # a pair on edge 0 at index 0: no step before it may pair with it
+    [(0, 2), (0, 0), (10, 1), (6, 0)],
+    # a pair that ends at the last index
+    [(10, 1), (6, 0), (10, 1), (10, 0)],
+    # five steps over one edge: the pairs overlap, so each round cancels one
+    [(6, 1), (10, 0), (10, 1), (10, 0), (10, 1), (10, 0)],
 ])
 def test_spur_pass_edge_cases(steps):
     _same_spur_pass(steps)
@@ -259,22 +265,48 @@ def test_validate_messages_unchanged(monkeypatch):
     assert sum("not realizable" in r[1] for r in new if r) > 50
 
 
+def _rounds(code):
+    """Whole-word rounds of `kernel.freely_reduce`'s rule until no adjacent
+    same-edge pair is left: each deletes the marked pairs, the left one of
+    two that overlap.  So it is at least the depth to which the word's
+    cancellations nest."""
+    rounds = 0
+    while True:
+        marked = [(a ^ b) < 4 for a, b in zip(code, code[1:])]
+        kept = {i for i, m in enumerate(marked) if m and not (i and marked[i - 1])}
+        if not kept:
+            return rounds
+        code = bytes(x for i, x in enumerate(code) if i not in kept and i - 1 not in kept)
+        rounds += 1
+
+
 def test_library_made_kernel_inputs_hold_no_bigon_run(monkeypatch, ladders):
     # Observed, not proved (ROADMAP item 9): after spur cancellation, every
     # word the generator action hands the kernel is in minimal position.
-    # Depth 6 with its round trips and the ladders makes about 640 calls: each
+    # Depth 6 with its round trips and the ladders makes about 630 calls: each
     # half twist is one substitution and one kernel call, and a record holds
     # its normalized curve.  The full twists about P of its records and of
     # their delta and delta^-1 images add about 1,860 more, on the other
     # handle.
-    found = []
-    real = kernel._find_run
+    found, inputs = [], []
+    real, normalize_steps = kernel._find_run, kernel.normalize_steps
     monkeypatch.setattr(kernel, "_find_run", lambda code: found.append(real(code)) or found[-1])
+    monkeypatch.setattr(kernel, "normalize_steps",
+                        lambda code: inputs.append(code) or normalize_steps(code))
     curves = [at.record_curve(rec) for rec in at.enumerate_atlas(6).records]
     for w in curves + ladders:
         assert red.verify_certificate(red.reduce_to_standard(w), w)
+    half = [_rounds(code) for code in inputs]
+    inputs.clear()
     for w in curves:
         for v in (w, apply_generator(w, "delta"), apply_generator(w, "delta_inv")):
             for d in (1, -1):
                 twist_about_p(v, d)
+    full = [_rounds(code) for code in inputs]
     assert len(found) > 1500 and found.count(None) == len(found)
+    # Also observed: the spurs of a half twist's image cancel in the two
+    # whole-word rounds `freely_reduce` makes before its loop, and most
+    # images need both.  The full twists cascade 4 deep; deeper cascades are
+    # still cancelled correctly, but by the loop, one Python step per site.
+    assert len(half) > 600 and max(half) == kernel._ROUNDS == 2 and half.count(2) > 400
+    assert len(full) > 1800 and max(full) == 4

@@ -22,7 +22,7 @@ from goeritz2 import curve as cm
 from goeritz2 import kernel
 from goeritz2 import reduction as red
 from goeritz2.action import GENERATORS, apply_generator
-from goeritz2.errors import InternalInvariantError, NotEmbeddable
+from goeritz2.errors import EmptyAfterNormalization, InternalInvariantError, NotEmbeddable
 from goeritz2.surface import CURVE_NAMES
 
 from conftest import cold_atlas_counts
@@ -248,6 +248,24 @@ def test_the_twist_image_of_an_uninterned_word_is_traced(corpus, traced, twist_i
     assert x.code not in cm._CURVES and twist_images == images
     assert [(cm._least_rotation(code), ok) for code, ok in traced] == \
         [(image.code, True) for image in images]
+
+
+def test_the_twist_image_of_an_uninterned_word_takes_one_kernel_pass(
+        standard_curve, monkeypatch, fresh_curves):
+    # the kernel's output is re-embedded as it is, not normalized a second time
+    code = action.apply_word(standard_curve, "dbdb").code
+    expected = action.apply_word(standard_curve, "dbdbb").code
+    fresh_curves()
+    calls = []
+    normalize_steps = kernel.normalize_steps
+    monkeypatch.setattr(kernel, "normalize_steps",
+                        lambda c: calls.append(c) or normalize_steps(c))
+    image = apply_generator(cm.CurveWord(code, normalized=True), "beta")
+    assert len(calls) == 1
+    assert image.code == expected and cm._CURVES[expected] is image
+    # a spur pair on A's rail, which nothing checked, twists to nothing
+    with pytest.raises(EmptyAfterNormalization, match="curve is null-homotopic"):
+        action.twist_system(cm.CurveWord(bytes((2, 0)), normalized=True), "A")
 
 
 def test_a_relabel_image_is_verified_exactly_when_its_input_is(corpus, ladders, fresh_curves):
