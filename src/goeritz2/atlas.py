@@ -20,24 +20,23 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .action import (GENERATORS, apply_generator, apply_word, format_goeritz_word,
                      parse_goeritz_word)
-from .curve import CurveWord, P_CURVE, from_doc, normalize, to_doc
+from .curve import CurveWord, P_CURVE, SlotRecord, from_doc, normalize, to_doc
 from .errors import INPUT_ERRORS, MalformedInput, NotReducing
 from .reduction import reduce_to_standard
 
 ATLAS_FORMAT = "goeritz-atlas/3"
 
 
-@dataclass(frozen=True)
-class AtlasRecord:
-    key: str                       # certificate word text (dedup handle)
-    triple: tuple[int, int, int]
-    witness: str                   # compact generator word
-    depth: int
-    curve: CurveWord               # the normalized image
+class AtlasRecord(namedtuple("AtlasRecord", "key triple witness depth curve")):
+    """One stored curve: key, its certificate word text (the dedup handle);
+    triple, its (a, b, c); witness, a compact generator word of length depth
+    that takes P to it; curve, the normalized image."""
+
+    __slots__ = ()
 
     @property
     def curve_doc(self) -> dict:
@@ -111,11 +110,14 @@ def _json_object(line: str) -> dict:
     return doc
 
 
-@dataclass
-class AtlasStore:
-    records: list[AtlasRecord] = field(default_factory=list)
-    index: dict[str, int] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+class AtlasStore(SlotRecord):
+    __slots__ = ("records", "index", "meta")
+
+    def __init__(self, records: list[AtlasRecord] | None = None,
+                 index: dict[str, int] | None = None, meta: dict | None = None):
+        self.records = [] if records is None else records
+        self.index = {} if index is None else index
+        self.meta = {} if meta is None else meta
 
     def add(self, rec: AtlasRecord) -> bool:
         if rec.key in self.index:

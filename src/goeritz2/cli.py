@@ -14,7 +14,6 @@ import sys
 from . import atlas as atlas_mod
 from . import curve as cm
 from . import reduction as red
-from . import render as render_mod
 from .action import apply_word, parse_goeritz_word
 from .errors import INPUT_ERRORS, Goeritz2Error, NotReducing
 from .handlebody import (
@@ -136,8 +135,10 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
+
     w = cm.normalize(_read_curve(args.infile)) if args.infile else None
-    svg = render_mod.render_svg(w, title=args.title or "")
+    svg = render.render_svg(w, title=args.title or "")
     _write(args.svg or args.out, svg)
     return 0
 

@@ -53,7 +53,6 @@ import json
 import re
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, count, islice, repeat
 from operator import add, itemgetter, mul
@@ -736,6 +735,27 @@ class Counts(namedtuple("Counts", "a b c x y z")):
         return tuple(self)
 
 
+class SlotRecord:
+    """Base of the mutable records (`handlebody.ConstraintReport`,
+    `reduction.ReductionCertificate`, `atlas.AtlasStore`): a subclass names its
+    fields in `__slots__`, in order; records of one class compare field by
+    field (so, being mutable, they do not hash), and the repr names each field."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 def counts(w: CurveWord) -> Counts:
     """The six counts of w's normalized word, counted once per object."""
     w = ensure_normal(w)
@@ -757,15 +777,15 @@ _FORBIDDEN_PAIRS = (("AA", "BB"), ("AA", "BC"), ("AA", "CC"),
                     ("AB", "CC"), ("AC", "BB"), ("BB", "CC"))
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A component arc of the curve on one pair of pants."""
+class Arc(namedtuple("Arc", "pants start_edge end_edge inner_edges inner_hexes")):
+    """A component arc of the curve on one pair of pants.
 
-    pants: int                   # 1 or 2
-    start_edge: int              # A/B/C edge crossed at the start
-    end_edge: int                # A/B/C edge crossed at the end
-    inner_edges: tuple[int, ...]  # X/Y/Z crossings, in order
-    inner_hexes: tuple[int, ...]  # hexagons entered at those crossings
+    pants: 1 or 2; start_edge, end_edge: the A/B/C edges crossed at the start
+    and at the end; inner_edges: the X/Y/Z crossings, in order; inner_hexes:
+    the hexagons entered at those crossings.
+    """
+
+    __slots__ = ()
 
     @property
     def type(self) -> str:

@@ -17,11 +17,12 @@ read "c", and reproduces the catalogued words of curve arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .curve import (
     Arc,
     CurveWord,
+    SlotRecord,
     _UNCHECKED,
     _bounds_disk,
     _theta_letters,
@@ -155,14 +156,10 @@ def curve_v_word(w: CurveWord) -> tuple[Letter, ...]:
     return _cyclic_reduce(tuple(_letters(*zip(*w.steps))))
 
 
-@dataclass(frozen=True)
-class ArcWordEntry:
-    index: int
-    pants: int
-    type: str
-    start_edge: str   # refined token, e.g. "A1"
-    end_edge: str
-    word: tuple[Letter, ...]
+class ArcWordEntry(namedtuple("ArcWordEntry", "index pants type start_edge end_edge word")):
+    """One arc's pi_1 word; start_edge and end_edge are refined tokens, e.g. "A1"."""
+
+    __slots__ = ()
 
     def word_text(self) -> str:
         return word_str(self.word)
@@ -174,10 +171,11 @@ def join_cancellations(words: list[tuple[Letter, ...]]) -> list[int]:
             if wi and wj and wi[-1][0] == wj[0][0] and wi[-1][1] == -wj[0][1]]
 
 
-@dataclass(frozen=True)
-class ArcWordReport:
-    entries: tuple[ArcWordEntry, ...]
-    closed_loop: bool  # True when the curve never crosses A, B or C
+class ArcWordReport(namedtuple("ArcWordReport", "entries closed_loop")):
+    """The arc words of a curve, in order; closed_loop is True when the curve
+    never crosses A, B or C."""
+
+    __slots__ = ()
 
     def concatenation(self) -> tuple[Letter, ...]:
         letters: list[Letter] = []
@@ -240,11 +238,14 @@ def _matches_form(word: tuple[Letter, ...], arc_type: str, start_index: int) -> 
         word[0] == _FORM_PREFIX[arc_type][start_index - 1] and _is_power_of(word[1:], power))
 
 
-@dataclass
-class ConstraintReport:
-    aa_lengths: list[int] = field(default_factory=list)
-    checks: dict[str, bool] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
+class ConstraintReport(SlotRecord):
+    __slots__ = ("aa_lengths", "checks", "violations")
+
+    def __init__(self, aa_lengths: list[int] | None = None, checks: dict[str, bool] | None = None,
+                 violations: list[str] | None = None):
+        self.aa_lengths = [] if aa_lengths is None else aa_lengths
+        self.checks = {} if checks is None else checks
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -45,11 +45,10 @@ neither the trace nor the input counts is checked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .action import (apply_generator, apply_word, format_goeritz_word, invert_goeritz_word,
                      parse_goeritz_word)
-from .curve import CurveWord, arc_census, counts, to_doc
+from .curve import CurveWord, SlotRecord, arc_census, counts, to_doc
 from .errors import (
     BetaReductionFailure,
     IterationLimitExceeded,
@@ -102,14 +101,17 @@ def _triple(value) -> tuple[int, int, int]:
     raise MalformedInput(f"certificate counts {value!r} are not three integers")
 
 
-@dataclass
-class ReductionCertificate:
+class ReductionCertificate(SlotRecord):
     """Word u with u(Q) = P, plus the per-step count trace."""
 
-    input_counts: tuple[int, int, int]
-    word: list[str] = field(default_factory=list)
-    trace: list[tuple[int, int, int]] = field(default_factory=list)
-    terminal: str = "P"
+    __slots__ = ("input_counts", "word", "trace", "terminal")
+
+    def __init__(self, input_counts: tuple[int, int, int], word: list[str] | None = None,
+                 trace: list[tuple[int, int, int]] | None = None, terminal: str = "P"):
+        self.input_counts = input_counts
+        self.word = [] if word is None else word
+        self.trace = [] if trace is None else trace
+        self.terminal = terminal
 
     def word_text(self) -> str:
         return format_goeritz_word(self.word)

@@ -22,7 +22,7 @@ is orientable; this is asserted at import time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalInvariantError, MalformedInput
 
@@ -144,16 +144,16 @@ def _edge_map_from_curve_map(cmap: dict[int, int], flip_index: set[int] = frozen
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Relabeling:
-    """A cell-complex automorphism given by its edge and hexagon permutations."""
+class Relabeling(namedtuple("Relabeling", "name edge_map hex_map")):
+    """A cell-complex automorphism given by its edge and hexagon permutations:
+    a name, the image of each of the 12 edges and of each of the 4 hexagons."""
 
-    name: str
-    edge_map: tuple[int, ...]
-    hex_map: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, name: str, edge_map: tuple[int, ...], hex_map: tuple[int, ...]):
+        self = super().__new__(cls, name, edge_map, hex_map)
         _check_automorphism(self)
+        return self
 
     def apply_edge(self, e: int) -> int:
         return self.edge_map[e]
@@ -218,13 +218,11 @@ def complex_symmetry(name: str) -> Relabeling:
 # -------------------------------------------------------------- the complex
 
 
-@dataclass(frozen=True)
-class SurfaceComplex:
+class SurfaceComplex(namedtuple("SurfaceComplex", "vertices edges hexagons",
+                                defaults=(VERTEX_TOKENS, EDGE_TOKENS, HEX_TOKENS))):
     """Bundled static structure; all data is module-level, this is a view."""
 
-    vertices: tuple[str, ...] = VERTEX_TOKENS
-    edges: tuple[str, ...] = EDGE_TOKENS
-    hexagons: tuple[str, ...] = HEX_TOKENS
+    __slots__ = ()
 
     @property
     def euler_characteristic(self) -> int:
