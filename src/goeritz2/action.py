@@ -40,6 +40,24 @@ no run is interned untraced, as `curve._trace` cannot fail on it:
   the image of a `CurveWord(code, normalized=True)`, which nothing checked.
 The tests and `selftest --full` trace these images.
 
+Such an image remembers its first maker (`CurveWord._preimage`): the
+operation that undoes it and the code of the curve Q it was made from.
+That operation, applied to the image, hands back Q's live curve, if Q's
+code has one, without a substitution, kernel pass or least rotation
+(`_made_from`).  This is exact, as the computation would return that curve:
+- a relabeling is a bijection on step bytes whose inverse is its inverse
+  generator's, so it takes the image's code back to Q's code;
+- each twist table T and its inverse T' (the same curves, the other
+  direction; `_BETA` and `_FULL_TWIST` read the same backwards) satisfy
+  T'(T(x)) ->> x under free reduction for every step byte x, and T sends
+  every spur pair x x' to a word that cancels (tested on all 16 tables);
+- so T' of the image's code, a rotation of the freely reduced T(Q), and
+  T'(T(Q)) differ by words that cancel, and by confluence both reduce
+  freely to a rotation of Q's code, which holds no bigon run: the kernel
+  slides nothing, and `_twist` hands out the live curve of Q's code, at
+  once or, if the image is no longer interned, through `curve._reembed`.
+`selftest --full` recomputes every shortcut of a cold atlas to depth 8.
+
 The generator action is memoized by normalized curve (`_act`, an LRU memo
 of 4096 entries): the atlas applies every generator to each record, and
 the reduction and certificate replay of that record apply the same ones
@@ -189,11 +207,32 @@ def _twist_table(curves: str, direction: int) -> _Table:
     return rails, bytes.maketrans(rails, marks), tuple(zip((bytes((m,)) for m in marks), images))
 
 
+def _made_from(w: CurveWord, undo) -> CurveWord | None:
+    """The live curve that w was made from by the inverse of `undo`, a
+    relabeling name or a twist spec (curves, direction), if w remembers one
+    (`CurveWord._preimage`)."""
+    back = w._preimage
+    if back is not None and back[0] == undo:
+        return cm._CURVES.get(back[1])
+    return None
+
+
+def _remember(image: CurveWord, w: CurveWord, undo) -> CurveWord:
+    """Record on an interned image of the interned w its first maker."""
+    if image._preimage is None and image is not w:
+        image._preimage = (undo, w.code)
+    return image
+
+
 def _twist(w: CurveWord, curves: str, direction: int) -> CurveWord:
     """The image of a normalized word under the twists of `curves`: one
     substitution, then the kernel; a word that crosses none of their rails
     is fixed.  The image of an interned curve in which the kernel slid no
-    run is interned untraced; any other image is re-embedded (`curve._reembed`)."""
+    run is interned untraced; any other image is re-embedded (`curve._reembed`).
+    An image made by the inverse twists gives back its live preimage."""
+    made_from = _made_from(w, (curves, direction))
+    if made_from is not None:
+        return made_from
     table = _twist_table(curves, direction)
     if not any(map(w.code.__contains__, table[0])):
         return w
@@ -203,7 +242,7 @@ def _twist(w: CurveWord, curves: str, direction: int) -> CurveWord:
         raise EmptyAfterNormalization("curve is null-homotopic")
     if slides or w.code not in cm._CURVES:
         return cm._reembed(code)
-    return cm._interned(cm._least_rotation(code))
+    return _remember(cm._interned(cm._least_rotation(code)), w, (curves, -direction))
 
 
 def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord:
@@ -237,10 +276,14 @@ def _relabel(w: CurveWord, name: str) -> CurveWord:
     only the rotation start drifts.  It also maps the word's normal
     multicurve onto the image's, so the image of an interned curve is
     interned (`curve._CURVES`); that of a word built with
-    `CurveWord(code, normalized=True)` is not, unless its code lives."""
+    `CurveWord(code, normalized=True)` is not, unless its code lives.  An
+    image made by the inverse relabeling gives back its live preimage."""
+    made_from = _made_from(w, name)
+    if made_from is not None:
+        return made_from
     least = cm._least_rotation(w.code.translate(_relabel_table(name)))
     if w.code in cm._CURVES:
-        return cm._interned(least)
+        return _remember(cm._interned(least), w, _INVERSE[name])
     return cm._CURVES.get(least) or CurveWord(least, normalized=True)
 
 

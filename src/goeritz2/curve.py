@@ -44,7 +44,8 @@ input and hands it to the `normalize` that follows (`_normal`), and
 `_reembed` traces a code no live curve holds.  A word whose trace raises is
 never interned.  The images of an interned curve under a relabeling, and
 under a twist in which the kernel slid no run, are interned untraced
-(`action` gives the argument; the tests and `selftest --full` trace them).
+(`action` gives the argument; the tests and `selftest --full` trace them),
+and remember the code they were made from (`CurveWord`).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import weakref
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, compress, count, islice, repeat
+from math import gcd
 from operator import add, itemgetter, mul
 
 from . import kernel
@@ -112,14 +114,20 @@ class CurveWord:
     `reducing_reason` string or None (`handlebody`; `_UNCHECKED` until
     then), and its reduction pass (`reduction._pass`, once one succeeds).
     They are functions of the code and live and die with the object, of
-    which the library makes one per live code (`_CURVES`).
+    which the library makes one per live code (`_CURVES`).  An interned
+    image of an interned curve Q under a relabeling, or under a twist in
+    which the kernel slid no run, also remembers its first maker
+    (`_preimage`): the operation that undoes it, a relabeling name or a
+    twist spec `(curves, direction)`, and Q's code, never Q itself.  That
+    operation hands back Q's live curve without computing it (`action`).
     `CurveWord(code, normalized=True)` asserts that the code is the least
     rotation of an embedded minimal word: it checks nothing and is not
     interned.  An unnormalized word holds no fact; `validate` may leave it
     its `normalize()` word (`_normal`).
     """
 
-    __slots__ = ("code", "normalized", "_counts", "_reason", "_pass", "_normal", "__weakref__")
+    __slots__ = ("code", "normalized", "_counts", "_reason", "_pass", "_normal", "_preimage",
+                 "__weakref__")
 
     def __init__(self, steps, normalized: bool = False):
         self.code = steps if isinstance(steps, bytes) else _encode(steps)
@@ -128,6 +136,7 @@ class CurveWord:
         self._reason = _UNCHECKED
         self._pass = None
         self._normal = None
+        self._preimage = None
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -460,7 +469,7 @@ def _layout(present: bytes) -> tuple:
             bytes(_CLASS_ANTI[end >> 1] for end in ends))
 
 
-def _embedding(present: bytes, sizes: list[int]) -> tuple[list[int], bytes]:
+def _embedding(present: bytes, sizes: list[int], copies: int = 1) -> tuple[list[int], bytes]:
     """Successor table and state bytes of the normal multicurve whose classes
     (ascending ids, `_layout`) have these sizes.
 
@@ -472,7 +481,8 @@ def _embedding(present: bytes, sizes: list[int]) -> tuple[list[int], bytes]:
     slots of its partner end, so each side's successors are one chain of
     spans, assigned as one slice.  The sequences made per call are lists
     and bytes: CPython 3.11 never reuses a freed tuple of 20 items, so
-    tuples made per call would pile up.
+    tuples made per call would pile up.  A count mismatch is reported in
+    the numbers of that many parallel copies of the multicurve (`from_doc`).
     """
     if not present:
         return [], b""
@@ -484,7 +494,8 @@ def _embedding(present: bytes, sizes: list[int]) -> tuple[list[int], bytes]:
     if code != other:
         e, sides = next((e, c) for e, c in enumerate([code.count(s), other.count(s)]
                                                      for s in _SLOT_BYTES) if c[0] != c[1])
-        raise InconsistentCoordinates(f"edge {EDGE_TOKENS[e]} endpoint counts differ: {sides}")
+        raise InconsistentCoordinates(
+            f"edge {EDGE_TOKENS[e]} endpoint counts differ: {[copies * c for c in sides]}")
     states = _STATES if 2 * n <= len(_STATES) else list(range(2 * n))
     nxt = [0] * (2 * n)
     spans = zip(map(starts.__getitem__, partner), ends, exits, antis)
@@ -897,9 +908,13 @@ def from_doc(doc: dict) -> CurveWord:
                 if type(c) is not int:
                     raise MalformedInput(f"count of {ht} {pair} must be an integer, not {type(c).__name__}")
                 coords[(HEX_OF_TOKEN[ht], min(e1, e2), max(e1, e2))] = c
-        # one component must pass every slot: refuse the others unwalked
-        nxt, code = _embedding(*_class_counts(coords))
-        path, slots = next(_traces(nxt), []), len(nxt) // 2
+        # one component must pass every slot: refuse the others unwalked.
+        # Counts with a common factor d are d parallel copies of the
+        # multicurve of the counts divided by d, so only that one is built
+        present, sizes = _class_counts(coords)
+        copies = gcd(*sizes) or 1
+        nxt, code = _embedding(present, [c // copies for c in sizes], copies)
+        path, slots = next(_traces(nxt), []), copies * len(nxt) // 2
         if not path or len(path) < slots:
             raise MalformedInput("normal coordinates describe more than one component: the first "
                                  f"crosses {len(path)} of {slots} slots" if path else

@@ -50,6 +50,34 @@ def _corpus(n: int, max_len: int = 6, seed: int = 20260808):
     return out
 
 
+def _preimage_shortcuts(depth: int) -> int:
+    """Check every image that the action hands back from a remembered
+    preimage (`action._made_from`) on a cold atlas to `depth` with a
+    verified round trip per record: the action computes the same object with
+    the slot bypassed.  Returns the number of such shortcuts."""
+    made_from, hits = action_mod._made_from, []
+
+    def spy(w, undo):
+        source = made_from(w, undo)
+        if source is not None:
+            hits.append((w, undo, source))
+        return source
+
+    clear_caches()
+    action_mod._made_from = spy
+    try:
+        for rec in atlas_mod.enumerate_atlas(depth).records:
+            assert red.verify_certificate(red.reduce_to_standard(rec.curve), rec.curve)
+        action_mod._made_from = lambda w, undo: None
+        for w, undo, source in hits:
+            again = (action_mod._relabel(w, undo) if isinstance(undo, str)
+                     else action_mod._twist(w, *undo))
+            assert again is source, (w.code.hex(), undo)
+    finally:
+        action_mod._made_from = made_from
+    return len(hits)
+
+
 def _checks(quick: bool):
     P = cm.normalize(cm.P_CURVE)
     n_corpus = 40 if quick else 120
@@ -240,6 +268,9 @@ def _checks(quick: bool):
             assert cm._CURVES[w.code] is w
             cm._trace(w.code)
 
+    def preimage_shortcuts():
+        assert _preimage_shortcuts(8) > 3000
+
     def atlas_determinism():
         first = [r.as_json() for r in atlas_mod.enumerate_atlas(2).records]
         clear_caches()  # the second run recomputes every curve nothing else holds
@@ -253,7 +284,8 @@ def _checks(quick: bool):
         ("complex-sanity", complex_sanity),
         ("standard-curve-anchors", standard_anchors),
         ("handlebody-word-calibration", word_calibration),
-        *([] if quick else [("twist-images-trace", twist_images_trace)]),
+        *([] if quick else [("twist-images-trace", twist_images_trace),
+                            ("preimage-shortcuts", preimage_shortcuts)]),
         ("generator-count-laws", count_laws),
         ("dominance-trichotomy", dominance_trichotomy),
         ("aa-arc-word-constraints", aa_arc_constraints),

@@ -24,7 +24,8 @@ from goeritz2.action import (
 )
 from goeritz2.errors import InternalInvariantError, MalformedInput
 from goeritz2.reduction import reduce_to_standard, verify_certificate
-from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, EDGE_HEXES, complex_symmetry
+from goeritz2.selftest import _preimage_shortcuts
+from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, EDGE_HEXES, OTHER_HEX, complex_symmetry
 
 # beta = (t_B t_Z)^3 and its inverse as single twists, in the order applied
 BETA_SEQUENCE = (("Z", 1), ("B", 1)) * 3
@@ -223,18 +224,28 @@ def test_half_twist_and_full_twist_normalize_once(corpus, ladders, monkeypatch):
     curves = [w for _, w in corpus] + ladders
     for name in rails:
         assert sum(bool(rails[name] & set(w.code)) for w in curves) > 250, name
+    remembered = []
     for w in curves:
-        # a word that misses both rails is fixed without a kernel call
+        # a word that misses both rails is fixed without a kernel call, and an
+        # image made by the inverse twist hands back its preimage without one
         beta_calls = 1 if rails["BZ"] & set(w.code) else 0
         p_calls = 1 if rails["CY"] & set(w.code) else 0
-        for g in ("beta", "beta_inv"):
+        for g, d in (("beta", 1), ("beta_inv", -1)):
+            made_from = action._made_from(w, (action._BETA, d))
             calls.clear()
-            action._act.__wrapped__(w, g)
-            assert len(calls) == beta_calls, (w, g)
+            image = action._act.__wrapped__(w, g)
+            if made_from is None:
+                assert len(calls) == beta_calls, (w, g)
+            else:
+                assert not calls and image is made_from, (w, g)
+                remembered.append(g)
         for d in (1, -1):
+            made_from = action._made_from(w, (action._FULL_TWIST, d))
             calls.clear()
-            twist_about_p(w, d)
-            assert len(calls) == p_calls, (w, d)
+            image = twist_about_p(w, d)
+            assert len(calls) == (p_calls if made_from is None else 0), (w, d)
+            assert made_from is None or image is made_from
+    assert len(remembered) > 20
 
 
 # the two product tables: beta = (t_Z t_B t_Z)^2 and the full twist about
@@ -256,6 +267,48 @@ def test_turn_table_images_are_nonempty_and_freely_reduced():
                 assert all(e != f for (e, _), (f, _) in zip(steps, steps[1:])), (curves, d, x)
                 # a path from the hexagon before x to the hexagon x enters
                 assert steps[-1][1] == x & 3, (curves, d, x)
+
+
+# every step byte: each edge crossed into either of its hexagons
+_STEP_BYTES = bytes(4 * e + h for e in range(12) for h in EDGE_HEXES[e])
+
+
+def test_every_twist_table_is_undone_by_its_inverse_under_free_reduction():
+    # the lemma `action._made_from` rests on, for all 16 tables the library
+    # uses: T'(T(x)) reduces freely to x, where T' twists the same curves the
+    # other way (the product words read the same backwards), and T sends
+    # each spur pair x x' to a word that cancels
+    assert len(_STEP_BYTES) == 24
+    for curves in (*CURVE_NAMES, *_TABLES):
+        assert curves == curves[::-1]
+        for d in (1, -1):
+            table, inverse = action._twist_table(curves, d), action._twist_table(curves, -d)
+            for x in _STEP_BYTES:
+                back = 4 * (x >> 2) + OTHER_HEX[x >> 2][x & 3]
+                there = action._substitute(bytes((x,)), table)
+                assert kernel.freely_reduce(action._substitute(there, inverse)) == bytes((x,)), \
+                    (curves, d, x)
+                assert kernel.freely_reduce(action._substitute(bytes((x, back)), table)) == b"", \
+                    (curves, d, x)
+
+
+def test_every_preimage_shortcut_of_a_cold_atlas_is_the_computed_image():
+    # `selftest --full` runs the same check to depth 8 (3,563 shortcuts)
+    assert _preimage_shortcuts(6) > 300
+
+
+def test_a_remembered_preimage_is_not_followed_into_another_intern_table(fresh_curves):
+    (q,) = fresh_curves(apply_word(cm.P_CURVE, "db").code)
+    images = [apply_generator(q, g) for g in ("beta", "delta")]
+    assert [w._preimage for w in images] == [((action._BETA, -1), q.code), ("delta_inv", q.code)]
+    assert all(apply_generator(w, g) is q for w, g in zip(images, ("beta_inv", "delta_inv")))
+    # q and its images live on, but no longer in the intern table: the slots
+    # name q's code, which the new table does not hold, so the action
+    # computes the preimages again, as new curves
+    fresh_curves()
+    for w, g in zip(images, ("beta_inv", "delta_inv")):
+        again = apply_generator(w, g)
+        assert again.code == q.code and again is not q
 
 
 def _free_reduction(code):

@@ -359,6 +359,37 @@ def test_a_refused_document_leaves_the_shared_state_list_as_it_was():
     assert len(cm._STATES) == 2048
 
 
+def test_a_document_of_parallel_copies_builds_one_copy(monkeypatch):
+    # P times 10^6: counts with the common factor 10^6 are that many parallel
+    # copies of P, so only P's table of 8 states is built before the refusal
+    # (the whole table took 0.64 s and 483 MB), and the message still counts
+    # the document's slots
+    built, embedding = [], cm._embedding
+
+    def spy(*args):
+        nxt, code = embedding(*args)
+        built.append(len(nxt))
+        return nxt, code
+
+    monkeypatch.setattr(cm, "_embedding", spy)
+    with pytest.raises(MalformedInput, match="^normal coordinates describe more than one "
+                                             "component: the first crosses 4 of 4000000 slots$"):
+        cm.from_doc(_times(cm.coordinates_doc(cm.P_CURVE), 1_000_000))
+    assert built == [8]
+    assert len(cm._STATES) == 2048
+
+
+def test_a_count_mismatch_names_the_documents_numbers():
+    # P times 3 with one count raised to 6: the counts share the factor 3,
+    # and the message gives the document's counts, not those divided by 3
+    from goeritz2.errors import InconsistentCoordinates
+
+    doc = _times(cm.coordinates_doc(cm.P_CURVE), 3)
+    doc["coordinates"]["H1"]["A1-X1"] = 6
+    with pytest.raises(InconsistentCoordinates, match=r"^edge A1 endpoint counts differ: \[6, 3\]$"):
+        cm.from_doc(doc)
+
+
 def test_document_roundtrip(corpus):
     for _, w in corpus[:20]:
         assert cm.loads(cm.dumps(w)) == w

@@ -15,7 +15,7 @@ from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import kernel
 from goeritz2 import reduction as red
-from goeritz2.action import _cross_detour, apply_generator, apply_word, twist_about_p
+from goeritz2.action import _act, _cross_detour, apply_generator, apply_word, twist_about_p
 from goeritz2.errors import Goeritz2Error
 from goeritz2.surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX
 
@@ -280,14 +280,16 @@ def _rounds(code):
         rounds += 1
 
 
-def test_library_made_kernel_inputs_hold_no_bigon_run(monkeypatch, ladders):
+def test_library_made_kernel_inputs_hold_no_bigon_run(monkeypatch, ladders, fresh_curves):
     # Observed, not proved (ROADMAP item 9): after spur cancellation, every
     # word the generator action hands the kernel is in minimal position.
-    # Depth 6 with its round trips and the ladders makes about 630 calls: each
-    # half twist is one substitution and one kernel call, and a record holds
-    # its normalized curve.  The full twists about P of its records and of
-    # their delta and delta^-1 images add about 1,860 more, on the other
-    # handle.
+    # Depth 6 with its round trips and the ladders makes about 400 calls: each
+    # half twist is one substitution and one kernel call, unless it hands
+    # back the remembered preimage of an image, and a record holds its
+    # normalized curve.  Both half twists of every record, computed again in
+    # a fresh intern table where no curve remembers its maker, add about 460.
+    # The full twists about P of the records and of their delta and delta^-1
+    # images add about 1,860 more, on the other handle.
     found, inputs = [], []
     real, normalize_steps = kernel._find_run, kernel.normalize_steps
     monkeypatch.setattr(kernel, "_find_run", lambda code: found.append(real(code)) or found[-1])
@@ -303,6 +305,11 @@ def test_library_made_kernel_inputs_hold_no_bigon_run(monkeypatch, ladders):
             for d in (1, -1):
                 twist_about_p(v, d)
     full = [_rounds(code) for code in inputs]
+    inputs.clear()
+    for w in fresh_curves(*(w.code for w in curves)):
+        for g in ("beta", "beta_inv"):
+            _act.__wrapped__(w, g)
+    half += [_rounds(code) for code in inputs]
     assert len(found) > 1500 and found.count(None) == len(found)
     # Also observed: the spurs of a half twist's image cancel in the two
     # whole-word rounds `freely_reduce` makes before its loop, and most
