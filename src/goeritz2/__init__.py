@@ -6,6 +6,8 @@ reduction of any reducing curve to the standard one with a generator-word
 certificate, and a breadth-first atlas of realized intersection triples.
 """
 
+import sys
+
 from .curve import (
     CurveWord,
     Counts,
@@ -45,14 +47,18 @@ def clear_caches() -> None:
     """Empty the two memos: the generator action and the chord-class layouts.
 
     Both hold pure functions, so clearing changes no result, only how much
-    work the next calls repeat.  The facts a curve keeps (`CurveWord`) live
-    and die with the one object the library makes per code: clearing frees
-    the curves only the memo held, a curve held elsewhere keeps its facts,
-    and a cold timing needs a fresh interpreter.
+    work the next calls repeat.  The layouts live in `embed`, which is
+    loaded only for words from outside; if it is not loaded they are empty,
+    and clearing does not load it.  The facts a curve keeps (`CurveWord`)
+    live and die with the one object the library makes per code: clearing
+    frees the curves only the memo held, a curve held elsewhere keeps its
+    facts, and a cold timing needs a fresh interpreter.
     """
-    from . import action, curve
+    from . import action
     action._act.cache_clear()
-    curve._layout.cache_clear()
+    embed = sys.modules.get(f"{__name__}.embed")
+    if embed is not None:
+        embed._layout.cache_clear()
 
 
 __all__ = [

@@ -22,9 +22,10 @@ single twists' images, 5 bytes for beta^+-1 and 9 for the full twist.  A
 relabeling symmetry is one `bytes.translate`.
 
 The image of an interned curve (`curve._CURVES`) in which the kernel slid
-no run is interned untraced, as `curve._trace` cannot fail on it:
-- the input is embedded: traced when it came from outside, or made by the
-  library from an embedded word;
+no run is interned untraced, as `embed._trace` cannot fail on it:
+- the input is embedded: traced when it came from outside, one of the
+  stock curves `curve.P_CURVE` and `curve.PUSHOFFS`, whose pinned codes the
+  tests trace, or made by the library from an embedded word;
 - all detours of one twist turn the same way, their sense tied to the
   surface orientation (the sign of the crossed edge in the approach
   hexagon; "right" is +1), so they stay pairwise disjoint.  This is the

@@ -25,27 +25,19 @@ type and pants at once, from big-integer sums over the A/B/C bytes.  A
 curve bounds a disk in V (W) iff the X/Y/Z (A/B/C) curves it crosses cancel
 to nothing.
 
-Re-embedding is table-driven and linear in the word length.  Static tables,
-built once at import from `surface`, number the 60 chord classes and hold
-each class's interleave bitmask and each edge side's fan order.  The class of
-every arc is one byte, read for all arcs at once by a big-integer OR of two
-translated copies of the code.  What depends only on the set of present
-classes is built once per set (`_layout`), and each half of the successor
-table is one slice assignment of spans of one shared list of state numbers
-(`_embedding`).  The counts of n crossings re-embed as one curve iff the
-walk of n - 1 successors from the first state closes there without passing
-it again, and then the traced bytes are the input's (`_trace`).
-
-That check's verdict depends only on the cyclic word, so normalized curves
-are interned: a code has one live `CurveWord`, held weakly in `_CURVES`, and
-a curve's facts (`CurveWord`) are computed once while it lives.  The trace
-runs only on words from outside: `validate` traces the spur-free core of its
-input and hands it to the `normalize` that follows (`_normal`), and
-`_reembed` traces a code no live curve holds.  A word whose trace raises is
-never interned.  The images of an interned curve under a relabeling, and
-under a twist in which the kernel slid no run, are interned untraced
-(`action` gives the argument; the tests and `selftest --full` trace them),
-and remember the code they were made from (`CurveWord`).
+The re-embedding, which checks that a word is one embedded curve and reads
+its normal coordinates, lives in `embed`; only words from outside need it,
+so this module imports it where they arrive.  Normalized curves are
+interned: a code has one live `CurveWord`, held weakly in `_CURVES`, and a
+curve's facts (`CurveWord`) are computed once while it lives.  The trace
+(`embed._trace`) runs only on words from outside: `validate` traces the
+spur-free core of its input and hands it to the `normalize` that follows
+(`_normal`), and `_reembed` traces a code no live curve holds.  A word
+whose trace raises is never interned.  The images of an interned curve
+under a relabeling, and under a twist in which the kernel slid no run, are
+interned untraced (`action` gives the argument; the tests and
+`selftest --full` trace them), and remember the code they were made from
+(`CurveWord`).
 """
 
 from __future__ import annotations
@@ -54,38 +46,23 @@ import json
 import re
 import weakref
 from collections import namedtuple
-from functools import lru_cache
-from itertools import accumulate, compress, count, islice, repeat
-from math import gcd
-from operator import add, itemgetter, mul
+from itertools import accumulate, compress, count
+from operator import add
 
 from . import kernel
-from .kernel import _EDGE_OF_BYTE, _POSITION
-from .errors import (
-    EmptyAfterNormalization,
-    InconsistentCoordinates,
-    InternalInvariantError,
-    MalformedInput,
-    MalformedWord,
-    NotEmbeddable,
-)
+from .kernel import _EDGE_OF_BYTE
+from .errors import EmptyAfterNormalization, MalformedInput, MalformedWord, NotEmbeddable
 from .surface import (
-    CORNER_AFTER,
     CURVE_NAMES,
     EDGE_CURVE,
-    EDGE_ENDPOINTS,
     EDGE_HEXES,
     EDGE_OF_TOKEN,
     EDGE_TOKENS,
     HEX_OF_TOKEN,
-    HEX_CURVE_SIDE,
     HEX_PANTS,
-    HEX_SIDES,
     HEX_TOKENS,
     OTHER_HEX,
     SIDE_POS,
-    VERTEX_TOKENS,
-    fan_key_from,
 )
 
 Step = tuple[int, int]  # (edge id, hexagon entered)
@@ -94,10 +71,6 @@ Step = tuple[int, int]  # (edge id, hexagon entered)
 _UNCHECKED = object()
 
 CURVE_FORMAT = "goeritz-curve/1"
-
-
-# vertex from which crossings along each edge are counted (lower token name)
-_ORIGIN = tuple(min(EDGE_ENDPOINTS[e], key=VERTEX_TOKENS.__getitem__) for e in range(12))
 
 
 # ------------------------------------------------------------------ the word
@@ -188,45 +161,6 @@ def _check_chain(steps: list[Step]) -> None:
                 f"step {i + 1}: expected hexagon {HEX_TOKENS[OTHER_HEX[e2][h]]}")
 
 
-def _check_embeddable(steps: list[Step]) -> bytes:
-    """Raise unless the steps are one embedded curve; return the traced spur-free core."""
-    code = _encode(steps)
-    # chord classes present in a hexagon must not interleave (spur chords exempt)
-    clash = _first_clash(bytes(sorted(set(_arc_classes(code)) - {_SPUR_ARC})))
-    if clash:
-        (h, *first), (_, *second) = map(_CLASS_KEYS.__getitem__, clash)
-        raise NotEmbeddable(
-            f"chords {tuple(EDGE_TOKENS[x] for x in first)} and "
-            f"{tuple(EDGE_TOKENS[x] for x in second)} interleave in {HEX_TOKENS[h]}")
-    # complete for a spur-free word: its counts re-embed as one curve tracing it
-    core = kernel.remove_spurs(code)
-    if core:
-        try:
-            _trace(core)
-        except (InternalInvariantError, NotEmbeddable) as exc:
-            _check_edge_orders(core)  # the more specific reason, where it applies
-            raise NotEmbeddable(f"spur-free word is not one embedded curve: {exc}") from None
-    return core
-
-
-def _check_edge_orders(core: bytes) -> None:
-    """Per-edge order consistency of a spur-free word's crossings."""
-    n = len(core)
-    keyed: dict[int, list[tuple[int, ...]]] = {}
-    for i, x in enumerate(core):
-        # chord on the entered side lives in h, chord behind lives in the other hexagon
-        e, h = x >> 2, x & 3
-        side_chord = {h: core[(i + 1) % n] >> 2, OTHER_HEX[e][h]: core[i - 1] >> 2}
-        keyed.setdefault(e, []).append(
-            tuple(fan_key_from(k, e, side_chord[k], _ORIGIN[e]) for k in EDGE_HEXES[e]))
-    for e, ks in keyed.items():
-        ks.sort()
-        for (a1, b1), (a2, b2) in zip(ks, ks[1:]):
-            if b2 < b1:
-                raise NotEmbeddable(
-                    f"crossing order along {EDGE_TOKENS[e]} is not realizable")
-
-
 def _index(i: int, what: str, value, size: int) -> int:
     """An edge or hexagon number of step i, an integer in range(size)."""
     try:
@@ -256,74 +190,23 @@ def validate(steps) -> CurveWord:
         checked.append((_index(i, "edge", e, 12), _index(i, "hexagon", h, 4)))
     steps = checked
     _check_chain(steps)
-    core = _check_embeddable(steps)
+    from . import embed
+    core = embed._check_embeddable(steps)
     w = CurveWord(steps)
     if core and not kernel.normalize_steps(core)[1]:
         w._normal = _interned(_least_rotation(core))
     return w
 
 
-# ------------------------------------------------------------- coordinates
+# ------------------------------------------------------------- step bytes
 #
-# Re-embedding runs on small integers.  A step (e, h) is the byte 4e+h, so an
-# encoded word sorts like its step tuples.  The 60 chord classes (h, lo, hi)
-# are numbered in sorted key order.  Crossing slot s of edge e is the global
-# slot off[e] + s, and state 2g+k is "at slot g, entering EDGE_HEXES[e][k]";
-# a normal multicurve is a successor table over these states.
+# A step (e, h) is the byte 4e+h, so an encoded word sorts like its step tuples.
 
 
 def _encode(steps) -> bytes:
     return bytes(4 * e + h for e, h in steps)
 
 
-def _ascending(h: int, e: int) -> bool:
-    """Does the stored boundary of h walk side e in increasing slot order?"""
-    return _ORIGIN[e] == CORNER_AFTER[(SIDE_POS[h][e] - 1) % 6]
-
-
-_CLASS_KEYS = tuple((h, e1, e2) for h in range(4) for e1 in range(12) for e2 in range(e1 + 1, 12)
-                    if SIDE_POS[h][e1] >= 0 and SIDE_POS[h][e2] >= 0)
-# a class may be keyed with its two edges in either order
-_CLASS_OF = {(h, e1, e2): i for i, (h, e, f) in enumerate(_CLASS_KEYS)
-             for e1, e2 in ((e, f), (f, e))}
-# side positions (lo < hi) of each class's chord on its hexagon's boundary
-_CLASS_SPAN = tuple(tuple(sorted((SIDE_POS[h][e1], SIDE_POS[h][e2])))
-                    for h, e1, e2 in _CLASS_KEYS)
-# edge sides (2e+k) of each class's lo and hi end
-_CLASS_ENDS = tuple((2 * e1 + EDGE_HEXES[e1].index(h), 2 * e2 + EDGE_HEXES[e2].index(h))
-                    for h, e1, e2 in _CLASS_KEYS)
-# strands of a class pair slots in opposite order along its two sides
-_CLASS_ANTI = tuple(_ascending(h, e1) == _ascending(h, e2) for h, e1, e2 in _CLASS_KEYS)
-
-
-def _crossing_classes(i: int) -> int:
-    """Bitmask of the classes whose chords cross the chord of class i."""
-    (a, b), h = _CLASS_SPAN[i], _CLASS_KEYS[i][0]
-    mask = 0
-    for j, (c, d) in enumerate(_CLASS_SPAN):
-        if (a < c < b < d or c < a < d < b) and _CLASS_KEYS[j][0] == h:
-            mask |= 1 << j
-    return mask
-
-
-def _fans() -> tuple[tuple[int, ...], ...]:
-    """Class ends 2i+(0 lo, 1 hi) on each edge side, in slot order from the edge's origin."""
-    keyed: list[list[tuple[int, int]]] = [[] for _ in range(24)]
-    for i, (h, e1, e2) in enumerate(_CLASS_KEYS):
-        for end, (e, other) in enumerate(((e1, e2), (e2, e1))):
-            key = fan_key_from(h, e, other, _ORIGIN[e])
-            keyed[_CLASS_ENDS[i][end]].append((key, 2 * i + end))
-    return tuple(tuple(end for _, end in sorted(k)) for k in keyed)
-
-
-_CLASS_CROSSES = tuple(map(_crossing_classes, range(len(_CLASS_KEYS))))
-_FAN = _fans()
-# class of the arc entering by step byte x and leaving by edge y: _ARC_CLASS[12x+y];
-# -1 for a spur (y is the entry edge), -2 if the two edges are not sides of one hexagon
-_ARC_CLASS = tuple(-1 if x >> 2 == y else _CLASS_OF.get((x & 3, x >> 2, y), -2)
-                   for x in range(48) for y in range(12))
-# step bytes of the two states 2g, 2g+1 of a slot on edge e
-_SLOT_BYTES = tuple(bytes(4 * e + h for h in EDGE_HEXES[e]) for e in range(12))
 _STEP_OF_BYTE = tuple((x >> 2, x & 3) for x in range(48))
 # step byte of the same crossing traversed backwards
 _REVERSED = bytes(4 * (x >> 2) + OTHER_HEX[x >> 2].get(x & 3, x & 3) if x < 48 else x
@@ -338,214 +221,28 @@ _DOUBLED_CURVES = {"V": tuple(bytes((c, c)) for c in range(3, 6)),
                    "W": tuple(bytes((c, c)) for c in range(3))}
 
 
-def _arc_table() -> bytes:
-    """Class id (or _SPUR_ARC) of the arc byte (h << 6) | (p << 3) | q: in
-    hexagon h, from the side at curve position p to the side at position q."""
-    table = bytearray(b"\xff" * 256)
-    for h in range(4):
-        for e in HEX_SIDES[h]:
-            for f in HEX_SIDES[h]:
-                arc = h << 6 | _POSITION[4 * e] << 3 | _POSITION[4 * f]
-                table[arc] = _SPUR_ARC if e == f else _CLASS_OF[h, e, f]
-    return bytes(table)
-
-
-# An arc enters a hexagon by one step and leaves it by the next.  Its byte is
-# (_ARC_FROM[x] | _POSITION[y]), which names its class when y's edge is a side
-# of x's hexagon: the hexagon's side of curve type t (0 A/B/C, 1 X/Y/Z) is edge
-# 2c + bit t of _SIDE_BITS, and _TYPE_BIT holds a step's own bit at its type.
-_SPUR_ARC = 254
-_ARC_OF = _arc_table()
-_ARC_FROM = bytes((x & 3) << 6 | _POSITION[x] << 3 if x < 48 else 0 for x in range(256))
-_STEP_BYTES = bytes(4 * e + h for e in range(12) for h in EDGE_HEXES[e])
-_SIDE_BITS = bytes((HEX_CURVE_SIDE[x & 3][0] & 1) | (HEX_CURVE_SIDE[x & 3][3] & 1) << 1
-                   for x in range(256))
-_TYPE_MASK = bytes(1 << (EDGE_CURVE[x >> 2] >= 3) if x < 48 else 0 for x in range(256))
-_TYPE_BIT = bytes((x >> 2 & 1) << (EDGE_CURVE[x >> 2] >= 3) if x < 48 else 0 for x in range(256))
-
-
 def _big(w: bytes, table: bytes) -> int:
     return int.from_bytes(w.translate(table), "big")
 
 
-def _arc_classes(w: bytes) -> bytes:
-    """Class id of every arc of an encoded word, or _SPUR_ARC, in one byte each
-    (arc i enters by step i and leaves by step i+1)."""
-    nw = w[1:] + w[:1]
-    if w.translate(None, _STEP_BYTES) or \
-            _big(w, _SIDE_BITS) & _big(nw, _TYPE_MASK) != _big(nw, _TYPE_BIT):
-        _raise_bad_arc(w, nw)
-    return (_big(w, _ARC_FROM) | _big(nw, _POSITION)).to_bytes(len(w), "big").translate(_ARC_OF)
-
-
-def _raise_bad_arc(w: bytes, nw: bytes) -> None:
-    """Raise for a word with an arc whose two sides are not sides of one hexagon."""
-    bad = None
-    for x, y in dict.fromkeys(zip(w, nw)):
-        i = _ARC_CLASS[12 * x + (y >> 2)]
-        if i == -1:
-            raise InternalInvariantError("coordinates of a word with spurs")
-        if i == -2:
-            bad = (x & 3, *sorted((x >> 2, y >> 2)))
-    raise InconsistentCoordinates("bad chord class ({},{},{})".format(*bad))
-
-
-def _class_sizes(w: bytes) -> tuple[bytes, list[int]]:
-    """The chord classes of an encoded spur-free word's arcs, ascending, and
-    how many arcs each has.  A long word's first arcs hold most of its
-    classes, so the set reads those and what `translate` leaves of the rest."""
-    arcs = _arc_classes(w)
-    seen = set(arcs[:64])
-    seen.update(arcs.translate(None, bytes(seen)))
-    if _SPUR_ARC in seen:
-        raise InternalInvariantError("coordinates of a word with spurs")
-    present = bytes(sorted(seen))
-    return present, list(map(arcs.count, present))
+# ------------------------------------------------------------- coordinates
 
 
 def to_coordinates(w: CurveWord) -> dict[tuple[int, int, int], int]:
-    """Chord-class counts {(hexagon, lo edge, hi edge): n}.  Word must be spur-free."""
-    present, sizes = _class_sizes(w.code)
-    return dict(zip(map(_CLASS_KEYS.__getitem__, present), sizes))
-
-
-def _class_counts(coords) -> tuple[bytes, list[int]]:
-    """Normal coordinates as their classes, ascending, and the class counts."""
-    counts = [0] * len(_CLASS_KEYS)
-    for (h, e1, e2), c in {k: int(v) for k, v in coords.items() if v}.items():
-        i = _CLASS_OF.get((h, e1, e2))
-        if i is None or c < 0:
-            raise InconsistentCoordinates(f"bad chord class ({h},{e1},{e2})")
-        counts[i] += c
-    return bytes(compress(count(), counts)), list(filter(None, counts))
-
-
-def _first_clash(present: bytes) -> tuple[int, int] | None:
-    """The first two of these ascending class ids whose chords interleave."""
-    mask = sum(1 << i for i in present)
-    for i in present:
-        clash = _CLASS_CROSSES[i] & mask & -(2 << i)
-        if clash:
-            return i, (clash & -clash).bit_length() - 1
-    return None
-
-
-# State numbers 0, 1, 2, ...: each span of the successor table is a slice of
-# this list, so states are not made again per class.  A longer word gets a
-# list of its own (`_embedding`), so outside input never grows the shared one.
-_STATES = list(range(2048))
-
-
-# The 120 class ends 2i+(0 lo, 1 hi) in slot order: those on the first side
-# (2e) of each edge, edge by edge, then those on the second sides (2e+1).
-_ENDS = tuple(end for k in (0, 1) for e in range(12) for end in _FAN[2 * e + k])
-
-
-@lru_cache(maxsize=128)  # enumerate_atlas(7) uses 31 class sets
-def _layout(present: bytes) -> tuple:
-    """Where the ends of a nonempty set of classes (ascending ids) sit.
-
-    Raises NotEmbeddable if two of the classes interleave; a raise is not
-    cached.  For the class ends in slot order it returns how many lie on
-    first sides, their state bytes and, in bytes: each end's index in the
-    class sizes; its partner's index in the slot starts (the first-side
-    ends' prefix sums with their total, then the second-side ends'); the
-    bit k of the states its strands lead to, as they leave the class's
-    hexagon across the partner end's edge; and whether they run against
-    the slots.
-    """
-    clash = _first_clash(present)
-    if clash:
-        raise NotEmbeddable(
-            f"interleaving chord classes in {HEX_TOKENS[_CLASS_KEYS[clash[0]][0]]}")
-    ends = [end for end in _ENDS if end >> 1 in present]
-    side = {end: _CLASS_ENDS[end >> 1][end & 1] for end in ends}
-    first = sum(~side[end] & 1 for end in ends)
-    start = {end: t + (t >= first) for t, end in enumerate(ends)}
-    return (first, tuple(_SLOT_BYTES[side[end] >> 1] for end in ends),
-            bytes(map(present.index, (end >> 1 for end in ends))),
-            bytes(start[end ^ 1] for end in ends),
-            bytes(~side[end ^ 1] & 1 for end in ends),
-            bytes(_CLASS_ANTI[end >> 1] for end in ends))
-
-
-def _embedding(present: bytes, sizes: list[int], copies: int = 1) -> tuple[list[int], bytes]:
-    """Successor table and state bytes of the normal multicurve whose classes
-    (ascending ids, `_layout`) have these sizes.
-
-    Checks that no two of the classes interleave in a hexagon and that both
-    sides of every edge carry the same number of crossings: the state bytes
-    read along the first sides equal those read along the second.  The
-    class ends, in slot order, tile the slots once along the first sides of
-    the edges and once along the second sides; each end's states lead to the
-    slots of its partner end, so each side's successors are one chain of
-    spans, assigned as one slice.  The sequences made per call are lists
-    and bytes: CPython 3.11 never reuses a freed tuple of 20 items, so
-    tuples made per call would pile up.  A count mismatch is reported in
-    the numbers of that many parallel copies of the multicurve (`from_doc`).
-    """
-    if not present:
-        return [], b""
-    first, slots, size_of, partner, exits, antis = _layout(present)
-    ends = list(map(sizes.__getitem__, size_of))
-    starts = [*accumulate(ends[:first], initial=0), *accumulate(ends[first:], initial=0)]
-    both, n = b"".join(map(mul, slots, ends)), starts[first]
-    code, other = both[:2 * n], both[2 * n:]
-    if code != other:
-        e, sides = next((e, c) for e, c in enumerate([code.count(s), other.count(s)]
-                                                     for s in _SLOT_BYTES) if c[0] != c[1])
-        raise InconsistentCoordinates(
-            f"edge {EDGE_TOKENS[e]} endpoint counts differ: {[copies * c for c in sides]}")
-    states = _STATES if 2 * n <= len(_STATES) else list(range(2 * n))
-    nxt = [0] * (2 * n)
-    spans = zip(map(starts.__getitem__, partner), ends, exits, antis)
-    for k, size in enumerate((first, len(ends) - first)):  # the first sides, then the second
-        half = []
-        for s, c, x, anti in islice(spans, size):
-            # a descending span down to state 0 or 1 needs stop None: -1 would wrap
-            lo = 2 * s + x
-            half += states[lo + 2 * c - 2:lo - 2 if lo > 1 else None:-2] if anti \
-                else states[lo:lo + 2 * c:2]
-        nxt[k::2] = half
-    return nxt, code
-
-
-def _traces(nxt: list[int]):
-    """State paths of all components, in order of their lowest slot.
-
-    Each path starts at that slot, entering the second hexagon of its edge.
-    """
-    seen = bytearray(len(nxt) // 2)
-    for g in range(len(seen)):
-        if not seen[g]:
-            start = 2 * g + 1
-            path = [start]
-            d = nxt[start]
-            while d != start:
-                path.append(d)
-                d = nxt[d]
-            yield path
-            for d in path:
-                seen[d >> 1] = 1
-
-
-def _path_code(code: bytes, path: list[int]) -> bytes:
-    """The step bytes of a state path, read by one itemgetter call."""
-    return bytes(itemgetter(*path)(code)) if len(path) > 1 else code[path[0]:path[0] + 1]
+    """Chord-class counts {(hexagon, lo edge, hi edge): n}.  Word must be
+    spur-free (`embed.to_coordinates`)."""
+    from . import embed
+    return embed.to_coordinates(w)
 
 
 def from_normal_coordinates(coords) -> list[CurveWord]:
-    """All components of the unique normal multicurve with these chord counts."""
-    nxt, code = _embedding(*_class_counts(coords))
-    return [CurveWord(_path_code(code, path)) for path in _traces(nxt)]
+    """All components of the unique normal multicurve with these chord counts
+    (`embed.from_normal_coordinates`)."""
+    from . import embed
+    return embed.from_normal_coordinates(coords)
 
 
 # ------------------------------------------------------------- normalization
-
-
-def reversed_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    """The same curve traversed backwards."""
-    return tuple((e, OTHER_HEX[e][h]) for e, h in reversed(steps))
 
 
 # Rank pieces only where the least byte occurs more often than this: on the
@@ -631,17 +328,21 @@ def _bounds_disk(code: bytes, system: str) -> bool:
     to nothing; a reduced word stays nonempty when also read cyclically.
 
     Cancellation is confluent, so one round of deleting the doubled letters
-    (one replace each) runs before the stack loop finishes the cascades."""
+    (one replace each) runs before the stack loop finishes the cascades.
+    The loop keeps the top of the stack in a local, below it the sentinel
+    -1, which matches no letter."""
     word = code.translate(_CURVE_OF_BYTE, _ABC_BYTES if system == "V" else _XYZ_BYTES)
     for pair in _DOUBLED_CURVES[system]:
         word = word.replace(pair, b"")
     stack: list[int] = []
+    top = -1
     for c in word:
-        if stack and stack[-1] == c:
-            stack.pop()
+        if c == top:
+            top = stack.pop()
         else:
-            stack.append(c)
-    return not stack
+            stack.append(top)
+            top = c
+    return top < 0
 
 
 def normalize(w: CurveWord) -> CurveWord:
@@ -652,37 +353,6 @@ def normalize(w: CurveWord) -> CurveWord:
     if not code:
         raise EmptyAfterNormalization("curve is null-homotopic")
     return _reembed(code)
-
-
-def _trace(w: bytes) -> tuple[list[int], int]:
-    """Traced states and alignment of an encoded minimal word.
-
-    Its class counts must re-embed as one normal curve that traces w forwards
-    or backwards (then the path is reversed): position p is path[(p - r) % n].
-    """
-    present, sizes = _class_sizes(w)
-    nxt, code = _embedding(present, sizes)
-    # the slots number n = len(w), so one cycle of n states is the only component
-    n, path, d = len(w), [1], 1
-    for _ in repeat(None, n - 1):
-        d = nxt[d]
-        path.append(d)  # specialized by the interpreter: faster than a bound append
-    ww, r = w + w, -1
-    if n and nxt[d] == 1:
-        traced = _path_code(code, path)
-        r = ww.find(traced)
-        if r < 0:
-            r = ww.find(traced[::-1].translate(_REVERSED))
-            path.reverse()
-    # a walk that passes state 1 before it closes repeats its bytes, which only
-    # a word that repeats itself can match: only then are the passes counted
-    if r < 0 or ww.find(w, 1) < n:
-        if not n or nxt[d] != 1 or path.count(1) > 1:
-            found = sum(1 for _ in _traces(nxt))
-            raise InternalInvariantError(f"minimal word re-embedded into {found} components")
-        if r < 0:
-            raise InternalInvariantError("re-embedding changed the cyclic word")
-    return path, r
 
 
 # The one live normalized curve of each code, weakly held: codes whose trace
@@ -703,10 +373,11 @@ def _interned(least: bytes) -> CurveWord:
 def _reembed(code: bytes) -> CurveWord:
     """Canonical embedded realization of a minimal word's code: the live
     curve of its least rotation.  A code that no live curve holds is
-    verified first (`_trace`)."""
+    verified first (`embed._trace`)."""
     least = _least_rotation(code)
     if least not in _CURVES:
-        _trace(code)
+        from . import embed
+        embed._trace(code)
     return _interned(least)
 
 
@@ -872,8 +543,8 @@ def to_doc(w: CurveWord) -> dict:
 
 
 def coordinates_doc(w: CurveWord) -> dict:
-    w = ensure_normal(w)
-    coords = to_coordinates(w)
+    from . import embed
+    coords = embed.to_coordinates(ensure_normal(w))
     nested: dict[str, dict[str, int]] = {}
     for (h, e1, e2), c in sorted(coords.items()):
         nested.setdefault(HEX_TOKENS[h], {})[f"{EDGE_TOKENS[e1]}-{EDGE_TOKENS[e2]}"] = c
@@ -908,18 +579,8 @@ def from_doc(doc: dict) -> CurveWord:
                 if type(c) is not int:
                     raise MalformedInput(f"count of {ht} {pair} must be an integer, not {type(c).__name__}")
                 coords[(HEX_OF_TOKEN[ht], min(e1, e2), max(e1, e2))] = c
-        # one component must pass every slot: refuse the others unwalked.
-        # Counts with a common factor d are d parallel copies of the
-        # multicurve of the counts divided by d, so only that one is built
-        present, sizes = _class_counts(coords)
-        copies = gcd(*sizes) or 1
-        nxt, code = _embedding(present, [c // copies for c in sizes], copies)
-        path, slots = next(_traces(nxt), []), copies * len(nxt) // 2
-        if not path or len(path) < slots:
-            raise MalformedInput("normal coordinates describe more than one component: the first "
-                                 f"crosses {len(path)} of {slots} slots" if path else
-                                 "normal coordinates describe no component, expected 1")
-        return validate(list(map(_STEP_OF_BYTE.__getitem__, _path_code(code, path))))
+        from . import embed
+        return validate(list(map(_STEP_OF_BYTE.__getitem__, embed._first_component(coords))))
     raise MalformedInput(f"unknown representation {rep!r}")
 
 
@@ -937,14 +598,11 @@ def loads(text: str) -> CurveWord:
 
 # ------------------------------------------------------------- stock curves
 
-# already its normalize() word, code 00 19 07 1e
-P_CURVE = normalize(CurveWord.from_tokens([["A1", "H1"], ["X1", "H2"], ["A2", "H4"], ["X2", "H3"]]))
+# The standard curve and the pushoffs of the six system curves, pinned as the
+# codes of the normalize() words of their step tokens and interned untraced,
+# so that importing the package loads no re-embedding; the tests trace each
+# one from its tokens.
+P_CURVE = _interned(bytes.fromhex("0019071e"))
 
-PUSHOFFS = {
-    "A": CurveWord.from_tokens([["Y1", "H2"], ["Z1", "H1"]]),
-    "B": CurveWord.from_tokens([["Z1", "H2"], ["X1", "H1"]]),
-    "C": CurveWord.from_tokens([["Y1", "H1"], ["X1", "H2"]]),
-    "X": CurveWord.from_tokens([["B1", "H3"], ["C1", "H1"]]),
-    "Y": CurveWord.from_tokens([["C1", "H3"], ["A1", "H1"]]),
-    "Z": CurveWord.from_tokens([["A1", "H3"], ["B1", "H1"]]),
-}
+PUSHOFFS = {name: _interned(bytes.fromhex(code)) for name, code in (
+    ("A", "2128"), ("B", "1829"), ("C", "1920"), ("X", "0a10"), ("Y", "0012"), ("Z", "0208"))}

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .curve import _ORIGIN, CurveWord, _trace, counts, ensure_normal
+from .curve import CurveWord, counts, ensure_normal
+from .embed import _ORIGIN, _trace
 from .surface import CORNER_AFTER, EDGE_TOKENS, HEX_SIDES, HEX_TOKENS, SIDE_POS, VERTEX_TOKENS
 
 _CENTERS = {0: (160.0, 160.0), 1: (480.0, 160.0), 2: (160.0, 480.0), 3: (480.0, 480.0)}

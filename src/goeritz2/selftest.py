@@ -264,9 +264,10 @@ def _checks(quick: bool):
                 assert red.verify_certificate(red.reduce_to_standard(rec.curve), rec.curve)
         finally:
             action_mod._twist = twist
+        from . import embed
         for w in images:
             assert cm._CURVES[w.code] is w
-            cm._trace(w.code)
+            embed._trace(w.code)
 
     def preimage_shortcuts():
         assert _preimage_shortcuts(8) > 3000

@@ -46,11 +46,11 @@ def fresh_curves(monkeypatch):
 # codes, never curves, so they keep no curve alive.
 _COLD_ATLAS = """
 import sys
-from goeritz2 import atlas, curve, handlebody, kernel, reduction
+from goeritz2 import atlas, embed, handlebody, kernel, reduction
 checks, traces, calls = [], [], []
-is_separating, trace, steps = handlebody.is_separating, curve._trace, kernel.normalize_steps
+is_separating, trace, steps = handlebody.is_separating, embed._trace, kernel.normalize_steps
 handlebody.is_separating = lambda w: checks.append(w.code) or is_separating(w)
-curve._trace = lambda code: traces.append(code) or trace(code)
+embed._trace = lambda code: traces.append(code) or trace(code)
 kernel.normalize_steps = lambda code: calls.append(code) or steps(code)
 store = atlas.enumerate_atlas(int(sys.argv[1]))
 for rec in store.records:

@@ -1,5 +1,5 @@
 """Reference re-embedding: the dict-based implementation that the table-driven
-one in `goeritz2.curve` replaced, kept as a test oracle.
+one in `goeritz2.embed` replaced, kept as a test oracle.
 
 Coordinates are dicts keyed by (hexagon, lo edge, hi edge); crossing slots
 are (edge, slot) tuples matched per hexagon; rotations are compared with
@@ -11,8 +11,10 @@ chord classes, several dict operations per crossing) but direct.
 
 `trace` is the table-driven `_trace` that `goeritz2.curve` used before it
 laid out only present fan ends and walked exactly n - 1 successors: class
-counts from a set of arc classes, a successor table filled by two `range`
-slices per chord class, and a walk of every component.
+counts from a set of arc classes, a successor list filled by two `range`
+slices per chord class, and a walk of every component, one state at a time.
+
+`reversed_steps` gives a step sequence traversed backwards.
 
 `slide_pass` and `crosses_index2_corner` build the corner-slid words of an
 earlier canonical form, which the table-driven re-embedding must accept or
@@ -22,7 +24,8 @@ reject as this reference does.
 from __future__ import annotations
 
 from goeritz2 import curve as cm
-from goeritz2.curve import CurveWord, reversed_steps
+from goeritz2 import embed
+from goeritz2.curve import CurveWord
 from goeritz2.errors import InconsistentCoordinates, InternalInvariantError, NotEmbeddable
 from goeritz2.surface import (
     CORNER_AFTER,
@@ -37,6 +40,11 @@ from goeritz2.surface import (
     VERTEX_TOKENS,
     fan_key_from,
 )
+
+
+def reversed_steps(steps):
+    """The same curve traversed backwards."""
+    return tuple((e, OTHER_HEX[e][h]) for e, h in reversed(steps))
 
 
 def _slot_origin(e):
@@ -241,11 +249,11 @@ def interleaving_chords(steps):
 
 
 def _arc_counts(w):
-    arcs = cm._arc_classes(w)
+    arcs = embed._arc_classes(w)
     present = set(arcs)
-    if cm._SPUR_ARC in present:
+    if embed._SPUR_ARC in present:
         raise InternalInvariantError("coordinates of a word with spurs")
-    counts = [0] * len(cm._CLASS_KEYS)
+    counts = [0] * len(embed._CLASS_KEYS)
     for i in present:
         counts[i] = arcs.count(i)
     return counts
@@ -261,12 +269,12 @@ def _embedding(counts):
     present = [i for i, c in enumerate(counts) if c]
     mask = sum(1 << i for i in present)
     for i in present:
-        if cm._CLASS_CROSSES[i] & mask:
+        if embed._CLASS_CROSSES[i] & mask:
             raise NotEmbeddable(
-                f"interleaving chord classes in {HEX_TOKENS[cm._CLASS_KEYS[i][0]]}")
+                f"interleaving chord classes in {HEX_TOKENS[embed._CLASS_KEYS[i][0]]}")
     crossings = [0] * 24
     for i in present:
-        lo, hi = cm._CLASS_ENDS[i]
+        lo, hi = embed._CLASS_ENDS[i]
         crossings[lo] += counts[i]
         crossings[hi] += counts[i]
     off = [0] * 13
@@ -275,19 +283,19 @@ def _embedding(counts):
             raise InconsistentCoordinates(
                 f"edge {EDGE_TOKENS[e]} endpoint counts differ: {crossings[2 * e:2 * e + 2]}")
         off[e + 1] = off[e] + crossings[2 * e]
-    start = [0] * (2 * len(cm._CLASS_KEYS))
+    start = [0] * (2 * len(embed._CLASS_KEYS))
     for j, t in enumerate(crossings):
         if t:
             pos = off[j >> 1]
-            for end in cm._FAN[j]:
+            for end in embed._FAN[j]:
                 start[end] = pos
                 pos += counts[end >> 1]
-    code = b"".join([cm._SLOT_BYTES[e] * crossings[2 * e] for e in range(12)])
+    code = b"".join([embed._SLOT_BYTES[e] * crossings[2 * e] for e in range(12)])
     nxt = [0] * len(code)
     for i in present:
-        c, anti = counts[i], cm._CLASS_ANTI[i]
+        c, anti = counts[i], embed._CLASS_ANTI[i]
         a, b = start[2 * i], start[2 * i + 1]
-        ka, kb = cm._CLASS_ENDS[i][0] & 1, cm._CLASS_ENDS[i][1] & 1
+        ka, kb = embed._CLASS_ENDS[i][0] & 1, embed._CLASS_ENDS[i][1] & 1
         nxt[2 * a + ka:2 * (a + c):2] = _span(b, c, 1 - kb, anti)
         nxt[2 * b + kb:2 * (b + c):2] = _span(a, c, 1 - ka, anti)
     return nxt, code
@@ -317,7 +325,7 @@ def trace(w):
     if path is None or len(path) != len(w):
         found = (path is not None) + sum(1 for _ in traces)
         raise InternalInvariantError(f"minimal word re-embedded into {found} components")
-    traced, ww = cm._path_code(code, path), w + w
+    traced, ww = embed._path_code(code, path), w + w
     r = ww.find(traced)
     if r < 0:
         r = ww.find(traced[::-1].translate(cm._REVERSED))

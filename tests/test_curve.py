@@ -1,12 +1,15 @@
 """Curve words: validation, normalization, counts, census, coordinates."""
 
 import random
+import tracemalloc
 
 import pytest
+from reembed_oracle import reversed_steps
 
 from goeritz2 import action, kernel
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2 import embed
 from goeritz2 import handlebody as hb
 from goeritz2 import reduction as red
 from goeritz2.errors import (
@@ -34,6 +37,35 @@ def test_standard_curve_is_valid():
 def test_standard_curve_is_its_normalized_word():
     assert cm.P_CURVE.normalized and cm.P_CURVE.code == bytes.fromhex("0019071e")
     assert cm.normalize(cm.CurveWord(cm.P_CURVE.code)).code == cm.P_CURVE.code
+
+
+# the step tokens of the stock curves, which `curve` pins as codes
+STOCK_TOKENS = {
+    "P": [["A1", "H1"], ["X1", "H2"], ["A2", "H4"], ["X2", "H3"]],
+    "A": [["Y1", "H2"], ["Z1", "H1"]],
+    "B": [["Z1", "H2"], ["X1", "H1"]],
+    "C": [["Y1", "H1"], ["X1", "H2"]],
+    "X": [["B1", "H3"], ["C1", "H1"]],
+    "Y": [["C1", "H3"], ["A1", "H1"]],
+    "Z": [["A1", "H3"], ["B1", "H1"]],
+}
+
+
+def test_the_pinned_stock_curves_are_the_traced_words_of_their_tokens(monkeypatch):
+    # interned at import untraced: with an empty intern table, `validate`
+    # traces each token word, and its normalize() word has the pinned code
+    pinned = {"P": cm.P_CURVE, **cm.PUSHOFFS}
+    assert pinned.keys() == STOCK_TOKENS.keys()
+    monkeypatch.setattr(cm, "_CURVES", type(cm._CURVES)())
+    traced, trace = [], embed._trace
+    monkeypatch.setattr(embed, "_trace", lambda code: traced.append(code) or trace(code))
+    for name, tokens in STOCK_TOKENS.items():
+        w = cm.normalize(cm.CurveWord.from_tokens(tokens))
+        assert pinned[name].normalized and w.code == pinned[name].code, name
+        assert cm._least_rotation(traced[-1]) == w.code, name
+        path, r = trace(pinned[name].code)
+        assert len(path) == len(w) and r >= 0
+    assert len(traced) == len(STOCK_TOKENS)
 
 
 def test_chain_violation_rejected():
@@ -290,7 +322,7 @@ def test_ill_typed_documents_raise_malformed_input(doc):
 def test_signature_rotation_and_reversal_invariant():
     w = cm.normalize(cm.P_CURVE)
     rotated = cm.CurveWord(w.steps[1:] + w.steps[:1])
-    reversed_ = cm.CurveWord(cm.reversed_steps(w.steps))
+    reversed_ = cm.CurveWord(reversed_steps(w.steps))
     assert reduce_to_standard(rotated).word == reduce_to_standard(reversed_).word == []
 
 
@@ -351,12 +383,40 @@ def test_a_normal_document_of_many_components_builds_none_of_them(monkeypatch):
     assert len(cm.from_doc(cm.coordinates_doc(cm.P_CURVE))) == 4 and made  # the spy sees P's
 
 
-def test_a_refused_document_leaves_the_shared_state_list_as_it_was():
-    # P times 10^5 needs 800,000 states: its successor table gets a list of
-    # its own, and the process keeps no list of that size after the refusal
-    with pytest.raises(MalformedInput, match="^normal coordinates describe more than one "):
-        cm.from_doc(_times(cm.coordinates_doc(cm.P_CURVE), 100_000))
-    assert len(cm._STATES) == 2048
+def _plus(doc: dict, other: dict) -> dict:
+    """A normal document with the chord counts of two documents added."""
+    coords = {h: dict(chords) for h, chords in doc["coordinates"].items()}
+    for h, chords in other["coordinates"].items():
+        for pair, c in chords.items():
+            coords.setdefault(h, {})[pair] = coords.get(h, {}).get(pair, 0) + c
+    return {**doc, "coordinates": coords}
+
+
+def _traced_memory(fn):
+    """Bytes that fn() leaves allocated, and the most it had allocated at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_refused_document_keeps_no_successor_table():
+    # P times 10^5 plus a B pushoff has counts with gcd 1, so its successor
+    # table of 800,004 states is built (4 bytes a state) before the first
+    # component is walked; the process keeps none of it after the refusal,
+    # nor anything of the 10^5 parallel copies of P
+    p = _times(cm.coordinates_doc(cm.P_CURVE), 100_000)
+    for doc, slots, built in ((p, 400_000, False),
+                              (_plus(p, cm.coordinates_doc(cm.PUSHOFFS["B"])), 400_002, True)):
+        def refuse():
+            with pytest.raises(MalformedInput, match="^normal coordinates describe more than one "
+                                                     f"component: the first crosses 4 of {slots} slots$"):
+                cm.from_doc(doc)
+        kept, peak = _traced_memory(refuse)
+        assert kept < 50_000
+        assert (peak > 4 * 800_004) == built
 
 
 def test_a_document_of_parallel_copies_builds_one_copy(monkeypatch):
@@ -364,19 +424,23 @@ def test_a_document_of_parallel_copies_builds_one_copy(monkeypatch):
     # copies of P, so only P's table of 8 states is built before the refusal
     # (the whole table took 0.64 s and 483 MB), and the message still counts
     # the document's slots
-    built, embedding = [], cm._embedding
+    built, embedding = [], embed._embedding
 
     def spy(*args):
         nxt, code = embedding(*args)
         built.append(len(nxt))
         return nxt, code
 
-    monkeypatch.setattr(cm, "_embedding", spy)
-    with pytest.raises(MalformedInput, match="^normal coordinates describe more than one "
-                                             "component: the first crosses 4 of 4000000 slots$"):
-        cm.from_doc(_times(cm.coordinates_doc(cm.P_CURVE), 1_000_000))
+    def refuse():
+        with pytest.raises(MalformedInput, match="^normal coordinates describe more than one "
+                                                 "component: the first crosses 4 of 4000000 slots$"):
+            cm.from_doc(doc)
+
+    doc = _times(cm.coordinates_doc(cm.P_CURVE), 1_000_000)
+    monkeypatch.setattr(embed, "_embedding", spy)
+    kept, peak = _traced_memory(refuse)
     assert built == [8]
-    assert len(cm._STATES) == 2048
+    assert peak < 100_000
 
 
 def test_a_count_mismatch_names_the_documents_numbers():
@@ -479,7 +543,7 @@ def _facts(w):
 def test_an_unnormalized_word_keeps_no_fact(corpus, ladders):
     rotated = [cm.CurveWord(w.code[1:] + w.code[:1]) for _, w in corpus[:40]] + \
         [cm.CurveWord(w.code[::-1].translate(cm._REVERSED)) for w in ladders]
-    curves = rotated + list(cm.PUSHOFFS.values()) + [cm.validate(list(cm.P_CURVE.steps))]
+    curves = rotated + [cm.validate(list(w.steps)) for w in [cm.P_CURVE, *cm.PUSHOFFS.values()]]
     for w in curves:
         assert not w.normalized
         cm.counts(w)

@@ -14,14 +14,20 @@ from goeritz2.errors import InternalInvariantError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-# a fresh interpreter: the modules each import adds, as JSON lists
+# a fresh interpreter: the modules that importing the package and normalizing
+# the standard curve add, then importing the CLI, then clearing the caches,
+# as JSON lists
 _NEW_MODULES = """
 import json, sys
-before = set(sys.modules)
+loaded = [set(sys.modules)]
 import goeritz2
-package = set(sys.modules)
+goeritz2.normalize(goeritz2.P_CURVE)
+loaded.append(set(sys.modules))
 import goeritz2.cli
-print(json.dumps([sorted(package - before), sorted(set(sys.modules) - package)]))
+loaded.append(set(sys.modules))
+goeritz2.clear_caches()
+loaded.append(set(sys.modules))
+print(json.dumps([sorted(new - old) for old, new in zip(loaded, loaded[1:])]))
 """
 
 
@@ -35,11 +41,13 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", _NEW_MODULES], capture_output=True, text=True,
                          check=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    package, cli = json.loads(out)
+    package, cli, cleared = json.loads(out)
     assert "goeritz2.curve" in package
     assert not {"dataclasses", "inspect"} & set(package)
-    # only the render command loads the renderer
-    assert "goeritz2.render" not in cli
+    # only the render command loads the renderer, and only words from
+    # outside the library load the re-embedding
+    assert not {"goeritz2.embed", "goeritz2.render"} & {*package, *cli, *cleared}
+    assert not cleared
 
 
 def test_mutable_records_share_no_list_or_dict():

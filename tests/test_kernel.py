@@ -192,6 +192,21 @@ def test_bounds_disk_matches_a_stack_reference():
     assert verdicts == {(0, False), (0, True), (1, True), (2, False), (2, True)}
 
 
+def test_bounds_disk_matches_a_stack_reference_at_every_length():
+    # random step bytes, every length up to 40: the stack's top is kept apart
+    # from the list below it, which empties at every length
+    rng = random.Random(41)
+    verdicts = set()
+    for n in range(41):
+        for _ in range(60):
+            code = bytes(rng.randrange(48) for _ in range(n))
+            for system in "VW":
+                verdict = cm._bounds_disk(code, system)
+                assert verdict == _disk_reference(code, system), (code.hex(), system)
+                verdicts.add((n > 0, verdict))
+    assert verdicts == {(False, True), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("passes", [1, 2, kernel._PREFILTER_PASSES])
 def test_prefilter_reports_every_run_start(monkeypatch, passes):
     # the prefilter may report extra starts, never miss one; the walk decides

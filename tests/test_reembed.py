@@ -6,6 +6,7 @@ a two-pointer least rotation.  Every check compares results, or the
 exception type raised, on the same input.
 """
 
+import array
 import functools
 import random
 
@@ -16,6 +17,7 @@ import goeritz2
 from goeritz2 import action
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2 import embed
 from goeritz2.action import GENERATORS, apply_generator
 from goeritz2.errors import (
     Goeritz2Error,
@@ -79,10 +81,13 @@ def test_corpus_and_ladders_match(corpus, ladders):
 
 
 def _traced(trace, code):
+    """What the call returns, a traced path as a list, or the type and
+    message of what it raises."""
     try:
-        return trace(code)
+        result = trace(code)
     except Goeritz2Error as exc:
         return type(exc), str(exc)
+    return (list(result[0]), result[1]) if isinstance(result, tuple) else result
 
 
 def _oracle_trace(code):
@@ -91,11 +96,8 @@ def _oracle_trace(code):
     return path, r
 
 
-def test_trace_matches_the_reference(corpus, ladders, standard_curve, unembedded_word,
-                                     monkeypatch):
-    # path and alignment are what the renderer's ranks read; a short state
-    # table makes nearly every input longer than the prefilled one
-    monkeypatch.setattr(cm, "_STATES", cm._STATES[:16])
+def test_trace_matches_the_reference(corpus, ladders, standard_curve, unembedded_word):
+    # path and alignment are what the renderer's ranks read
     codes = [w.code for _, w in corpus] + [w.code for w in ladders]
     codes += [cm._reversed(code) for code in codes]
     codes += [w.code[r:] + w.code[:r] for w in ladders[:3] for r in range(len(w))]
@@ -103,13 +105,21 @@ def test_trace_matches_the_reference(corpus, ladders, standard_curve, unembedded
            cm._encode((EDGE_OF_TOKEN[e], HEX_OF_TOKEN[h]) for e, h in unembedded_word)]
     outcomes = set()
     for code in codes + bad:
-        got = _traced(cm._trace, code)
+        got = _traced(embed._trace, code)
         assert got == _traced(_oracle_trace, code), code
         outcomes.add(got[1] if isinstance(got[0], type) else "ok")
     assert outcomes == {"ok", "minimal word re-embedded into 2 components",
                         "minimal word re-embedded into 0 components",
                         "re-embedding changed the cyclic word"}
-    assert len(cm._STATES) == 16  # longer words got lists of their own
+
+
+@pytest.mark.parametrize("typecode", ["i", "q"])
+def test_state_numbers_are_a_range(typecode):
+    # written a byte plane at a time: counts on each side of a plane's first
+    # carry, and a successor table of 2 * 70,000 states
+    for count in (0, 1, 2, 255, 256, 257, 65_535, 65_536, 65_537, 140_000):
+        states = embed._states(count, typecode)
+        assert states.typecode == typecode and states == array.array(typecode, range(count))
 
 
 def test_arc_classes_of_arbitrary_step_sequences():
@@ -180,7 +190,7 @@ def test_every_rotation_and_the_reversal(ladders):
     for w in ladders[:5]:
         for r in range(len(w)):
             _same_reembed(cm.CurveWord(w.steps[r:] + w.steps[:r]))
-        _same_reembed(cm.CurveWord(cm.reversed_steps(w.steps)))
+        _same_reembed(cm.CurveWord(oracle.reversed_steps(w.steps)))
 
 
 def test_corner_slide_candidates_accept_and_reject_alike(ladders):
@@ -217,7 +227,7 @@ def test_validate_reports_the_same_interleaving_chords():
             continue
         expected = oracle.interleaving_chords(steps)
         try:
-            cm._check_embeddable(steps)
+            embed._check_embeddable(steps)
         except NotEmbeddable as exc:
             if "interleave" in str(exc):
                 found += 1
@@ -298,47 +308,47 @@ def class_set_families(standard_curve):
     words += [at.record_curve(rec) for rec in at.enumerate_atlas(5).records]
     families = {}
     for w in words:
-        families.setdefault(cm._class_sizes(w.code)[0], []).append(w)
+        families.setdefault(embed._class_sizes(w.code)[0], []).append(w)
     return families
 
 
 def test_one_layout_serves_a_class_set_with_any_counts(class_set_families):
     shared = [ws for ws in class_set_families.values()
-              if len({tuple(cm._class_sizes(w.code)[1]) for w in ws}) >= 4]
+              if len({tuple(embed._class_sizes(w.code)[1]) for w in ws}) >= 4]
     assert len(shared) >= 8
-    cm._layout.cache_clear()
+    embed._layout.cache_clear()
     for w in (w for ws in shared for w in ws):
-        assert _traced(cm._trace, w.code) == _traced(_oracle_trace, w.code), w
+        assert _traced(embed._trace, w.code) == _traced(_oracle_trace, w.code), w
         coords = cm.to_coordinates(w)
         for factor in (1, 2, 3):
             kind, comps, _ = _same_components({k: factor * c for k, c in coords.items()})
             assert kind == "ok" and len(comps) == factor
-    assert cm._layout.cache_info().currsize == len(shared)  # one layout per class set
+    assert embed._layout.cache_info().currsize == len(shared)  # one layout per class set
 
 
 def test_a_small_or_cleared_layout_table_gives_the_same_results(class_set_families,
                                                                  monkeypatch):
     words = [w for ws in class_set_families.values() for w in ws]
-    expected = [_traced(cm._trace, w.code) for w in words]
-    cm._layout.cache_clear()
-    assert [_traced(cm._trace, w.code) for w in words] == expected
-    monkeypatch.setattr(cm, "_layout", functools.lru_cache(maxsize=1)(cm._layout.__wrapped__))
-    assert [_traced(cm._trace, w.code) for w in words] == expected
-    assert cm._layout.cache_info().currsize == 1
+    expected = [_traced(embed._trace, w.code) for w in words]
+    embed._layout.cache_clear()
+    assert [_traced(embed._trace, w.code) for w in words] == expected
+    monkeypatch.setattr(embed, "_layout", functools.lru_cache(maxsize=1)(embed._layout.__wrapped__))
+    assert [_traced(embed._trace, w.code) for w in words] == expected
+    assert embed._layout.cache_info().currsize == 1
 
 
 def test_an_interleaving_class_set_raises_every_time():
-    i, j = next((i, j) for i, mask in enumerate(cm._CLASS_CROSSES) for j in range(i)
+    i, j = next((i, j) for i, mask in enumerate(embed._CLASS_CROSSES) for j in range(i)
                 if mask >> j & 1)
-    coords = {cm._CLASS_KEYS[i]: 1, cm._CLASS_KEYS[j]: 1}
-    size = cm._layout.cache_info().currsize
+    coords = {embed._CLASS_KEYS[i]: 1, embed._CLASS_KEYS[j]: 1}
+    size = embed._layout.cache_info().currsize
     messages = []
     for _ in range(2):
         with pytest.raises(NotEmbeddable, match="interleaving chord classes in H") as exc:
             cm.from_normal_coordinates(coords)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
-    assert cm._layout.cache_info().currsize == size
+    assert embed._layout.cache_info().currsize == size
     assert _outcome(oracle.from_normal_coordinates, coords) == ("raised", NotEmbeddable)
 
 
@@ -357,16 +367,16 @@ def test_side_count_mismatches_name_the_first_edge(ladders):
 
 
 def test_the_empty_word_and_no_coordinates():
-    assert _traced(cm._trace, b"") == _traced(_oracle_trace, b"") == (
+    assert _traced(embed._trace, b"") == _traced(_oracle_trace, b"") == (
         InternalInvariantError, "minimal word re-embedded into 0 components")
     assert cm.from_normal_coordinates({}) == oracle.from_normal_coordinates({}) == []
 
 
 def test_clear_caches_empties_the_layout_table(ladders):
-    cm._trace(ladders[-1].code)
-    assert cm._layout.cache_info().currsize > 0
+    embed._trace(ladders[-1].code)
+    assert embed._layout.cache_info().currsize > 0
     goeritz2.clear_caches()
-    assert cm._layout.cache_info().currsize == 0
+    assert embed._layout.cache_info().currsize == 0
 
 
 # ------------------------------------------------------ least rotation at scale

@@ -5,6 +5,7 @@ import itertools
 import pathlib
 
 from goeritz2 import curve as cm
+from goeritz2 import embed
 from goeritz2.action import apply_word
 from goeritz2.render import _ranks, render_svg
 from goeritz2.surface import SIDE_POS
@@ -28,7 +29,7 @@ def test_ranks_order_crossings_as_embedded(corpus, standard_curve):
         for i, (e, h) in enumerate(w.steps):
             ends = []
             for p, f in ((i, e), ((i + 1) % n, w.steps[(i + 1) % n][0])):
-                r = rank[p] if cm._ascending(h, f) else size[f] - 1 - rank[p]
+                r = rank[p] if embed._ascending(h, f) else size[f] - 1 - rank[p]
                 ends.append((SIDE_POS[h][f], r))
             chords[h].append(sorted(ends))
         for cs in chords.values():

@@ -1,4 +1,4 @@
-"""One live curve per code, in front of `curve._trace`.
+"""One live curve per code, in front of `embed._trace`.
 
 `_reembed` hands out the live curve of a code and traces only a code that
 no live curve holds; `validate` traces its input every time, and
@@ -19,6 +19,7 @@ import goeritz2
 from goeritz2 import action
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2 import embed
 from goeritz2 import kernel
 from goeritz2 import reduction as red
 from goeritz2.action import GENERATORS, apply_generator
@@ -30,9 +31,9 @@ from conftest import cold_atlas_counts
 
 @pytest.fixture
 def traced(monkeypatch):
-    """The codes `curve._trace` is called on, in order, and whether each passed."""
+    """The codes `embed._trace` is called on, in order, and whether each passed."""
     calls = []
-    trace = cm._trace
+    trace = embed._trace
 
     def spy(code):
         try:
@@ -43,7 +44,7 @@ def traced(monkeypatch):
         calls.append((code, True))
         return result
 
-    monkeypatch.setattr(cm, "_trace", spy)
+    monkeypatch.setattr(embed, "_trace", spy)
     return calls
 
 
@@ -191,9 +192,9 @@ def _distinct_curves(corpus, ladders):
 def test_relabel_images_pass_the_trace(corpus, ladders):
     # the equivariance that lets a relabel image inherit its input's verdict
     for w in _distinct_curves(corpus, ladders):
-        cm._trace(w.code)
+        embed._trace(w.code)
         for g in _RELABELS:
-            cm._trace(action._relabel(w, g).code)
+            embed._trace(action._relabel(w, g).code)
 
 
 @pytest.fixture
@@ -234,7 +235,7 @@ def test_slide_free_twist_images_pass_the_trace_and_come_back_interned(
     assert not traced  # no kernel pass slid a run, so the library traced no image
     assert len(twist_images) > 16 * len(curves) and root[0] is cm._CURVES[root[0].code]
     for image in twist_images:
-        cm._trace(image.code)
+        embed._trace(image.code)
     assert all(ok for _, ok in traced)
 
 
