@@ -21,8 +21,8 @@ image by one `bytes.replace`.  A single twist's images are the detours of
 single twists' images, 5 bytes for beta^+-1 and 9 for the full twist.  A
 relabeling symmetry is one `bytes.translate`.
 
-The image of an interned curve (`curve._CURVES`) in which the kernel slid
-no run is interned untraced, as `embed._trace` cannot fail on it:
+The image of a normalized, hence interned, curve (`curve._CURVES`) in which
+the kernel slid no run is interned untraced, as `embed._trace` cannot fail:
 - the input is embedded: traced when it came from outside, one of the
   stock curves `curve.P_CURVE` and `curve.PUSHOFFS`, whose pinned codes the
   tests trace, or made by the library from an embedded word;
@@ -37,8 +37,7 @@ no run is interned untraced, as `embed._trace` cannot fail on it:
 - a spur-free embedded word is normal, so its chord-class counts re-embed
   as the word itself;
 - sliding a run that is not innermost is a homotopy, not an isotopy, so a
-  word whose kernel pass slid a run is still traced (`curve._reembed`), as is
-  the image of a `CurveWord(code, normalized=True)`, which nothing checked.
+  word whose kernel pass slid a run is still traced (`curve._reembed`).
 The tests and `selftest --full` trace these images.
 
 Such an image remembers its first maker (`CurveWord._preimage`): the
@@ -55,19 +54,18 @@ code has one, without a substitution, kernel pass or least rotation
 - so T' of the image's code, a rotation of the freely reduced T(Q), and
   T'(T(Q)) differ by words that cancel, and by confluence both reduce
   freely to a rotation of Q's code, which holds no bigon run: the kernel
-  slides nothing, and `_twist` hands out the live curve of Q's code, at
-  once or, if the image is no longer interned, through `curve._reembed`.
+  slides nothing, and `_twist` hands out the live curve of Q's code.
 `selftest --full` recomputes every shortcut of a cold atlas to depth 8.
 
 The generator action is memoized by normalized curve (`_act`, an LRU memo
 of 4096 entries): the atlas applies every generator to each record, and
 the reduction and certificate replay of that record apply the same ones
 again.  A miss hands out the live curve of its image's code, so the memo
-stores interned curves for interned keys; an action that raises is not
-stored, and a hit builds no `CurveWord`.  An entry whose curves nothing
-else holds costs about 2n + 560 bytes for curves of n crossings
-(tracemalloc).  The atlas to depth 7 with a round trip per record uses
-3,108 entries; to depth 8 it misses 8,517 times and evicts.
+holds interned curves only; an action that raises is not stored, and a hit
+builds no `CurveWord`.  An entry whose curves nothing else holds costs
+about 2n + 560 bytes for curves of n crossings (tracemalloc).  The atlas to
+depth 7 with a round trip per record uses 3,108 entries; to depth 8 it
+misses 8,517 times and evicts.
 
 Nothing here tells two curves apart.  Images of the standard curve are
 reducing, and two reducing curves are equal iff `reduction.reduce_to_standard`
@@ -219,7 +217,7 @@ def _made_from(w: CurveWord, undo) -> CurveWord | None:
 
 
 def _remember(image: CurveWord, w: CurveWord, undo) -> CurveWord:
-    """Record on an interned image of the interned w its first maker."""
+    """Record on the image of w, both interned, its first maker."""
     if image._preimage is None and image is not w:
         image._preimage = (undo, w.code)
     return image
@@ -228,8 +226,8 @@ def _remember(image: CurveWord, w: CurveWord, undo) -> CurveWord:
 def _twist(w: CurveWord, curves: str, direction: int) -> CurveWord:
     """The image of a normalized word under the twists of `curves`: one
     substitution, then the kernel; a word that crosses none of their rails
-    is fixed.  The image of an interned curve in which the kernel slid no
-    run is interned untraced; any other image is re-embedded (`curve._reembed`).
+    is fixed.  An image in which the kernel slid no run is interned
+    untraced; one in which it slid a run is re-embedded (`curve._reembed`).
     An image made by the inverse twists gives back its live preimage."""
     made_from = _made_from(w, (curves, direction))
     if made_from is not None:
@@ -241,7 +239,7 @@ def _twist(w: CurveWord, curves: str, direction: int) -> CurveWord:
     code, slides = kernel.normalize_steps(image)
     if not code:
         raise EmptyAfterNormalization("curve is null-homotopic")
-    if slides or w.code not in cm._CURVES:
+    if slides:
         return cm._reembed(code)
     return _remember(cm._interned(cm._least_rotation(code)), w, (curves, -direction))
 
@@ -275,17 +273,14 @@ def _relabel_table(name: str) -> bytes:
 def _relabel(w: CurveWord, name: str) -> CurveWord:
     """Image of a normalized word: an automorphism preserves minimality, so
     only the rotation start drifts.  It also maps the word's normal
-    multicurve onto the image's, so the image of an interned curve is
-    interned (`curve._CURVES`); that of a word built with
-    `CurveWord(code, normalized=True)` is not, unless its code lives.  An
-    image made by the inverse relabeling gives back its live preimage."""
+    multicurve onto the image's, so the image is interned untraced
+    (`curve._CURVES`).  An image made by the inverse relabeling gives back
+    its live preimage."""
     made_from = _made_from(w, name)
     if made_from is not None:
         return made_from
     least = cm._least_rotation(w.code.translate(_relabel_table(name)))
-    if w.code in cm._CURVES:
-        return _remember(cm._interned(least), w, _INVERSE[name])
-    return cm._CURVES.get(least) or CurveWord(least, normalized=True)
+    return _remember(cm._interned(least), w, _INVERSE[name])
 
 
 def apply_generator(w: CurveWord, g: str) -> CurveWord:

@@ -93,18 +93,17 @@ class CurveWord:
     (`_preimage`): the operation that undoes it, a relabeling name or a
     twist spec `(curves, direction)`, and Q's code, never Q itself.  That
     operation hands back Q's live curve without computing it (`action`).
-    `CurveWord(code, normalized=True)` asserts that the code is the least
-    rotation of an embedded minimal word: it checks nothing and is not
-    interned.  An unnormalized word holds no fact; `validate` may leave it
-    its `normalize()` word (`_normal`).
+    Normalized means interned: only `_interned` makes a normalized word, so
+    each was verified when it was made.  An unnormalized word holds no fact;
+    `validate` may leave it its `normalize()` word (`_normal`).
     """
 
     __slots__ = ("code", "normalized", "_counts", "_reason", "_pass", "_normal", "_preimage",
                  "__weakref__")
 
-    def __init__(self, steps, normalized: bool = False):
+    def __init__(self, steps):
         self.code = steps if isinstance(steps, bytes) else _encode(steps)
-        self.normalized = normalized
+        self.normalized = False
         self._counts = None
         self._reason = _UNCHECKED
         self._pass = None
@@ -188,11 +187,10 @@ def validate(steps) -> CurveWord:
         except (TypeError, ValueError):
             raise MalformedWord(f"step {i}: {step!r} is not an (edge, hexagon) pair") from None
         checked.append((_index(i, "edge", e, 12), _index(i, "hexagon", h, 4)))
-    steps = checked
-    _check_chain(steps)
+    _check_chain(checked)
     from . import embed
-    core = embed._check_embeddable(steps)
-    w = CurveWord(steps)
+    w = CurveWord(checked)
+    core = embed._check_embeddable(w.code)
     if core and not kernel.normalize_steps(core)[1]:
         w._normal = _interned(_least_rotation(core))
     return w
@@ -307,7 +305,7 @@ def _reversed(w: bytes) -> bytes:
 
 def _cyclic(w: CurveWord) -> bytes:
     """The least rotation of the code, which a normalized word's code is:
-    `_interned` and `action._relabel` make only least rotations."""
+    `_interned`, which makes every normalized word, takes only least rotations."""
     return w.code if w.normalized else _least_rotation(w.code)
 
 
@@ -366,7 +364,8 @@ def _interned(least: bytes) -> CurveWord:
     relabeling or under a twist in which the kernel slid no run (`action`)."""
     w = _CURVES.get(least)
     if w is None:
-        w = _CURVES[least] = CurveWord(least, normalized=True)
+        w = _CURVES[least] = CurveWord(least)
+        w.normalized = True
     return w
 
 

@@ -39,7 +39,7 @@ from math import gcd
 from operator import getitem, mul
 
 from . import kernel
-from .curve import _REVERSED, CurveWord, _big, _encode
+from .curve import _REVERSED, CurveWord, _big
 from .errors import InconsistentCoordinates, InternalInvariantError, MalformedInput, NotEmbeddable
 from .kernel import _POSITION
 from .surface import (
@@ -64,9 +64,8 @@ _ORIGIN = tuple(min(EDGE_ENDPOINTS[e], key=VERTEX_TOKENS.__getitem__) for e in r
 # ------------------------------------------------------------- checks
 
 
-def _check_embeddable(steps) -> bytes:
-    """Raise unless the steps are one embedded curve; return the traced spur-free core."""
-    code = _encode(steps)
+def _check_embeddable(code: bytes) -> bytes:
+    """Raise unless the code is one embedded curve; return the traced spur-free core."""
     # chord classes present in a hexagon must not interleave (spur chords exempt)
     clash = _first_clash(bytes(sorted(set(_arc_classes(code)) - {_SPUR_ARC})))
     if clash:

@@ -2,13 +2,15 @@
 
 Prints one pass/fail line per check and returns a process exit code.  The full
 battery mirrors the acceptance suite at reduced corpus size; `--full` raises
-the corpus to the acceptance size.
+the corpus to the acceptance size.  The checks are asserts: under `python -O`
+it refuses to run and exits 2, the CLI's usage code.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+import sys
 import traceback
 from collections import Counter
 
@@ -304,6 +306,10 @@ def _checks(quick: bool):
 
 
 def run(quick: bool = True) -> int:
+    if not __debug__:
+        print("selftest: python -O strips the asserts it checks with; run it without -O",
+              file=sys.stderr)
+        return 2
     failures = 0
     for name, fn in _checks(quick):
         try:

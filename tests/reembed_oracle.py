@@ -213,6 +213,8 @@ def from_normal_coordinates(coords):
 
 
 def reembed(word):
+    """The traced word at its least rotation, as an unnormalized `CurveWord`
+    (only `goeritz2.curve` interns, and so normalizes, a word)."""
     comps = from_normal_coordinates(to_coordinates(word))
     if len(comps) != 1:
         raise InternalInvariantError(
@@ -224,9 +226,9 @@ def reembed(word):
     rev = least_rotation(reversed_steps(traced.steps))
     want = least_rotation(word.steps)
     if fwd == want:
-        return CurveWord(fwd, normalized=True)
+        return CurveWord(fwd)
     if rev == want:
-        return CurveWord(rev, normalized=True)
+        return CurveWord(rev)
     raise InternalInvariantError("re-embedding changed the cyclic word")
 
 

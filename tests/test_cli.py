@@ -269,3 +269,14 @@ def test_bad_curve_in_atlas_store_exit_code(bad_curve_store, capsys):
     assert main(["atlas", "--in", str(store), "--depth", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {store}, line 4: {reason}"), err
+
+
+def test_selftest_refuses_to_run_without_asserts():
+    # its checks are assert statements, which python -O strips: it must not
+    # report "all checks passed" on a run that checked nothing
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-m", "goeritz2.cli", "selftest"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2, proc.stdout
+    assert "all checks passed" not in proc.stdout and "without -O" in proc.stderr

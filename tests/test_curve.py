@@ -511,7 +511,7 @@ def test_a_normalized_curve_hashes_and_compares_without_a_rotation(ladders, monk
         image = action.apply_generator(w, "beta")
         calls.clear()
         hash(w)
-        assert w == cm.CurveWord(w.code, normalized=True)
+        assert w == cm._CURVES[w.code] and (w == image) is (w is image)
         assert action.apply_generator(w, "beta") is image  # a memo hit
         assert calls == [], w
         hash(cm.CurveWord(w.code))  # the spy sees an unnormalized word's rotation
@@ -523,16 +523,19 @@ def test_a_normalized_curve_hashes_and_compares_without_a_rotation(ladders, monk
 # of the same code computes, and that an unnormalized word keeps nothing.
 
 
-def test_the_facts_a_curve_keeps_are_those_of_a_fresh_word(corpus, ladders):
+def test_the_facts_a_curve_keeps_are_those_of_a_fresh_word(corpus, ladders, fresh_curves):
     records = [rec.curve for rec in at.enumerate_atlas(6).records]
     images = [action.apply_generator(w, g) for w in records for g in action.GENERATORS]
     curves = [w for _, w in corpus] + ladders + records + images
     assert len({w.code for w in curves}) > 400
-    for w in curves:
-        fresh = cm.CurveWord(w.code, normalized=True)
+    for w in curves:  # what each curve keeps, asked for before its fresh twin lives
+        cm.counts(w), hb.reducing_reason(w)
+    fresh = fresh_curves(*(w.code for w in curves))  # traced again, no fact computed
+    for w, x in zip(curves, fresh):
+        assert x is not w and x.code == w.code
         for _ in range(2):  # the second call reads what the first kept
-            assert cm.counts(w) == cm.counts(fresh), w
-            assert hb.reducing_reason(w) == hb.reducing_reason(fresh), w
+            assert cm.counts(w) == cm.counts(x), w
+            assert hb.reducing_reason(w) == hb.reducing_reason(x), w
         assert cm.counts(w) is cm.counts(w)
 
 

@@ -46,15 +46,17 @@ def _outcome(fn, *args):
 def _steps(result):
     kind, value = result
     if kind == "ok" and isinstance(value, cm.CurveWord):
-        return kind, value.steps, value.normalized
+        return kind, value.steps
     if kind == "ok" and isinstance(value, list):
         return kind, [c.steps for c in value], [c.normalized for c in value]
     return result
 
 
 def _same_reembed(w):
-    new, old = _steps(_outcome(cm._reembed, w.code)), _steps(_outcome(oracle.reembed, w))
-    assert new == old, w
+    new, old = _outcome(cm._reembed, w.code), _outcome(oracle.reembed, w)
+    assert _steps(new) == _steps(old), w
+    if new[0] == "ok":  # the live curve of its code; the oracle's word is unnormalized
+        assert cm._CURVES[new[1].code] is new[1], w
 
 
 def _same_least_rotation(seq):
@@ -227,7 +229,7 @@ def test_validate_reports_the_same_interleaving_chords():
             continue
         expected = oracle.interleaving_chords(steps)
         try:
-            embed._check_embeddable(steps)
+            embed._check_embeddable(cm.CurveWord(steps).code)
         except NotEmbeddable as exc:
             if "interleave" in str(exc):
                 found += 1
