@@ -294,8 +294,11 @@ _ACT_MEMO_SIZE = 4096
 @functools.lru_cache(maxsize=_ACT_MEMO_SIZE)
 def _act(w: CurveWord, g: str) -> CurveWord:
     """The normalized image of a normalized curve under generator g: a
-    relabeling, or for beta^+-1 one substitution and one kernel pass."""
-    if g in ("alpha", "gamma", "delta", "delta_inv"):
+    relabeling (alpha's is the identity, checked by `surface`), or for
+    beta^+-1 one substitution and one kernel pass."""
+    if g == "alpha":
+        return w
+    if g in ("gamma", "delta", "delta_inv"):
         return _relabel(w, g)
     if g not in ("beta", "beta_inv"):
         raise MalformedInput(f"unknown generator {g!r}")

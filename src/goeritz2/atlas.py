@@ -187,12 +187,15 @@ class AtlasStore(SlotRecord):
         return "\n".join(lines)
 
 
+# Each generator with its letter, in the order a level expands them.
+_LETTERED = tuple((format_goeritz_word([gen]), gen) for gen in GENERATORS)
+
+
 def _expand(item: tuple[CurveWord, str]) -> list[tuple[str, CurveWord]]:
     """The six images of a record, each with its witness; `reduce_to_standard`
     checks that a new one is reducing."""
     w, witness = item
-    return [(witness + format_goeritz_word([gen]), apply_generator(w, gen))
-            for gen in GENERATORS]
+    return [(witness + letter, apply_generator(w, gen)) for letter, gen in _LETTERED]
 
 
 def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:

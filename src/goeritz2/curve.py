@@ -12,8 +12,9 @@ their reduction certificate words (`reduction`).
 A word is stored as its code, one byte 4e+h per step (`CurveWord.code`);
 `steps` decodes it on demand.  The kernel, re-embedding, rotation and counts
 all work on the code: curve counts are one `translate` and six `count`s, and
-the least rotation ranks the pieces between runs of the least byte and finds
-the least rotation of the ranks, at most half as long (`_least_rotation`).
+the least rotation cuts the code where the least byte and the least piece
+after it occur, ranks the segments between those markers and finds the least
+rotation of the ranks (`_least_rotation`).
 
 Arc and disk queries read subsequences of the code.  An arc runs from one
 A/B/C crossing to the next and stays in the pants it enters, as every X/Y/Z
@@ -47,7 +48,6 @@ import re
 import weakref
 from collections import namedtuple
 from itertools import accumulate, compress, count
-from operator import add
 
 from . import kernel
 from .kernel import _EDGE_OF_BYTE
@@ -243,27 +243,38 @@ def from_normal_coordinates(coords) -> list[CurveWord]:
 # ------------------------------------------------------------- normalization
 
 
-# Rank pieces only where the least byte occurs more often than this: on the
-# benchmark workloads' words, a few rounds of slice comparisons among fewer
-# starts take less time.
-_FEW_STARTS = 32
+# Split a second time, at the least byte and the least piece, only where the
+# least byte occurs more often than once in this many bytes: the split is one
+# more pass over the word, and it pays by leaving fewer segments to rank.
+_DENSE = 128
+# Compare the rotations at the starts whole where they total at most this
+# many bytes; rank the segments where they total more.
+_WHOLE_BYTES = 1 << 16
 
 
 def _least_rotation(w: bytes) -> bytes:
     """The lexicographically least rotation of w.
 
-    It starts a maximal run of the least byte, found by membership tests in
-    increasing byte order.  Cut w into pieces that each start one (the run,
-    then the bytes up to the next run): the rotations that start there
-    compare as their sequences of pieces, and pieces compare as bytes, since
-    a longer run or a piece that ends sooner meets the least byte first.  So
-    the pieces are ranked, and the least rotation of the rank sequence, at
-    most half as long, picks the start.  Curve words have no runs, and then
-    the pieces are what `split` leaves.  Where the least byte occurs only a
-    few times, or the pieces take more than 256 ranks, the rotations that
-    start at its positions are compared by slices of w + w instead: first
-    on a short prefix, then on prefixes four times longer among those tied,
-    up to their full length.
+    It starts with a marker: a longest run of the least byte, then the
+    least piece that follows one (a piece runs up to the next least byte).
+    Curve words have no runs; their pieces are what `split` leaves, and the
+    marker is the least byte and the least piece.  No rotation of w starts
+    with a smaller string of the marker's length, and the marker overlaps
+    none of its own occurrences: it holds the least byte only in the run it
+    starts with, and no run is longer.  Cut w at the marker's occurrences
+    into segments, each running from one to the next: the rotations that
+    start there compare as their sequences of segments, and segments
+    compare as bytes.  Where one segment is a prefix of another, the
+    rotation of the shorter goes on with the marker and that of the longer
+    with bytes where no marker starts, so with a larger string of the
+    marker's length.  So the segments are ranked, and the least rotation of
+    the ranks picks the start.  Where the least byte is sparse, the marker
+    is the least byte alone and the segments are the pieces.  Where the
+    rotations at the starts are short in total, they are compared whole;
+    where the segments take more than 256 ranks, they are compared on
+    prefixes four times longer each round among those tied.  w itself is
+    split, the segment that wraps round its end joined, and the starts are
+    offsets into w + w.
     """
     n = len(w)
     if n < 2:
@@ -271,22 +282,38 @@ def _least_rotation(w: bytes) -> bytes:
     least = next(filter(w.__contains__, range(256)))
     mark = bytes((least,))
     parts = w.split(mark)
-    if len(parts) > _FEW_STARTS:
-        pieces, cut, width = parts[1:-1] + [parts[-1] + parts[0]], len(parts[0]), 1
-        if not all(pieces):  # runs: cut w at the start of one that does not wrap
-            cut = len(w.rstrip(mark)) if w[-1] == least else cut
-            pieces = re.findall(rb"\x%02x+[^\x%02x]+" % (least, least), w[cut:] + w[:cut])
-            width = 0
-        ranks = sorted(set(pieces))
+    if len(parts) > n:  # one byte repeated
+        return w
+    segments = parts[1:-1]
+    segments.append(parts[-1] + parts[0])
+    cut, marker = len(parts[0]), mark
+    if not all(segments):  # runs: w + w holds each run whole, a wrapped one too
+        marker = min(re.findall(rb"\x%02x+[^\x%02x]+" % (least, least), w + w))
+    elif n < _DENSE * len(segments):
+        marker += min(segments)
+    if len(marker) > 1:
+        parts = w.split(marker)
+        if len(parts) == 1:  # its one occurrence wraps round the end
+            i = (w + w).find(marker)
+            return w[i:] + w[:i]
+        segments = parts[1:-1] + (parts[-1] + parts[0]).split(marker)
+        cut = len(parts[0])
+    if len(segments) == 1:
+        return w[cut:] + w[:cut]
+    m = len(marker)
+    if len(segments) * n > _WHOLE_BYTES:
+        ranks = sorted(set(segments))
         if len(ranks) <= 256:
             rank = dict(zip(ranks, range(256)))
-            code = bytes(map(rank.__getitem__, pieces))
+            code = bytes(map(rank.__getitem__, segments))
             j = (code + code).find(_least_rotation(code))
-            i = (cut + j * width + sum(map(len, pieces[:j]))) % n
+            i = cut + j * m + sum(map(len, segments[:j]))
             return w[i:] + w[:i]
-    # the least byte's positions: the lengths of the parts before each, plus its index
-    starts = list(map(add, accumulate(map(len, parts[:-1])), count()))
-    ww, k = w + w, 8
+    ww = w + w
+    starts = list(accumulate(map(m.__add__, map(len, segments[:-1])), initial=cut))
+    if len(starts) * n <= _WHOLE_BYTES:
+        return min(map(ww.__getitem__, map(slice, starts, map(n.__add__, starts))))
+    k = 2 * m
     while len(starts) > 1:
         k = min(k, n)
         heads = list(map(ww.__getitem__, map(slice, starts, map(k.__add__, starts))))

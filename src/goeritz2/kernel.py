@@ -35,12 +35,14 @@ sides in the cyclic order A Z B X C Y of their curves, so on a closed chain
 the walk reads only that position of each crossed curve: after crossing the
 curve at p, the first fence is at p +- 1, the fences then alternate between
 p + 1 and p - 1, and the run ends at p.  A prefilter runs this walk from every
-start at once, one check per pass: it packs each start's state and the next
-position into one byte of a big integer and maps the bytes through the
-transition table.  Only the starts still alive or returned after a few passes
-are walked, in order.  `_slide_run` replaces the run by the mirrored path on
-the far side of the curve.  `normalize_steps` alternates the two to a fixed
-point.
+start at once.  Its first two steps are one table lookup: one product of the
+positions' big integer by a constant reads each start's three positions as
+one byte, 36 p0 + 6 p1 + p2.  Each later pass packs each start's state and
+the next position into one byte and maps the bytes through the transition
+table, while some walk is alive.  Only the starts still alive or returned
+after a few passes are walked, in order.  `_slide_run` replaces the run by
+the mirrored path on the far side of the curve.  `normalize_steps`
+alternates the two to a fixed point.
 
 Moves are free-homotopy moves: no strand-nesting checks are made here.
 Callers re-embed canonically afterwards, and trace the result unless it is
@@ -87,6 +89,12 @@ def _transitions() -> bytes:
 
 
 _STEP = _transitions()
+# State after two steps of each byte 36 p0 + 6 p1 + p2, p0 the start's position.
+_TWO_STEPS = bytes(_STEP[8 * _STEP[8 * _START[x // 36] + x // 6 % 6] + x % 6]
+                   for x in range(216)).ljust(256, bytes((_FAILED,)))
+# Positions p0 p1 ... as a big-endian integer, times this, hold
+# 36 p_i + 6 p_(i+1) + p_(i+2) in p_i's byte.
+_THREE_POSITIONS = 36 + 6 * 256 + 256 * 256
 _DONE = bytes((_FAILED, _RETURNED))
 _SURVIVED = bytes(x != _FAILED for x in range(256))
 # Walks that stay alive longer are rare (none on the ladder and atlas inputs)
@@ -155,17 +163,25 @@ def remove_spurs(code: bytes) -> bytes:
 
 
 def _prefilter(pos: bytes, n: int) -> bytes:
-    """Byte i is 0 iff the walk from start i fails within the first passes.
+    """Byte i is 0 iff the walk from start i fails within its first two
+    steps or the passes that follow, up to `_PREFILTER_PASSES` steps in all
+    and fewer than n.
 
-    `pos` holds the positions of the doubled word's crossed curves.
+    `pos` holds the positions of the doubled word's crossed curves, read
+    once as a big integer.  They are below 6, so its product by
+    `_THREE_POSITIONS` carries no byte into the next.
     """
-    state = pos[:n].translate(_START)
-    for k in range(1, min(n, _PREFILTER_PASSES + 1)):
-        # the walk from every start i takes its check at position i + k
-        packed = (int.from_bytes(state, "big") << 3) | int.from_bytes(pos[k:k + n], "big")
-        state = packed.to_bytes(n, "big").translate(_STEP)
+    last = max(3, min(n, _PREFILTER_PASSES + 1))  # the passes run for k < last
+    x = int.from_bytes(pos[:n + last - 1], "big")  # every position they read
+    low = (1 << 8 * n) - 1
+    state = (x * _THREE_POSITIONS).to_bytes(n + last + 1, "big")[2:n + 2].translate(_TWO_STEPS)
+    for k in range(3, last):
         if not state.translate(None, _DONE):
-            break
+            return state  # every walk failed or returned
+        # the walk from every start i takes its check at position i + k: the
+        # positions from k on are x without its last (last - 1 - k) bytes
+        packed = (int.from_bytes(state, "big") << 3) | (x >> 8 * (last - 1 - k)) & low
+        state = packed.to_bytes(n, "big").translate(_STEP)
     return state.translate(_SURVIVED)
 
 

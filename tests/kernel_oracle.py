@@ -6,9 +6,15 @@ on parallel lists of edges and hexagons, which the step-byte kernel of
 just before the pair, so it cancels the pairs in the order a rescan from
 index 0 would.  The surface tables are kept as flat copies (an edge that is
 not a side of a hexagon maps to -1), as they were in the replaced module.
+
+`prefilter` is the bigon prefilter one start and one step at a time, through
+the walk tables of `goeritz2.kernel`, which the kernel's two-step table and
+passes over big integers must reproduce.
 """
 
 from __future__ import annotations
+
+from goeritz2.kernel import _FAILED, _START, _STEP
 
 _EDGE_CURVE = (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
 _HEX_SIDES = (
@@ -159,3 +165,14 @@ def normalize_steps(es: list[int], hs: list[int]) -> tuple[list[int], list[int]]
             return es, hs
         _slide_run(es, hs, *run)
 
+
+def prefilter(pos: bytes, n: int, passes: int) -> bytes:
+    """Byte i is 0 iff the walk from start i fails within `passes` steps,
+    given the positions `pos` of the doubled word's crossed curves."""
+    out = bytearray(n)
+    for i in range(n):
+        s = _START[pos[i]]
+        for k in range(1, passes + 1):
+            s = _STEP[8 * s + pos[i + k]]
+        out[i] = s != _FAILED
+    return bytes(out)

@@ -358,6 +358,17 @@ def test_one_substitution_matches_normalized_quarter_turns(corpus, ladders):
                 _quarter_turn_route(w, "C", "Y", d, 4).code, (w, d)
 
 
+def test_alpha_hands_back_its_input_without_a_rotation(corpus, monkeypatch):
+    # alpha is the identity relabeling, which `surface` checks at import
+    calls = []
+    real = cm._least_rotation
+    monkeypatch.setattr(cm, "_least_rotation", lambda code: calls.append(code) or real(code))
+    for _, w in corpus:
+        assert apply_generator(w, "alpha") is w
+        assert action._relabel(w, "alpha") is w
+    assert len(calls) == len(corpus)  # the relabel computes one, alpha none
+
+
 def test_memo_hit_equals_a_cold_recomputation(corpus):
     for word, w in corpus:
         for g in GENERATORS:

@@ -6,6 +6,7 @@ encodes the same input for `goeritz2.kernel` and compares the returned
 words, steps and their order.
 """
 
+import itertools
 import random
 
 import kernel_oracle as oracle
@@ -234,6 +235,54 @@ def test_prefilter_reports_every_run_start(monkeypatch, passes):
     assert with_run > 1000
     if passes <= 2:
         assert reported > returned  # the walk past the prefilter decides
+
+
+def test_the_two_step_table_takes_two_transitions():
+    for p0, p1, p2 in itertools.product(range(6), repeat=3):
+        two = kernel._STEP[8 * kernel._STEP[8 * kernel._START[p0] + p1] + p2]
+        assert kernel._TWO_STEPS[36 * p0 + 6 * p1 + p2] == two, (p0, p1, p2)
+
+
+def _positions(code):
+    return (code + code).translate(kernel._POSITION), len(code)
+
+
+def _same_prefilter(pos, n):
+    """`_prefilter` equals the walk one start and one step at a time; returns
+    whether the passes after the first two steps changed its flags."""
+    passes = max(2, min(n - 1, kernel._PREFILTER_PASSES))
+    flags = kernel._prefilter(pos, n)
+    assert flags == oracle.prefilter(pos, n, passes), pos[:n].hex()
+    return flags != oracle.prefilter(pos, n, 2)
+
+
+def test_prefilter_matches_the_step_by_step_reference(fresh_curves, ladders, monkeypatch):
+    # the kernel's own inputs: a cold atlas to depth 6 and the ladders' beta images
+    seen = []
+    real = kernel._prefilter
+    monkeypatch.setattr(kernel, "_prefilter", lambda pos, n: seen.append((pos, n)) or real(pos, n))
+    fresh_curves()
+    at.enumerate_atlas(6)
+    atlas_inputs = len(seen)
+    for w in ladders:
+        apply_generator(w, "beta")
+        apply_generator(w, "beta_inv")
+    monkeypatch.undo()
+    assert atlas_inputs > 300 and len(seen) > atlas_inputs + len(ladders)
+    seen += [_positions(w.code) for w in ladders]
+    rng = random.Random(19)
+    seen += [_positions(_code(_walk(rng, rng.randint(2, 120), rng.choice((0.0, 0.2)))))
+             for _ in range(3000)]
+    # positions of fence runs of up to 12 steps: walks alive past every pass
+    for _ in range(1000):
+        fences = []
+        while len(fences) < 60:
+            p, side = rng.randrange(6), rng.choice((1, -1))
+            fences += [p] + [(p + side * (-1) ** j) % 6 for j in range(rng.randint(1, 12))]
+        fences = bytes(fences[:rng.randint(3, 60)])
+        seen.append((fences + fences, len(fences)))
+    longer = sum(_same_prefilter(pos, n) for pos, n in seen)
+    assert longer > 1000
 
 
 @pytest.mark.parametrize("steps", [

@@ -429,3 +429,49 @@ def test_least_rotation_of_every_ladder_rotation(ladders):
     for w in ladders:
         for r in range(len(w)):
             _least_matches(w.code[r:] + w.code[:r])
+
+
+def test_least_rotation_of_periodic_words():
+    # equal segments in a row: the ranks have runs of their least byte
+    rng = random.Random(31)
+    for _ in range(150):
+        alphabet = rng.sample(range(48), rng.randint(2, 5))
+        unit = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
+        for k in (2, 3, 40, 400):
+            _least_matches(unit * k)
+
+
+def test_least_rotation_where_the_least_byte_is_sparse_or_dense():
+    # `pieces` least bytes, each followed by `length` larger bytes: the marker
+    # is the least byte alone where pieces are long (sparse), else the least
+    # byte and the least piece; its occurrences are compared whole where they
+    # are few and short, else ranked, or it occurs once, wrapped round the end
+    # or not
+    assert 4 < cm._DENSE < 200
+    assert 40 * 200 <= cm._WHOLE_BYTES < 40 * 12_040
+    rng = random.Random(37)
+    for pieces, length in ((1, 3), (3, 4), (3, 300), (40, 4), (40, 300), (600, 2), (600, 200)):
+        for _ in range(3):
+            w = b"".join(bytes([0] + [rng.choice(b"\x01\x02\x03\x05") for _ in range(length)])
+                         for _ in range(pieces))
+            for r in (0, 1, len(w) // 2, len(w) - 1):
+                _least_matches(w[r:] + w[:r])
+
+
+def test_least_rotation_of_segments_of_more_than_256_ranks():
+    rng = random.Random(41)
+    # the marker is 0 1; it begins 700 distinct segments
+    segments = [bytes((0, 1, 0, 2 + i % 200, 2 + i // 200)) for i in range(700)]
+    rng.shuffle(segments)
+    w = b"".join(segments)
+    _least_matches(w)
+    _least_matches(w[5:] + w[:5])
+    _least_matches(w * 2)  # the prefixes tie up to the whole word
+
+
+def test_least_rotation_of_random_runs_of_the_least_byte():
+    # runs that wrap round the end, and a longest run cut by the end of w + w
+    rng = random.Random(43)
+    for _ in range(2000):
+        w = bytes(rng.choice(b"\x00\x00\x00\x01\x02") for _ in range(rng.randint(2, 80)))
+        _least_matches(w)
