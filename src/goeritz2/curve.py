@@ -23,8 +23,11 @@ edge borders two hexagons of one pants (checked in `surface`).  One
 and edges are one table lookup on the bytes at two consecutive ones, and
 `split_arcs` slices the code between them.  `arc_census` reads every arc's
 type and pants at once, from big-integer sums over the A/B/C bytes.  A
-curve bounds a disk in V (W) iff the X/Y/Z (A/B/C) curves it crosses cancel
-to nothing.
+curve bounds a disk in V (W) iff its X/Y/Z (A/B/C) crossings, read in pi_1
+of that handlebody, freely reduce to nothing: one `translate` drops the
+crossings of the disk that spans the tree and reads each other crossing as a
+generator letter by the side it enters, and a stack cancels the letters
+(`_bounds_disk`).
 
 The re-embedding, which checks that a word is one embedded curve and reads
 its normal coordinates, lives in `embed`; only words from outside need it,
@@ -63,6 +66,7 @@ from .surface import (
     HEX_TOKENS,
     OTHER_HEX,
     SIDE_POS,
+    side_of,
 )
 
 Step = tuple[int, int]  # (edge id, hexagon entered)
@@ -214,9 +218,19 @@ _CURVE_OF_BYTE = bytes(EDGE_CURVE[x >> 2] if x < 48 else 255 for x in range(256)
 _LETTER_OF_BYTE = bytes(CURVE_NAMES[c].encode()[0] if c < 6 else 0 for c in _CURVE_OF_BYTE)
 _ABC_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] < 3)
 _XYZ_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] >= 3)
-# doubled letters of the curves each system's disk test reads: X/Y/Z in V, A/B/C in W
-_DOUBLED_CURVES = {"V": tuple(bytes((c, c)) for c in range(3, 6)),
-                   "W": tuple(bytes((c, c)) for c in range(3))}
+
+
+def _disk_reading(base: int) -> tuple[bytes, bytes]:
+    """The table and the deleted bytes that read a code in pi_1 of the
+    handlebody of base's system, base's disk spanning the tree: a step byte
+    of the k-th other disk of the system entering side s reads 2k + s - 1."""
+    others = [c for c in (range(3) if base < 3 else range(3, 6)) if c != base]
+    read = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] in others)
+    letters = bytes(2 * others.index(EDGE_CURVE[x >> 2]) + side_of(base, x & 3) - 1 for x in read)
+    return bytes.maketrans(read, letters), bytes(x for x in range(48) if x not in read)
+
+
+_DISK_READINGS = tuple(map(_disk_reading, range(6)))
 
 
 def _big(w: bytes, table: bytes) -> int:
@@ -347,27 +361,30 @@ def _theta_letters(code: bytes, system: str) -> list[str]:
                 .decode())
 
 
-def _bounds_disk(code: bytes, system: str) -> bool:
-    """Does the curve bound a disk in V (W)?  The X/Y/Z (A/B/C) curves it
-    crosses, a word in the free product of three copies of Z/2, must cancel
-    to nothing; a reduced word stays nonempty when also read cyclically.
+def _bounds_disk(code: bytes, base: int) -> bool:
+    """Does the curve bound a disk in the handlebody of base's system (V for
+    X/Y/Z, W for A/B/C)?  Its crossings with the system's three disks are a
+    closed edge path in the system's theta graph, whose two vertices are the
+    two sides: each crossing enters the side the next one leaves.  The path
+    is read in pi_1, free on the two disks other than base, whose edge is the
+    spanning tree (`_DISK_READINGS`): a crossing of base reads nothing, and
+    a letter's inverse, the same disk entering the other side, is the letter
+    ^ 1.  The curve bounds a disk iff the reading freely reduces to nothing,
+    whatever the base.
 
-    Cancellation is confluent, so one round of deleting the doubled letters
-    (one replace each) runs before the stack loop finishes the cascades.
-    The loop keeps the top of the stack in a local, below it the sentinel
-    -1, which matches no letter."""
-    word = code.translate(_CURVE_OF_BYTE, _ABC_BYTES if system == "V" else _XYZ_BYTES)
-    for pair in _DOUBLED_CURVES[system]:
-        word = word.replace(pair, b"")
+    The loop keeps the inverse of the top of the stack in a local, which
+    the next letter cancels when it equals it; below the stack's inverses
+    lies the sentinel -2, which matches no letter."""
+    table, skipped = _DISK_READINGS[base]
     stack: list[int] = []
-    top = -1
-    for c in word:
-        if c == top:
-            top = stack.pop()
+    inverse = -2
+    for c in code.translate(table, skipped):
+        if c == inverse:
+            inverse = stack.pop()
         else:
-            stack.append(top)
-            top = c
-    return top < 0
+            stack.append(inverse)
+            inverse = c ^ 1
+    return inverse < 0
 
 
 def normalize(w: CurveWord) -> CurveWord:

@@ -2,17 +2,27 @@
 
 The inner handlebody V is a neighborhood of a theta graph whose three edges are
 dual to the disks bounded by X, Y, Z; the outer handlebody W plays the same
-role with A, B, C.  A curve's crossing sequence with either disk triple is an
-edge path in the corresponding theta graph, and the curve bounds a disk on that
-side iff the path backtracks to nothing (adjacent equal letters cancel,
-cyclically).
+role with A, B, C.  The graph's two vertices are the two sides of the triple:
+the front and back balls for X/Y/Z (`HEX_BALL`), the pants sigma_1 and
+sigma_2 for A/B/C (`HEX_PANTS`), read from the hexagon each step enters.  A
+curve's crossings with either triple are a closed edge path in that graph,
+and the curve bounds a disk on that side iff the path is null-homotopic.
 
-pi_1(V) is free on b, c where b is the core loop dual to the Z-disk and c the
-core loop dual to the Y-disk.  Reading rule for a traversal: crossing Z
-front-to-back contributes b (back-to-front b^-1), crossing Y front-to-back
-contributes c^-1 (back-to-front c), crossing X contributes nothing (the
-basepoint disk).  This calibration makes the B-pushoff read "b", the C-pushoff
-read "c", and reproduces the catalogued words of curve arcs.
+The graph's pi_1 is free on two of its edges, the third spanning the tree.
+`bounds_disk` takes as the tree the disk the curve crosses most, from the
+counts the curve keeps, so those crossings read nothing; each other crossing
+reads a generator or its inverse by the side it enters, and the word must
+freely reduce to nothing (`curve._bounds_disk`).  Every tree gives the same
+verdict; the most-crossed one leaves the fewest letters.  `theta_word` lists
+the crossed curves in order: in Z/2 * Z/2 * Z/2, where adjacent equal letters
+cancel, they cancel to nothing exactly when the path does.
+
+Arc words read pi_1(V) with X's disk as the tree: it is free on b, c, where b
+is the core loop dual to the Z-disk and c the core loop dual to the Y-disk.
+Reading rule for a traversal: crossing Z front-to-back contributes b
+(back-to-front b^-1), crossing Y front-to-back contributes c^-1 (back-to-front
+c), crossing X contributes nothing.  This calibration makes the B-pushoff read
+"b", the C-pushoff read "c", and reproduces the catalogued words of curve arcs.
 """
 
 from __future__ import annotations
@@ -80,20 +90,25 @@ def _letter_for_crossing(e: int, h: int) -> Letter | None:
 # ------------------------------------------------------------- theta words
 
 
-def _normal_code(w: CurveWord, side: str) -> bytes:
+def _normal_word(w: CurveWord, side: str) -> CurveWord:
     if side not in ("V", "W"):
         raise MalformedInput(f"side must be 'V' or 'W', got {side!r}")
-    return ensure_normal(w).code
+    return ensure_normal(w)
 
 
 def theta_word(w: CurveWord, side: str) -> tuple[str, ...]:
     """Cyclic projection of the crossing sequence to one disk system (V or W)."""
-    return tuple(_theta_letters(_normal_code(w, side), side))
+    return tuple(_theta_letters(_normal_word(w, side).code, side))
 
 
 def bounds_disk(w: CurveWord, side: str) -> bool:
-    """True iff the theta word cancels to nothing, i.e. the curve bounds a disk."""
-    return _bounds_disk(_normal_code(w, side), side)
+    """True iff the curve bounds a disk on that side: its crossings read in
+    pi_1, the system's most-crossed disk spanning the tree, freely reduce to
+    nothing (`curve._bounds_disk`)."""
+    w = _normal_word(w, side)
+    lo = 3 if side == "V" else 0
+    x, y, z = counts(w)[lo:lo + 3]
+    return _bounds_disk(w.code, lo if x >= y and x >= z else lo + 1 if y >= z else lo + 2)
 
 
 def _normal_reason(w: CurveWord) -> str | None:

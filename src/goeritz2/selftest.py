@@ -274,6 +274,28 @@ def _checks(quick: bool):
     def preimage_shortcuts():
         assert _preimage_shortcuts(8) > 3000
 
+    def disk_readings():
+        # the pi_1 reading of `bounds_disk`, at each basepoint, against the
+        # theta word cancelled on a stack in Z/2 * Z/2 * Z/2
+        def cancels(letters):
+            stack = []
+            for x in letters:
+                if stack and stack[-1] == x:
+                    stack.pop()
+                else:
+                    stack.append(x)
+            return not stack
+
+        rng = random.Random(20261020)
+        curves = [rec.curve for rec in atlas_mod.enumerate_atlas(6).records]
+        curves += [apply_word(q, "".join(rng.choice("abBgdD") for _ in range(rng.randint(0, 6))))
+                   for q in cm.PUSHOFFS.values() for _ in range(20)]
+        for w in curves:
+            for side, bases in (("V", range(3, 6)), ("W", range(3))):
+                verdict = cancels(theta_word(w, side))
+                assert bounds_disk(w, side) == verdict, (w.code.hex(), side)
+                assert all(cm._bounds_disk(w.code, b) == verdict for b in bases), (w.code.hex(), side)
+
     def atlas_determinism():
         first = [r.as_json() for r in atlas_mod.enumerate_atlas(2).records]
         clear_caches()  # the second run recomputes every curve nothing else holds
@@ -301,6 +323,7 @@ def _checks(quick: bool):
         ("interned-curves", interned_curves),
         ("reduction-passes", reduction_passes),
         ("certificate-invariance", certificate_invariance),
+        ("disk-readings", disk_readings),
         ("atlas-determinism", atlas_determinism),
     ]
 

@@ -23,9 +23,13 @@ def test_theta_word_pushoff_b():
     assert hb.theta_word(cm.PUSHOFFS["B"], "W") == ()
 
 
-def test_theta_side_validation():
+def test_theta_side_validation(monkeypatch):
     with pytest.raises(MalformedInput):
         hb.theta_word(cm.P_CURVE, "Q")
+    # the disk test checks the side before it reads the counts for its basepoint
+    monkeypatch.setattr(hb, "counts", lambda w: pytest.fail("counts read before the side check"))
+    with pytest.raises(MalformedInput):
+        hb.bounds_disk(cm.P_CURVE, "Q")
 
 
 def test_bounds_disk():

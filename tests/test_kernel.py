@@ -14,6 +14,7 @@ import pytest
 
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
+from goeritz2 import handlebody as hb
 from goeritz2 import kernel
 from goeritz2 import reduction as red
 from goeritz2.action import _act, _cross_detour, apply_generator, apply_word, twist_about_p
@@ -45,9 +46,10 @@ def _same_spur_pass(steps):
     assert _lists(kernel.remove_spurs(code)) == (old_e, old_h), steps
 
 
-def _walk(rng, length, backtrack):
-    """A closed walk of at least `length` steps that often turns straight back."""
-    h0 = h = rng.randrange(4)
+def _walk(rng, length, backtrack, start=None):
+    """A closed walk of at least `length` steps that often turns straight back,
+    from hexagon `start` or a random one."""
+    h0 = h = rng.randrange(4) if start is None else start
     steps = []
     while len(steps) < length or h != h0:
         if steps and rng.random() < backtrack:
@@ -160,52 +162,74 @@ def _disk_reference(code, system):
     return not stack
 
 
-def _nested(rng, depth):
-    """Curve letters that cancel to nothing: blocks c + (nested word) + c."""
-    if depth <= 0:
-        return []
-    out = []
-    for _ in range(rng.randint(1, 3)):
-        c = rng.randrange(6)
-        out += [c] + _nested(rng, depth - rng.randint(1, 2)) + [c]
-    return out
+def _same_disk_verdicts(code):
+    """`_bounds_disk` at each of the three basepoints of each system against
+    the stack reference; returns the verdicts in V and in W."""
+    verdicts = []
+    for system, bases in (("V", range(3, 6)), ("W", range(3))):
+        verdict = _disk_reference(code, system)
+        assert [cm._bounds_disk(code, base) for base in bases] == [verdict] * 3, (code.hex(), system)
+        verdicts.append(verdict)
+    return verdicts
 
 
 def test_bounds_disk_matches_a_stack_reference():
-    # the disk test reads only the crossed curves: any byte of a curve's edges stands for it
+    # closed chains, whose crossings of each system alternate sides: walks,
+    # walks followed by their way back, which cancel, and such retraces with
+    # a closed walk spliced in at the turn, which read as that walk
     rng = random.Random(31)
     verdicts = set()
     for _ in range(3000):
         kind = rng.randrange(3)
-        if kind == 0:
-            letters = [rng.randrange(6) for _ in range(rng.randint(0, 40))]
-        else:
-            letters = _nested(rng, rng.randint(1, 5))
-            if kind == 2 and letters:  # one letter dropped or doubled
-                i = rng.randrange(len(letters))
-                letters[i:i + 1] = rng.choice(([], [letters[i]] * 2, [letters[i]] * 3))
-        code = bytes(4 * (2 * c + rng.randrange(2)) + rng.randrange(4) for c in letters)
-        for system in "VW":
-            verdict = cm._bounds_disk(code, system)
-            assert verdict == _disk_reference(code, system), (letters, system)
-            verdicts.add((kind, verdict))
-    # nested words cancel in either system; the others go both ways
+        steps = _walk(rng, rng.randint(1, 40), rng.choice((0.0, 0.5, 0.85)))
+        if kind:
+            turn = len(steps)
+            steps = _retrace(steps)
+            if kind == 2:
+                steps[turn:turn] = _walk(rng, rng.randint(1, 20), rng.choice((0.0, 0.5, 0.85)),
+                                         start=steps[turn - 1][1])
+        steps = _rotate(steps, rng.randrange(len(steps)))
+        verdicts.update((kind, verdict) for verdict in _same_disk_verdicts(_code(steps)))
+    # retraces cancel in either system; the others go both ways
     assert verdicts == {(0, False), (0, True), (1, True), (2, False), (2, True)}
 
 
 def test_bounds_disk_matches_a_stack_reference_at_every_length():
-    # random step bytes, every length up to 40: the stack's top is kept apart
+    # closed walks of every length up to 40: the stack's top is kept apart
     # from the list below it, which empties at every length
     rng = random.Random(41)
     verdicts = set()
     for n in range(41):
-        for _ in range(60):
-            code = bytes(rng.randrange(48) for _ in range(n))
-            for system in "VW":
-                verdict = cm._bounds_disk(code, system)
-                assert verdict == _disk_reference(code, system), (code.hex(), system)
-                verdicts.add((n > 0, verdict))
+        for backtrack in (0.0, 0.5, 0.85):
+            for _ in range(20):
+                code = _code(_walk(rng, n, backtrack))
+                verdicts.update((len(code) > 0, verdict) for verdict in _same_disk_verdicts(code))
     assert verdicts == {(False, True), (True, False), (True, True)}
+
+
+def test_disk_verdict_is_the_same_at_every_basepoint():
+    # closed walks, whose V verdict is also the pi_1 word of their raw steps
+    # (`curve_v_word`'s reading, with X's disk spanning the tree), then the
+    # depth-6 atlas and seeded generator images of P and the six pushoffs
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(1500):
+        steps = _walk(rng, rng.randint(1, 60), rng.choice((0.0, 0.5, 0.85)))
+        v, w = _same_disk_verdicts(_code(steps))
+        assert v == (hb._cyclic_reduce(tuple(hb._letters(*zip(*steps)))) == ()), steps
+        verdicts.add(("walk", v, w))
+    curves = [rec.curve for rec in at.enumerate_atlas(6).records]
+    curves += [apply_word(q, "".join(rng.choice("abBgdD") for _ in range(rng.randint(0, 6))))
+               for q in (cm.P_CURVE, *cm.PUSHOFFS.values()) for _ in range(12)]
+    for q in curves:
+        v, w = _same_disk_verdicts(q.code)
+        assert hb.bounds_disk(q, "V") == v == (hb.curve_v_word(q) == ()), q.code.hex()
+        assert hb.bounds_disk(q, "W") == w, q.code.hex()
+        verdicts.add(("curve", v, w))
+    # the generators preserve both handlebodies, so a pushoff's images bound
+    # a disk on its own curve's side only
+    assert verdicts == {(kind, v, w) for kind in ("walk", "curve")
+                        for v in (False, True) for w in (False, True)} - {("curve", False, False)}
 
 
 @pytest.mark.parametrize("passes", [1, 2, kernel._PREFILTER_PASSES])
