@@ -21,6 +21,24 @@ caller already has (`_dominance`), and the terminal class is read from the
 last counts (`_TERMINALS`); the public `classify` and `is_standard` keep
 their own check of outside input.
 
+The trichotomy is three comparisons.  For nonnegative counts at most one
+of the strict inequalities holds, and when one holds none of them is an
+equality, so neither "more than one" nor "degenerate" can occur; when none
+holds, the counts "satisfy 0 inequalities".  An A-dominant curve must also
+carry no BB, BC or CC arc and as many AA, AB and AC arcs on one pants as on
+the other, and one adjacency test decides all of it.  Every A/B/C edge
+borders one hexagon of each pants (`surface._verify_complex`), so the arcs
+of a closed chain, cut at its A/B/C crossings, alternate pants.  If no two
+cyclically consecutive A/B/C crossings are both B or C, each B crossing
+ends one AB arc and starts the next, one in each pants, and likewise each C
+crossing: each pants holds b AB arcs, c AC arcs and (a - b - c)/2 AA arcs,
+and no BB, BC or CC arc.  Otherwise the adjacent pair is such an arc.  So
+`_dominance` maps the B and C crossings to 1 and the A crossings to 0,
+deletes the X/Y/Z crossings, and looks for two adjacent ones, the last and
+the first included.  Only when it finds them does it read the arc census,
+which raises NotEmbeddable for a forbidden pair of arc types first; then it
+raises TrichotomyViolation naming the first of BB, BC and CC it carries.
+
 A pass is a fact of the curve it starts from, like its counts and its
 reducing verdict: it reads counts of minimal words and applies the
 deterministic generator action, so it is a function of the normalized
@@ -28,9 +46,10 @@ curve.  The curve object keeps all three (`CurveWord`; the pass, landing
 check included, only once it succeeds), and the library makes one object
 per live code (`curve._CURVES`).  So a curve handed in again, such as an
 atlas record on its round trip, is not checked, counted or reduced again.
-The reduction reads a curve only through `counts`, `arc_census`,
-`apply_word`, `apply_generator`, `require_reducing` and its `_pass` slot;
-how a curve is stored is the word layers' business.
+The reduction reads a curve only through `counts`, its code (the adjacency
+test above), `apply_word`, `apply_generator`, `require_reducing` and its
+`_pass` slot, and `arc_census` only on the failure path of the adjacency
+test; how a curve is stored is the word layers' business.
 
 `verify_certificate` replays the word forward, and that replay is the whole
 proof.  The image must have counts (2,0,0,2,0,0): B with Z and C with Y fill
@@ -48,7 +67,7 @@ import json
 
 from .action import (apply_generator, apply_word, format_goeritz_word, invert_goeritz_word,
                      parse_goeritz_word)
-from .curve import CurveWord, SlotRecord, arc_census, counts, to_doc
+from .curve import _CURVE_OF_BYTE, _XYZ_BYTES, CurveWord, SlotRecord, arc_census, counts, to_doc
 from .errors import (
     BetaReductionFailure,
     IterationLimitExceeded,
@@ -60,6 +79,18 @@ from .handlebody import require_reducing
 CERTIFICATE_FORMAT = "goeritz-certificate/3"
 
 
+# A/B/C crossings read 0 for A and 1 for B or C; X/Y/Z crossings are deleted
+_BC_FLAGS = bytes(0 < c < 3 for c in _CURVE_OF_BYTE)
+
+
+def _bc_adjacent(code: bytes) -> bool:
+    """Whether two cyclically consecutive A/B/C crossings of a closed chain
+    are both B or C: for an A-dominant curve, whether its arc census fails
+    (see the module docstring)."""
+    flags = code.translate(_BC_FLAGS, _XYZ_BYTES)
+    return b"\x01\x01" in flags + flags[:1]
+
+
 def classify(w: CurveWord) -> str:
     """The unique dominance class: "A", "B" or "C"."""
     w = require_reducing(w)
@@ -68,26 +99,26 @@ def classify(w: CurveWord) -> str:
 
 def _dominance(w: CurveWord, abc: tuple[int, int, int]) -> str:
     """`classify` of a checked reducing curve whose (a, b, c) the caller has read:
-    the trichotomy, and for an A-dominant curve its arc census."""
+    the trichotomy, and for an A-dominant curve the adjacency test of its
+    B/C crossings (see the module docstring)."""
     a, b, c = abc
-    sums = (("A", a, b + c), ("B", b, c + a), ("C", c, a + b))
-    dominant = [name for name, x, rest in sums if x > rest]
-    if len(dominant) != 1:
-        raise TrichotomyViolation(f"counts {abc} satisfy {len(dominant)} inequalities")
-    if any(x == rest for _, x, rest in sums):
-        raise TrichotomyViolation(f"degenerate counts {abc}")
-    if dominant[0] == "A":
-        census = arc_census(w)
-        for t in ("BB", "BC", "CC"):
-            if census[(t, 1)] or census[(t, 2)]:
-                raise TrichotomyViolation(f"A-dominant curve carries a {t} arc")
-        for t in ("AA", "AB", "AC"):
-            if census[(t, 1)] != census[(t, 2)]:
-                raise TrichotomyViolation(f"{t} arc counts differ between the two pants")
-    return dominant[0]
+    if a > b + c:
+        if _bc_adjacent(w.code):
+            census = arc_census(w)  # raises NotEmbeddable for a forbidden pair first
+            t = next(t for t in ("BB", "BC", "CC") if census[(t, 1)] or census[(t, 2)])
+            raise TrichotomyViolation(f"A-dominant curve carries a {t} arc")
+        return "A"
+    if b > c + a:
+        return "B"
+    if c > a + b:
+        return "C"
+    raise TrichotomyViolation(f"counts {abc} satisfy 0 inequalities")
 
 
 _TERMINALS = {(2, 0, 0): "P", (0, 2, 0): "P_prime", (0, 0, 2): "P_double_prime"}
+# by class, the delta move that makes a pass's input A-dominant; by terminal, the one to P
+_TO_A = {"C": "delta", "B": "delta_inv"}
+_TERMINAL_MOVES = {"P_prime": "delta_inv", "P_double_prime": "delta"}
 
 
 def is_standard(w: CurveWord) -> str:
@@ -162,7 +193,7 @@ def _pass(w: CurveWord, abc: tuple[int, int, int]) -> tuple[tuple, tuple, CurveW
     """
     start, a, before = w, abc[0], sum(abc)
     gens, trace = [], []
-    gen = {"C": "delta", "B": "delta_inv"}.get(_dominance(w, abc))
+    gen = _TO_A.get(_dominance(w, abc))
     if gen:
         w = apply_generator(w, gen)
         c = counts(w)
@@ -202,7 +233,7 @@ def reduce_to_standard(w: CurveWord) -> ReductionCertificate:
         cert.trace.extend(trace)
         abc = trace[-1]
     cert.terminal = _TERMINALS.get(abc, "none")
-    gen = {"P_prime": "delta_inv", "P_double_prime": "delta"}.get(cert.terminal)
+    gen = _TERMINAL_MOVES.get(cert.terminal)
     if gen:
         abc = counts(apply_generator(w, gen)).abc()
         cert.word.append(gen)

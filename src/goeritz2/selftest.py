@@ -38,7 +38,7 @@ from .handlebody import (
     theta_word,
     word_str,
 )
-from .surface import CURVE_NAMES, EDGE_CURVE, HEX_PANTS
+from .surface import CURVE_NAMES, EDGE_CURVE, HEX_PANTS, HEX_SIDES, OTHER_HEX
 from .surface import build_complex, complex_symmetry
 
 
@@ -175,6 +175,30 @@ def _checks(quick: bool):
                 for s in walks], word
             census = Counter((a.type, a.pants) for a in cm.split_arcs(w))
             assert cm.arc_census(w) == {k: census[k] for k in cm.arc_census(w)}, word
+
+    def arc_lemma():
+        # a closed chain's arcs alternate pants, so its census holds a BB, BC
+        # or CC arc or differs between the pants exactly when two cyclically
+        # consecutive A/B/C crossings are both B or C (`reduction._bc_adjacent`,
+        # which `_dominance` reads in place of the census).  arc_census would
+        # normalize a random chain, so its arcs are read through the (type,
+        # pants) table of `Arc.type`, which `arc-reader` checks
+        def agree(code, census):
+            assert red._bc_adjacent(code) == (
+                any(census[t, i] for t in ("BB", "BC", "CC") for i in (1, 2))
+                or any(census[t, 1] != census[t, 2] for t in ("AA", "AB", "AC"))), code.hex()
+
+        moves = [bytes(4 * e + OTHER_HEX[e][h] for e in HEX_SIDES[h]) for h in range(4)]
+        rng = random.Random(20261021)
+        for n in [rng.randint(2, 24) for _ in range(2000)]:
+            code = bytearray(rng.choices(moves[rng.randrange(4)]))
+            while len(code) < n or code[0] not in moves[code[-1] & 3]:  # until it closes
+                code.append(rng.choice(moves[code[-1] & 3]))
+            ends = code.translate(None, cm._XYZ_BYTES)
+            census = Counter(cm._ARC_OF_ENDS[24 * x + y] for x, y in zip(ends, ends[1:] + ends[:1]))
+            agree(bytes(code), census)
+        for rec in atlas_mod.enumerate_atlas(6).records:
+            agree(rec.curve.code, cm.arc_census(rec.curve))
 
     def spur_levels():
         # the kernel's spur pass against a byte-at-a-time stack, on the
@@ -324,6 +348,7 @@ def _checks(quick: bool):
         ("reduction-passes", reduction_passes),
         ("certificate-invariance", certificate_invariance),
         ("disk-readings", disk_readings),
+        ("arc-lemma", arc_lemma),
         ("atlas-determinism", atlas_determinism),
     ]
 

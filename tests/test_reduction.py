@@ -1,7 +1,9 @@
 """Dominance classification and the reduction algorithm."""
 
 import hashlib
+import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -11,9 +13,11 @@ from goeritz2 import curve as cm
 from goeritz2 import reduction as red
 from goeritz2.action import apply_generator, apply_word, twist_system
 from goeritz2.curve import arc_census, counts
-from goeritz2.errors import MalformedInput, NotReducing, TrichotomyViolation
+from goeritz2.errors import Goeritz2Error, MalformedInput, NotReducing, TrichotomyViolation
 from goeritz2.handlebody import is_reducing, reducing_reason, require_reducing
+from goeritz2.surface import CURVE_NAMES, EDGE_CURVE, HEX_PANTS, HEX_SIDES, OTHER_HEX
 
+import dominance_oracle
 from conftest import cold_atlas_counts
 
 # SHA-256 of [word text, trace, terminal] of the certificate of every ladder,
@@ -42,12 +46,138 @@ def test_trichotomy_and_degeneracy(corpus):
 
 
 def test_a_dominance_iff_aa_arcs(corpus):
-    for word, w in corpus[:150]:
+    # the corpus's first curves are mostly P, so every depth-6 record is read too
+    curves = {w.code: (word, w) for word, w in corpus[:150]}
+    for rec in at.enumerate_atlas(6).records:
+        curves.setdefault(rec.curve.code, (rec.witness, rec.curve))
+    assert len(curves) > 300
+    for word, w in curves.values():
         c = counts(w)
         census = arc_census(w)
         a_dom = c.a > c.b + c.c
         has_aa = census[("AA", 1)] >= 1 and census[("AA", 2)] >= 1
         assert a_dom == has_aa, word
+
+
+# The step bytes that can follow a step into hexagon h, each A edge's byte
+# repeated a_weight times: _MOVES[a_weight][h].
+_MOVES = {k: [bytes(4 * e + OTHER_HEX[e][h] for e in HEX_SIDES[h]
+                    for _ in range(k if EDGE_CURVE[e] == 0 else 1)) for h in range(4)]
+          for k in (1, 4)}
+
+
+def _closed_chain(rng, length, a_weight):
+    """The code of a random closed walk of at least `length` steps, crossing
+    A edges `a_weight` times as often as the others."""
+    moves = _MOVES[a_weight]
+    code = bytearray(rng.choices(moves[rng.randrange(4)]))
+    while len(code) < length or code[0] not in moves[code[-1] & 3]:  # until it closes
+        code.append(rng.choice(moves[code[-1] & 3]))
+    return bytes(code)
+
+
+def _chain_census(code):
+    """Arc counts by (type, pants) and the A/B/C crossing counts of a closed
+    chain, read step by step: an arc runs from an A/B/C crossing to the next
+    and lies in the pants of the hexagon its first crossing enters."""
+    steps = [(x >> 2, x & 3) for x in code]
+    marks = [i for i, (e, _) in enumerate(steps) if EDGE_CURVE[e] < 3]
+    census = Counter()
+    for i, j in zip(marks, marks[1:] + marks[:1]):
+        ends = CURVE_NAMES[EDGE_CURVE[steps[i][0]]] + CURVE_NAMES[EDGE_CURVE[steps[j][0]]]
+        census["".join(sorted(ends)), HEX_PANTS[steps[i][1]]] += 1
+    abc = tuple(sum(EDGE_CURVE[steps[i][0]] == k for i in marks) for k in range(3))
+    return census, abc
+
+
+def _unchecked(code):
+    """A word of `code` that `_dominance` and `arc_census` read as it is."""
+    w = cm.CurveWord(code)
+    w.normalized = True
+    return w
+
+
+def _check_arc_lemma(code, census, abc):
+    """No two cyclically consecutive A/B/C crossings are both B or C exactly
+    when no arc is BB, BC or CC and AA, AB and AC arcs are balanced between
+    the pants; then each pants holds b AB, c AC and (a - b - c) / 2 AA arcs."""
+    a, b, c = abc
+    curves = [EDGE_CURVE[x >> 2] for x in code if EDGE_CURVE[x >> 2] < 3]
+    free = not any(x and y for x, y in zip(curves, curves[1:] + curves[:1]))
+    clean = not any(census[t, i] for t in ("BB", "BC", "CC") for i in (1, 2)) and all(
+        census[t, 1] == census[t, 2] for t in ("AA", "AB", "AC"))
+    assert free == clean, code.hex()
+    if free:
+        for i in (1, 2):
+            assert (census["AB", i], census["AC", i], 2 * census["AA", i]) == (b, c, a - b - c)
+    return free
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Goeritz2Error as e:
+        return type(e), str(e)
+
+
+def test_arc_lemma_on_closed_chains_and_depth7_records():
+    rng = random.Random(20261021)
+    free = Counter()
+    for k in range(20000):
+        code = _closed_chain(rng, rng.randint(2, 40), (1, 4)[k % 2])
+        census, abc = _chain_census(code)
+        holds = _check_arc_lemma(code, census, abc)
+        free[holds, abc[1] + abc[2] > 0] += 1
+        # the byte test `_dominance` reads, given an A-dominant triple
+        assert (_outcome(red._dominance, _unchecked(code), (99, 0, 0)) == "A") == holds
+    assert free[True, True] > 2000 and free[False, True] > 2000
+    records = at.enumerate_atlas(7).records
+    assert len(records) == 803
+    for rec in records:
+        census, abc = _chain_census(rec.curve.code)
+        assert census == {k: v for k, v in arc_census(rec.curve).items() if v}
+        assert abc == counts(rec.curve).abc()
+        _check_arc_lemma(rec.curve.code, census, abc)
+
+
+def test_dominance_matches_the_oracle_on_every_pass_input(monkeypatch, ladders, fresh_curves):
+    inputs = []
+    real = red._dominance
+    with monkeypatch.context() as m:
+        m.setattr(red, "_dominance", lambda w, abc: inputs.append((w, abc)) or real(w, abc))
+        curves = fresh_curves(*(w.code for w in ladders))
+        for w in curves + [rec.curve for rec in at.enumerate_atlas(6).records]:
+            red.reduce_to_standard(w)
+    assert len(inputs) > 400 and {real(w, abc) for w, abc in inputs} == {"A", "B", "C"}
+    for w, abc in inputs:
+        assert real(w, abc) == dominance_oracle.dominance(w, abc) == red.classify(w)
+
+
+def test_dominance_raises_as_the_oracle_on_chains():
+    # random closed chains, given an A-dominant triple and their own: a BB, BC
+    # or CC arc, or a forbidden pair of arc types, raises as the census did
+    rng = random.Random(20261022)
+    seen = Counter()
+    for k in range(3000):
+        w = _unchecked(_closed_chain(rng, rng.randint(2, 30), (1, 4)[k % 2]))
+        for abc in ((99, 0, 0), _chain_census(w.code)[1]):
+            expected = _outcome(dominance_oracle.dominance, w, abc)
+            assert _outcome(red._dominance, w, abc) == expected, (w.code.hex(), abc)
+            seen[expected if isinstance(expected, str) else expected[1].split(" on ")[0]] += 1
+    assert {"A", "B", "C"} <= set(seen)
+    for t in ("BB", "BC", "CC"):
+        assert seen[f"A-dominant curve carries a {t} arc"] > 30
+    assert sum(n for key, n in seen.items() if key.startswith("incompatible arc types")) > 50
+
+
+def test_dominance_matches_the_oracle_on_every_small_triple(standard_curve):
+    for a, b, c in itertools.product(range(13), repeat=3):
+        if a + b + c <= 12:
+            expected = _outcome(dominance_oracle.dominance, standard_curve, (a, b, c))
+            assert _outcome(red._dominance, standard_curve, (a, b, c)) == expected, (a, b, c)
+    assert _outcome(red._dominance, standard_curve, (2, 1, 1)) == (
+        TrichotomyViolation, "counts (2, 1, 1) satisfy 0 inequalities")
 
 
 def test_equal_bc_forces_standard(corpus):
