@@ -22,19 +22,22 @@ edge borders two hexagons of one pants (checked in `surface`).  One
 `translate` gives the A/B/C positions (`_arc_starts`); an arc's type, pants
 and edges are one table lookup on the bytes at two consecutive ones, and
 `split_arcs` slices the code between them.  `arc_census` reads every arc's
-type and pants at once, from big-integer sums over the A/B/C bytes.  A
+type and pants from the same table, with no arc built.  A
 curve bounds a disk in V (W) iff its X/Y/Z (A/B/C) crossings, read in pi_1
 of that handlebody, freely reduce to nothing: one `translate` drops the
 crossings of the disk that spans the tree and reads each other crossing as a
 generator letter by the side it enters, and a stack cancels the letters
 (`_bounds_disk`).
 
-The re-embedding, which checks that a word is one embedded curve and reads
-its normal coordinates, lives in `embed`; only words from outside need it,
-so this module imports it where they arrive.  Normalized curves are
+The re-embedding, which checks that a word is a closed chain and one
+embedded curve and reads its normal coordinates, lives in `embed`; only
+words from outside need it, so this module imports it where they arrive.
+The three readers of outside words, `validate` (steps), `CurveWord.from_tokens`
+(tokens) and `from_doc` (either document), each make a code of step bytes
+and hand it to one tail (`_validated`).  Normalized curves are
 interned: a code has one live `CurveWord`, held weakly in `_CURVES`, and a
 curve's facts (`CurveWord`) are computed once while it lives.  The trace
-(`embed._trace`) runs only on words from outside: `validate` traces the
+(`embed._trace`) runs only on words from outside: `_validated` traces the
 spur-free core of its input and hands it to the `normalize` that follows
 (`_normal`), and `_reembed` traces a code no live curve holds.  A word
 whose trace raises is never interned.  The images of an interned curve
@@ -49,7 +52,7 @@ from __future__ import annotations
 import json
 import re
 import weakref
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import accumulate, compress, count
 
 from . import kernel
@@ -58,14 +61,12 @@ from .errors import EmptyAfterNormalization, MalformedInput, MalformedWord, NotE
 from .surface import (
     CURVE_NAMES,
     EDGE_CURVE,
-    EDGE_HEXES,
     EDGE_OF_TOKEN,
     EDGE_TOKENS,
     HEX_OF_TOKEN,
     HEX_PANTS,
     HEX_TOKENS,
     OTHER_HEX,
-    SIDE_POS,
     side_of,
 )
 
@@ -136,32 +137,14 @@ class CurveWord:
 
     @staticmethod
     def from_tokens(pairs) -> "CurveWord":
-        steps = []
+        code = bytearray()
         for pair in pairs:
             try:
                 et, ht = pair
-                steps.append((EDGE_OF_TOKEN[et], HEX_OF_TOKEN[ht]))
+                code.append(4 * EDGE_OF_TOKEN[et] + HEX_OF_TOKEN[ht])
             except (KeyError, ValueError, TypeError):
                 raise MalformedInput(f"bad step token {pair!r}") from None
-        return validate(steps)
-
-
-def _check_chain(steps: list[Step]) -> None:
-    n = len(steps)
-    if n == 0:
-        raise MalformedWord("empty step list")
-    for i in range(n):
-        e, h = steps[i]
-        if h not in EDGE_HEXES[e]:
-            raise MalformedWord(
-                f"step {i}: {HEX_TOKENS[h]} is not adjacent to {EDGE_TOKENS[e]}")
-        e2, h2 = steps[(i + 1) % n]
-        if SIDE_POS[h][e2] < 0:
-            raise MalformedWord(
-                f"step {i}: next edge {EDGE_TOKENS[e2]} is not a side of {HEX_TOKENS[h]}")
-        if h2 != OTHER_HEX[e2][h]:
-            raise MalformedWord(
-                f"step {i + 1}: expected hexagon {HEX_TOKENS[OTHER_HEX[e2][h]]}")
+        return _validated(bytes(code))
 
 
 def _index(i: int, what: str, value, size: int) -> int:
@@ -181,20 +164,26 @@ def validate(steps) -> CurveWord:
     A closed chain crosses each system of three curves an even number of
     times: every A/B/C edge joins the two pants and every X/Y/Z edge the two
     balls, so no parity check is needed (`ParityViolation` is never raised).
-    A traced core in which the kernel slides no run is the `normalize()`
-    word, which the word keeps, so the kernel and the trace run once.
     """
-    checked = []
+    code = bytearray()
     for i, step in enumerate(steps):
         try:
             e, h = step
         except (TypeError, ValueError):
             raise MalformedWord(f"step {i}: {step!r} is not an (edge, hexagon) pair") from None
-        checked.append((_index(i, "edge", e, 12), _index(i, "hexagon", h, 4)))
-    _check_chain(checked)
+        code.append(4 * _index(i, "edge", e, 12) + _index(i, "hexagon", h, 4))
+    return _validated(bytes(code))
+
+
+def _validated(code: bytes) -> CurveWord:
+    """The word of a code of step bytes from outside, once it passes the
+    chain and embeddability checks (`embed._check_embeddable`): the tail of
+    `validate`, `CurveWord.from_tokens` and `from_doc`.  A traced core in
+    which the kernel slides no run is the `normalize()` word, which the word
+    keeps, so the kernel and the trace run once."""
     from . import embed
-    w = CurveWord(checked)
-    core = embed._check_embeddable(w.code)
+    core = embed._check_embeddable(code)
+    w = CurveWord(code)
     if core and not kernel.normalize_steps(core)[1]:
         w._normal = _interned(_least_rotation(core))
     return w
@@ -231,10 +220,6 @@ def _disk_reading(base: int) -> tuple[bytes, bytes]:
 
 
 _DISK_READINGS = tuple(map(_disk_reading, range(6)))
-
-
-def _big(w: bytes, table: bytes) -> int:
-    return int.from_bytes(w.translate(table), "big")
 
 
 # ------------------------------------------------------------- coordinates
@@ -545,36 +530,22 @@ def split_arcs(w: CurveWord) -> list[Arc]:
     return arcs
 
 
-# An arc's census key is one byte, 9 (pants - 1) + 3 (start curve) + end
-# curve: the sum of its start byte's share and its end byte's.  Keys of one
-# type and pants translate to the index of that census entry.
-_KEY_FROM = bytes(9 * (HEX_PANTS[x & 3] - 1) + 3 * EDGE_CURVE[x >> 2] if x < 24 else 0
-                  for x in range(256))
-_KEY_TO = bytes(EDGE_CURVE[x >> 2] if x < 24 else 0 for x in range(256))
-_CENSUS_KEYS = tuple((t, i) for t in ARC_TYPES for i in (1, 2))
-_ENTRY_OF_KEY = bytes(_CENSUS_KEYS.index(("".join(sorted(CURVE_NAMES[s] + CURVE_NAMES[e])), p))
-                      for p in (1, 2) for s in range(3) for e in range(3)).ljust(256, b"\xff")
-_FORBIDDEN_ENTRIES = tuple((_CENSUS_KEYS.index((t1, i)), _CENSUS_KEYS.index((t2, i)), t1, t2, i)
-                           for t1, t2 in _FORBIDDEN_PAIRS for i in (1, 2))
-
-
 def arc_census(w: CurveWord) -> dict[tuple[str, int], int]:
     """Counts |DE|_i of arc types per pair of pants; raises NotEmbeddable if a
     forbidden pair coexists.
 
-    Read at bytes speed, with no arc built: deleting the X/Y/Z crossings
-    leaves each arc's two ends, consecutive A/B/C bytes.  Two translated
-    copies of them, added as big integers, give every arc's census key in one
-    byte (the 18 keys of 2 pants and 3 x 3 ordered ends), and `count` reads
-    how many arcs each census entry has.
+    Read with no arc built: deleting the X/Y/Z crossings leaves each arc's
+    two ends, consecutive A/B/C bytes x and y, and `_ARC_OF_ENDS[24x + y]`
+    is its type and pants, as `Arc.type` reads it.
     """
     ends = ensure_normal(w).code.translate(None, _XYZ_BYTES)
-    keys = (_big(ends, _KEY_FROM) + _big(ends[1:] + ends[:1], _KEY_TO)).to_bytes(len(ends), "big")
-    sizes = list(map(keys.translate(_ENTRY_OF_KEY).count, range(len(_CENSUS_KEYS))))
-    for j, k, t1, t2, i in _FORBIDDEN_ENTRIES:
-        if sizes[j] and sizes[k]:
-            raise NotEmbeddable(f"incompatible arc types {t1},{t2} coexist on pants {i}")
-    return dict(zip(_CENSUS_KEYS, sizes))
+    found = Counter(_ARC_OF_ENDS[24 * x + y] for x, y in zip(ends, ends[1:] + ends[:1]))
+    census = {(t, i): found[t, i] for t in ARC_TYPES for i in (1, 2)}
+    for t1, t2 in _FORBIDDEN_PAIRS:
+        for i in (1, 2):
+            if census[t1, i] and census[t2, i]:
+                raise NotEmbeddable(f"incompatible arc types {t1},{t2} coexist on pants {i}")
+    return census
 
 
 # ------------------------------------------------------------- serialization
@@ -623,7 +594,7 @@ def from_doc(doc: dict) -> CurveWord:
                     raise MalformedInput(f"count of {ht} {pair} must be an integer, not {type(c).__name__}")
                 coords[(HEX_OF_TOKEN[ht], min(e1, e2), max(e1, e2))] = c
         from . import embed
-        return validate(list(map(_STEP_OF_BYTE.__getitem__, embed._first_component(coords))))
+        return _validated(embed._first_component(coords))
     raise MalformedInput(f"unknown representation {rep!r}")
 
 

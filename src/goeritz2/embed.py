@@ -1,16 +1,22 @@
 """Re-embedding: normal coordinates, and the check that a word is one embedded curve.
 
 Only words from outside the library need it, so importing `goeritz2` does
-not load this module: `curve.validate` and `curve.from_doc` import it for
-their input, `curve._reembed` for a code no live curve holds, and the
-coordinate functions, the renderer and `selftest --full` when they run.
+not load this module: `curve._validated` imports it for every outside word,
+`curve._reembed` for a code no live curve holds, and the coordinate
+functions, the renderer and `selftest --full` when they run.
 
 Re-embedding runs on small integers.  A step (e, h) is the byte 4e+h, so an
-encoded word sorts like its step tuples.  Static tables, built once from
-`surface`, number the 60 chord classes (h, lo, hi) in sorted key order and
-hold each class's interleave bitmask and each edge side's fan order.  The
-class of every arc is one byte, read for all arcs at once by a big-integer
-OR of two translated copies of the code.  Crossing slot s of edge e is the
+encoded word sorts like its step tuples.  The chain rule, that a step
+leaves the hexagon the step before entered through one of its sides, into
+the hexagon across, is one table over the byte 48h + y of a step y and the
+hexagon h entered before it (`_RULE`), read for all steps at once by a
+big-integer sum of two translated copies of the code: the chain check
+(`_check_chain`) and the arc classes' side check read it.  Static tables,
+built once from `surface`, number the 60 chord classes (h, lo, hi) in
+sorted key order and hold each class's interleave bitmask and each edge
+side's fan order.  The class of every arc is one byte, read for all arcs at
+once by a big-integer OR of two translated copies of the code.  Crossing
+slot s of edge e is the
 global slot off[e] + s, and state 2g+k is "at slot g, entering
 EDGE_HEXES[e][k]"; a normal multicurve is a successor table over these
 states.  What depends only on the set of present classes is built once per
@@ -39,16 +45,15 @@ from math import gcd
 from operator import getitem, mul
 
 from . import kernel
-from .curve import _REVERSED, CurveWord, _big
-from .errors import InconsistentCoordinates, InternalInvariantError, MalformedInput, NotEmbeddable
+from .curve import _REVERSED, CurveWord
+from .errors import (InconsistentCoordinates, InternalInvariantError, MalformedInput,
+                     MalformedWord, NotEmbeddable)
 from .kernel import _POSITION
 from .surface import (
     CORNER_AFTER,
     EDGE_ENDPOINTS,
-    EDGE_CURVE,
     EDGE_HEXES,
     EDGE_TOKENS,
-    HEX_CURVE_SIDE,
     HEX_SIDES,
     HEX_TOKENS,
     OTHER_HEX,
@@ -66,6 +71,7 @@ _ORIGIN = tuple(min(EDGE_ENDPOINTS[e], key=VERTEX_TOKENS.__getitem__) for e in r
 
 def _check_embeddable(code: bytes) -> bytes:
     """Raise unless the code is one embedded curve; return the traced spur-free core."""
+    _check_chain(code)
     # chord classes present in a hexagon must not interleave (spur chords exempt)
     clash = _first_clash(bytes(sorted(set(_arc_classes(code)) - {_SPUR_ARC})))
     if clash:
@@ -82,6 +88,30 @@ def _check_embeddable(code: bytes) -> bytes:
             _check_edge_orders(core)  # the more specific reason, where it applies
             raise NotEmbeddable(f"spur-free word is not one embedded curve: {exc}") from None
     return core
+
+
+def _check_chain(code: bytes) -> None:
+    """Raise MalformedWord unless the code of step bytes is a closed chain.
+
+    The message names the first failure a walk over the steps meets: step
+    0 not a step, then for each step the next one's edge not a side of the
+    hexagon it entered, or the next one not entering the hexagon across.
+    A step that follows by the chain rule is a step, so after step 0 only
+    the rule is read (`_RULE`).
+    """
+    if not code:
+        raise MalformedWord("empty step list")
+    if code[0] & 3 not in EDGE_HEXES[code[0] >> 2]:
+        raise MalformedWord(f"step 0: {HEX_TOKENS[code[0] & 3]} is not adjacent to "
+                            f"{EDGE_TOKENS[code[0] >> 2]}")
+    rules = _rules(code, code[1:] + code[:1])
+    i = len(code) - len(rules.lstrip(bytes((_FOLLOWS,))))
+    if i < len(code):
+        h, e = code[i] & 3, code[(i + 1) % len(code)] >> 2
+        if rules[i] == _NOT_A_SIDE:
+            raise MalformedWord(
+                f"step {i}: next edge {EDGE_TOKENS[e]} is not a side of {HEX_TOKENS[h]}")
+        raise MalformedWord(f"step {i + 1}: expected hexagon {HEX_TOKENS[OTHER_HEX[e][h]]}")
 
 
 def _check_edge_orders(core: bytes) -> None:
@@ -147,10 +177,6 @@ def _fans() -> tuple[tuple[int, ...], ...]:
 
 _CLASS_CROSSES = tuple(map(_crossing_classes, range(len(_CLASS_KEYS))))
 _FAN = _fans()
-# class of the arc entering by step byte x and leaving by edge y: _ARC_CLASS[12x+y];
-# -1 for a spur (y is the entry edge), -2 if the two edges are not sides of one hexagon
-_ARC_CLASS = tuple(-1 if x >> 2 == y else _CLASS_OF.get((x & 3, x >> 2, y), -2)
-                   for x in range(48) for y in range(12))
 # step bytes of the two states 2g, 2g+1 of a slot on edge e
 _SLOT_BYTES = tuple(bytes(4 * e + h for h in EDGE_HEXES[e]) for e in range(12))
 
@@ -167,40 +193,58 @@ def _arc_table() -> bytes:
     return bytes(table)
 
 
+# The chain rule.  Byte 48h + y, for a step byte y after a step that
+# entered hexagon h, reads _FOLLOWS if y crosses a side of h into the hexagon
+# across it, _INTO_H if it crosses a side of h into h, _NO_STEP if y's edge
+# is a side of h but y enters a hexagon that does not border it, and
+# _NOT_A_SIDE if y's edge is not a side of h.  Bytes above 47 are read as
+# byte 3, A1 entering H4, which is no step.
+_FOLLOWS, _INTO_H, _NO_STEP, _NOT_A_SIDE = range(4)
+_RULE = bytes(_NOT_A_SIDE if SIDE_POS[h][y >> 2] < 0 else _FOLLOWS if y & 3 == OTHER_HEX[y >> 2][h]
+              else _INTO_H if y & 3 == h else _NO_STEP
+              for h in range(4) for y in range(48)).ljust(256, bytes((_NOT_A_SIDE,)))
+_ROW = bytes(48 * (x & 3) for x in range(256))
+_COLUMN = bytes(x if x < 48 else 3 for x in range(256))
+
+
+def _big(w: bytes, table: bytes) -> int:
+    return int.from_bytes(w.translate(table), "big")
+
+
+def _rules(w: bytes, nw: bytes) -> bytes:
+    """Byte i is `_RULE`'s reading of step i + 1 after step i, given the
+    code w and its rotation by one step, nw."""
+    return (_big(w, _ROW) + _big(nw, _COLUMN)).to_bytes(len(w), "big").translate(_RULE)
+
+
 # An arc enters a hexagon by one step and leaves it by the next.  Its byte is
-# (_ARC_FROM[x] | _POSITION[y]), which names its class when y's edge is a side
-# of x's hexagon: the hexagon's side of curve type t (0 A/B/C, 1 X/Y/Z) is edge
-# 2c + bit t of _SIDE_BITS, and _TYPE_BIT holds a step's own bit at its type.
+# (_ARC_FROM[x] | _POSITION[y]), which names its class when both are steps and
+# y's edge is a side of x's hexagon, as the chain rule reads.
 _SPUR_ARC = 254
 _ARC_OF = _arc_table()
 _ARC_FROM = bytes((x & 3) << 6 | _POSITION[x] << 3 if x < 48 else 0 for x in range(256))
-_STEP_BYTES = bytes(4 * e + h for e in range(12) for h in EDGE_HEXES[e])
-_SIDE_BITS = bytes((HEX_CURVE_SIDE[x & 3][0] & 1) | (HEX_CURVE_SIDE[x & 3][3] & 1) << 1
-                   for x in range(256))
-_TYPE_MASK = bytes(1 << (EDGE_CURVE[x >> 2] >= 3) if x < 48 else 0 for x in range(256))
-_TYPE_BIT = bytes((x >> 2 & 1) << (EDGE_CURVE[x >> 2] >= 3) if x < 48 else 0 for x in range(256))
+_ARC_SIDES = bytes((_FOLLOWS, _INTO_H))
 
 
 def _arc_classes(w: bytes) -> bytes:
     """Class id of every arc of an encoded word, or _SPUR_ARC, in one byte each
     (arc i enters by step i and leaves by step i+1)."""
     nw = w[1:] + w[:1]
-    if w.translate(None, _STEP_BYTES) or \
-            _big(w, _SIDE_BITS) & _big(nw, _TYPE_MASK) != _big(nw, _TYPE_BIT):
+    if _rules(w, nw).translate(None, _ARC_SIDES):
         _raise_bad_arc(w, nw)
     return (_big(w, _ARC_FROM) | _big(nw, _POSITION)).to_bytes(len(w), "big").translate(_ARC_OF)
 
 
 def _raise_bad_arc(w: bytes, nw: bytes) -> None:
-    """Raise for a word with an arc whose two sides are not sides of one hexagon."""
-    bad = None
-    for x, y in dict.fromkeys(zip(w, nw)):
-        i = _ARC_CLASS[12 * x + (y >> 2)]
-        if i == -1:
-            raise InternalInvariantError("coordinates of a word with spurs")
-        if i == -2:
-            bad = (x & 3, *sorted((x >> 2, y >> 2)))
-    raise InconsistentCoordinates("bad chord class ({},{},{})".format(*bad))
+    """Raise for a word with an arc whose two sides are not sides of one
+    hexagon: InternalInvariantError if the word has a spur, else
+    InconsistentCoordinates naming the first such arc's class."""
+    arcs = dict.fromkeys(zip(w, nw))
+    if any(x >> 2 == y >> 2 for x, y in arcs):
+        raise InternalInvariantError("coordinates of a word with spurs")
+    h, e, f = next((x & 3, x >> 2, y >> 2) for x, y in arcs
+                   if (x & 3, x >> 2, y >> 2) not in _CLASS_OF)
+    raise InconsistentCoordinates(f"bad chord class ({h},{min(e, f)},{max(e, f)})")
 
 
 def _class_sizes(w: bytes) -> tuple[bytes, list[int]]:

@@ -45,7 +45,8 @@ class NotReducing(Goeritz2Error):
 
 
 class TrichotomyViolation(Goeritz2Error):
-    """No (or more than one) dominance inequality holds; internal-consistency failure."""
+    """No dominance inequality holds, or an A-dominant curve carries a BB, BC
+    or CC arc; internal-consistency failure."""
 
 
 class ConstraintViolation(Goeritz2Error):

@@ -238,7 +238,7 @@ def test_parity_invariant(corpus):
         walks.append(steps)
     mixed = 0
     for steps in walks + [list(w.steps) for _, w in corpus]:
-        cm._check_chain(steps)
+        embed._check_chain(cm._encode(steps))
         abc = sum(cm.EDGE_CURVE[e] < 3 for e, _ in steps)
         assert abc % 2 == 0 and (len(steps) - abc) % 2 == 0, steps
         mixed += abc > 2 and len(steps) - abc > 2
@@ -459,6 +459,25 @@ def test_document_roundtrip(corpus):
         assert cm.loads(cm.dumps(w)) == w
     doc = cm.coordinates_doc(cm.normalize(cm.P_CURVE))
     assert reduce_to_standard(cm.from_doc(doc)).word == []
+
+
+def test_both_documents_lead_to_the_live_curve():
+    # the three readers share one tail; a steps document gives the curve's
+    # own code, and a normal-coordinates document, which holds no
+    # orientation, its code read one way or the other from the lowest slot
+    records = [rec.curve for rec in at.enumerate_atlas(6).records]
+    rng, w, ladders = random.Random(7), cm.P_CURVE, []
+    while len(w) < 10_000:
+        w = action.apply_word(w, rng.choice("dD") + rng.choice("bB"))
+        ladders.append(w)
+    ways = set()
+    for w in records + ladders:
+        steps, normal = cm.from_doc(cm.to_doc(w)), cm.from_doc(cm.coordinates_doc(w))
+        assert steps.code == w.code and cm.normalize(steps) is w
+        live = cm.normalize(normal)
+        assert live is w or live is cm.normalize(cm.CurveWord(cm._reversed(w.code))), w
+        ways.add(live is w)
+    assert ways == {True, False}
 
 
 # A normalized word's code is its least rotation, so such a word hashes and

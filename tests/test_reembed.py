@@ -10,16 +10,19 @@ import array
 import functools
 import random
 
+import chain_oracle
 import pytest
 import reembed_oracle as oracle
 
 import goeritz2
-from goeritz2 import action
+from goeritz2 import action, handlebody
 from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import embed
 from goeritz2.action import GENERATORS, apply_generator
 from goeritz2.errors import (
+    INPUT_ERRORS,
+    EmptyAfterNormalization,
     Goeritz2Error,
     InconsistentCoordinates,
     InternalInvariantError,
@@ -148,6 +151,21 @@ def test_arc_classes_of_arbitrary_step_sequences():
         assert got == expected, seq
         kinds.add(expected if isinstance(expected, str) else "ok")
     assert kinds == {"spur", "bad", "ok"}
+    # steps whose edge is 12 or more: their byte is no step, and an arc
+    # leaving or entering by one is bad unless the word has a spur
+    wild = [(e, h) for e in (12, 13, 20, 47, 63) for h in range(4)]
+    kinds = set()
+    for _ in range(1000):
+        seq = [rng.choice(steps) for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(1, 3)):
+            seq.insert(rng.randint(0, len(seq)), rng.choice(wild))
+        arcs = list(zip(seq, seq[1:] + seq[:1]))
+        expected = InternalInvariantError if any(e == f for (e, _), (f, _) in arcs) \
+            else InconsistentCoordinates
+        with pytest.raises(expected):
+            cm.to_coordinates(cm.CurveWord(seq))
+        kinds.add(expected)
+    assert kinds == {InternalInvariantError, InconsistentCoordinates}
 
 
 def test_scaled_coordinates_give_identical_multicurves(corpus, ladders):
@@ -224,7 +242,7 @@ def test_validate_reports_the_same_interleaving_chords():
             h = OTHER_HEX[e][h]
             steps.append((e, h))
         try:
-            cm._check_chain(steps)
+            embed._check_chain(cm._encode(steps))
         except MalformedWord:
             continue
         expected = oracle.interleaving_chords(steps)
@@ -237,6 +255,88 @@ def test_validate_reports_the_same_interleaving_chords():
                 continue
         assert expected is None, steps
     assert found > 100
+
+
+def _chain_outcome(check, arg):
+    try:
+        check(arg)
+    except MalformedWord as exc:
+        return str(exc)
+    return None
+
+
+def _closed_walk(rng, length):
+    h0 = h = rng.randrange(4)
+    steps = []
+    while len(steps) < length or h != h0:
+        e = rng.choice(HEX_SIDES[h])
+        h = OTHER_HEX[e][h]
+        steps.append((e, h))
+    return steps
+
+
+def test_chain_check_matches_the_oracle():
+    # the table read gives the per-step loop's message on 100,000 seeded
+    # codes: random step lists, closed walks with 0-2 corrupted steps, and
+    # their prefixes, which fail where the last step meets the first
+    rng = random.Random(36)
+    mod48 = bytes(x % 48 for x in range(256))
+    codes = [b""] + [rng.randbytes(rng.randint(1, 12)).translate(mod48) for _ in range(40_000)]
+    walks = [cm._encode(_closed_walk(rng, rng.randint(1, 12))) for _ in range(2_000)]
+    for _ in range(40_000):
+        code = bytearray(rng.choice(walks))
+        for _ in range(rng.randint(0, 2)):
+            code[rng.randrange(len(code))] = rng.randrange(48)
+        codes.append(bytes(code))
+    for _ in range(20_000):
+        walk = rng.choice(walks)
+        codes.append(walk[:rng.randint(1, len(walk))])
+    seen = set()
+    for code in codes:
+        got = _chain_outcome(embed._check_chain, code)
+        assert got == _chain_outcome(chain_oracle.check_chain,
+                                     list(map(cm._STEP_OF_BYTE.__getitem__, code))), code
+        seen.add((got, len(code)))
+    kinds = {"closed" if got is None else
+             next(k for k in ("empty", "adjacent", "side", "hexagon") if k in got)
+             + " at the wrap-around" * got.startswith(f"step {n}:") for got, n in seen}
+    assert kinds == {"closed", "empty", "adjacent", "side", "hexagon", "hexagon at the wrap-around"}
+
+
+def test_validate_checks_the_chain_as_the_oracle():
+    # end to end: validate raises the oracle's chain message, and a closed
+    # chain gets the word of its code or fails the embeddability check
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(3_000):
+        steps = _closed_walk(rng, rng.randint(1, 16))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            steps[rng.randrange(len(steps))] = (rng.randrange(12), rng.randrange(4))
+        expected = _chain_outcome(chain_oracle.check_chain, steps)
+        try:
+            w = cm.validate(steps)
+        except MalformedWord as exc:
+            assert str(exc) == expected, steps
+            outcomes.add("chain")
+            continue
+        except (NotEmbeddable, EmptyAfterNormalization):
+            assert expected is None, steps
+            outcomes.add("embedding")
+            continue
+        assert expected is None and w.code == cm._encode(steps), steps
+        outcomes.add("word")
+    assert outcomes == {"chain", "embedding", "word"}
+
+
+def test_out_of_range_steps_raise_input_errors():
+    # an unchecked word with a step on an edge of 12 or more is refused with
+    # a typed error by every entry point that reads its arcs
+    entry_points = (cm.normalize, cm.counts, handlebody.is_reducing,
+                    functools.partial(apply_generator, g="beta"), cm.to_coordinates)
+    for steps in ([(20, 0), (1, 1)], [(12, 0), (0, 1)]):
+        for entry_point in entry_points:
+            with pytest.raises(INPUT_ERRORS):
+                entry_point(cm.CurveWord(steps))
 
 
 @pytest.mark.parametrize("seq", [
