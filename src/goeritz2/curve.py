@@ -16,32 +16,32 @@ the least rotation cuts the code where the least byte and the least piece
 after it occur, ranks the segments between those markers and finds the least
 rotation of the ranks (`_least_rotation`).
 
-Arc and disk queries read subsequences of the code.  An arc runs from one
-A/B/C crossing to the next and stays in the pants it enters, as every X/Y/Z
-edge borders two hexagons of one pants (checked in `surface`).  One
-`translate` gives the A/B/C positions (`_arc_starts`); an arc's type, pants
-and edges are one table lookup on the bytes at two consecutive ones, and
-`split_arcs` slices the code between them.  `arc_census` reads every arc's
-type and pants from the same table, with no arc built.  A
-curve bounds a disk in V (W) iff its X/Y/Z (A/B/C) crossings, read in pi_1
-of that handlebody, freely reduce to nothing: one `translate` drops the
-crossings of the disk that spans the tree and reads each other crossing as a
-generator letter by the side it enters, and a stack cancels the letters
-(`_bounds_disk`).
+Arc queries read subsequences of the code.  An arc runs from one A/B/C
+crossing to the next and stays in the pants it enters, as every X/Y/Z edge
+borders two hexagons of one pants (checked in `surface`).  One `translate`
+gives the A/B/C positions (`_arc_starts`); an arc's type, pants and edges
+are one table lookup on the bytes at two consecutive ones, and `split_arcs`
+slices the code between them.  `arc_census` reads every arc's type and
+pants from the same table, with no arc built.  The disk tests read the code
+in pi_1 of each handlebody (`handlebody`).
 
 The re-embedding, which checks that a word is a closed chain and one
 embedded curve and reads its normal coordinates, lives in `embed`; only
 words from outside need it, so this module imports it where they arrive.
-The three readers of outside words, `validate` (steps), `CurveWord.from_tokens`
-(tokens) and `from_doc` (either document), each make a code of step bytes
-and hand it to one tail (`_validated`).  Normalized curves are
-interned: a code has one live `CurveWord`, held weakly in `_CURVES`, and a
-curve's facts (`CurveWord`) are computed once while it lives.  The trace
-(`embed._trace`) runs only on words from outside: `_validated` traces the
-spur-free core of its input and hands it to the `normalize` that follows
-(`_normal`), and `_reembed` traces a code no live curve holds.  A word
-whose trace raises is never interned.  The images of an interned curve
-under a relabeling, and under a twist in which the kernel slid no run, are
+The three readers of outside words, `validate` (steps),
+`CurveWord.from_tokens` (tokens) and `from_doc` (either document), each
+make a code of step bytes and meet at one tail (`_checked`): steps pass
+the chain and embedding checks first (`_validated`), while a
+normal-coordinates document's component, walked from its embedding, is its
+own checked core.  `normalize` of a word the library did not make runs the
+chain check before the kernel.  Normalized curves are interned: a code has
+one live `CurveWord`, held weakly in `_CURVES`, and a curve's facts
+(`CurveWord`) are computed once while it lives.  The trace (`embed._trace`)
+runs only on words from outside: `_validated` traces the spur-free core of
+its input, and `_checked` hands it to the `normalize` that follows
+(`_normal`); `_reembed` traces a code no live curve holds.  A word whose
+trace raises is never interned.  The images of an interned curve under a
+relabeling, and under a twist in which the kernel slid no run, are
 interned untraced (`action` gives the argument; the tests and
 `selftest --full` trace them), and remember the code they were made from
 (`CurveWord`).
@@ -67,7 +67,6 @@ from .surface import (
     HEX_PANTS,
     HEX_TOKENS,
     OTHER_HEX,
-    side_of,
 )
 
 Step = tuple[int, int]  # (edge id, hexagon entered)
@@ -177,12 +176,18 @@ def validate(steps) -> CurveWord:
 
 def _validated(code: bytes) -> CurveWord:
     """The word of a code of step bytes from outside, once it passes the
-    chain and embeddability checks (`embed._check_embeddable`): the tail of
-    `validate`, `CurveWord.from_tokens` and `from_doc`.  A traced core in
-    which the kernel slides no run is the `normalize()` word, which the word
-    keeps, so the kernel and the trace run once."""
+    chain and embeddability checks (`embed._check_embeddable`), which give
+    its traced spur-free core: the check of `validate`,
+    `CurveWord.from_tokens` and `from_doc`'s steps documents."""
     from . import embed
-    core = embed._check_embeddable(code)
+    return _checked(code, embed._check_embeddable(code))
+
+
+def _checked(code: bytes, core: bytes) -> CurveWord:
+    """The word of a checked code and its traced spur-free core: the tail of
+    the three readers.  A core in which the kernel slides no run is the
+    `normalize()` word, which the word keeps, so the kernel and the trace
+    run once."""
     w = CurveWord(code)
     if core and not kernel.normalize_steps(core)[1]:
         w._normal = _interned(_least_rotation(core))
@@ -202,24 +207,10 @@ _STEP_OF_BYTE = tuple((x >> 2, x & 3) for x in range(48))
 # step byte of the same crossing traversed backwards
 _REVERSED = bytes(4 * (x >> 2) + OTHER_HEX[x >> 2].get(x & 3, x & 3) if x < 48 else x
                   for x in range(256))
-# system curve (0..5) of each step byte's edge, and that curve's letter
+# system curve (0..5) of each step byte's edge
 _CURVE_OF_BYTE = bytes(EDGE_CURVE[x >> 2] if x < 48 else 255 for x in range(256))
-_LETTER_OF_BYTE = bytes(CURVE_NAMES[c].encode()[0] if c < 6 else 0 for c in _CURVE_OF_BYTE)
 _ABC_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] < 3)
 _XYZ_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] >= 3)
-
-
-def _disk_reading(base: int) -> tuple[bytes, bytes]:
-    """The table and the deleted bytes that read a code in pi_1 of the
-    handlebody of base's system, base's disk spanning the tree: a step byte
-    of the k-th other disk of the system entering side s reads 2k + s - 1."""
-    others = [c for c in (range(3) if base < 3 else range(3, 6)) if c != base]
-    read = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] in others)
-    letters = bytes(2 * others.index(EDGE_CURVE[x >> 2]) + side_of(base, x & 3) - 1 for x in read)
-    return bytes.maketrans(read, letters), bytes(x for x in range(48) if x not in read)
-
-
-_DISK_READINGS = tuple(map(_disk_reading, range(6)))
 
 
 # ------------------------------------------------------------- coordinates
@@ -340,42 +331,20 @@ def canonical_unoriented(w: CurveWord) -> bytes:
     return min(_cyclic(w), _least_rotation(_reversed(w.code)))
 
 
-def _theta_letters(code: bytes, system: str) -> list[str]:
-    """Letters of the X/Y/Z crossings (system V) or the A/B/C crossings (W), in order."""
-    return list(code.translate(_LETTER_OF_BYTE, _ABC_BYTES if system == "V" else _XYZ_BYTES)
-                .decode())
-
-
-def _bounds_disk(code: bytes, base: int) -> bool:
-    """Does the curve bound a disk in the handlebody of base's system (V for
-    X/Y/Z, W for A/B/C)?  Its crossings with the system's three disks are a
-    closed edge path in the system's theta graph, whose two vertices are the
-    two sides: each crossing enters the side the next one leaves.  The path
-    is read in pi_1, free on the two disks other than base, whose edge is the
-    spanning tree (`_DISK_READINGS`): a crossing of base reads nothing, and
-    a letter's inverse, the same disk entering the other side, is the letter
-    ^ 1.  The curve bounds a disk iff the reading freely reduces to nothing,
-    whatever the base.
-
-    The loop keeps the inverse of the top of the stack in a local, which
-    the next letter cancels when it equals it; below the stack's inverses
-    lies the sentinel -2, which matches no letter."""
-    table, skipped = _DISK_READINGS[base]
-    stack: list[int] = []
-    inverse = -2
-    for c in code.translate(table, skipped):
-        if c == inverse:
-            inverse = stack.pop()
-        else:
-            stack.append(inverse)
-            inverse = c ^ 1
-    return inverse < 0
-
-
 def normalize(w: CurveWord) -> CurveWord:
-    """Minimal position: spur and generalized-bigon removal, then re-embedding."""
+    """Minimal position: spur and generalized-bigon removal, then re-embedding.
+
+    A word the library did not make must be a closed chain before the
+    kernel reads it; its bytes are checked to be steps first, as the chain
+    check reads each byte's edge."""
     if w._normal is not None:  # found by `validate`
         return w._normal
+    if not w.normalized:
+        if max(w.code, default=0) > 47:
+            i = next(i for i, x in enumerate(w.code) if x > 47)
+            raise MalformedWord(f"step {i}: edge {w.code[i] >> 2} is not an integer in 0-11")
+        from . import embed
+        embed._check_chain(w.code)
     code, _ = kernel.normalize_steps(w.code)
     if not code:
         raise EmptyAfterNormalization("curve is null-homotopic")
@@ -593,8 +562,12 @@ def from_doc(doc: dict) -> CurveWord:
                 if type(c) is not int:
                     raise MalformedInput(f"count of {ht} {pair} must be an integer, not {type(c).__name__}")
                 coords[(HEX_OF_TOKEN[ht], min(e1, e2), max(e1, e2))] = c
+        # walked from the embedding of the coordinates, the component is a
+        # closed chain, one embedded curve and spur-free, as no chord class
+        # has both ends on one edge: it is its own traced core
         from . import embed
-        return _validated(embed._first_component(coords))
+        code = embed._first_component(coords)
+        return _checked(code, code)
     raise MalformedInput(f"unknown representation {rep!r}")
 
 

@@ -6,36 +6,47 @@ role with A, B, C.  The graph's two vertices are the two sides of the triple:
 the front and back balls for X/Y/Z (`HEX_BALL`), the pants sigma_1 and
 sigma_2 for A/B/C (`HEX_PANTS`), read from the hexagon each step enters.  A
 curve's crossings with either triple are a closed edge path in that graph,
-and the curve bounds a disk on that side iff the path is null-homotopic.
+each crossing entering the side the next one leaves, and the curve bounds a
+disk on that side iff the path is null-homotopic.
 
 The graph's pi_1 is free on two of its edges, the third spanning the tree.
+With a disk's edge as the tree, one `translate` through that disk's table
+(`_DISK_READINGS`, one per system curve) drops the crossings of that disk
+and of the other system, and reads each other crossing as a letter byte:
+the k-th other disk of the system entering side s reads 2k + s - 1, so a
+letter's inverse, the same disk entering the other side, is the letter ^ 1.
+One loop freely reduces a word of letter bytes (`_free_reduction`).
 `bounds_disk` takes as the tree the disk the curve crosses most, from the
-counts the curve keeps, so those crossings read nothing; each other crossing
-reads a generator or its inverse by the side it enters, and the word must
-freely reduce to nothing (`curve._bounds_disk`).  Every tree gives the same
-verdict; the most-crossed one leaves the fewest letters.  `theta_word` lists
-the crossed curves in order: in Z/2 * Z/2 * Z/2, where adjacent equal letters
-cancel, they cancel to nothing exactly when the path does.
+counts the curve keeps, so those crossings read nothing, and the curve
+bounds a disk iff its reading reduces to nothing.  Every tree gives the
+same verdict; the most-crossed one leaves the fewest letters.  `theta_word`
+lists the crossed curves in order: in Z/2 * Z/2 * Z/2, where adjacent equal
+letters cancel, they cancel to nothing exactly when the path does.
 
-Arc words read pi_1(V) with X's disk as the tree: it is free on b, c, where b
-is the core loop dual to the Z-disk and c the core loop dual to the Y-disk.
-Reading rule for a traversal: crossing Z front-to-back contributes b
-(back-to-front b^-1), crossing Y front-to-back contributes c^-1 (back-to-front
-c), crossing X contributes nothing.  This calibration makes the B-pushoff read
-"b", the C-pushoff read "c", and reproduces the catalogued words of curve arcs.
+The curve and arc words read pi_1(V) with X's disk as the tree: it is free
+on b, c, where b is the core loop dual to the Z-disk and c the core loop
+dual to the Y-disk.  Crossing Z front-to-back reads b (back-to-front b^-1),
+crossing Y front-to-back reads c^-1 (back-to-front c), crossing X reads
+nothing: X's table reads c, c^-1, b^-1, b as the letter bytes 0-3, which
+`_LETTERS` turns into `Letter` pairs.  This calibration makes the B-pushoff
+read "b", the C-pushoff read "c", and reproduces the catalogued words of
+curve arcs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .curve import (
     Arc,
     CurveWord,
     SlotRecord,
+    _ABC_BYTES,
+    _CURVE_OF_BYTE,
     _UNCHECKED,
-    _bounds_disk,
-    _theta_letters,
+    _XYZ_BYTES,
+    _encode,
     counts,
     ensure_normal,
     is_separating,
@@ -47,44 +58,67 @@ from .errors import (
     MalformedInput,
     NotReducing,
 )
-from .surface import EDGE_CURVE, EDGE_INDEX, EDGE_TOKENS, HEX_BALL
+from .surface import CURVE_NAMES, EDGE_CURVE, EDGE_INDEX, EDGE_TOKENS, X, side_of
 
-# ------------------------------------------------------------- free words
+# ------------------------------------------------------------- pi_1 readings
 
 Letter = tuple[str, int]  # ("b"|"c", +1|-1)
 
 
-def _reduce_word(letters: list[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for g, s in letters:
-        if out and out[-1][0] == g and out[-1][1] == -s:
-            out.pop()
+def _disk_reading(base: int) -> tuple[bytes, bytes]:
+    """The table and the deleted bytes that read a code in pi_1 of the
+    handlebody of base's system, base's disk spanning the tree: a step byte
+    of the k-th other disk of the system entering side s reads 2k + s - 1."""
+    others = [c for c in (range(3) if base < 3 else range(3, 6)) if c != base]
+    read = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] in others)
+    letters = bytes(2 * others.index(EDGE_CURVE[x >> 2]) + side_of(base, x & 3) - 1 for x in read)
+    return bytes.maketrans(read, letters), bytes(x for x in range(48) if x not in read)
+
+
+_DISK_READINGS = tuple(map(_disk_reading, range(6)))
+_X_READING = _DISK_READINGS[X]
+# the Letter of each letter byte of X's reading
+_LETTERS: tuple[Letter, ...] = (("c", 1), ("c", -1), ("b", -1), ("b", 1))
+_INVERSE = bytes(x ^ 1 for x in range(256))
+# the system curve's name of each step byte, as an ASCII byte
+_LETTER_OF_BYTE = bytes(CURVE_NAMES[c].encode()[0] if c < 6 else 0 for c in _CURVE_OF_BYTE)
+
+
+def _free_reduction(letters: bytes) -> bytes:
+    """The free reduction of a word of letter bytes, where the inverse of a
+    letter is the letter ^ 1.
+
+    The loop keeps the inverse of the top of the stack in a local, which
+    the next letter cancels when it equals it; below the stack's inverses
+    lies the sentinel -2, which matches no letter."""
+    stack: list[int] = []
+    inverse = -2
+    for c in letters:
+        if c == inverse:
+            inverse = stack.pop()
         else:
-            out.append((g, s))
-    return tuple(out)
+            stack.append(inverse)
+            inverse = c ^ 1
+    if inverse < 0:
+        return b""
+    stack.append(inverse)
+    return bytes(stack[1:]).translate(_INVERSE)
 
 
-def _cyclic_reduce(word: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    word = _reduce_word(list(word))
-    while len(word) >= 2 and word[0][0] == word[-1][0] and word[0][1] == -word[-1][1]:
-        word = word[1:-1]
-    return word
+def _cyclic_word(letters: bytes) -> tuple[Letter, ...]:
+    """The cyclic reduction of a word of X's letter bytes, as Letters: the
+    free reduction, less each pair of a first and a last letter that cancel."""
+    word = _free_reduction(letters)
+    k = 0
+    while 2 * k + 1 < len(word) and word[k] == word[-1 - k] ^ 1:
+        k += 1
+    return tuple(map(_LETTERS.__getitem__, word[k:len(word) - k]))
 
 
 def word_str(word: tuple[Letter, ...]) -> str:
     if not word:
         return "1"
     return ".".join(g if s > 0 else f"{g}^-1" for g, s in word)
-
-
-def _letter_for_crossing(e: int, h: int) -> Letter | None:
-    curve = EDGE_CURVE[e]
-    to_back = HEX_BALL[h] == 2
-    if curve == 5:  # Z
-        return ("b", 1 if to_back else -1)
-    if curve == 4:  # Y
-        return ("c", -1 if to_back else 1)
-    return None  # X or an A/B/C crossing
 
 
 # ------------------------------------------------------------- theta words
@@ -98,17 +132,20 @@ def _normal_word(w: CurveWord, side: str) -> CurveWord:
 
 def theta_word(w: CurveWord, side: str) -> tuple[str, ...]:
     """Cyclic projection of the crossing sequence to one disk system (V or W)."""
-    return tuple(_theta_letters(_normal_word(w, side).code, side))
+    code = _normal_word(w, side).code
+    return tuple(code.translate(_LETTER_OF_BYTE, _ABC_BYTES if side == "V" else _XYZ_BYTES)
+                 .decode())
 
 
 def bounds_disk(w: CurveWord, side: str) -> bool:
     """True iff the curve bounds a disk on that side: its crossings read in
     pi_1, the system's most-crossed disk spanning the tree, freely reduce to
-    nothing (`curve._bounds_disk`)."""
+    nothing (`_free_reduction`)."""
     w = _normal_word(w, side)
     lo = 3 if side == "V" else 0
     x, y, z = counts(w)[lo:lo + 3]
-    return _bounds_disk(w.code, lo if x >= y and x >= z else lo + 1 if y >= z else lo + 2)
+    base = lo if x >= y and x >= z else lo + 1 if y >= z else lo + 2
+    return not _free_reduction(w.code.translate(*_DISK_READINGS[base]))
 
 
 def _normal_reason(w: CurveWord) -> str | None:
@@ -157,18 +194,14 @@ def require_reducing(w: CurveWord) -> CurveWord:
 # --------------------------------------------------------------- arc words
 
 
-def _letters(edges, hexes) -> list[Letter]:
-    return [x for x in map(_letter_for_crossing, edges, hexes) if x is not None]
-
-
 def arc_word(arc: Arc) -> tuple[Letter, ...]:
-    return _reduce_word(_letters(arc.inner_edges, arc.inner_hexes))
+    letters = _encode(zip(arc.inner_edges, arc.inner_hexes)).translate(*_X_READING)
+    return tuple(map(_LETTERS.__getitem__, _free_reduction(letters)))
 
 
 def curve_v_word(w: CurveWord) -> tuple[Letter, ...]:
     """The whole curve read in pi_1(V), cyclically reduced."""
-    w = ensure_normal(w)
-    return _cyclic_reduce(tuple(_letters(*zip(*w.steps))))
+    return _cyclic_word(ensure_normal(w).code.translate(*_X_READING))
 
 
 class ArcWordEntry(namedtuple("ArcWordEntry", "index pants type start_edge end_edge word")):
@@ -193,10 +226,8 @@ class ArcWordReport(namedtuple("ArcWordReport", "entries closed_loop")):
     __slots__ = ()
 
     def concatenation(self) -> tuple[Letter, ...]:
-        letters: list[Letter] = []
-        for entry in self.entries:
-            letters.extend(entry.word)
-        return _cyclic_reduce(_reduce_word(letters))
+        letters = chain.from_iterable(entry.word for entry in self.entries)
+        return _cyclic_word(bytes(map(_LETTERS.index, letters)))
 
     def as_doc(self) -> dict:
         return {

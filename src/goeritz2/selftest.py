@@ -31,6 +31,8 @@ from .action import (
     twist_system,
 )
 from .handlebody import (
+    _DISK_READINGS,
+    _free_reduction,
     bounds_disk,
     check_word_constraints,
     curve_v_word,
@@ -318,7 +320,8 @@ def _checks(quick: bool):
             for side, bases in (("V", range(3, 6)), ("W", range(3))):
                 verdict = cancels(theta_word(w, side))
                 assert bounds_disk(w, side) == verdict, (w.code.hex(), side)
-                assert all(cm._bounds_disk(w.code, b) == verdict for b in bases), (w.code.hex(), side)
+                assert {not _free_reduction(w.code.translate(*_DISK_READINGS[b]))
+                        for b in bases} == {verdict}, (w.code.hex(), side)
 
     def atlas_determinism():
         first = [r.as_json() for r in atlas_mod.enumerate_atlas(2).records]

@@ -88,12 +88,6 @@ OTHER_HEX = tuple(
     for e in range(12)
 )
 
-HEX_CURVE_SIDE = tuple(
-    tuple(next(e for e in sides if EDGE_CURVE[e] == c) for c in range(6))
-    for sides in HEX_SIDES
-)
-
-
 def sign_in_hex(e: int, h: int) -> int:
     """Direction of edge e in the positive boundary of hexagon h (+1 = along u->v)."""
     if SIDE_POS[h][e] < 0:

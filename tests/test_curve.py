@@ -2,7 +2,9 @@
 
 import random
 import tracemalloc
+from collections import Counter
 
+import chain_oracle
 import pytest
 from reembed_oracle import reversed_steps
 
@@ -154,6 +156,53 @@ def test_validated_walks_normalize_without_internal_errors():
         except EmptyAfterNormalization:
             pass
     assert accepted > 2000
+
+
+def _outcome(f, code):
+    try:
+        return "normalized", f(cm.CurveWord(code)).code
+    except Goeritz2Error as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _kernel_then_reembed(w):
+    """`normalize` of an unchecked word without its chain check."""
+    code, _ = kernel.normalize_steps(w.code)
+    if not code:
+        raise EmptyAfterNormalization("curve is null-homotopic")
+    return cm._reembed(code)
+
+
+def test_normalize_refuses_unchecked_words_that_are_not_closed_chains():
+    # seeded codes of 1-10 bytes below 64, then closed walks, as unchecked
+    # words: every failure is typed, a word that is not a closed chain (by
+    # the reference check) is a MalformedWord, and a closed chain meets what
+    # the kernel and the re-embedding make of it
+    with pytest.raises(MalformedWord, match="^step 1: edge 12 is not an integer in 0-11$"):
+        cm.normalize(cm.CurveWord(bytes.fromhex("0e30091c0a22")))
+    rng = random.Random(1)
+    codes = [rng.randbytes(rng.randint(1, 10)).translate(bytes(x % 64 for x in range(256)))
+             for _ in range(20_000)]
+    for _ in range(1_000):
+        h0 = h = rng.randrange(4)
+        steps, length = [], rng.randint(1, 12)
+        while len(steps) < length or h != h0:
+            e = rng.choice(HEX_SIDES[h])
+            h = OTHER_HEX[e][h]
+            steps.append((e, h))
+        codes.append(cm._encode(steps))
+    kinds = Counter()
+    for code in codes:
+        outcome = _outcome(cm.normalize, code)
+        try:
+            closed = max(code) < 48 and chain_oracle.check_chain(cm.CurveWord(code).steps) is None
+        except MalformedWord:
+            closed = False
+        assert outcome == _outcome(_kernel_then_reembed, code) if closed else \
+            outcome[0] == "MalformedWord", code.hex()
+        kinds[closed, outcome[0]] += 1
+    assert kinds[False, "MalformedWord"] > 18_000 and kinds[True, "normalized"] > 400
+    assert kinds[True, "EmptyAfterNormalization"] and kinds[True, "NotEmbeddable"]
 
 
 def test_double_spur_word_normalizes_to_nothing():
@@ -478,6 +527,27 @@ def test_both_documents_lead_to_the_live_curve():
         assert live is w or live is cm.normalize(cm.CurveWord(cm._reversed(w.code))), w
         ways.add(live is w)
     assert ways == {True, False}
+
+
+def test_a_normal_document_is_read_with_no_trace(monkeypatch):
+    # the component walked from a normal-coordinates document is its own
+    # traced core: reading it traces nothing, and gives the word that the
+    # chain and embedding checks give for its code
+    curves = [rec.curve for rec in at.enumerate_atlas(6).records]
+    rng, w = random.Random(7), cm.P_CURVE
+    while len(w) < 10_000:
+        w = action.apply_word(w, rng.choice("dD") + rng.choice("bB"))
+        curves.append(w)
+    docs = [cm.coordinates_doc(w) for w in curves]
+    traces = []
+    trace = embed._trace
+    monkeypatch.setattr(embed, "_trace", lambda code: traces.append(code) or trace(code))
+    words = list(map(cm.from_doc, docs))
+    assert traces == []
+    monkeypatch.undo()
+    for w in words:
+        checked = cm._validated(w.code)
+        assert w.code == checked.code and w._normal is checked._normal is not None, w.code.hex()
 
 
 # A normalized word's code is its least rotation, so such a word hashes and

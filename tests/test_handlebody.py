@@ -1,12 +1,21 @@
-"""Handlebody words, disk-bounding, reducing verification, word constraints."""
+"""Handlebody words, disk-bounding, reducing verification, word constraints.
 
+`pi1_oracle` keeps the earlier tuple reader of pi_1(V); the library's words,
+reports and theta words are compared with it.
+"""
+
+import random
+
+import pi1_oracle as oracle
 import pytest
 
+from goeritz2 import atlas as at
 from goeritz2 import curve as cm
 from goeritz2 import handlebody as hb
 from goeritz2 import kernel
 from goeritz2.action import apply_generator, apply_word
 from goeritz2.errors import MalformedInput, NotReducing
+from goeritz2.surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX
 
 
 def W(*pairs):
@@ -161,3 +170,81 @@ def test_join_cancellations_wrap_around():
     assert hb.join_cancellations([(b, B)]) == [0]
     assert hb.join_cancellations([(b,), (b,)]) == []
     assert hb.join_cancellations([]) == []
+
+
+def _a_dominant(w):
+    c = cm.counts(w)
+    return c.a > c.b + c.c
+
+
+# the sides of each hexagon, and those on X, Y or Z
+_XYZ_SIDES = tuple(tuple(e for e in sides if EDGE_CURVE[e] >= 3) for sides in HEX_SIDES)
+
+
+def _closed_walk(rng, length, backtrack, sides):
+    """A closed walk of at least `length` steps that often turns straight
+    back, crossing the sides of each hexagon that `sides` lists."""
+    h0 = h = rng.randrange(4)
+    steps = []
+    while len(steps) < length or h != h0:
+        if steps and rng.random() < backtrack:
+            e = steps[-1][0]
+        else:
+            e = rng.choice(sides[h])
+        h = OTHER_HEX[e][h]
+        steps.append((e, h))
+    return steps
+
+
+def _same_words_as_the_oracle(w):
+    """The library's pi_1(V) words of w, its arc-word report and its theta
+    words equal the oracle's; returns whether w is a closed loop."""
+    assert hb.curve_v_word(w) == oracle.curve_v_word(w), w.code.hex()
+    # the entries hold `arc_word` of each arc of `split_arcs`, or the curve
+    # word of a closed loop
+    report, reference = hb.arc_pi1_words(w), oracle.arc_pi1_words(w)
+    assert report == reference, w.code.hex()
+    assert report.concatenation() == reference.concatenation(), w.code.hex()
+    assert report.as_doc() == reference.as_doc() and report.as_table() == reference.as_table()
+    for side in "VW":
+        assert hb.theta_word(w, side) == oracle.theta_word(w, side), (w.code.hex(), side)
+    return report.closed_loop
+
+
+def test_pi1_words_match_the_oracle(monkeypatch):
+    # closed walks, read as they are (flagged normalized, a test-only fake
+    # that no intern table holds), then every depth-6 record and the rng-7
+    # rungs below 10^4 crossings; the word-form checks of the A-dominant
+    # curves read their arc words through the oracle too
+    rng = random.Random(37)
+    loops, trims = set(), 0
+    for _ in range(3000):
+        sides = rng.choice((HEX_SIDES, HEX_SIDES, _XYZ_SIDES))
+        steps = _closed_walk(rng, rng.randint(1, 40), rng.choice((0.0, 0.5, 0.85)), sides)
+        w = cm.CurveWord(steps)
+        w.normalized = True
+        loops.add(_same_words_as_the_oracle(w))
+        trims += len(oracle.reduce_word(oracle.letters(*zip(*steps)))) > len(hb.curve_v_word(w))
+    assert loops == {True, False} and trims > 100
+    curves = [rec.curve for rec in at.enumerate_atlas(6).records]
+    rng, w = random.Random(7), cm.P_CURVE
+    while len(w) < 10_000:
+        curves.append(w)
+        w = apply_word(w, rng.choice("dD") + rng.choice("bB"))
+    checked = 0
+    for w in curves:
+        _same_words_as_the_oracle(w)
+        if _a_dominant(w):
+            report = hb.check_word_constraints(w, strict=False)
+            with monkeypatch.context() as m:
+                m.setattr(hb, "arc_word", oracle.arc_word)
+                assert report == hb.check_word_constraints(w, strict=False), w.code.hex()
+            checked += 1
+    assert checked > 100
+
+
+def test_word_forms_hold_on_every_a_dominant_depth7_record():
+    curves = [rec.curve for rec in at.enumerate_atlas(7).records]
+    dominant = [w for w in curves if _a_dominant(w) and sum(cm.counts(w).abc()) > 2]
+    assert len(dominant) == 440
+    assert all(hb.check_word_constraints(w, strict=False).ok for w in dominant)

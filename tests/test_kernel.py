@@ -10,6 +10,7 @@ import itertools
 import random
 
 import kernel_oracle as oracle
+import pi1_oracle
 import pytest
 
 from goeritz2 import atlas as at
@@ -163,12 +164,14 @@ def _disk_reference(code, system):
 
 
 def _same_disk_verdicts(code):
-    """`_bounds_disk` at each of the three basepoints of each system against
-    the stack reference; returns the verdicts in V and in W."""
+    """The disk test's reading (`handlebody._DISK_READINGS`, freely reduced)
+    at each of the three basepoints of each system against the stack
+    reference; returns the verdicts in V and in W."""
     verdicts = []
     for system, bases in (("V", range(3, 6)), ("W", range(3))):
         verdict = _disk_reference(code, system)
-        assert [cm._bounds_disk(code, base) for base in bases] == [verdict] * 3, (code.hex(), system)
+        assert [not hb._free_reduction(code.translate(*hb._DISK_READINGS[base]))
+                for base in bases] == [verdict] * 3, (code.hex(), system)
         verdicts.append(verdict)
     return verdicts
 
@@ -209,14 +212,14 @@ def test_bounds_disk_matches_a_stack_reference_at_every_length():
 
 def test_disk_verdict_is_the_same_at_every_basepoint():
     # closed walks, whose V verdict is also the pi_1 word of their raw steps
-    # (`curve_v_word`'s reading, with X's disk spanning the tree), then the
+    # (`pi1_oracle`'s reading, with X's disk spanning the tree), then the
     # depth-6 atlas and seeded generator images of P and the six pushoffs
     rng = random.Random(43)
     verdicts = set()
     for _ in range(1500):
         steps = _walk(rng, rng.randint(1, 60), rng.choice((0.0, 0.5, 0.85)))
         v, w = _same_disk_verdicts(_code(steps))
-        assert v == (hb._cyclic_reduce(tuple(hb._letters(*zip(*steps)))) == ()), steps
+        assert v == (pi1_oracle.steps_word(steps) == ()), steps
         verdicts.add(("walk", v, w))
     curves = [rec.curve for rec in at.enumerate_atlas(6).records]
     curves += [apply_word(q, "".join(rng.choice("abBgdD") for _ in range(rng.randint(0, 6))))
