@@ -33,18 +33,20 @@ The three readers of outside words, `validate` (steps),
 make a code of step bytes and meet at one tail (`_checked`): steps pass
 the chain and embedding checks first (`_validated`), while a
 normal-coordinates document's component, walked from its embedding, is its
-own checked core.  `normalize` of a word the library did not make runs the
-chain check before the kernel.  Normalized curves are interned: a code has
-one live `CurveWord`, held weakly in `_CURVES`, and a curve's facts
-(`CurveWord`) are computed once while it lives.  The trace (`embed._trace`)
-runs only on words from outside: `_validated` traces the spur-free core of
-its input, and `_checked` hands it to the `normalize` that follows
-(`_normal`); `_reembed` traces a code no live curve holds.  A word whose
-trace raises is never interned.  The images of an interned curve under a
-relabeling, and under a twist in which the kernel slid no run, are
-interned untraced (`action` gives the argument; the tests and
-`selftest --full` trace them), and remember the code they were made from
-(`CurveWord`).
+own checked core.  A read word is trusted; any other word the library did
+not make passes one gate before its bytes are read (`_gate`, in `normalize`
+and `to_coordinates`): its bytes are steps and make a closed chain.
+Normalized curves are interned: a code has one live `CurveWord`, held
+weakly in `_CURVES`, and a curve's facts (`CurveWord`) are computed once
+while it lives.  The trace (`embed._trace`) runs only on words from
+outside: `_validated` traces the spur-free core of its input, and
+`_checked` keeps the kernel's verdict on it for the `normalize` that
+follows (`_normal`); `_reembed` traces a code no live curve holds, a slid
+core too.  A word whose trace raises is never interned.  The images of an
+interned curve under a relabeling, and under a twist in which the kernel
+slid no run, are interned untraced (`action` gives the argument; the tests
+and `selftest --full` trace them), and remember the code they were made
+from (`CurveWord`).
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class CurveWord:
     """A closed curve as a cyclic word of (edge, hexagon-entered) steps.
 
     The word is stored as its code, one byte 4e+h per step; `steps` decodes
-    it.  `CurveWord(steps)` takes a step sequence or its code.
+    it.  `CurveWord(steps)` takes a step sequence or its code, and checks
+    neither: `repr` and `steps` read any byte, `tokens` refuses one that is
+    no step.
 
     A normalized word holds three facts of its curve, each filled the first
     time it is asked for: its `Counts` (`counts`), its reducing verdict, the
@@ -99,7 +103,8 @@ class CurveWord:
     operation hands back Q's live curve without computing it (`action`).
     Normalized means interned: only `_interned` makes a normalized word, so
     each was verified when it was made.  An unnormalized word holds no fact;
-    `validate` may leave it its `normalize()` word (`_normal`).
+    one read from outside keeps the kernel's verdict on its core (`_normal`,
+    `_checked`): its `normalize()` word, or the slid code.
     """
 
     __slots__ = ("code", "normalized", "_counts", "_reason", "_pass", "_normal", "_preimage",
@@ -128,11 +133,13 @@ class CurveWord:
         return hash(_cyclic(self))
 
     def __repr__(self) -> str:
-        body = " ".join(f"{EDGE_TOKENS[x >> 2]}>{HEX_TOKENS[x & 3]}" for x in self.code)
-        return f"CurveWord[{body}]"
+        try:
+            return f"CurveWord[{' '.join(map('>'.join, self.tokens()))}]"
+        except MalformedWord:  # bytes that are not steps
+            return f"CurveWord({self.code!r})"
 
     def tokens(self) -> list[list[str]]:
-        return [[EDGE_TOKENS[x >> 2], HEX_TOKENS[x & 3]] for x in self.code]
+        return [[EDGE_TOKENS[x >> 2], HEX_TOKENS[x & 3]] for x in _step_bytes(self.code)]
 
     @staticmethod
     def from_tokens(pairs) -> "CurveWord":
@@ -185,13 +192,31 @@ def _validated(code: bytes) -> CurveWord:
 
 def _checked(code: bytes, core: bytes) -> CurveWord:
     """The word of a checked code and its traced spur-free core: the tail of
-    the three readers.  A core in which the kernel slides no run is the
-    `normalize()` word, which the word keeps, so the kernel and the trace
-    run once."""
+    the three readers.  The word keeps the kernel's verdict on the core
+    (`_normal`): a core in which it slides no run is the `normalize()` word,
+    else the slid code is kept, for `normalize` to re-embed, so neither the
+    chain check nor the kernel runs again."""
     w = CurveWord(code)
-    if core and not kernel.normalize_steps(core)[1]:
-        w._normal = _interned(_least_rotation(core))
+    core, slid = kernel.normalize_steps(core)
+    w._normal = _interned(_least_rotation(core)) if core and not slid else core
     return w
+
+
+def _step_bytes(code: bytes) -> bytes:
+    """The code, once every byte is a step 4e+h with e < 12."""
+    if code.translate(None, _STEP_BYTES):
+        i = next(i for i, x in enumerate(code) if x > 47)
+        raise MalformedWord(f"step {i}: edge {code[i] >> 2} is not an integer in 0-11")
+    return code
+
+
+def _gate(w: CurveWord) -> None:
+    """The one check of a word the library neither made nor read before its
+    bytes are read (`normalize`, `to_coordinates`): its bytes are steps, as
+    the chain check reads each byte's edge, and they make a closed chain."""
+    if w._normal is None and not w.normalized:
+        from . import embed
+        embed._check_chain(_step_bytes(w.code))
 
 
 # ------------------------------------------------------------- step bytes
@@ -203,7 +228,8 @@ def _encode(steps) -> bytes:
     return bytes(4 * e + h for e, h in steps)
 
 
-_STEP_OF_BYTE = tuple((x >> 2, x & 3) for x in range(48))
+_STEP_BYTES = bytes(range(48))
+_STEP_OF_BYTE = tuple((x >> 2, x & 3) for x in range(256))
 # step byte of the same crossing traversed backwards
 _REVERSED = bytes(4 * (x >> 2) + OTHER_HEX[x >> 2].get(x & 3, x & 3) if x < 48 else x
                   for x in range(256))
@@ -217,8 +243,11 @@ _XYZ_BYTES = bytes(x for x in range(48) if EDGE_CURVE[x >> 2] >= 3)
 
 
 def to_coordinates(w: CurveWord) -> dict[tuple[int, int, int], int]:
-    """Chord-class counts {(hexagon, lo edge, hi edge): n}.  Word must be
-    spur-free (`embed.to_coordinates`)."""
+    """Chord-class counts {(hexagon, lo edge, hi edge): n} of a spur-free
+    word (`embed.to_coordinates`).  A word the library neither made nor read
+    passes the gate first (`_gate`), which checks it and does not normalize
+    it."""
+    _gate(w)
     from . import embed
     return embed.to_coordinates(w)
 
@@ -334,18 +363,16 @@ def canonical_unoriented(w: CurveWord) -> bytes:
 def normalize(w: CurveWord) -> CurveWord:
     """Minimal position: spur and generalized-bigon removal, then re-embedding.
 
-    A word the library did not make must be a closed chain before the
-    kernel reads it; its bytes are checked to be steps first, as the chain
-    check reads each byte's edge."""
-    if w._normal is not None:  # found by `validate`
-        return w._normal
-    if not w.normalized:
-        if max(w.code, default=0) > 47:
-            i = next(i for i, x in enumerate(w.code) if x > 47)
-            raise MalformedWord(f"step {i}: edge {w.code[i] >> 2} is not an integer in 0-11")
-        from . import embed
-        embed._check_chain(w.code)
-    code, _ = kernel.normalize_steps(w.code)
+    A word read from outside keeps the kernel's verdict on its core
+    (`_checked`): its `normalize()` word, or the slid code, which is
+    re-embedded here.  Any other word the library did not make passes the
+    gate (`_gate`) before the kernel reads it."""
+    code = w._normal
+    if isinstance(code, CurveWord):
+        return code
+    if code is None:
+        _gate(w)
+        code, _ = kernel.normalize_steps(w.code)
     if not code:
         raise EmptyAfterNormalization("curve is null-homotopic")
     return _reembed(code)

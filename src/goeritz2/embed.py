@@ -1,9 +1,9 @@
 """Re-embedding: normal coordinates, and the check that a word is one embedded curve.
 
 Only words from outside the library need it, so importing `goeritz2` does
-not load this module: `curve._validated` imports it for every outside word,
-`curve._reembed` for a code no live curve holds, and the coordinate
-functions, the renderer and `selftest --full` when they run.
+not load this module: `curve._validated` and `curve._gate` import it for
+every outside word, `curve._reembed` for a code no live curve holds, and
+the coordinate functions, the renderer and `selftest --full` when they run.
 
 Re-embedding runs on small integers.  A step (e, h) is the byte 4e+h, so an
 encoded word sorts like its step tuples.  The chain rule, that a step
@@ -11,12 +11,12 @@ leaves the hexagon the step before entered through one of its sides, into
 the hexagon across, is one table over the byte 48h + y of a step y and the
 hexagon h entered before it (`_RULE`), read for all steps at once by a
 big-integer sum of two translated copies of the code: the chain check
-(`_check_chain`) and the arc classes' side check read it.  Static tables,
-built once from `surface`, number the 60 chord classes (h, lo, hi) in
-sorted key order and hold each class's interleave bitmask and each edge
-side's fan order.  The class of every arc is one byte, read for all arcs at
-once by a big-integer OR of two translated copies of the code.  Crossing
-slot s of edge e is the
+(`_check_chain`) reads it, the one gate of a word from outside, so the arc
+classes are read only of closed chains.  Static tables, built once from
+`surface`, number the 60 chord classes (h, lo, hi) in sorted key order and
+hold each class's interleave bitmask and each edge side's fan order.  The
+class of every arc is one byte, read for all arcs at once by a big-integer
+OR of two translated copies of the code.  Crossing slot s of edge e is the
 global slot off[e] + s, and state 2g+k is "at slot g, entering
 EDGE_HEXES[e][k]"; a normal multicurve is a successor table over these
 states.  What depends only on the set of present classes is built once per
@@ -195,13 +195,12 @@ def _arc_table() -> bytes:
 
 # The chain rule.  Byte 48h + y, for a step byte y after a step that
 # entered hexagon h, reads _FOLLOWS if y crosses a side of h into the hexagon
-# across it, _INTO_H if it crosses a side of h into h, _NO_STEP if y's edge
-# is a side of h but y enters a hexagon that does not border it, and
-# _NOT_A_SIDE if y's edge is not a side of h.  Bytes above 47 are read as
-# byte 3, A1 entering H4, which is no step.
-_FOLLOWS, _INTO_H, _NO_STEP, _NOT_A_SIDE = range(4)
+# across it, _ELSEWHERE if y's edge is a side of h but y enters another
+# hexagon, and _NOT_A_SIDE if y's edge is not a side of h.  Bytes above 47
+# are read as byte 3, A1 entering H4, which is no step.
+_FOLLOWS, _ELSEWHERE, _NOT_A_SIDE = range(3)
 _RULE = bytes(_NOT_A_SIDE if SIDE_POS[h][y >> 2] < 0 else _FOLLOWS if y & 3 == OTHER_HEX[y >> 2][h]
-              else _INTO_H if y & 3 == h else _NO_STEP
+              else _ELSEWHERE
               for h in range(4) for y in range(48)).ljust(256, bytes((_NOT_A_SIDE,)))
 _ROW = bytes(48 * (x & 3) for x in range(256))
 _COLUMN = bytes(x if x < 48 else 3 for x in range(256))
@@ -218,33 +217,18 @@ def _rules(w: bytes, nw: bytes) -> bytes:
 
 
 # An arc enters a hexagon by one step and leaves it by the next.  Its byte is
-# (_ARC_FROM[x] | _POSITION[y]), which names its class when both are steps and
-# y's edge is a side of x's hexagon, as the chain rule reads.
+# (_ARC_FROM[x] | _POSITION[y]), which names its class, as in a closed chain
+# y's edge is a side of the hexagon x enters.
 _SPUR_ARC = 254
 _ARC_OF = _arc_table()
 _ARC_FROM = bytes((x & 3) << 6 | _POSITION[x] << 3 if x < 48 else 0 for x in range(256))
-_ARC_SIDES = bytes((_FOLLOWS, _INTO_H))
 
 
 def _arc_classes(w: bytes) -> bytes:
-    """Class id of every arc of an encoded word, or _SPUR_ARC, in one byte each
-    (arc i enters by step i and leaves by step i+1)."""
+    """Class id of every arc of the code of a closed chain, or _SPUR_ARC, in
+    one byte each (arc i enters by step i and leaves by step i+1)."""
     nw = w[1:] + w[:1]
-    if _rules(w, nw).translate(None, _ARC_SIDES):
-        _raise_bad_arc(w, nw)
     return (_big(w, _ARC_FROM) | _big(nw, _POSITION)).to_bytes(len(w), "big").translate(_ARC_OF)
-
-
-def _raise_bad_arc(w: bytes, nw: bytes) -> None:
-    """Raise for a word with an arc whose two sides are not sides of one
-    hexagon: InternalInvariantError if the word has a spur, else
-    InconsistentCoordinates naming the first such arc's class."""
-    arcs = dict.fromkeys(zip(w, nw))
-    if any(x >> 2 == y >> 2 for x, y in arcs):
-        raise InternalInvariantError("coordinates of a word with spurs")
-    h, e, f = next((x & 3, x >> 2, y >> 2) for x, y in arcs
-                   if (x & 3, x >> 2, y >> 2) not in _CLASS_OF)
-    raise InconsistentCoordinates(f"bad chord class ({h},{min(e, f)},{max(e, f)})")
 
 
 def _class_sizes(w: bytes) -> tuple[bytes, list[int]]:

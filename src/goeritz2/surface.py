@@ -123,21 +123,6 @@ def fan_key_from(h: int, e: int, e2: int, vertex: int) -> int:
 _DELTA_CURVE = {A: B, B: C, C: A, X: Y, Y: Z, Z: X}
 
 
-def _curve_index_edge(curve: int, index: int) -> int:
-    return 2 * curve + (index - 1)
-
-
-def _edge_map_from_curve_map(cmap: dict[int, int], flip_index: set[int] = frozenset()) -> tuple[int, ...]:
-    out = []
-    for e in range(12):
-        c = cmap[EDGE_CURVE[e]]
-        idx = EDGE_INDEX[e]
-        if EDGE_CURVE[e] in flip_index:
-            idx = 3 - idx
-        out.append(_curve_index_edge(c, idx))
-    return tuple(out)
-
-
 class Relabeling(namedtuple("Relabeling", "name edge_map hex_map")):
     """A cell-complex automorphism given by its edge and hexagon permutations:
     a name, the image of each of the 12 edges and of each of the 4 hexagons."""
@@ -185,7 +170,9 @@ def _check_automorphism(r: Relabeling) -> None:
 
 def _build_symmetries() -> dict[str, Relabeling]:
     ident = Relabeling("alpha", tuple(range(12)), tuple(range(4)))
-    delta = Relabeling("delta", _edge_map_from_curve_map(_DELTA_CURVE), (0, 1, 2, 3))
+    # edge D1 or D2 goes to the edge of the same index of delta's image of D
+    delta = Relabeling("delta", tuple(2 * _DELTA_CURVE[EDGE_CURVE[e]] + EDGE_INDEX[e] - 1
+                                      for e in range(12)), (0, 1, 2, 3))
     inv_edges = [0] * 12
     for e in range(12):
         inv_edges[delta.edge_map[e]] = e

@@ -205,6 +205,19 @@ def test_normalize_refuses_unchecked_words_that_are_not_closed_chains():
     assert kinds[True, "EmptyAfterNormalization"] and kinds[True, "NotEmbeddable"]
 
 
+def test_a_word_of_bytes_that_are_not_steps_shows_them_and_refuses_tokens():
+    # repr (which pytest's failure reports call) and steps read any byte;
+    # tokens, normalize and to_coordinates raise the gate's MalformedWord
+    w = cm.CurveWord(bytes([200, 3]))
+    assert repr(w) == "CurveWord(b'\\xc8\\x03')"
+    assert w.steps == ((50, 0), (0, 3))
+    for read in (cm.CurveWord.tokens, cm.normalize, cm.to_coordinates):
+        with pytest.raises(MalformedWord, match="^step 0: edge 50 is not an integer in 0-11$"):
+            read(w)
+    assert repr(W(("A1", "H1"), ("A1", "H3"))) == "CurveWord[A1>H1 A1>H3]"
+    assert repr(cm.CurveWord(b"")) == "CurveWord[]"
+
+
 def test_double_spur_word_normalizes_to_nothing():
     w = W(("A1", "H1"), ("A1", "H3"))
     with pytest.raises(EmptyAfterNormalization):

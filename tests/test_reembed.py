@@ -9,6 +9,7 @@ exception type raised, on the same input.
 import array
 import functools
 import random
+from collections import Counter
 
 import chain_oracle
 import pytest
@@ -24,7 +25,6 @@ from goeritz2.errors import (
     INPUT_ERRORS,
     EmptyAfterNormalization,
     Goeritz2Error,
-    InconsistentCoordinates,
     InternalInvariantError,
     MalformedWord,
     NotEmbeddable,
@@ -35,7 +35,6 @@ from goeritz2.surface import (
     HEX_OF_TOKEN,
     HEX_SIDES,
     OTHER_HEX,
-    SIDE_POS,
 )
 
 
@@ -127,45 +126,43 @@ def test_state_numbers_are_a_range(typecode):
         assert states.typecode == typecode and states == array.array(typecode, range(count))
 
 
+def _raised(fn, w):
+    """The type and message of what the call raises, or None."""
+    try:
+        fn(w)
+    except Goeritz2Error as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def test_arc_classes_of_arbitrary_step_sequences():
-    # not only closed chains: every arc is classified, or the word rejected, as
-    # the per-pair reference does (a spur first, then a side of another hexagon)
+    # `to_coordinates` of a word the library did not make passes the chain
+    # check first: a closed chain gets its own coordinates (the gate checks
+    # it, it does not normalize it), or the spur error if it has a spur, as
+    # the per-pair reference gives; anything else, bytes that are not steps
+    # too, raises exactly what `normalize` raises on it
     rng = random.Random(13)
     steps = [(e, h) for e in range(12) for h in EDGE_HEXES[e]]
-    kinds = set()
-    for _ in range(3000):
-        seq = [rng.choice(steps) for _ in range(rng.randint(1, 12))]
-        arcs = list(zip(seq, seq[1:] + seq[:1]))
-        if any(e == f for (e, _), (f, _) in arcs):
-            expected = "spur"
-        elif any(SIDE_POS[h][f] < 0 for (_, h), (f, _) in arcs):
-            expected = "bad"
-        else:
-            expected = oracle.to_coordinates(cm.CurveWord(tuple(seq)))
-        try:
-            got = cm.to_coordinates(cm.CurveWord(seq))
-        except InternalInvariantError:
-            got = "spur"
-        except InconsistentCoordinates:
-            got = "bad"
-        assert got == expected, seq
-        kinds.add(expected if isinstance(expected, str) else "ok")
-    assert kinds == {"spur", "bad", "ok"}
-    # steps whose edge is 12 or more: their byte is no step, and an arc
-    # leaving or entering by one is bad unless the word has a spur
     wild = [(e, h) for e in (12, 13, 20, 47, 63) for h in range(4)]
-    kinds = set()
+    seqs = [[rng.choice(steps) for _ in range(rng.randint(1, 12))] for _ in range(3000)]
+    seqs += [_closed_walk(rng, rng.randint(1, 12)) for _ in range(3000)]
     for _ in range(1000):
-        seq = [rng.choice(steps) for _ in range(rng.randint(0, 8))]
-        for _ in range(rng.randint(1, 3)):
-            seq.insert(rng.randint(0, len(seq)), rng.choice(wild))
-        arcs = list(zip(seq, seq[1:] + seq[:1]))
-        expected = InternalInvariantError if any(e == f for (e, _), (f, _) in arcs) \
-            else InconsistentCoordinates
-        with pytest.raises(expected):
-            cm.to_coordinates(cm.CurveWord(seq))
-        kinds.add(expected)
-    assert kinds == {InternalInvariantError, InconsistentCoordinates}
+        seq = rng.choice(seqs)[:]
+        seq.insert(rng.randint(0, len(seq)), rng.choice(wild))
+        seqs.append(seq)
+    kinds = Counter()
+    for seq in seqs:
+        w = cm.CurveWord(seq)
+        if max(e for e, _ in seq) < 12 and _chain_outcome(chain_oracle.check_chain, seq) is None:
+            expected = _outcome(oracle.to_coordinates, w)
+            assert _outcome(cm.to_coordinates, w) == expected, seq
+            kinds["spur" if expected[0] == "raised" else "ok"] += 1
+        else:
+            got = _raised(cm.to_coordinates, w)
+            assert got is not None and got[0] is MalformedWord, seq
+            assert got == _raised(cm.normalize, w), seq
+            kinds["step" if "integer" in got[1] else "chain"] += 1
+    assert min(kinds[k] for k in ("ok", "spur", "step", "chain")) > 100, kinds
 
 
 def test_scaled_coordinates_give_identical_multicurves(corpus, ladders):

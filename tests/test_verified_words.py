@@ -107,6 +107,39 @@ def test_validate_hands_its_traced_core_to_normalize(corpus, traced, fresh_curve
     assert len(traced) == 1
 
 
+def test_a_read_word_is_chain_checked_and_reduced_once(fresh_curves, monkeypatch):
+    # reading a document reads the chain rule once (the chain check is the one
+    # gate) and runs the kernel once; `normalize` and `to_coordinates` of the
+    # read word run neither again, and `normalize` traces only the slid code
+    # of a core with a bigon run
+    minimal = cm.to_doc(action.apply_word(cm.P_CURVE, "dbDbdBgbdb"))
+    slid = {"format": cm.CURVE_FORMAT, "representation": "steps",
+            "steps": [t.split(">") for t in "A1>H1 Y1>H2 A2>H4 X2>H3".split()]}
+    calls = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((embed, "_rules"), (embed, "_check_chain"), (embed, "_trace"),
+                         (kernel, "normalize_steps")):
+        spy(module, name)
+    once = {"_rules": 1, "_check_chain": 1, "normalize_steps": 1, "_trace": 1}
+    cases = ((minimal, 1, minimal["steps"]), (slid, 2, [["X2", "H3"], ["Y2", "H4"]]))
+    for doc, traces, normal in cases:
+        fresh_curves()
+        calls.clear()
+        w = cm.from_doc(doc)
+        assert calls == once
+        assert cm.to_doc(cm.normalize(w))["steps"] == normal
+        cm.to_coordinates(w)
+        assert calls == {**once, "_trace": traces}
+
+
 def test_normalizing_a_word_twice_traces_it_once(corpus, traced, fresh_curves):
     w = max((w for _, w in corpus), key=len)
     fresh_curves()
