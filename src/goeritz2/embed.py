@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import accumulate, compress, count, islice, repeat, takewhile
 from math import gcd
@@ -251,12 +252,21 @@ def to_coordinates(w: CurveWord) -> dict[tuple[int, int, int], int]:
 
 
 def _class_counts(coords) -> tuple[bytes, list[int]]:
-    """Normal coordinates as their classes, ascending, and the class counts."""
+    """Normal coordinates as their classes, ascending, and the class counts.
+
+    As in a curve document, each key must name a chord class and each count
+    be an `int` of at least 0."""
+    if not isinstance(coords, Mapping):
+        raise InconsistentCoordinates("normal coordinates must map chord classes to counts, "
+                                      f"not {type(coords).__name__}")
     counts = [0] * len(_CLASS_KEYS)
-    for (h, e1, e2), c in {k: int(v) for k, v in coords.items() if v}.items():
-        i = _CLASS_OF.get((h, e1, e2))
-        if i is None or c < 0:
-            raise InconsistentCoordinates(f"bad chord class ({h},{e1},{e2})")
+    for key, c in coords.items():
+        i = _CLASS_OF.get(key)
+        if i is None:
+            raise InconsistentCoordinates(f"bad chord class {key!r}")
+        if type(c) is not int or c < 0:
+            raise InconsistentCoordinates(f"count of chord class {key!r} must be an integer "
+                                          f"of at least 0, not {c!r}")
         counts[i] += c
     return bytes(compress(count(), counts)), list(filter(None, counts))
 

@@ -34,15 +34,28 @@ by a side next to the curve's side), and recrosses it.  Every hexagon has its
 sides in the cyclic order A Z B X C Y of their curves, so on a closed chain
 the walk reads only that position of each crossed curve: after crossing the
 curve at p, the first fence is at p +- 1, the fences then alternate between
-p + 1 and p - 1, and the run ends at p.  A prefilter runs this walk from every
-start at once.  Its first two steps are one table lookup: one product of the
-positions' big integer by a constant reads each start's three positions as
-one byte, 36 p0 + 6 p1 + p2.  Each later pass packs each start's state and
-the next position into one byte and maps the bytes through the transition
-table, while some walk is alive.  Only the starts still alive or returned
-after a few passes are walked, in order.  `_slide_run` replaces the run by
-the mirrored path on the far side of the curve.  `normalize_steps`
-alternates the two to a fixed point.
+p + 1 and p - 1, and the run ends at p.  So a run reads as triples of
+consecutive positions pos[j], pos[j+1], pos[j+2] of the cyclic word:
+
+* a short run (i, i + 2) exists iff triple i reads (p, p +- 1, p);
+* a long run (i, k), k >= i + 3, exists iff triple i reads
+  (p, p + s, p - s), each triple from i + 1 to k - 3 repeats the position
+  two steps back (the fences alternate), and triple k - 2 reads
+  (p -+ 1, p +- 1, p), its last position the one midpoint mod 6 of the two
+  fences before it.
+
+Each triple has at most one of these four kinds (short, open, alternate,
+close), read from its two turns mod 6, so each start has at most one run,
+and a long run is the match of open, alternate* and close in the kinds.
+One product of the positions' big integer by a constant reads every start's
+triple as one byte, 36 p0 + 6 p1 + p2, and one `translate` gives its kind.
+The first run is the earlier of the first short triple and the leftmost long
+match in the doubled kinds (a match from i + n repeats one from i), kept if
+it is shorter than the word, k < i + n.  A longer match leaves no later
+start of the word that opens a long run: each reads a triple of its
+alternation, its close, or (p +- 1, p, p + s).
+`_slide_run` replaces the run by the mirrored path on the far side of the
+curve.  `normalize_steps` alternates the two to a fixed point.
 
 Moves are free-homotopy moves: no strand-nesting checks are made here.
 Callers re-embed canonically afterwards, and trace the result unless it is
@@ -50,6 +63,8 @@ the slide-free twist image of an interned curve (`action`).
 """
 
 from __future__ import annotations
+
+import re
 
 from .surface import EDGE_CURVE, HEX_SIDES, OTHER_HEX
 
@@ -69,37 +84,17 @@ _ROUNDS = 2
 _SIDE_CURVES = tuple(EDGE_CURVE[e] for e in HEX_SIDES[0])
 _POSITION = bytes(_SIDE_CURVES.index(EDGE_CURVE[x >> 2]) if x < 48 else 6 for x in range(256))
 
-# Walk states, all below 32 so that a state times 8 plus a position fits a byte:
-# 0 failed, 1 returned, 2 + p crossed the curve at p, 8 + 2p + (last fence at p + 1).
-_FAILED, _RETURNED = 0, 1
-_START = bytes(2 + p if p < 6 else _FAILED for p in range(256))
-
-
-def _transitions() -> bytes:
-    """Next state of every byte 8 * state + position."""
-    step = bytearray(256)
-    step[8 * _RETURNED:8 * _RETURNED + 8] = bytes((_RETURNED,)) * 8
-    for p in range(6):
-        for sigma in (1, -1):
-            fence = 8 + 2 * p + (sigma == 1)
-            step[8 * (2 + p) + (p + sigma) % 6] = fence
-            step[8 * fence + p] = _RETURNED
-            step[8 * fence + (p - sigma) % 6] = 8 + 2 * p + (sigma == -1)
-    return bytes(step)
-
-
-_STEP = _transitions()
-# State after two steps of each byte 36 p0 + 6 p1 + p2, p0 the start's position.
-_TWO_STEPS = bytes(_STEP[8 * _STEP[8 * _START[x // 36] + x // 6 % 6] + x % 6]
-                   for x in range(216)).ljust(256, bytes((_FAILED,)))
+# Kind of each triple 36 p0 + 6 p1 + p2 of positions by its turns
+# (p1 - p0, p2 - p1) mod 6: short (p, p +- 1, p), open (p, p + s, p - s),
+# alternate (q, q +- 2, q) and close (q, q +- 2, q +- 1); "-" is none.
+_TURN_KINDS = {(1, 5): "s", (5, 1): "s", (1, 4): "o", (5, 2): "o",
+               (2, 4): "a", (4, 2): "a", (2, 5): "c", (4, 1): "c"}
+_KIND = "".join(_TURN_KINDS.get(((x // 6 - x // 36) % 6, (x - x // 6) % 6), "-")
+                for x in range(216)).ljust(256, "-").encode()
+_LONG_RUN = re.compile(b"oa*c")
 # Positions p0 p1 ... as a big-endian integer, times this, hold
 # 36 p_i + 6 p_(i+1) + p_(i+2) in p_i's byte.
 _THREE_POSITIONS = 36 + 6 * 256 + 256 * 256
-_DONE = bytes((_FAILED, _RETURNED))
-_SURVIVED = bytes(x != _FAILED for x in range(256))
-# Walks that stay alive longer are rare (none on the ladder and atlas inputs)
-# and are finished one start at a time.
-_PREFILTER_PASSES = 8
 
 
 def _same_edge_pairs(x: int, n: int) -> bytes:
@@ -162,47 +157,20 @@ def remove_spurs(code: bytes) -> bytes:
     return out[i:j + 1]
 
 
-def _prefilter(pos: bytes, n: int) -> bytes:
-    """Byte i is 0 iff the walk from start i fails within its first two
-    steps or the passes that follow, up to `_PREFILTER_PASSES` steps in all
-    and fewer than n.
-
-    `pos` holds the positions of the doubled word's crossed curves, read
-    once as a big integer.  They are below 6, so its product by
-    `_THREE_POSITIONS` carries no byte into the next.
-    """
-    last = max(3, min(n, _PREFILTER_PASSES + 1))  # the passes run for k < last
-    x = int.from_bytes(pos[:n + last - 1], "big")  # every position they read
-    low = (1 << 8 * n) - 1
-    state = (x * _THREE_POSITIONS).to_bytes(n + last + 1, "big")[2:n + 2].translate(_TWO_STEPS)
-    for k in range(3, last):
-        if not state.translate(None, _DONE):
-            return state  # every walk failed or returned
-        # the walk from every start i takes its check at position i + k: the
-        # positions from k on are x without its last (last - 1 - k) bytes
-        packed = (int.from_bytes(state, "big") << 3) | (x >> 8 * (last - 1 - k)) & low
-        state = packed.to_bytes(n, "big").translate(_STEP)
-    return state.translate(_SURVIVED)
-
-
 def _find_run(code: bytes) -> tuple[int, int] | None:
     """The smallest start i of a bigon run and its end k, as indices into
     code + code (i < len(code), i + 1 < k < i + len(code)), or None."""
     n = len(code)
-    pos = (code + code).translate(_POSITION)
-    candidates = _prefilter(pos, n)
-    step = _STEP
-    i = candidates.find(1)
-    while i >= 0:
-        s = _START[pos[i]]
-        for k in range(i + 1, i + n):
-            s = step[8 * s + pos[k]]
-            if s <= _RETURNED:
-                break
-        if s == _RETURNED:
-            return i, k
-        i = candidates.find(1, i + 1)
-    return None
+    if n < 3:  # i + 2 <= k < i + n
+        return None
+    # positions are below 6, so no triple's byte carries into the next
+    x = int.from_bytes((code + code[:2]).translate(_POSITION), "big")
+    kinds = (x * _THREE_POSITIONS).to_bytes(n + 4, "big")[2:n + 2].translate(_KIND)
+    i = kinds.find(b"s")
+    run = _LONG_RUN.search(kinds + kinds)
+    if run and run.end() + 1 < run.start() + n and (i < 0 or run.start() < i):
+        return run.start(), run.end() + 1
+    return (i, i + 2) if i >= 0 else None
 
 
 def _slide_run(code: bytes, i: int, k: int) -> bytes:

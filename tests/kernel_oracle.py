@@ -7,14 +7,13 @@ just before the pair, so it cancels the pairs in the order a rescan from
 index 0 would.  The surface tables are kept as flat copies (an edge that is
 not a side of a hexagon maps to -1), as they were in the replaced module.
 
-`prefilter` is the bigon prefilter one start and one step at a time, through
-the walk tables of `goeritz2.kernel`, which the kernel's two-step table and
-passes over big integers must reproduce.
+`first_run` is the bigon-run search on curve positions one start and one
+step at a time, through the walk's transition table, which the kernel's
+prefilter and per-start walk read before one table of position triples
+replaced them; `triple_kind` reads each triple's kind off that table.
 """
 
 from __future__ import annotations
-
-from goeritz2.kernel import _FAILED, _START, _STEP
 
 _EDGE_CURVE = (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
 _HEX_SIDES = (
@@ -166,13 +165,59 @@ def normalize_steps(es: list[int], hs: list[int]) -> tuple[list[int], list[int]]
         _slide_run(es, hs, *run)
 
 
-def prefilter(pos: bytes, n: int, passes: int) -> bytes:
-    """Byte i is 0 iff the walk from start i fails within `passes` steps,
-    given the positions `pos` of the doubled word's crossed curves."""
-    out = bytearray(n)
+# Walk states, all below 32 so that a state times 8 plus a position fits a byte:
+# 0 failed, 1 returned, 2 + p crossed the curve at p, 8 + 2p + (last fence at p + 1).
+_FAILED, _RETURNED = 0, 1
+_START = bytes(2 + p if p < 6 else _FAILED for p in range(256))
+
+
+def _transitions() -> bytes:
+    """Next state of every byte 8 * state + position."""
+    step = bytearray(256)
+    step[8 * _RETURNED:8 * _RETURNED + 8] = bytes((_RETURNED,)) * 8
+    for p in range(6):
+        for sigma in (1, -1):
+            fence = 8 + 2 * p + (sigma == 1)
+            step[8 * (2 + p) + (p + sigma) % 6] = fence
+            step[8 * fence + p] = _RETURNED
+            step[8 * fence + (p - sigma) % 6] = 8 + 2 * p + (sigma == -1)
+    return bytes(step)
+
+
+_STEP = _transitions()
+
+
+def first_run(pos: bytes, n: int) -> tuple[int, int] | None:
+    """The smallest start i whose walk returns, and the index k < i + n where
+    it returns, given the positions `pos` of the doubled word's crossed
+    curves; None if every walk fails."""
     for i in range(n):
         s = _START[pos[i]]
-        for k in range(1, passes + 1):
-            s = _STEP[8 * s + pos[i + k]]
-        out[i] = s != _FAILED
-    return bytes(out)
+        for k in range(i + 1, i + n):
+            s = _STEP[8 * s + pos[k]]
+            if s <= _RETURNED:
+                break
+        if s == _RETURNED:
+            return i, k
+    return None
+
+
+def _two_steps(state: int, p1: int, p2: int) -> int:
+    """The state after steps to p1 and p2, failed if the first ends the walk."""
+    one = _STEP[8 * state + p1]
+    return _STEP[8 * one + p2] if one > _RETURNED else _FAILED
+
+
+def triple_kind(p0: int, p1: int, p2: int) -> str:
+    """The kind of the positions p0 p1 p2 in a walk: "s" if a walk from p0
+    returns at p2, "o" if it is still alive there, "a" if a walk whose last
+    fence is p0 is still alive at p2, "c" if it returns at p2, else "-"."""
+    two = _two_steps(_START[p0], p1, p2)
+    if two != _FAILED:
+        return "s" if two == _RETURNED else "o"
+    # the walks whose last fence is p0: about the curve at p0 - 1 or p0 + 1
+    for p, last_above in (((p0 - 1) % 6, True), ((p0 + 1) % 6, False)):
+        two = _two_steps(8 + 2 * p + last_above, p1, p2)
+        if two != _FAILED:
+            return "c" if two == _RETURNED else "a"
+    return "-"

@@ -1,6 +1,7 @@
 """Curve words: validation, normalization, counts, census, coordinates."""
 
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -400,6 +401,25 @@ def test_inconsistent_coordinates_rejected():
 
     with pytest.raises(InconsistentCoordinates):
         cm.from_normal_coordinates({(H1, A1, X1): 1})
+
+
+def test_coordinates_take_only_chord_classes_with_integer_counts():
+    from goeritz2.errors import InconsistentCoordinates
+
+    coords = cm.to_coordinates(cm.P_CURVE)
+    key = min(coords)
+    bad = [({**coords, key: count}, rf"count of chord class {re.escape(repr(key))} .* not ")
+           for count in (1.5, "1", "x", None, -1, True, [1])]
+    bad += [({**coords, k: 1}, rf"^bad chord class {re.escape(repr(k))}$")
+            for k in ((0, 0), (0, 1, 1), (0, 0, 1, 2), "A1-X1", None)]
+    bad.append((list(coords.items()), "not list$"))
+    for coords_in, message in bad:
+        with pytest.raises(InconsistentCoordinates, match=message):
+            cm.from_normal_coordinates(coords_in)
+    # a zero count names no chord, in either edge order
+    h, e1, e2 = next(k for k in embed._CLASS_KEYS if k not in coords)
+    for zero in ({**coords, (h, e1, e2): 0}, {**coords, (h, e2, e1): 0}):
+        assert cm.from_normal_coordinates(zero) == cm.from_normal_coordinates(coords)
 
 
 def test_normalize_never_increases_counts():

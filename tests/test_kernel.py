@@ -235,18 +235,31 @@ def test_disk_verdict_is_the_same_at_every_basepoint():
                         for v in (False, True) for w in (False, True)} - {("curve", False, False)}
 
 
-@pytest.mark.parametrize("passes", [1, 2, kernel._PREFILTER_PASSES])
-def test_prefilter_reports_every_run_start(monkeypatch, passes):
-    # the prefilter may report extra starts, never miss one; the walk decides
-    monkeypatch.setattr(kernel, "_PREFILTER_PASSES", passes)
+def _reported_starts(code, triples):
+    """The starts whose first `triples` kind bytes do not rule out a run: a
+    short triple, or an open one followed by alternates that close or are
+    still alternating after `triples` triples."""
+    n, pos = len(code), (code * 3).translate(kernel._POSITION)
+    kinds = bytes(kernel._KIND[36 * pos[j] + 6 * pos[j + 1] + pos[j + 2]] for j in range(2 * n))
+    starts = set()
+    for i in range(n):
+        first, rest = kinds[i], kinds[i + 1:i + triples].lstrip(b"a")
+        if first == ord("s") or first == ord("o") and rest[:1] in (b"", b"c"):
+            starts.add(i)
+    return starts
+
+
+@pytest.mark.parametrize("triples", [1, 2, 8])
+def test_prefilter_reports_every_run_start(triples):
+    # the kind bytes read from a start may report it without a run, never
+    # miss one; the first run of `_find_run` is the list reference's
     rng = random.Random(17)
     with_run = reported = returned = 0
     for _ in range(10_000):
         steps = _walk(rng, rng.randint(2, 30), rng.choice((0.0, 0.2)))
         es, hs = _split(steps)
         code, n = _code(steps), len(steps)
-        flags = kernel._prefilter((code + code).translate(kernel._POSITION), n)
-        starts = {i for i in range(n) if flags[i]}
+        starts = _reported_starts(code, triples)
         runs = [i for i in range(n) if oracle.run_from(es, hs, i) is not None]
         assert set(runs) <= starts, steps
         first = kernel._find_run(code)
@@ -260,34 +273,49 @@ def test_prefilter_reports_every_run_start(monkeypatch, passes):
         reported += len(starts)
         returned += len(runs)
     assert with_run > 1000
-    if passes <= 2:
-        assert reported > returned  # the walk past the prefilter decides
+    if triples <= 2:
+        assert reported > returned  # the triples past the first ones decide
 
 
-def test_the_two_step_table_takes_two_transitions():
+def test_the_kind_table_reads_the_walk_transitions():
     for p0, p1, p2 in itertools.product(range(6), repeat=3):
-        two = kernel._STEP[8 * kernel._STEP[8 * kernel._START[p0] + p1] + p2]
-        assert kernel._TWO_STEPS[36 * p0 + 6 * p1 + p2] == two, (p0, p1, p2)
+        kind = chr(kernel._KIND[36 * p0 + 6 * p1 + p2])
+        assert kind == oracle.triple_kind(p0, p1, p2), (p0, p1, p2)
+    assert kernel._KIND[216:] == b"-" * 40
 
 
-def _positions(code):
-    return (code + code).translate(kernel._POSITION), len(code)
+# a step byte whose crossed curve has each position
+_BYTE_AT = bytes(kernel._POSITION.index(p) for p in range(6))
 
 
-def _same_prefilter(pos, n):
-    """`_prefilter` equals the walk one start and one step at a time; returns
-    whether the passes after the first two steps changed its flags."""
-    passes = max(2, min(n - 1, kernel._PREFILTER_PASSES))
-    flags = kernel._prefilter(pos, n)
-    assert flags == oracle.prefilter(pos, n, passes), pos[:n].hex()
-    return flags != oracle.prefilter(pos, n, 2)
+def _fence_run(p, side, fences):
+    """The positions of a walk that crosses the curve at p and then `fences`
+    alternating fences, the first at p + side."""
+    return [p] + [(p + side * (-1) ** j) % 6 for j in range(fences)]
 
 
-def test_prefilter_matches_the_step_by_step_reference(fresh_curves, ladders, monkeypatch):
+def _edge_case_positions():
+    """Position strings the search must read as the walk does: every word of
+    1-3 steps, runs past 8 fences, runs that wrap round the end, runs n - 1
+    steps long, whole words of one alternation, and words with a short and
+    a long run in either order."""
+    words = [list(t) for n in (1, 2, 3) for t in itertools.product(range(6), repeat=n)]
+    for p, side in itertools.product(range(6), (1, -1)):
+        q = (p + 3) % 6
+        for fences in (1, 2, 8, 9, 10, 17, 30):
+            run = _fence_run(p, side, fences) + [p]
+            words += [run[j:] + run[:j] for j in range(len(run))]  # every rotation
+            words += [run[:-1], run[1:], _fence_run(p, side, fences)[1:]]
+            words += [run + [q], [q] + run, run + _fence_run(q, side, 1) + [q],
+                      _fence_run(q, side, 1) + [q] + run, run + _fence_run(q, side, fences)]
+    return words
+
+
+def test_find_run_matches_the_per_start_walk(fresh_curves, ladders, monkeypatch):
     # the kernel's own inputs: a cold atlas to depth 6 and the ladders' beta images
     seen = []
-    real = kernel._prefilter
-    monkeypatch.setattr(kernel, "_prefilter", lambda pos, n: seen.append((pos, n)) or real(pos, n))
+    real = kernel._find_run
+    monkeypatch.setattr(kernel, "_find_run", lambda code: seen.append(code) or real(code))
     fresh_curves()
     at.enumerate_atlas(6)
     atlas_inputs = len(seen)
@@ -296,20 +324,29 @@ def test_prefilter_matches_the_step_by_step_reference(fresh_curves, ladders, mon
         apply_generator(w, "beta_inv")
     monkeypatch.undo()
     assert atlas_inputs > 300 and len(seen) > atlas_inputs + len(ladders)
-    seen += [_positions(w.code) for w in ladders]
+    seen += [w.code for w in ladders]
     rng = random.Random(19)
-    seen += [_positions(_code(_walk(rng, rng.randint(2, 120), rng.choice((0.0, 0.2)))))
-             for _ in range(3000)]
-    # positions of fence runs of up to 12 steps: walks alive past every pass
+    seen += [_code(_walk(rng, rng.randint(2, 120), rng.choice((0.0, 0.2)))) for _ in range(3000)]
+    # positions of fence runs of up to 12 steps, one step byte per position
+    words = []
     for _ in range(1000):
         fences = []
         while len(fences) < 60:
-            p, side = rng.randrange(6), rng.choice((1, -1))
-            fences += [p] + [(p + side * (-1) ** j) % 6 for j in range(rng.randint(1, 12))]
-        fences = bytes(fences[:rng.randint(3, 60)])
-        seen.append((fences + fences, len(fences)))
-    longer = sum(_same_prefilter(pos, n) for pos, n in seen)
-    assert longer > 1000
+            fences += _fence_run(rng.randrange(6), rng.choice((1, -1)), rng.randint(1, 12))
+        words.append(fences[:rng.randint(3, 60)])
+    seen += [bytes(_BYTE_AT[p] for p in pos) for pos in words + _edge_case_positions()]
+    found = set()
+    for code in seen:
+        n, run = len(code), kernel._find_run(code)
+        assert run == oracle.first_run((code + code).translate(kernel._POSITION), n), code.hex()
+        if run is None:
+            found.add("no run")
+            continue
+        i, k = run
+        found.add("short" if k == i + 2 else "long")
+        found.update(tag for tag, holds in (("past 8 fences", k - i > 9), ("wraps", k >= n),
+                                            ("n - 1 steps", k == i + n - 1)) if holds)
+    assert found == {"no run", "short", "long", "past 8 fences", "wraps", "n - 1 steps"}
 
 
 @pytest.mark.parametrize("steps", [

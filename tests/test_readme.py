@@ -52,3 +52,12 @@ def test_python_api_block_gives_its_documented_results():
                 shown += 1
     # counts twice, is_reducing, classify, the certificate word, lambda_triples
     assert shown == 6
+
+
+def test_layout_names_every_module():
+    text = README.read_text()
+    start = text.index("```", text.index("## Layout")) + len("```")
+    layout = text[start:text.index("```", start)]
+    named = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
+    modules = {p.name for p in (README.parent / "src" / "goeritz2").glob("*.py")} - {"__init__.py"}
+    assert named == modules
