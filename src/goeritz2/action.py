@@ -246,7 +246,7 @@ def _twist(w: CurveWord, curves: str, direction: int) -> CurveWord:
 
 def twist_system(w: CurveWord, curve_name: str, direction: int = 1) -> CurveWord:
     """Dehn twist about one of the six system curves."""
-    if curve_name not in CURVE_NAMES or direction not in (1, -1):
+    if curve_name not in tuple(CURVE_NAMES) or direction not in (1, -1):
         raise MalformedInput(f"bad twist spec ({curve_name!r}, {direction})")
     return _twist(ensure_normal(w), curve_name, direction)
 

@@ -6,14 +6,14 @@ reduction certificate word, the exact equality test of reducing curves (see
 realized (a,b,c) triple, the search depth and the normalized image, which the
 next level expands.  The store is one line-delimited JSON file, so reruns can
 extend it and diffs stay readable; `load` rebuilds the index from the records.
-A record holds its curve as a `CurveWord`: the curve document exists only at
-the file boundary, written by `as_json` and read, validated and normalized
-once by `from_json` when `load` reads a store.  Every record is made by
-`_record`, which reduces its curve for the key and triple, so `load` refuses
-a stored key or triple that is not its curve's; it also refuses a witness
-that does not take the standard curve to the record's curve, a depth
-that is not the witness's length, or a witness that extends no earlier
-record's by one letter.
+A record's witness determines the rest of it: every record is made by
+`_record` from the witness's image of the standard curve, which it reduces
+for the key and triple, and its curve document exists only at the file
+boundary, written by `as_json`.  `from_json` makes a stored record the same
+way from its witness, so no stored curve is read as a word from outside: it
+refuses a curve document that is not exactly the image's, a key or triple
+that is not the image's, and a depth that is not the witness's length, and
+`load` refuses a witness that extends no earlier record's by one letter.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .action import (GENERATORS, apply_generator, apply_word, format_goeritz_word,
                      parse_goeritz_word)
-from .curve import CurveWord, P_CURVE, SlotRecord, from_doc, normalize, to_doc
+from .curve import CurveWord, P_CURVE, SlotRecord, to_doc
 from .errors import INPUT_ERRORS, MalformedInput, NotReducing
 from .reduction import reduce_to_standard
 
@@ -51,9 +51,10 @@ class AtlasRecord(namedtuple("AtlasRecord", "key triple witness depth curve")):
 
     @staticmethod
     def from_json(line: str) -> "AtlasRecord":
-        """One store line as a record, its curve validated, normalized and
-        reduced, its key and triple checked against the reduction's, and its
-        witness replayed from P; an input error says what is wrong with it."""
+        """One store line as the record its witness makes from P: its curve
+        document must be exactly the image's and its key and triple the
+        image's, and its depth the witness's length; an input error says what
+        is wrong with it."""
         doc = _json_object(line)
         missing = [k for k in ("key", "triple", "witness", "depth", "curve") if k not in doc]
         if missing:
@@ -64,18 +65,15 @@ class AtlasRecord(namedtuple("AtlasRecord", "key triple witness depth curve")):
         if type(depth) is not int or depth < 0:
             raise MalformedInput(f"record depth {depth!r} is not a nonnegative integer")
         key, witness = _generator_word(doc, "key"), _generator_word(doc, "witness")
-        try:
-            rec = _record(normalize(from_doc(doc["curve"])), witness, depth)
-        except NotReducing as exc:
-            raise MalformedInput(f"record curve is not reducing: {exc}") from None
+        rec = _record(apply_word(P_CURVE, witness), witness, depth)
+        if doc["curve"] != rec.curve_doc:
+            raise MalformedInput(f"record curve is not the image of P under its witness {witness!r}")
         if key != rec.key:
             raise MalformedInput(f"record key {key!r} is not its curve's certificate word {rec.key!r}")
         if tuple(triple) != rec.triple:
             raise MalformedInput(f"record triple {triple!r} is not its curve's triple {list(rec.triple)!r}")
         if depth != len(witness):
             raise MalformedInput(f"record depth {depth} is not the length of its witness {witness!r}")
-        if apply_word(P_CURVE, witness) != rec.curve:
-            raise MalformedInput(f"record witness {witness!r} does not take P to its curve")
         return rec
 
 
@@ -137,11 +135,12 @@ class AtlasStore(SlotRecord):
 
     @staticmethod
     def load(path: str) -> "AtlasStore":
-        """Read a store that `save` wrote; a malformed line, a curve that is
-        not reducing, or a key, triple, witness or depth that is not its
-        curve's raises MalformedInput naming the file and the line, and so
-        does a witness that extends no earlier record's by one letter, as
-        every witness `enumerate_atlas` stores does.  A store
+        """Read a store that `save` wrote, rebuilding each record from its
+        witness (`AtlasRecord.from_json`); a malformed line, a curve document,
+        key, triple or depth that is not the record's, or a witness that
+        extends no earlier record's by one letter, as every witness
+        `enumerate_atlas` stores does, raises MalformedInput naming the file
+        and the line.  A store
         of an earlier format is refused: its keys (signatures in /1, 24
         intersection numbers in /2) never match a certificate word, so
         extending it would duplicate its records."""
@@ -203,13 +202,13 @@ def enumerate_atlas(depth: int, store: AtlasStore | None = None) -> AtlasStore:
 
     Deterministic for a fixed depth: the frontier is expanded in order.
     """
-    if depth < 0:
-        raise MalformedInput("depth must be nonnegative")
+    if type(depth) is not int or depth < 0:
+        raise MalformedInput(f"depth must be a nonnegative integer, not {depth!r}")
     store = store if store is not None else AtlasStore()
     store.meta.setdefault("generators", "abBgdD")
     store.meta["depth"] = max(depth, store.meta.get("depth", 0))
 
-    store.add(_record(normalize(P_CURVE), "", 0))
+    store.add(_record(P_CURVE, "", 0))
     # Curves whose keys are in the store: an image equal to one of them
     # (alpha's, or g^-1 after g) needs no reduction.
     keyed = {rec.curve for rec in store.records}

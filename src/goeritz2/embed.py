@@ -288,13 +288,16 @@ def _first_clash(present: bytes) -> tuple[int, int] | None:
 # (2e) of each edge, edge by edge, then those on the second sides (2e+1).
 _ENDS = tuple(end for k in (0, 1) for e in range(12) for end in _FAN[2 * e + k])
 
-@lru_cache(maxsize=128)  # enumerate_atlas(7) uses 31 class sets
+# Only words from outside are traced, never an atlas image or a stored record:
+# the curve documents of every depth-7 / 8 / 9 atlas record, read by
+# `curve.from_doc`, use 93 / 97 / 105 class sets.
+@lru_cache(maxsize=128)
 def _layout(present: bytes) -> tuple:
     """Where the ends of a nonempty set of classes (ascending ids) sit.
 
     Raises NotEmbeddable if two of the classes interleave; a raise is not
     cached.  For the class ends in slot order it returns how many lie on
-    first sides, their state bytes and, in bytes: each end's index in the
+    first sides and, in bytes: each end's edge side 2e+k; its index in the
     class sizes; its partner's index in the slot starts (the first-side
     ends' prefix sums with their total, then the second-side ends'); the
     bit k of the states its strands lead to, as they leave the class's
@@ -309,7 +312,7 @@ def _layout(present: bytes) -> tuple:
     side = {end: _CLASS_ENDS[end >> 1][end & 1] for end in ends}
     first = sum(~side[end] & 1 for end in ends)
     start = {end: t + (t >= first) for t, end in enumerate(ends)}
-    return (first, tuple(_SLOT_BYTES[side[end] >> 1] for end in ends),
+    return (first, bytes(side[end] for end in ends),
             bytes(map(present.index, (end >> 1 for end in ends))),
             bytes(start[end ^ 1] for end in ends),
             bytes(~side[end ^ 1] & 1 for end in ends),
@@ -341,30 +344,32 @@ def _embedding(present: bytes, sizes: list[int], copies: int = 1) -> tuple[array
     (ascending ids, `_layout`) have these sizes.
 
     Checks that no two of the classes interleave in a hexagon and that both
-    sides of every edge carry the same number of crossings: the state bytes
-    read along the first sides equal those read along the second.  The
-    class ends, in slot order, tile the slots once along the first sides of
-    the edges and once along the second sides; each end's states lead to the
-    slots of its partner end, every other state of a span, so each side's
-    successors are one array of slices of the state numbers, assigned as one
-    slice of them, which become the table.  The sequences made per call are
-    lists, bytes and arrays: CPython 3.11 never reuses a freed tuple of 20
-    items, so tuples made per call would pile up.  A count mismatch is
-    reported in the numbers of that many parallel copies of the multicurve
-    (`from_doc`).
+    sides of every edge carry the same number of crossings, summed from the
+    sizes before anything is built; the state bytes are then those read
+    along the first sides.  The class ends, in slot order, tile the slots
+    once along the first sides of the edges and once along the second
+    sides; each end's states lead to the slots of its partner end, every
+    other state of a span, so each side's successors are one array of
+    slices of the state numbers, assigned as one slice of them, which
+    become the table.  The sequences made per call are lists, bytes and
+    arrays: CPython 3.11 never reuses a freed tuple of 20 items, so tuples
+    made per call would pile up.  A count mismatch is reported in the
+    numbers of that many parallel copies of the multicurve (`from_doc`).
     """
     if not present:
         return array("i"), b""
-    first, slots, size_of, partner, exits, antis = _layout(present)
+    first, sides, size_of, partner, exits, antis = _layout(present)
     ends = list(map(sizes.__getitem__, size_of))
+    crossings = [0] * 24
+    for side, c in zip(sides, ends):
+        crossings[side] += c
+    if crossings[0::2] != crossings[1::2]:
+        e = next(e for e in range(12) if crossings[2 * e] != crossings[2 * e + 1])
+        raise InconsistentCoordinates(f"edge {EDGE_TOKENS[e]} endpoint counts differ: "
+                                      f"{[copies * c for c in crossings[2 * e:2 * e + 2]]}")
     starts = [*accumulate(ends[:first], initial=0), *accumulate(ends[first:], initial=0)]
-    both, n = b"".join(map(mul, slots, ends)), starts[first]
-    code, other = both[:2 * n], both[2 * n:]
-    if code != other:
-        e, sides = next((e, c) for e, c in enumerate([code.count(s), other.count(s)]
-                                                     for s in _SLOT_BYTES) if c[0] != c[1])
-        raise InconsistentCoordinates(
-            f"edge {EDGE_TOKENS[e]} endpoint counts differ: {[copies * c for c in sides]}")
+    n = starts[first]
+    code = b"".join(map(mul, [_SLOT_BYTES[side >> 1] for side in sides[:first]], ends))
     nxt = _states(2 * n, "i" if n < 1 << 30 else "q")  # 4 bytes a state up to 2**31 states
     spans = zip(map(starts.__getitem__, partner), ends, exits, antis)
     halves = []

@@ -32,9 +32,16 @@ def fresh_curves(monkeypatch):
     """A function that empties the intern table and the memos, as if no curve
     had been made yet, and returns a new interned curve of each given code,
     traced: the library no longer hands out the curves made before, so a
-    test that needs cold curves sees every fact computed again."""
-    def fresh(*codes):
+    test that needs cold curves sees every fact computed again.  With
+    stock=True the table holds the standard curve `P_CURVE`, which the atlas
+    starts from, as it is at import: interned, with no fact computed."""
+    def fresh(*codes, stock=False):
         monkeypatch.setattr(curve, "_CURVES", type(curve._CURVES)())
+        if stock:
+            for name, value in (("_counts", None), ("_reason", curve._UNCHECKED),
+                                ("_pass", None), ("_preimage", None)):
+                monkeypatch.setattr(curve.P_CURVE, name, value)
+            curve._CURVES[curve.P_CURVE.code] = curve.P_CURVE
         goeritz2.clear_caches()
         return [curve._reembed(code) for code in codes]
     return fresh
@@ -103,15 +110,16 @@ def unembedded_word():
             ["B2", "H4"], ["C2", "H2"]]
 
 
-# Store curves `AtlasStore.load` refuses, each with the start of its reason.
-# Every A/B/C edge joins the two pants and every X/Y/Z edge the two balls, so
-# a closed chain crosses each system evenly: an odd crossing count fails the
-# chain check.
+# Store curves that are not valid curves: unembedded, odd parity (a closed
+# chain crosses each system evenly) and null-homotopic.  `AtlasStore.load`
+# compares a stored curve document with its witness's image and reads none
+# as a word, so it refuses each with one reason.
 BAD_STORE_CURVES = {
-    "unembedded": (None, "spur-free word is not one embedded curve"),
+    "unembedded": (None, "record curve is not the image of P under its witness 'D'"),
     "odd-parity": ([["A1", "H1"], ["X1", "H2"], ["X1", "H1"]],
-                   "step 3: expected hexagon H3"),
-    "null-homotopic": ([["A1", "H1"], ["A1", "H3"]], "curve is null-homotopic"),
+                   "record curve is not the image of P under its witness 'D'"),
+    "null-homotopic": ([["A1", "H1"], ["A1", "H3"]],
+                       "record curve is not the image of P under its witness 'D'"),
 }
 
 
@@ -157,14 +165,14 @@ FALSE_WITNESS_STORES = {
     "longer-witness": ({"D": {"witness": "aaad", "depth": 4}}, 3,
                        "record witness 'aaad' extends no witness of an earlier record"),
     "witness-of-another": ({"D": {"witness": "D"}}, 3,
-                           "record witness 'D' does not take P to its curve"),
+                           "record curve is not the image of P under its witness 'D'"),
 }
 
 
 @pytest.fixture(params=sorted(BAD_STORE_CURVES))
 def bad_curve_store(request, tmp_path, unembedded_word):
     """A saved depth-1 store whose third record, on line 4, holds a curve that
-    is not a valid one, and the start of the reason `load` gives for it."""
+    is not a valid one, and the reason `load` gives for it."""
     steps, reason = BAD_STORE_CURVES[request.param]
     path = tmp_path / "atlas.jsonl"
     atlas.enumerate_atlas(1).save(str(path))

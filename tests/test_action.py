@@ -1,6 +1,7 @@
 """Twists and the Goeritz generator action."""
 
 import random
+import re
 
 import kernel_oracle
 import pytest
@@ -82,6 +83,13 @@ def test_twists_reject_a_direction_other_than_one_or_minus_one(direction):
         twist_about_p(cm.PUSHOFFS["A"], direction)
     with pytest.raises(MalformedInput, match="bad twist spec"):
         twist_system(cm.PUSHOFFS["A"], "Z", direction)
+
+
+@pytest.mark.parametrize("name", ["", "AB", "YZ", "XYZ", None, 1])
+def test_twist_system_rejects_a_name_other_than_one_system_curve(name):
+    # a substring of "ABCXYZ" other than one letter names no system curve
+    with pytest.raises(MalformedInput, match=f"^bad twist spec \\({re.escape(repr(name))}, 1\\)$"):
+        twist_system(cm.PUSHOFFS["A"], name)
 
 
 def test_delta_sends_standard_to_prime():

@@ -120,10 +120,15 @@ def test_load_names_the_file_and_line_of_a_malformed_record(tmp_path):
 
 
 def test_load_names_the_file_and_line_of_a_bad_curve(bad_curve_store):
-    # a record's curve is checked once, when its store is loaded
+    # a stored curve is compared with its witness's image, never read as a word
     path, reason = bad_curve_store
-    with pytest.raises(MalformedInput, match=f"^{re.escape(f'{path}, line 4: {reason}')}"):
+    with pytest.raises(MalformedInput, match=f"^{re.escape(f'{path}, line 4: {reason}')}$"):
         at.AtlasStore.load(str(path))
+
+
+def _rotated(doc):
+    """A steps document whose steps start one step later."""
+    return {**doc, "steps": doc["steps"][1:] + doc["steps"][:1]}
 
 
 @pytest.mark.parametrize("edits, line, reason", [
@@ -133,17 +138,35 @@ def test_load_names_the_file_and_line_of_a_bad_curve(bad_curve_store):
     ({"D": {"triple": [0, 0, 2]}}, 3, "record triple [0, 0, 2] is not its curve's triple [0, 2, 0]"),
     ({"": {"triple": [2, 0, 2]}}, 2, "record triple [2, 0, 2] is not its curve's triple [2, 0, 0]"),
     ({"D": {"curve": cm.to_doc(cm.PUSHOFFS["A"])}}, 3,
-     "record curve is not reducing: nonseparating"),
+     "record curve is not the image of P under its witness 'd'"),
     ({"": {"curve": cm.to_doc(apply_word(cm.P_CURVE, "d"))}}, 2,
-     "record key '' is not its curve's certificate word 'D'"),
+     "record curve is not the image of P under its witness ''"),
+    # the same curve from another step, and its document with one more key
+    ({"D": {"curve": _rotated(cm.to_doc(apply_word(cm.P_CURVE, "d")))}}, 3,
+     "record curve is not the image of P under its witness 'd'"),
+    ({"d": {"curve": {**cm.to_doc(apply_word(cm.P_CURVE, "D")), "note": ""}}}, 4,
+     "record curve is not the image of P under its witness 'D'"),
     *FALSE_WITNESS_STORES.values(),
 ], ids=["tampered", "key-of-another", "key-empty", "triple", "base-triple",
-        "curve-not-reducing", "curve-of-another", *FALSE_WITNESS_STORES])
+        "curve-not-reducing", "curve-of-another", "curve-rotated", "curve-extra-key",
+        *FALSE_WITNESS_STORES])
 def test_load_refuses_a_key_triple_or_curve_that_is_not_the_records(edited_store, edits, line,
                                                                      reason):
     path = edited_store(edits)
     with pytest.raises(MalformedInput, match=f"^{re.escape(f'{path}, line {line}: {reason}')}$"):
         at.AtlasStore.load(str(path))
+
+
+def test_loading_a_store_loads_no_reembedding(tmp_path):
+    # a fresh interpreter: the records are rebuilt from their witnesses, whose
+    # images no word from outside reaches
+    code = "import sys\nfrom goeritz2 import atlas\n" \
+        "atlas.enumerate_atlas(3).save(sys.argv[1])\n" \
+        "print(len(atlas.AtlasStore.load(sys.argv[1]).records), 'goeritz2.embed' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "atlas.jsonl")],
+                         capture_output=True, text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out.split() == [str(len(at.enumerate_atlas(3).records)), "False"]
 
 
 def test_extending_a_loaded_store_reduces_no_stored_curve_again(tmp_path, monkeypatch):
@@ -184,6 +207,13 @@ def test_store_extension_matches_fresh_run(tmp_path):
     fresh = at.enumerate_atlas(2)
     assert [r.as_json() for r in extended.records] == \
         [r.as_json() for r in fresh.records]
+
+
+@pytest.mark.parametrize("depth", [-1, 1.0, 2.5, "2", None])
+def test_enumerate_atlas_refuses_a_depth_that_is_not_a_nonnegative_integer(depth):
+    with pytest.raises(MalformedInput, match=f"^depth must be a nonnegative integer, not "
+                                             f"{re.escape(repr(depth))}$"):
+        at.enumerate_atlas(depth)
 
 
 def test_export_table_mentions_base_triple():

@@ -268,7 +268,7 @@ def test_bad_curve_in_atlas_store_exit_code(bad_curve_store, capsys):
     store, reason = bad_curve_store
     assert main(["atlas", "--in", str(store), "--depth", "1"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {store}, line 4: {reason}"), err
+    assert err == f"error: {store}, line 4: {reason}\n", err
 
 
 def test_selftest_refuses_to_run_without_asserts():

@@ -1,5 +1,6 @@
 """Curve words: validation, normalization, counts, census, coordinates."""
 
+import json
 import random
 import re
 import tracemalloc
@@ -15,9 +16,11 @@ from goeritz2 import curve as cm
 from goeritz2 import embed
 from goeritz2 import handlebody as hb
 from goeritz2 import reduction as red
+from goeritz2.cli import main
 from goeritz2.errors import (
     EmptyAfterNormalization,
     Goeritz2Error,
+    InconsistentCoordinates,
     InternalInvariantError,
     MalformedInput,
     MalformedWord,
@@ -396,7 +399,6 @@ def test_signature_differs_for_delta_image():
 
 
 def test_inconsistent_coordinates_rejected():
-    from goeritz2.errors import InconsistentCoordinates
     from goeritz2.surface import A1, H1, X1
 
     with pytest.raises(InconsistentCoordinates):
@@ -404,8 +406,6 @@ def test_inconsistent_coordinates_rejected():
 
 
 def test_coordinates_take_only_chord_classes_with_integer_counts():
-    from goeritz2.errors import InconsistentCoordinates
-
     coords = cm.to_coordinates(cm.P_CURVE)
     key = min(coords)
     bad = [({**coords, key: count}, rf"count of chord class {re.escape(repr(key))} .* not ")
@@ -528,12 +528,27 @@ def test_a_document_of_parallel_copies_builds_one_copy(monkeypatch):
 def test_a_count_mismatch_names_the_documents_numbers():
     # P times 3 with one count raised to 6: the counts share the factor 3,
     # and the message gives the document's counts, not those divided by 3
-    from goeritz2.errors import InconsistentCoordinates
-
     doc = _times(cm.coordinates_doc(cm.P_CURVE), 3)
     doc["coordinates"]["H1"]["A1-X1"] = 6
     with pytest.raises(InconsistentCoordinates, match=r"^edge A1 endpoint counts differ: \[6, 3\]$"):
         cm.from_doc(doc)
+
+
+@pytest.mark.parametrize("count", [2 ** 40, 2 ** 62, 10 ** 30])
+def test_a_huge_count_that_disagrees_on_an_edge_is_refused_unbuilt(tmp_path, capsys, count):
+    # both sides' crossings of each edge are summed from the counts before
+    # anything is built: joining the state bytes of such a count raised
+    # MemoryError or OverflowError
+    doc = cm.coordinates_doc(action.apply_word(cm.P_CURVE, "dbD"))
+    chords = next(iter(doc["coordinates"].values()))
+    chords[next(iter(chords))] = count
+    reason = f"edge A1 endpoint counts differ: [{count}, 1]"
+    with pytest.raises(InconsistentCoordinates, match=f"^{re.escape(reason)}$"):
+        cm.from_doc(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--in", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_document_roundtrip(corpus):
